@@ -7,8 +7,8 @@
 //  - cold run:  reset() on a fresh arena + full execution. Allocations here
 //               are the O(n) arena build plus O(k) programs.
 //  - warm run:  reset() on the *same* arena + full execution. reset() may
-//               allocate only the O(k) per-run objects (programs, coroutine
-//               frames); the action loop itself must allocate NOTHING —
+//               allocate only the O(k) per-run objects (the agent
+//               programs); the action loop itself must allocate NOTHING —
 //               that is the steady-state contract campaigns rely on.
 //
 // Set UDRING_HUGE_STRICT=1 to turn a nonzero warm action-loop count into a

@@ -6,17 +6,18 @@
 
 namespace udring::core {
 
-sim::Behavior DisperseAgent::run(sim::AgentContext& ctx) {
+sim::Request DisperseAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   ctx.set_phase(kExplore);
   ctx.release_token();
 
-  for (std::size_t j = 0; j < k_; ++j) {
-    std::size_t dis = 0;
+  while (d_.size() < k_) {
+    dis_ = 0;
     do {
-      co_await ctx.move();
-      ++dis;
+      UDRING_AWAIT(ctx.move());
+      ++dis_;
     } while (ctx.tokens_here() == 0);
-    d_.push_back(dis);
+    d_.push_back(dis_);
     memory_changed();
   }
   n_ = sum(d_);
@@ -26,13 +27,15 @@ sim::Behavior DisperseAgent::run(sim::AgentContext& ctx) {
   // ranks off period-spaced bases give pairwise-distinct targets (see the
   // header argument).
   ctx.set_phase(kSettle);
-  const std::size_t rank = min_rotation(d_);
-  std::size_t dis_settle = rank;
-  for (std::size_t i = 0; i < rank; ++i) dis_settle += d_[i];
-  for (std::size_t i = 0; i < dis_settle; ++i) {
-    co_await ctx.move();
+  {
+    const std::size_t rank = min_rotation(d_);
+    steps_left_ = rank;
+    for (std::size_t i = 0; i < rank; ++i) steps_left_ += d_[i];
   }
-  co_return;
+  for (; steps_left_ > 0; --steps_left_) {
+    UDRING_AWAIT(ctx.move());
+  }
+  UDRING_END;
 }
 
 std::size_t DisperseAgent::compute_memory_bits() const {

@@ -38,13 +38,12 @@
 
 namespace udring::core {
 
-class DisperseAgent final : public sim::AgentProgram {
+class DisperseAgent final : public sim::CopyableProgram<DisperseAgent> {
  public:
   enum Phase : std::size_t { kExplore = 0, kSettle = 1 };
 
   explicit DisperseAgent(std::size_t k) : k_(k) {}
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override {
     return "disperse-ring";
   }
@@ -55,9 +54,16 @@ class DisperseAgent final : public sim::AgentProgram {
   }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   std::size_t k_;
   DistanceSeq d_;
   std::size_t n_ = 0;
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  std::size_t dis_ = 0;         // distance walked toward the next token node
+  std::size_t steps_left_ = 0;  // settling moves still to make
 };
 
 }  // namespace udring::core

@@ -151,16 +151,30 @@ std::size_t config_symmetry_degree(std::vector<std::size_t> positions,
   return symmetry_degree(distances_from_positions(std::move(positions), node_count));
 }
 
-std::uint64_t hash_sequence(std::uint64_t seed, const DistanceSeq& d) {
+namespace {
+
+template <typename Range>
+std::uint64_t hash_values(std::uint64_t seed, const Range& values) {
   std::uint64_t h = seed ^ 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
     h *= 0x100000001b3ULL;
     h ^= h >> 29;
   };
-  mix(d.size());
-  for (const Distance v : d) mix(v);
+  mix(values.size());
+  for (const Distance v : values) mix(v);
   return h;
+}
+
+}  // namespace
+
+std::uint64_t hash_sequence(std::uint64_t seed, const DistanceSeq& d) {
+  return hash_values(seed, d);
+}
+
+std::uint64_t hash_sequence(std::uint64_t seed,
+                            std::initializer_list<Distance> values) {
+  return hash_values(seed, values);
 }
 
 }  // namespace udring::core

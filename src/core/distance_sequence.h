@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace udring::core {
@@ -96,5 +97,11 @@ using DistanceSeq = std::vector<Distance>;
 /// FNV-1a style hash of a sequence — used by AgentProgram::state_hash
 /// implementations.
 [[nodiscard]] std::uint64_t hash_sequence(std::uint64_t seed, const DistanceSeq& d);
+
+/// The same hash over a braced list of a program's scalars
+/// (`hash_sequence(h, {n_, rank_})`), without building a DistanceSeq: the
+/// model checker digests every agent at every visited state.
+[[nodiscard]] std::uint64_t hash_sequence(std::uint64_t seed,
+                                          std::initializer_list<Distance> values);
 
 }  // namespace udring::core

@@ -6,47 +6,51 @@
 
 namespace udring::core {
 
-sim::Behavior PartialGatherAgent::run(sim::AgentContext& ctx) {
+sim::Request PartialGatherAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   ctx.set_phase(kExplore);
   ctx.release_token();
 
-  for (std::size_t j = 0; j < k_; ++j) {
-    std::size_t dis = 0;
+  while (d_.size() < k_) {
+    dis_ = 0;
     do {
-      co_await ctx.move();
-      ++dis;
+      UDRING_AWAIT(ctx.move());
+      ++dis_;
     } while (ctx.tokens_here() == 0);
-    d_.push_back(dis);
+    d_.push_back(dis_);
     memory_changed();
   }
   n_ = sum(d_);
   memory_changed();
 
-  const std::size_t p = period(d_);
-  if (p < g_) {
-    // Fewer rank classes than the group size: no node can collect g agents
-    // (see the header's impossibility argument). Report and stop at home.
-    unsolvable_ = true;
-    memory_changed();
-    co_return;
-  }
+  {
+    const std::size_t p = period(d_);
+    if (p < g_) {
+      // Fewer rank classes than the group size: no node can collect g
+      // agents (see the header's impossibility argument). Report and stop at
+      // home.
+      unsolvable_ = true;
+      memory_changed();
+      return ctx.halt();
+    }
 
-  // Rank classes [0, p) split into G contiguous blocks of g (the last block
-  // absorbs the p mod g remainder ranks). Every agent walks forward to the
-  // home of its block's lowest-rank agent: rank r sits r token-gaps behind
-  // its region's base (rank 0), so the rank-(j*g) home lies r - j*g gaps
-  // ahead — sum of that many leading entries of D.
-  ctx.set_phase(kGather);
-  const std::size_t rank = min_rotation(d_);
-  const std::size_t groups = p / g_;
-  const std::size_t group = std::min(rank / g_, groups - 1);
-  const std::size_t gaps_ahead = rank - group * g_;
-  std::size_t dis_meet = 0;
-  for (std::size_t i = 0; i < gaps_ahead; ++i) dis_meet += d_[i];
-  for (std::size_t i = 0; i < dis_meet; ++i) {
-    co_await ctx.move();
+    // Rank classes [0, p) split into G contiguous blocks of g (the last
+    // block absorbs the p mod g remainder ranks). Every agent walks forward
+    // to the home of its block's lowest-rank agent: rank r sits r token-gaps
+    // behind its region's base (rank 0), so the rank-(j*g) home lies r - j*g
+    // gaps ahead — sum of that many leading entries of D.
+    ctx.set_phase(kGather);
+    const std::size_t rank = min_rotation(d_);
+    const std::size_t groups = p / g_;
+    const std::size_t group = std::min(rank / g_, groups - 1);
+    const std::size_t gaps_ahead = rank - group * g_;
+    steps_left_ = 0;
+    for (std::size_t i = 0; i < gaps_ahead; ++i) steps_left_ += d_[i];
   }
-  co_return;
+  for (; steps_left_ > 0; --steps_left_) {
+    UDRING_AWAIT(ctx.move());
+  }
+  UDRING_END;
 }
 
 std::size_t PartialGatherAgent::compute_memory_bits() const {

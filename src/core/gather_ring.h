@@ -48,7 +48,7 @@
 
 namespace udring::core {
 
-class PartialGatherAgent final : public sim::AgentProgram,
+class PartialGatherAgent final : public sim::CopyableProgram<PartialGatherAgent>,
                                  public UnsolvabilityAware {
  public:
   enum Phase : std::size_t { kExplore = 0, kGather = 1 };
@@ -58,7 +58,6 @@ class PartialGatherAgent final : public sim::AgentProgram,
   PartialGatherAgent(std::size_t k, std::size_t g)
       : k_(k), g_(g == 0 ? 1 : g) {}
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "gather-ring"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -73,11 +72,18 @@ class PartialGatherAgent final : public sim::AgentProgram,
   }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   std::size_t k_;
   std::size_t g_;
   DistanceSeq d_;
   std::size_t n_ = 0;
   bool unsolvable_ = false;
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  std::size_t dis_ = 0;         // distance walked toward the next token node
+  std::size_t steps_left_ = 0;  // gathering moves still to make
 };
 
 }  // namespace udring::core

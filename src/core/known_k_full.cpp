@@ -9,23 +9,24 @@ namespace udring::core {
 
 KnownKFullAgent::KnownKFullAgent(std::size_t k) : k_(k) { d_.reserve(k); }
 
-sim::Behavior KnownKFullAgent::run(sim::AgentContext& ctx) {
+sim::Request KnownKFullAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   // --- selection phase (Algorithm 1, lines 1–10) ---------------------------
   // The first action is the arrival at the home node (initial-buffer rule),
   // so the token lands before any other agent can act here.
   ctx.set_phase(kSelection);
   ctx.release_token();
 
-  for (std::size_t j = 0; j < k_; ++j) {
+  while (d_.size() < k_) {
     // Move to the nearest token node, measuring the distance. Every home
     // node keeps its token forever, so after k token sightings the agent has
     // completed exactly one circuit and is back home.
-    std::size_t dis = 0;
+    dis_ = 0;
     do {
-      co_await ctx.move();
-      ++dis;
+      UDRING_AWAIT(ctx.move());
+      ++dis_;
     } while (ctx.tokens_here() == 0);
-    d_.push_back(dis);
+    d_.push_back(dis_);
     memory_changed();
   }
   n_ = sum(d_);
@@ -40,13 +41,13 @@ sim::Behavior KnownKFullAgent::run(sim::AgentContext& ctx) {
 
   // b = symmetry degree: on periodic configurations each period block elects
   // its own base node and rank_ < k/b indexes within the block.
-  const TargetPlan plan = make_target_plan(n_, k_, symmetry_degree(d_));
-  const std::size_t total = dis_base_ + plan.offset(rank_);
-  for (std::size_t i = 0; i < total; ++i) {
-    co_await ctx.move();
+  steps_left_ =
+      dis_base_ + make_target_plan(n_, k_, symmetry_degree(d_)).offset(rank_);
+  for (; steps_left_ > 0; --steps_left_) {
+    UDRING_AWAIT(ctx.move());
   }
   // Arriving at the target node, terminate (halt state, Definition 1).
-  co_return;
+  UDRING_END;
 }
 
 std::size_t KnownKFullAgent::compute_memory_bits() const {
@@ -71,20 +72,21 @@ std::uint64_t KnownKFullAgent::state_hash() const {
 
 KnownNFullAgent::KnownNFullAgent(std::size_t n) : n_(n) {}
 
-sim::Behavior KnownNFullAgent::run(sim::AgentContext& ctx) {
+sim::Request KnownNFullAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   // Selection: identical walk, but the circuit ends when the accumulated
   // distance reaches n; k comes out as the number of token sightings.
   ctx.set_phase(kSelection);
   ctx.release_token();
 
-  std::size_t dis = 0;
+  dis_ = 0;
   while (traveled_ < n_) {
-    co_await ctx.move();
+    UDRING_AWAIT(ctx.move());
     ++traveled_;
-    ++dis;
+    ++dis_;
     if (ctx.tokens_here() != 0) {
-      d_.push_back(dis);
-      dis = 0;
+      d_.push_back(dis_);
+      dis_ = 0;
     }
     memory_changed();
   }
@@ -97,13 +99,12 @@ sim::Behavior KnownNFullAgent::run(sim::AgentContext& ctx) {
   for (std::size_t i = 0; i < rank_; ++i) dis_base_ += d_[i];
   memory_changed();
 
-  const TargetPlan plan =
-      make_target_plan(n_, d_.size(), symmetry_degree(d_));
-  const std::size_t total = dis_base_ + plan.offset(rank_);
-  for (std::size_t i = 0; i < total; ++i) {
-    co_await ctx.move();
+  steps_left_ = dis_base_ + make_target_plan(n_, d_.size(), symmetry_degree(d_))
+                                .offset(rank_);
+  for (; steps_left_ > 0; --steps_left_) {
+    UDRING_AWAIT(ctx.move());
   }
-  co_return;
+  UDRING_END;
 }
 
 std::size_t KnownNFullAgent::compute_memory_bits() const {

@@ -33,14 +33,13 @@
 
 namespace udring::core {
 
-class KnownKFullAgent final : public sim::AgentProgram {
+class KnownKFullAgent final : public sim::CopyableProgram<KnownKFullAgent> {
  public:
   /// Phase indices reported through AgentContext::set_phase.
   enum Phase : std::size_t { kSelection = 0, kDeployment = 1 };
 
   explicit KnownKFullAgent(std::size_t k);
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "known-k-full"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -60,6 +59,8 @@ class KnownKFullAgent final : public sim::AgentProgram {
   [[nodiscard]] std::size_t dis_base() const noexcept { return dis_base_; }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   std::size_t k_;
 
   // Algorithm state (named members so memory_bits/state_hash see them).
@@ -67,6 +68,11 @@ class KnownKFullAgent final : public sim::AgentProgram {
   std::size_t n_ = 0;
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  std::size_t dis_ = 0;         // distance walked toward the next token node
+  std::size_t steps_left_ = 0;  // deployment moves still to make
 };
 
 /// Footnote 2 of the paper: "agents with knowledge of n can similarly solve
@@ -75,13 +81,12 @@ class KnownKFullAgent final : public sim::AgentProgram {
 /// counting k tokens, and learns k = |D| on the way. Costs are identical to
 /// Algorithm 1; the two variants must land every agent on the same target
 /// (tests/test_algo_full.cpp cross-checks them).
-class KnownNFullAgent final : public sim::AgentProgram {
+class KnownNFullAgent final : public sim::CopyableProgram<KnownNFullAgent> {
  public:
   enum Phase : std::size_t { kSelection = 0, kDeployment = 1 };
 
   explicit KnownNFullAgent(std::size_t n);
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "known-n-full"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -95,12 +100,18 @@ class KnownNFullAgent final : public sim::AgentProgram {
   [[nodiscard]] std::size_t rank() const noexcept { return rank_; }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   std::size_t n_;
 
   DistanceSeq d_;
   std::size_t traveled_ = 0;
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;
+
+  // Protothread locals (see KnownKFullAgent).
+  std::size_t dis_ = 0;
+  std::size_t steps_left_ = 0;
 };
 
 }  // namespace udring::core

@@ -25,7 +25,8 @@ namespace {
 KnownKLogMemAgent::KnownKLogMemAgent(std::size_t k, Options options)
     : k_(k), options_(options) {}
 
-sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
+sim::Request KnownKLogMemAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   // ==== selection phase (Algorithm 2) =======================================
   ctx.set_phase(kSelection);
   ctx.release_token();
@@ -36,7 +37,7 @@ sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
     identical_ = true;
     min_ = true;
     memory_changed();
-    const bool first_circuit = (sub_phase_ == 1);
+    first_circuit_ = (sub_phase_ == 1);
 
     // -- measure ID_i = (d_own_, fnum_own_): walk to the next active node.
     // Active node: token, no staying agent (its owner is traversing).
@@ -46,10 +47,10 @@ sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
     fnum_own_ = 0;
     memory_changed();
     for (;;) {
-      co_await ctx.move();
+      UDRING_AWAIT(ctx.move());
       ++d_own_;
       memory_changed();
-      if (first_circuit) ++n_;  // n accumulates over the first circuit
+      if (first_circuit_) ++n_;  // n accumulates over the first circuit
       if (ctx.tokens_here() == 0) continue;
       ++tokens_seen_;
       if (ctx.others_staying_here() == 0) break;  // next active node (or home)
@@ -69,10 +70,10 @@ sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
     fnum_next_ = 0;
     memory_changed();
     for (;;) {
-      co_await ctx.move();
+      UDRING_AWAIT(ctx.move());
       ++d_next_;
       memory_changed();
-      if (first_circuit) ++n_;
+      if (first_circuit_) ++n_;
       if (ctx.tokens_here() == 0) continue;
       ++tokens_seen_;
       if (ctx.others_staying_here() == 0) break;
@@ -87,10 +88,10 @@ sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
       fnum_other_ = 0;
       memory_changed();
       for (;;) {
-        co_await ctx.move();
+        UDRING_AWAIT(ctx.move());
         ++d_other_;
         memory_changed();
-        if (first_circuit) ++n_;
+        if (first_circuit_) ++n_;
         if (ctx.tokens_here() == 0) continue;
         ++tokens_seen_;
         if (ctx.others_staying_here() == 0) break;
@@ -120,56 +121,35 @@ sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
   ctx.set_phase(kDeployment);
 
   if (role_ == Role::Leader) {
-    // Segment geometry from the final ID: fnum_own_ followers per segment,
-    // per_seg = fnum_own_ + 1 targets, and the n ≠ ck remainder split.
-    const std::size_t per_seg = fnum_own_ + 1;
-    const std::size_t remainder = n_ % k_;
-    const sim::BaseInfoMessage geometry_template{
-        /*t_base=*/0,
-        /*seg_agents=*/per_seg,
-        /*ceil_gaps=*/remainder * per_seg / k_,
-        /*floor_gap=*/n_ / k_,
-    };
-
     // Walk the segment, waking each follower with its token count to the
     // next base node (lines 4–9).
     walk_count_ = 0;
     memory_changed();
     while (walk_count_ != fnum_own_) {
       do {
-        co_await ctx.move();
+        UDRING_AWAIT(ctx.move());
       } while (ctx.tokens_here() == 0);
-      sim::BaseInfoMessage info = geometry_template;
-      info.t_base = fnum_own_ - walk_count_;
-      ctx.broadcast(info);
+      ctx.broadcast(base_info(fnum_own_ - walk_count_));
       ++walk_count_;
       memory_changed();
     }
     // Move to the next base node — this leader's own target — and halt.
     do {
-      co_await ctx.move();
+      UDRING_AWAIT(ctx.move());
     } while (ctx.tokens_here() == 0);
-    co_return;
+    return ctx.halt();
   }
 
   // Follower: wait for the leader's notification (line 16).
-  sim::BaseInfoMessage info;
-  for (bool informed = false; !informed;) {
-    co_await ctx.wait_message();
-    for (const sim::Message& message : ctx.inbox()) {
-      if (const auto* base_info = std::get_if<sim::BaseInfoMessage>(&message)) {
-        info = *base_info;
-        informed = true;
-        break;
-      }
-    }
-  }
+  do {
+    UDRING_AWAIT(ctx.wait_message());
+  } while (!take_base_info(ctx.inbox()));
 
   // Walk to the nearest base node: pass t_base token nodes (line 17).
   walk_count_ = 0;
   memory_changed();
-  while (walk_count_ != info.t_base) {
-    co_await ctx.move();
+  while (walk_count_ != info_.t_base) {
+    UDRING_AWAIT(ctx.move());
     if (ctx.tokens_here() != 0) {
       ++walk_count_;
       memory_changed();
@@ -186,21 +166,43 @@ sim::Behavior KnownKLogMemAgent::run(sim::AgentContext& ctx) {
   for (;;) {
     ++target_index_;
     memory_changed();
-    const std::size_t hop =
-        info.floor_gap + (target_index_ <= info.ceil_gaps ? 1 : 0);
-    for (std::size_t step = 0; step < hop; ++step) {
-      co_await ctx.move();
+    steps_left_ = info_.floor_gap + (target_index_ <= info_.ceil_gaps ? 1 : 0);
+    for (; steps_left_ > 0; --steps_left_) {
+      UDRING_AWAIT(ctx.move());
     }
-    const bool at_base_node = (target_index_ == info.seg_agents);
+    const bool at_base_node = (target_index_ == info_.seg_agents);
     if ((!at_base_node || options_.strict_paper) &&
         ctx.others_staying_here() == 0) {
-      co_return;  // claim this vacant target and halt
+      return ctx.halt();  // claim this vacant target and halt
     }
     if (at_base_node) {
       target_index_ = 0;
       memory_changed();
     }
   }
+  UDRING_END;
+}
+
+sim::BaseInfoMessage KnownKLogMemAgent::base_info(std::size_t t_base) const {
+  // Segment geometry from the final ID: fnum_own_ followers per segment,
+  // per_seg = fnum_own_ + 1 targets, and the n ≠ ck remainder split.
+  const std::size_t per_seg = fnum_own_ + 1;
+  return sim::BaseInfoMessage{
+      /*t_base=*/t_base,
+      /*seg_agents=*/per_seg,
+      /*ceil_gaps=*/(n_ % k_) * per_seg / k_,
+      /*floor_gap=*/n_ / k_,
+  };
+}
+
+bool KnownKLogMemAgent::take_base_info(const std::vector<sim::Message>& inbox) {
+  for (const sim::Message& message : inbox) {
+    if (const auto* base_info = std::get_if<sim::BaseInfoMessage>(&message)) {
+      info_ = *base_info;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::size_t KnownKLogMemAgent::compute_memory_bits() const {

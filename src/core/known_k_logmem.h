@@ -47,7 +47,7 @@
 
 namespace udring::core {
 
-class KnownKLogMemAgent final : public sim::AgentProgram {
+class KnownKLogMemAgent final : public sim::CopyableProgram<KnownKLogMemAgent> {
  public:
   enum Phase : std::size_t { kSelection = 0, kDeployment = 1 };
 
@@ -61,7 +61,6 @@ class KnownKLogMemAgent final : public sim::AgentProgram {
   explicit KnownKLogMemAgent(std::size_t k) : KnownKLogMemAgent(k, Options{}) {}
   KnownKLogMemAgent(std::size_t k, Options options);
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "known-k-logmem"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -81,8 +80,15 @@ class KnownKLogMemAgent final : public sim::AgentProgram {
   [[nodiscard]] std::size_t id_follower_count() const noexcept { return fnum_own_; }
 
  private:
-  /// One "move to the next active node" walk, shared by the ID measurements.
-  /// Implemented inline in run() — see the MeasureResult fields there.
+  sim::Request act(sim::AgentContext& ctx) override;
+
+  /// The leader's Algorithm-3 notification for a follower `t_base` token
+  /// nodes short of the next base node, carrying the segment geometry.
+  [[nodiscard]] sim::BaseInfoMessage base_info(std::size_t t_base) const;
+
+  /// Follower: stores the first BaseInfoMessage of `inbox` in info_; false
+  /// when there is none (keep waiting).
+  bool take_base_info(const std::vector<sim::Message>& inbox);
 
   std::size_t k_;
   Options options_;
@@ -101,6 +107,12 @@ class KnownKLogMemAgent final : public sim::AgentProgram {
   // Deployment-phase scalars.
   std::size_t walk_count_ = 0;    // leader: followers informed; follower: tokens seen
   std::size_t target_index_ = 0;  // follower: position in the interval pattern
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  bool first_circuit_ = false;    // this sub-phase also measures n
+  sim::BaseInfoMessage info_;     // follower: the leader's notification
+  std::size_t steps_left_ = 0;    // follower: moves left to the next stop
 };
 
 }  // namespace udring::core

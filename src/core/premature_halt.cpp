@@ -6,22 +6,23 @@
 
 namespace udring::core {
 
-sim::Behavior PrematureHaltAgent::run(sim::AgentContext& ctx) {
+sim::Request PrematureHaltAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   // Estimating phase — Algorithm 4 verbatim.
   ctx.set_phase(kEstimating);
   ctx.release_token();
-  std::size_t observed = 0;
+  observed_ = 0;
   while (n_est_ == 0) {
-    std::size_t dis = 0;
+    dis_ = 0;
     do {
-      co_await ctx.move();
-      ++dis;
+      UDRING_AWAIT(ctx.move());
+      ++dis_;
     } while (ctx.tokens_here() == 0);
-    d_.push_back(dis);
+    d_.push_back(dis_);
     memory_changed();
-    ++observed;
-    if (observed % 4 == 0 && is_m_fold_repetition(d_, 4)) {
-      k_est_ = observed / 4;
+    ++observed_;
+    if (observed_ % 4 == 0 && is_m_fold_repetition(d_, 4)) {
+      k_est_ = observed_ / 4;
       for (std::size_t i = 0; i < k_est_; ++i) n_est_ += d_[i];
       memory_changed();
     }
@@ -32,14 +33,12 @@ sim::Behavior PrematureHaltAgent::run(sim::AgentContext& ctx) {
   ctx.set_phase(kDeploying);
   rank_ = min_rotation(d_);
   memory_changed();
-  std::size_t dis_base = 0;
-  for (std::size_t i = 0; i < rank_; ++i) dis_base += d_[i];
-  const std::size_t offset =
-      rank_ * (n_est_ / k_est_) + std::min(rank_, n_est_ % k_est_);
-  for (std::size_t i = 0; i < dis_base + offset; ++i) {
-    co_await ctx.move();
+  steps_left_ = rank_ * (n_est_ / k_est_) + std::min(rank_, n_est_ % k_est_);
+  for (std::size_t i = 0; i < rank_; ++i) steps_left_ += d_[i];
+  for (; steps_left_ > 0; --steps_left_) {
+    UDRING_AWAIT(ctx.move());
   }
-  co_return;
+  UDRING_END;
 }
 
 std::size_t PrematureHaltAgent::compute_memory_bits() const {

@@ -31,13 +31,12 @@
 
 namespace udring::core {
 
-class PrematureHaltAgent final : public sim::AgentProgram {
+class PrematureHaltAgent final : public sim::CopyableProgram<PrematureHaltAgent> {
  public:
   enum Phase : std::size_t { kEstimating = 0, kDeploying = 1 };
 
   PrematureHaltAgent() = default;
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "premature-halt"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -49,10 +48,18 @@ class PrematureHaltAgent final : public sim::AgentProgram {
   [[nodiscard]] std::size_t estimated_k() const noexcept { return k_est_; }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   DistanceSeq d_;
   std::size_t n_est_ = 0;
   std::size_t k_est_ = 0;
   std::size_t rank_ = 0;
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  std::size_t observed_ = 0;    // distances recorded while estimating
+  std::size_t dis_ = 0;         // distance walked toward the next token node
+  std::size_t steps_left_ = 0;  // deployment moves still to make
 };
 
 }  // namespace udring::core

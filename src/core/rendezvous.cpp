@@ -6,17 +6,18 @@
 
 namespace udring::core {
 
-sim::Behavior RendezvousAgent::run(sim::AgentContext& ctx) {
+sim::Request RendezvousAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   ctx.set_phase(kExplore);
   ctx.release_token();
 
-  for (std::size_t j = 0; j < k_; ++j) {
-    std::size_t dis = 0;
+  while (d_.size() < k_) {
+    dis_ = 0;
     do {
-      co_await ctx.move();
-      ++dis;
+      UDRING_AWAIT(ctx.move());
+      ++dis_;
     } while (ctx.tokens_here() == 0);
-    d_.push_back(dis);
+    d_.push_back(dis_);
     memory_changed();
   }
   n_ = sum(d_);
@@ -27,19 +28,21 @@ sim::Behavior RendezvousAgent::run(sim::AgentContext& ctx) {
     // bound). Report and stop at home.
     unsolvable_ = true;
     memory_changed();
-    co_return;
+    return ctx.halt();
   }
 
   // Aperiodic: the lexicographically minimal rotation starts at a unique
   // agent; everyone walks to that agent's home node.
   ctx.set_phase(kGather);
-  const std::size_t rank = min_rotation(d_);
-  std::size_t dis_base = 0;
-  for (std::size_t i = 0; i < rank; ++i) dis_base += d_[i];
-  for (std::size_t i = 0; i < dis_base; ++i) {
-    co_await ctx.move();
+  {
+    const std::size_t rank = min_rotation(d_);
+    steps_left_ = 0;
+    for (std::size_t i = 0; i < rank; ++i) steps_left_ += d_[i];
   }
-  co_return;
+  for (; steps_left_ > 0; --steps_left_) {
+    UDRING_AWAIT(ctx.move());
+  }
+  UDRING_END;
 }
 
 std::size_t RendezvousAgent::compute_memory_bits() const {

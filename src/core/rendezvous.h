@@ -32,14 +32,13 @@
 
 namespace udring::core {
 
-class RendezvousAgent final : public sim::AgentProgram,
+class RendezvousAgent final : public sim::CopyableProgram<RendezvousAgent>,
                               public UnsolvabilityAware {
  public:
   enum Phase : std::size_t { kExplore = 0, kGather = 1 };
 
   explicit RendezvousAgent(std::size_t k) : k_(k) {}
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "rendezvous"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -53,10 +52,17 @@ class RendezvousAgent final : public sim::AgentProgram,
   }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   std::size_t k_;
   DistanceSeq d_;
   std::size_t n_ = 0;
   bool unsolvable_ = false;
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  std::size_t dis_ = 0;         // distance walked toward the next token node
+  std::size_t steps_left_ = 0;  // gathering moves still to make
 };
 
 }  // namespace udring::core

@@ -11,10 +11,10 @@
 //  - RunContext + run_many(specs): the pooled form — a RunContext owns a
 //    reusable sim::ExecutionState arena and a per-kind scheduler cache, so
 //    a worker that executes thousands of runs performs O(k) allocations per
-//    run (agent programs + coroutine frames) instead of O(n). run_many
-//    shards a spec list over util::parallel_for_workers with one RunContext
-//    per worker. exp::run_campaign and the src/explore fuzzer sit on the
-//    same machinery.
+//    run (the agent programs) instead of O(n). run_many shards a spec list
+//    over util::parallel_for_workers with one RunContext per worker.
+//    exp::run_campaign and the src/explore fuzzer sit on the same
+//    machinery.
 
 #pragma once
 

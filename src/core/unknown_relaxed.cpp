@@ -8,26 +8,27 @@
 
 namespace udring::core {
 
-sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
+sim::Request UnknownRelaxedAgent::act(sim::AgentContext& ctx) {
+  UDRING_BEGIN;
   // ==== estimating phase (Algorithm 4) ======================================
   ctx.set_phase(kEstimating);
   ctx.release_token();
 
-  std::size_t observed = 0;  // j in the pseudocode
+  observed_ = 0;  // j in the pseudocode
   while (n_est_ == 0) {
-    std::size_t dis = 0;
+    dis_ = 0;
     do {
-      co_await ctx.move();
+      UDRING_AWAIT(ctx.move());
       ++nodes_;
       memory_changed();
-      ++dis;
+      ++dis_;
     } while (ctx.tokens_here() == 0);
-    d_.push_back(dis);
+    d_.push_back(dis_);
     memory_changed();
-    ++observed;
-    if (observed % 4 == 0 && is_m_fold_repetition(d_, 4)) {
+    ++observed_;
+    if (observed_ % 4 == 0 && is_m_fold_repetition(d_, 4)) {
       // D = S^4: the agent believes it circled the ring four times.
-      k_est_ = observed / 4;
+      k_est_ = observed_ / 4;
       n_est_ = 0;
       for (std::size_t i = 0; i < k_est_; ++i) n_est_ += d_[i];
       first_n_est_ = n_est_;
@@ -44,7 +45,7 @@ sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
     // faithful and only send during the *first* patrol.)
     ctx.set_phase(corrections_ == 0 ? kPatrolling : kDeploying);
     while (nodes_ != 12 * n_est_) {
-      co_await ctx.move();
+      UDRING_AWAIT(ctx.move());
       ++nodes_;
       memory_changed();
       if (corrections_ == 0 && ctx.others_staying_here() > 0) {
@@ -66,13 +67,10 @@ sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
 
     // offset(rank) with the n' ≠ c·k' remainder rule (§3.1.1, one segment in
     // the agent's estimated world).
-    const std::size_t floor_gap = n_est_ / k_est_;
-    const std::size_t remainder = n_est_ % k_est_;
-    const std::size_t offset =
-        rank_ * floor_gap + std::min(rank_, remainder);
-
-    for (std::size_t i = 0; i < dis_base_ + offset; ++i) {
-      co_await ctx.move();
+    steps_left_ = dis_base_ + rank_ * (n_est_ / k_est_) +
+                  std::min(rank_, n_est_ % k_est_);
+    for (; steps_left_ > 0; --steps_left_) {
+      UDRING_AWAIT(ctx.move());
       ++nodes_;
       memory_changed();
     }
@@ -80,7 +78,7 @@ sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
     // ==== suspended state (Algorithm 6, lines 12–19) ========================
     ctx.set_phase(kSuspendedPhase);
     for (;;) {
-      co_await ctx.suspend();
+      UDRING_AWAIT(ctx.suspend());
       const auto resume = pick_resume_message(ctx.inbox());
       if (!resume.has_value()) continue;  // condition failed: stay suspended
 
@@ -96,6 +94,7 @@ sim::Behavior UnknownRelaxedAgent::run(sim::AgentContext& ctx) {
     // redeploy from the loop top. 12n' is a multiple of n', so the position
     // after the catch-up is the home node shifted by 0 mod n'.
   }
+  UDRING_END;
 }
 
 std::optional<std::pair<sim::EstimateMessage, std::size_t>>

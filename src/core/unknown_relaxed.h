@@ -48,7 +48,7 @@
 
 namespace udring::core {
 
-class UnknownRelaxedAgent final : public sim::AgentProgram {
+class UnknownRelaxedAgent final : public sim::CopyableProgram<UnknownRelaxedAgent> {
  public:
   enum Phase : std::size_t {
     kEstimating = 0,
@@ -59,7 +59,6 @@ class UnknownRelaxedAgent final : public sim::AgentProgram {
 
   UnknownRelaxedAgent() = default;
 
-  sim::Behavior run(sim::AgentContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "unknown-relaxed"; }
   [[nodiscard]] std::size_t compute_memory_bits() const override;
   [[nodiscard]] std::uint64_t state_hash() const override;
@@ -81,6 +80,8 @@ class UnknownRelaxedAgent final : public sim::AgentProgram {
   [[nodiscard]] const DistanceSeq& distance_sequence() const noexcept { return d_; }
 
  private:
+  sim::Request act(sim::AgentContext& ctx) override;
+
   /// Examines delivered messages; if one satisfies the Algorithm-6 resume
   /// conditions, returns the shift t and the message (best = largest n'ℓ).
   [[nodiscard]] std::optional<std::pair<sim::EstimateMessage, std::size_t>>
@@ -97,6 +98,12 @@ class UnknownRelaxedAgent final : public sim::AgentProgram {
   // Instrumentation only (not counted in memory_bits).
   std::size_t first_n_est_ = 0;
   std::size_t corrections_ = 0;
+
+  // Await-spanning locals, kept out of state_hash and memory_bits like the
+  // resume point (see sim/agent.h).
+  std::size_t observed_ = 0;    // distances recorded while estimating (j)
+  std::size_t dis_ = 0;         // distance walked toward the next token node
+  std::size_t steps_left_ = 0;  // deployment moves still to make
 };
 
 }  // namespace udring::core

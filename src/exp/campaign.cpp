@@ -234,7 +234,7 @@ void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
 // ---- lane-batched execution (sim::BatchArena) -------------------------------
 
 /// Auto heuristic bounds. Lanes pay off when a lane's whole arena (state,
-/// queues, coroutine frames) is small enough that B of them stay cheap and
+/// queues, agent programs) is small enough that B of them stay cheap and
 /// per-scenario setup/retirement is a visible fraction of the run — AND the
 /// scenario stream is long enough to amortize warming B arenas instead of
 /// one (B−1 extra n-sized buffer growths per worker, ~tens of µs, which a
@@ -334,7 +334,7 @@ ScenarioResult run_one(const Scenario& scenario, const CampaignGrid& grid,
 ///
 /// Exception parity with the scalar path, stage by stage: a scenario whose
 /// spec/instance build throws (feed), whose run throws (an algorithm bug
-/// surfacing through Behavior::resume), or whose oracle throws (retire) is
+/// surfacing through AgentProgram::resume), or whose oracle throws (retire) is
 /// emitted as a failure with "exception: " + what — exactly run_one's catch.
 /// Returns the worker count used.
 std::size_t run_scenarios_batched(

@@ -26,6 +26,11 @@ namespace {
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 /// Bitmask width shared by sleep sets, DPOR backtrack sets and summaries.
 constexpr std::size_t kMaskAgents = 64;
+/// The DFS snapshots the configuration of every kSnapshotEvery-th stack
+/// frame; a backtrack copies the nearest snapshotted ancestor and re-steps
+/// at most kSnapshotEvery - 1 recorded branches. 8 keeps the snapshot stack
+/// of a ~200-deep walk at ~25 states.
+constexpr std::size_t kSnapshotEvery = 8;
 
 using AgentMask = std::uint64_t;
 
@@ -74,11 +79,11 @@ using VisitedMap = std::unordered_map<std::uint64_t, VisitedEntry>;
   return plan;
 }
 
-/// One stateless DFS (or BFS-expansion) engine over one pooled
-/// ExecutionState. Not thread-safe; shards own independent Explorers. In
-/// shared_visited mode the explorers additionally share the claim set, the
-/// global action counter and the stop flag — all the cross-thread state
-/// there is.
+/// One DFS (or BFS-expansion) engine over one pooled ExecutionState plus its
+/// own pool of snapshot states. Not thread-safe; shards own independent
+/// Explorers. In shared_visited mode the explorers additionally share the
+/// claim set, the global action counter and the stop flag — all the
+/// cross-thread state there is.
 class Explorer {
  public:
   Explorer(const sim::Instance& instance, const sim::GoalOracle& oracle,
@@ -110,9 +115,10 @@ class Explorer {
   /// tree root, or a node the BFS phase classified as open).
   void dfs(const std::vector<branch_index_t>& prefix, AgentMask root_sleep) {
     path_ = prefix;
+    root_depth_ = prefix.size();
     reposition();
     std::vector<Frame> stack;
-    stack.push_back(make_frame(root_sleep, 0, 0, 0, root_dedup_key()));
+    push_frame(stack, make_frame(root_sleep, 0, 0, 0, root_dedup_key()));
     if (options_.dpor) dpor_push_update(stack);
 
     while (!stack.empty() && !violation && !budget_stop && !should_stop()) {
@@ -128,10 +134,10 @@ class Explorer {
         // changes only in its live successor map — so the child classifies
         // like any configuration (dedup folds the fault state).
         if (!at_tip_) {
-          reposition();
+          restore(stack);
           if (!cur_.pending_rewire()) {
             throw std::logic_error(
-                "mc: rewiring point vanished on backtrack replay "
+                "mc: rewiring point vanished on snapshot restore "
                 "(determinism bug)");
           }
         }
@@ -141,8 +147,8 @@ class Explorer {
         const NodeClass cls =
             classify(f.sleep, cur_.total_tokens(), &hit);
         if (cls == NodeClass::Open) {
-          stack.push_back(make_frame(f.sleep, f.entered_agent, f.entered_n1,
-                                     f.entered_n2, hit.key));
+          push_frame(stack, make_frame(f.sleep, f.entered_agent, f.entered_n1,
+                                       f.entered_n2, hit.key));
         } else {
           path_.pop_back();
           at_tip_ = false;
@@ -151,11 +157,11 @@ class Explorer {
       }
       const sim::AgentId agent = f.agents[static_cast<std::size_t>(b)];
       if (!at_tip_) {
-        reposition();
+        restore(stack);
         sort_enabled();
         if (sorted_ != f.agents) {
           throw std::logic_error(
-              "mc: enabled set changed on backtrack replay (determinism bug)");
+              "mc: enabled set changed on snapshot restore (determinism bug)");
         }
       }
       const AgentMask child_sleep = inherit_sleep(f.agents, f.sleep, agent);
@@ -170,7 +176,7 @@ class Explorer {
       DedupHit hit;
       const NodeClass cls = classify(child_sleep, prev_tokens, &hit);
       if (cls == NodeClass::Open) {
-        stack.push_back(make_frame(child_sleep, agent, n1, n2, hit.key));
+        push_frame(stack, make_frame(child_sleep, agent, n1, n2, hit.key));
         if (options_.dpor) dpor_push_update(stack);
       } else {
         path_.pop_back();
@@ -202,9 +208,10 @@ class Explorer {
       if (violation || budget_stop || should_stop()) return;
       path_ = node.prefix;
       reposition();
+      save_snapshot(0);
       sort_enabled();
-      // Stepping invalidates the tip, and each sibling repositions; copy the
-      // branch agents up front.
+      // Stepping invalidates the tip, and each sibling restores the node's
+      // snapshot; copy the branch agents up front.
       const std::vector<sim::AgentId> agents = sorted_;
       AgentMask sleep = node.sleep;
       ++stats.states_expanded;
@@ -217,8 +224,8 @@ class Explorer {
           continue;
         }
         if (!at_tip_) {
-          path_ = node.prefix;
-          reposition();
+          cur_ = snapshots_[0];
+          at_tip_ = true;
         }
         const AgentMask child_sleep = inherit_sleep(agents, sleep, agent);
         const std::size_t prev_tokens = cur_.total_tokens();
@@ -465,69 +472,81 @@ class Explorer {
     }
   }
 
-  /// Re-executes the current prefix from C_0 through a Strict-mode
-  /// ReplayScheduler: the divergence check on every backtrack. A prefix that
-  /// no longer replays exactly means the simulator is not deterministic in
-  /// the pick sequence — a checker-invalidating bug, reported loudly.
+  /// Re-executes path_ from C_0 through a Strict-mode ReplayScheduler: how
+  /// a walk reaches a bare prefix (a shard root, a BFS frontier node). A
+  /// prefix that no longer replays exactly means the simulator is not
+  /// deterministic in the pick sequence — a checker-invalidating bug,
+  /// reported loudly. Fault plans force one shard rooted at C_0 (mc::check),
+  /// so a replayed prefix never crosses a rewiring level.
   void reposition() {
     cur_.reset(instance_);
     if (!path_.empty()) {
       if (fault_mode_) {
-        reposition_with_faults();
-      } else {
-        explore::ReplayScheduler replayer(path_, explore::ReplayMode::Strict);
-        replayer.reset(cur_.agent_count());
-        for (std::size_t i = 0; i < path_.size(); ++i) {
-          if (!cur_.step(replayer)) {
-            throw std::logic_error("mc: prefix replay hit quiescence early");
-          }
-        }
-        if (replayer.diverged()) {
-          throw std::logic_error("mc: strict prefix replay diverged: " +
-                                 replayer.divergence());
-        }
-        ++stats.replays;
-        stats.total_actions += path_.size();
-        if (shared_actions_ != nullptr) {
-          shared_actions_->fetch_add(path_.size(), std::memory_order_relaxed);
+        throw std::logic_error("mc: prefix replay under a fault plan");
+      }
+      explore::ReplayScheduler replayer(path_, explore::ReplayMode::Strict);
+      replayer.reset(cur_.agent_count());
+      for (std::size_t i = 0; i < path_.size(); ++i) {
+        if (!cur_.step(replayer)) {
+          throw std::logic_error("mc: prefix replay hit quiescence early");
         }
       }
+      if (replayer.diverged()) {
+        throw std::logic_error("mc: strict prefix replay diverged: " +
+                               replayer.divergence());
+      }
+      ++stats.replays;
+      count_actions(path_.size());
     }
     at_tip_ = true;
   }
 
-  /// Fault-mode prefix replay: entries at pending-rewire points are
-  /// candidate stride indices (no simulator action), everything else an
-  /// index into the sorted enabled set — the same interpretation the DFS
-  /// used when it recorded the path, with the Strict divergence contract
-  /// enforced manually. ExecutionState::step() cannot drive this: it
-  /// resolves a pending rewiring and picks an agent in one call, which
-  /// over-consumes when the prefix ENDS at a rewiring point (the DFS
-  /// backtracks to rewire nodes to try their sibling strides).
-  void reposition_with_faults() {
+  /// Pushes a frame made for the configuration cur_ sits at, snapshotting
+  /// that configuration when the frame's stack index is a multiple of
+  /// kSnapshotEvery.
+  void push_frame(std::vector<Frame>& stack, Frame frame) {
+    stack.push_back(std::move(frame));
+    const std::size_t top = stack.size() - 1;
+    if (top % kSnapshotEvery == 0) save_snapshot(top / kSnapshotEvery);
+  }
+
+  /// Copies cur_ into snapshot `slot` (reusing the slot's arena).
+  void save_snapshot(std::size_t slot) {
+    if (slot == snapshots_.size()) {
+      snapshots_.push_back(cur_);
+    } else {
+      snapshots_[slot] = cur_;
+    }
+  }
+
+  /// Moves cur_ back to the configuration of stack.back() after a descent
+  /// left it at a child: copies the nearest snapshotted ancestor frame, then
+  /// re-steps the branches path_ recorded below it. The caller re-checks the
+  /// restored node against its frame (the determinism check).
+  void restore(const std::vector<Frame>& stack) {
+    const std::size_t top = stack.size() - 1;
+    const std::size_t base = top - top % kSnapshotEvery;
+    cur_ = snapshots_[base / kSnapshotEvery];
     std::size_t actions = 0;
-    for (std::size_t i = 0; i < path_.size(); ++i) {
-      const branch_index_t entry = path_[i];
-      if (cur_.pending_rewire()) {
-        if (entry >= cur_.rewire_candidate_count()) {
-          throw std::logic_error(
-              "mc: rewiring index out of range on prefix replay "
-              "(determinism bug)");
-        }
-        cur_.apply_rewire(entry);
+    for (std::size_t i = base; i < top; ++i) {
+      const Frame& f = stack[i];
+      const branch_index_t b = path_[root_depth_ + i];
+      if (f.rewire) {
+        cur_.apply_rewire(b);
         continue;
       }
-      sort_enabled();
-      if (entry >= sorted_.size()) {
+      if (!cur_.step_agent(f.agents[b])) {
         throw std::logic_error(
-            "mc: choice out of range on prefix replay (determinism bug)");
-      }
-      if (!cur_.step_agent(sorted_[entry])) {
-        throw std::logic_error("mc: prefix replay hit quiescence early");
+            "mc: recorded branch not enabled on snapshot restore "
+            "(determinism bug)");
       }
       ++actions;
     }
-    ++stats.replays;
+    count_actions(actions);
+    at_tip_ = true;
+  }
+
+  void count_actions(std::size_t actions) {
     stats.total_actions += actions;
     if (shared_actions_ != nullptr) {
       shared_actions_->fetch_add(actions, std::memory_order_relaxed);
@@ -543,10 +562,7 @@ class Explorer {
     if (!cur_.step_agent(agent)) {
       throw std::logic_error("mc: picked agent not enabled");
     }
-    ++stats.total_actions;
-    if (shared_actions_ != nullptr) {
-      shared_actions_->fetch_add(1, std::memory_order_relaxed);
-    }
+    count_actions(1);
     stats.max_depth = std::max(stats.max_depth, path_.size());
   }
 
@@ -694,9 +710,13 @@ class Explorer {
   std::atomic<bool>* stop_flag_ = nullptr;
   SymmetryCanonicalizer canon_;
   /// True when the instance's fault plan has events: rewire choice levels
-  /// exist and prefixes replay through reposition_with_faults().
+  /// exist (and the walk is one shard rooted at C_0).
   const bool fault_mode_ = false;
   std::vector<branch_index_t> path_;
+  std::size_t root_depth_ = 0;  ///< path_ length at the DFS root frame
+  /// snapshots_[j] = configuration of DFS stack frame j * kSnapshotEvery
+  /// (slot 0 doubles as the BFS phase's per-node snapshot).
+  std::vector<sim::ExecutionState> snapshots_;
   std::vector<sim::AgentId> sorted_;  // scratch, reused across nodes
   bool at_tip_ = false;
 };

@@ -1,6 +1,6 @@
 // udring/mc/model_check.h
 //
-// Exhaustive stateless model checking over the replay choice tree.
+// Exhaustive stateful model checking over the replay choice tree.
 //
 // The paper's correctness claims are quantified over *every* asynchronous
 // schedule; the fuzzer (src/explore) samples that quantifier, this subsystem
@@ -15,12 +15,20 @@
 // oracle at quiescence, exactly the fuzzer's per-run verdict.
 //
 // The walk is an iterative DFS with an explicit prefix stack over a pooled
-// sim::ExecutionState: descending one level is one atomic action; advancing
-// to a sibling re-executes the prefix from C_0 (the stateless discipline —
-// PR 3's arena reset makes this a near-free replay). Every such backtrack
-// re-run uses explore::ReplayScheduler in Strict mode and treats any
-// out-of-range/exhausted pick as a determinism bug (std::logic_error), so
-// the checker cannot silently wander off the recorded branch.
+// sim::ExecutionState: descending one level is one atomic action. Agent
+// programs are plain copyable values (sim/agent.h), so the walk is stateful
+// in the SimGrid sense: every 8th stack frame keeps a snapshot of its
+// configuration, and advancing to a sibling copies the nearest snapshotted
+// ancestor back into the working state and re-steps the (at most 7)
+// recorded branches below it — about one state copy plus a few actions per
+// backtrack, instead of re-executing the whole prefix. After every restore
+// the node is checked against its frame (the sorted enabled set must equal
+// the recorded one; a rewiring node must still be pending) and any mismatch
+// is a determinism bug (std::logic_error). Only a walk that starts from a
+// bare prefix — a frontier shard's root, a BFS frontier node — replays from
+// C_0, through explore::ReplayScheduler in Strict mode, which treats any
+// out-of-range/exhausted pick as the same bug; McStats::replays counts those
+// replays, so a serial walk reports 0.
 //
 // Four prunings, all verdict-preserving (pinned by test_mc.cpp's
 // pruned == unpruned grids over every combination of the option flags):
@@ -66,7 +74,8 @@
 //    compares masks from two different labellings.
 //
 // Parallel mode is frontier-sharded: a serial BFS expands the tree until a
-// level has at least `frontier_target` open nodes, each frontier node (its
+// level has at least `frontier_target` open nodes (one replay per node, its
+// siblings restored from the node's snapshot), each frontier node (its
 // choice prefix + inherited sleep set) becomes one shard, and shards run
 // DFS walks across util::parallel_for_workers with one pooled
 // core::RunContext per worker. The shard decomposition, per-shard budgets
@@ -196,9 +205,14 @@ struct McOptions {
   /// dependent (header comment), so size generously for a deterministic
   /// complete/incomplete boundary.
   std::size_t shared_visited_capacity = 0;
-  /// Global budget on executed simulator actions, replays included
+  /// Global budget on executed simulator actions — every action the walk
+  /// executes: tree edges, snapshot-restore re-steps and shard-root replays
   /// (0 = unlimited). Split deterministically across shards, so exceeding
-  /// it yields `complete = false` at any worker count identically.
+  /// it yields `complete = false` at any worker count identically. With
+  /// snapshot restores a pruned serial walk spends ~5 actions per expanded
+  /// state (the unpruned n=8 tree ~2); replaying every backtrack's prefix
+  /// from C_0 cost 35–75 on the same walks, so a budget sized for that
+  /// walks ~6–15× more states now (~3× on the unpruned tree).
   std::size_t budget_actions = 0;
   /// Frontier sharding target: the BFS phase expands until a level has at
   /// least this many open nodes, each of which becomes one DFS shard.
@@ -216,8 +230,8 @@ struct McStats {
   std::size_t states_deduped = 0;   ///< subtrees cut by the visited-state hash
   std::size_t sleep_pruned = 0;     ///< branches cut by sleep sets
   std::size_t dpor_pruned = 0;      ///< branches cut by DPOR backtrack sets
-  std::size_t replays = 0;          ///< strict prefix re-executions (backtracks)
-  std::size_t total_actions = 0;    ///< simulator actions executed, replays included
+  std::size_t replays = 0;          ///< prefix re-executions from C_0 (shard roots, BFS nodes)
+  std::size_t total_actions = 0;    ///< simulator actions executed, restore re-steps and replays included
   std::size_t max_depth = 0;        ///< deepest schedule prefix reached
   std::size_t shards = 0;           ///< DFS shards executed (0 = BFS resolved all)
 };

@@ -6,13 +6,13 @@
 
 namespace udring::sim {
 
-void Behavior::throw_not_resumable() {
-  throw std::logic_error("Behavior::resume: coroutine is not resumable");
+void AgentProgram::throw_not_resumable() {
+  throw std::logic_error("AgentProgram::resume: program has halted");
 }
 
-void Behavior::throw_no_request() {
+void AgentProgram::throw_no_request() {
   throw std::logic_error(
-      "Behavior::resume: agent program suspended without a control request");
+      "AgentProgram::resume: agent program yielded no control request");
 }
 
 std::size_t AgentContext::tokens_here() const { return sim_->tokens_at_agent(self_); }

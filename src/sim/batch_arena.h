@@ -57,7 +57,7 @@ class BatchArena {
                          const RunResult& result)>;
 
   /// Consumes a lane whose run threw (an algorithm bug surfacing through
-  /// Behavior::resume, exactly what the scalar path catches around
+  /// AgentProgram::resume, exactly what the scalar path catches around
   /// ExecutionState::run). The lane is refilled afterwards like a retired
   /// one.
   using OnError = std::function<void(std::size_t lane, std::uint64_t ticket,

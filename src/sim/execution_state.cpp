@@ -80,25 +80,15 @@ void ExecutionState::reset(const Instance& instance) {
   agents_.resize(k);
   for (AgentId id = 0; id < k; ++id) {
     AgentCell& c = agents_[id];
-    // Destroy the previous run's coroutine before its program (the frame
-    // references the program object), then build this run's pair.
-    c.behavior = Behavior();
     c.program = instance.factory()(id);
     if (!c.program) {
       throw std::invalid_argument("ExecutionState: factory returned null program");
     }
-    if (c.ctx) {
-      c.ctx->sim_ = this;
-      c.ctx->self_ = id;
-      c.ctx->inbox_.clear();
-    } else {
-      c.ctx = std::make_unique<AgentContext>(*this, id);
-    }
-    c.behavior = c.program->run(*c.ctx);
     c.status = AgentStatus::InTransit;
     c.node = instance.homes()[id];  // destination: the home node's buffer
     c.in_staying_set = false;
     c.mailbox.clear();
+    c.inbox.clear();
     c.wake_ts = 0;
     c.last_ts = 0;
     queues_[c.node].push_back(id);
@@ -461,15 +451,16 @@ void ExecutionState::execute_action_impl(AgentId id) {
   // Receive all pending messages (step 2 of the atomic action). Swapping
   // (not move-assigning) ping-pongs the two buffers, so their capacities are
   // recycled and steady-state delivery never heap-allocates.
-  std::swap(c.ctx->inbox_, c.mailbox);
+  std::swap(c.inbox, c.mailbox);
   c.mailbox.clear();
   c.wake_ts = 0;
 
   // Local computation + broadcasts + token drops (steps 3–5).
   acting_agent_ = id;
-  const Request request = c.behavior.resume();
+  AgentContext ctx(*this, id, c.inbox);
+  const Request request = c.program->resume(ctx);
   acting_agent_ = kNoAgentActing;
-  c.ctx->inbox_.clear();
+  c.inbox.clear();
 
   AgentMetrics& m = metrics_.agent(id);
   ++m.actions;

@@ -6,7 +6,8 @@
 // An ExecutionState owns a global configuration C = (S, T, M, P, Q) exactly
 // as Table 2 of the paper defines it:
 //
-//   S  agent program states            (AgentProgram objects + coroutines)
+//   S  agent program states            (AgentProgram objects, resume points
+//                                       included)
 //   T  node states = token counts      (tokens_)
 //   M  undelivered message sequences   (per-agent mailboxes)
 //   P  staying sets p_i                (staying_[i])
@@ -34,8 +35,21 @@
 // buffers, staying sets, mailboxes, metrics arrays, the enabled set, the
 // event log. A campaign that runs thousands of instances through one
 // per-worker ExecutionState performs O(k) allocations per run (the agent
-// programs and their coroutine frames, which are inherently per-run) instead
-// of O(n): the steady-state action loop allocates nothing.
+// programs, which are inherently per-run) instead of O(n): the steady-state
+// action loop allocates nothing.
+//
+// Copying: an ExecutionState is a plain value. A copy is an independent
+// state at the same configuration — programs (with their resume points),
+// mailboxes, queues, metrics, event log and live fault state — that shares
+// only the immutable Instance. The copy operations are the implicit
+// member-wise ones: copy-assignment reuses the destination's arena capacity
+// and copies each program in place when the destination slot already holds
+// one of the same type, so restoring a snapshot into a state that has run
+// the same instance allocates only where the snapshot holds more (queued
+// agents, mail) than that buffer ever has. Agent contexts are built per
+// action, bound to the state executing it, so stepping a copy never touches
+// its source. This is what lets mc::check restore saved states instead of
+// replaying prefixes from C_0.
 
 #pragma once
 
@@ -100,16 +114,13 @@ class ExecutionState {
 
   /// Legacy one-shot form (the historical Simulator constructor): builds and
   /// *owns* a ring Instance, then resets onto it. Programs are created
-  /// immediately; their coroutines start at the first scheduled action.
+  /// immediately; their bodies start at the first scheduled action.
   ExecutionState(std::size_t node_count, std::vector<NodeId> homes,
                  const ProgramFactory& factory, SimOptions options = {});
 
   /// Owns `instance` (shared) and resets onto it — for callers that need a
   /// self-contained simulator with a non-ring topology (core::make_simulator).
   explicit ExecutionState(std::shared_ptr<const Instance> instance);
-
-  ExecutionState(const ExecutionState&) = delete;
-  ExecutionState& operator=(const ExecutionState&) = delete;
 
   /// Rebinds this state to `instance` as configuration C_0, reusing all
   /// existing arena capacity. `instance` must outlive this state's use of it
@@ -284,10 +295,13 @@ class ExecutionState {
   /// FIFO order. Deliberately EXCLUDES causal timestamps and the event log —
   /// they record *history*, not state — so two schedules that reach the same
   /// configuration by commuting independent actions digest equally. This is
-  /// the visited-state key of the mc:: stateless model checker; its fidelity
-  /// caveat is the AgentProgram contract that all algorithm state lives in
-  /// named members reported by state_hash() (coroutine-frame locals are
-  /// invisible), which src/mc's pruned-vs-unpruned equality tests exercise.
+  /// the visited-state key of the mc:: model checker; its fidelity caveat is
+  /// the AgentProgram contract that all algorithm state is reported by
+  /// state_hash(). A program's resume point and its await-spanning locals
+  /// are members too, and copies carry them, but state_hash() leaves them
+  /// out (sim/agent.h): covering them would move every pinned digest and mc
+  /// count, a decision left open on the ROADMAP. src/mc's
+  /// pruned-vs-unpruned equality tests exercise the caveat.
   [[nodiscard]] std::uint64_t config_digest() const;
 
   /// Identity-free digest of one agent's contribution to the configuration:
@@ -319,14 +333,51 @@ class ExecutionState {
  private:
   friend class AgentContext;
 
+  /// Owning program pointer with value semantics: copies deep-copy the
+  /// program through AgentProgram::copy_to (in place when the types match),
+  /// which is all it takes for the defaulted ExecutionState copy to be a
+  /// faithful one.
+  class ProgramSlot {
+   public:
+    ProgramSlot() = default;
+    ProgramSlot(const ProgramSlot& other)
+        : program_(other.program_ ? other.program_->clone() : nullptr) {}
+    ProgramSlot& operator=(const ProgramSlot& other) {
+      if (other.program_ == nullptr) {
+        program_.reset();
+      } else if (this != &other) {
+        other.program_->copy_to(program_);
+      }
+      return *this;
+    }
+    ProgramSlot(ProgramSlot&&) noexcept = default;
+    ProgramSlot& operator=(ProgramSlot&&) noexcept = default;
+    ProgramSlot& operator=(std::unique_ptr<AgentProgram> program) noexcept {
+      program_ = std::move(program);
+      return *this;
+    }
+
+    [[nodiscard]] explicit operator bool() const noexcept {
+      return program_ != nullptr;
+    }
+    [[nodiscard]] AgentProgram* operator->() const noexcept {
+      return program_.get();
+    }
+    [[nodiscard]] AgentProgram& operator*() const noexcept { return *program_; }
+
+   private:
+    std::unique_ptr<AgentProgram> program_;
+  };
+
   struct AgentCell {
-    std::unique_ptr<AgentProgram> program;
-    std::unique_ptr<AgentContext> ctx;  ///< stable address; reused across resets
-    Behavior behavior;
+    ProgramSlot program;
     AgentStatus status = AgentStatus::InTransit;
     NodeId node = 0;  ///< staying node, or destination while in transit
     bool in_staying_set = false;
     std::vector<Message> mailbox;
+    /// Delivered messages during the agent's action (AgentContext::inbox);
+    /// empty between actions, swapped with `mailbox` to recycle capacity.
+    std::vector<Message> inbox;
     std::uint64_t wake_ts = 0;  ///< max sender stamp among undelivered mail
     std::uint64_t last_ts = 0;
   };

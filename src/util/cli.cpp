@@ -1,10 +1,61 @@
 #include "util/cli.h"
 
 #include <array>
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
 
 namespace udring {
+
+std::uint64_t parse_unsigned(std::string_view text, std::string_view what) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  // from_chars accepts no '+', no whitespace and (for unsigned types) no '-',
+  // so the digits-only rule needs no extra scan.
+  const auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::result_out_of_range) {
+    throw std::invalid_argument(std::string(what) + ": value '" +
+                                std::string(text) + "' is out of range");
+  }
+  if (error != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(what) +
+                                ": expected an unsigned integer, got '" +
+                                std::string(text) + "'");
+  }
+  return value;
+}
+
+namespace {
+
+/// parse_unsigned narrowed to std::size_t, range-checked.
+std::size_t parse_size(std::string_view text, std::string_view what) {
+  const std::uint64_t value = parse_unsigned(text, what);
+  if (!std::in_range<std::size_t>(value)) {
+    throw std::invalid_argument(std::string(what) + ": value '" +
+                                std::string(text) + "' is out of range");
+  }
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
+
+std::vector<std::size_t> parse_unsigned_list(std::string_view csv,
+                                             std::string_view what) {
+  std::vector<std::size_t> values;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = csv.find(',', begin);
+    const std::string_view item = csv.substr(begin, comma - begin);
+    if (item.empty()) {
+      throw std::invalid_argument(std::string(what) + ": empty entry in '" +
+                                  std::string(csv) + "'");
+    }
+    values.push_back(parse_size(item, what));
+    if (comma == std::string_view::npos) return values;
+    begin = comma + 1;
+  }
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "udring";
@@ -51,7 +102,7 @@ std::size_t Cli::get_size(const std::string& name, std::size_t fallback,
   register_flag(name, help, std::to_string(fallback));
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return static_cast<std::size_t>(std::stoull(it->second));
+  return parse_size(it->second, "--" + name);
 }
 
 std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback,
@@ -59,7 +110,7 @@ std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback,
   register_flag(name, help, std::to_string(fallback));
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoull(it->second);
+  return parse_unsigned(it->second, "--" + name);
 }
 
 bool Cli::get_flag(const std::string& name, const std::string& help) {

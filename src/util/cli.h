@@ -3,7 +3,8 @@
 // A tiny command-line flag parser for the example binaries. Supports the
 // unambiguous forms `--name=value`, boolean `--name`, and `--help`; anything
 // else is positional. Examples stay dependency-free while still being
-// configurable (ring size, agent count, scheduler, seed).
+// configurable (ring size, agent count, scheduler, seed). Numeric values are
+// strict: parse_unsigned rejects what std::stoull would quietly accept.
 
 #pragma once
 
@@ -13,9 +14,23 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace udring {
+
+/// Parses `text` as an unsigned decimal integer (std::from_chars): rejects
+/// an empty string, any sign, leading/trailing characters and values that
+/// overflow uint64 with std::invalid_argument naming `what` (the flag, e.g.
+/// "--n"), where std::stoull would wrap "-5" or silently drop the "x" of
+/// "3x".
+[[nodiscard]] std::uint64_t parse_unsigned(std::string_view text,
+                                           std::string_view what);
+
+/// Parses a comma-separated list of unsigned integers ("0,3,7") with
+/// parse_unsigned; an empty list or an empty entry ("0,,3") is an error.
+[[nodiscard]] std::vector<std::size_t> parse_unsigned_list(
+    std::string_view csv, std::string_view what);
 
 /// Parsed command line. Construct from main()'s argc/argv, then query flags.
 class Cli {
@@ -27,7 +42,9 @@ class Cli {
                                                const std::string& help,
                                                const std::string& fallback = "");
 
-  /// Typed accessors with defaults. Invalid numbers throw std::invalid_argument.
+  /// Typed accessors with defaults. Values go through parse_unsigned, so a
+  /// malformed, negative or overflowing number throws std::invalid_argument
+  /// naming the flag.
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback,
                                      const std::string& help);
   [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t fallback,

@@ -236,8 +236,8 @@ TEST(Campaign, SuccessPathAllocationsAreBoundedSteadyState) {
 #else
   // Warm a single-worker streaming campaign, then measure an identical
   // repeat: the steady-state allowance is the O(k) per-run objects (agent
-  // programs + coroutine frames + homes draws) plus O(cells + samples)
-  // aggregation state. ScenarioResult cold data must contribute nothing on
+  // programs + homes draws) plus O(cells + samples) aggregation state.
+  // ScenarioResult cold data must contribute nothing on
   // the all-success path — reintroducing a per-scenario string or positions
   // vector busts the bound immediately (2 extra allocs/scenario against a
   // measured ~1 of slack).

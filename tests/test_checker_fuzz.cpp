@@ -107,32 +107,41 @@ TEST(PositionsUniformFuzz, EmptyPositionsFail) {
 // ---- Definition 1/2 oracle near misses --------------------------------------
 
 /// Halts immediately at its home node.
-class HaltAgent final : public AgentProgram {
+class HaltAgent final : public CopyableProgram<HaltAgent> {
  public:
-  Behavior run(AgentContext& /*ctx*/) override { co_return; }
   [[nodiscard]] std::string_view name() const override { return "test-halt"; }
+
+ private:
+  Request act(AgentContext& ctx) override { return ctx.halt(); }
 };
 
 /// Parks forever (never reaches the halt state).
-class ParkAgent final : public AgentProgram {
+class ParkAgent final : public CopyableProgram<ParkAgent> {
  public:
-  Behavior run(AgentContext& ctx) override {
-    for (;;) co_await ctx.wait_message();
-  }
   [[nodiscard]] std::string_view name() const override { return "test-park"; }
+
+ private:
+  Request act(AgentContext& ctx) override {
+    UDRING_BEGIN;
+    for (;;) UDRING_AWAIT(ctx.wait_message());
+    UDRING_END;
+  }
 };
 
 /// Suspends forever; optionally broadcasts first (to fill a mailbox).
-class SuspendAgent final : public AgentProgram {
+class SuspendAgent final : public CopyableProgram<SuspendAgent> {
  public:
   explicit SuspendAgent(bool broadcast_first) : broadcast_first_(broadcast_first) {}
-  Behavior run(AgentContext& ctx) override {
-    if (broadcast_first_) ctx.broadcast(TextMessage{"late"});
-    for (;;) co_await ctx.suspend();
-  }
   [[nodiscard]] std::string_view name() const override { return "test-suspend"; }
 
  private:
+  Request act(AgentContext& ctx) override {
+    UDRING_BEGIN;
+    if (broadcast_first_) ctx.broadcast(TextMessage{"late"});
+    for (;;) UDRING_AWAIT(ctx.suspend());
+    UDRING_END;
+  }
+
   bool broadcast_first_;
 };
 
@@ -199,14 +208,19 @@ TEST(Definition2Fuzz, UndeliveredMailFailsWithMessageReason) {
     if (id == 0) return std::unique_ptr<AgentProgram>(std::make_unique<SuspendAgent>(false));
     // Agent 1 walks one hop (7 -> 0), broadcasts into agent 0's mailbox,
     // then suspends alongside it.
-    class WalkBroadcastSuspend final : public AgentProgram {
+    class WalkBroadcastSuspend final
+        : public CopyableProgram<WalkBroadcastSuspend> {
      public:
-      Behavior run(AgentContext& ctx) override {
-        co_await ctx.move();
-        ctx.broadcast(TextMessage{"late"});
-        for (;;) co_await ctx.suspend();
-      }
       [[nodiscard]] std::string_view name() const override { return "test-wbs"; }
+
+     private:
+      Request act(AgentContext& ctx) override {
+        UDRING_BEGIN;
+        UDRING_AWAIT(ctx.move());
+        ctx.broadcast(TextMessage{"late"});
+        for (;;) UDRING_AWAIT(ctx.suspend());
+        UDRING_END;
+      }
     };
     return std::unique_ptr<AgentProgram>(std::make_unique<WalkBroadcastSuspend>());
   });

@@ -215,6 +215,9 @@ TEST(HashSequence, DistinguishesAndReproduces) {
   EXPECT_NE(hash_sequence(0, a), hash_sequence(1, a));
   EXPECT_NE(hash_sequence(0, {1, 2}), hash_sequence(0, {1, 2, 0}))
       << "length is mixed in";
+  // The braced-list overload hashes exactly like the sequence form.
+  EXPECT_EQ(hash_sequence(7, {3, 1, 4}), hash_sequence(7, DistanceSeq{3, 1, 4}));
+  EXPECT_EQ(hash_sequence(7, {}), hash_sequence(7, DistanceSeq{}));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The exhaustive stateless model checker (src/mc): the subsystem that turns
+// The exhaustive model checker (src/mc): the subsystem that turns
 // "for every asynchronous schedule" from a sampled claim into a machine-
 // checked one on small instances.
 //
@@ -186,6 +186,38 @@ TEST_P(ExhaustiveAlgorithms, VerifiedAtIssueScaleWithPruning) {
       check(ring_request(GetParam(), n, gen::uniform_homes(n, 4)), no_dpor);
   EXPECT_TRUE(baseline.ok);
   EXPECT_LT(report.stats.states_expanded, baseline.stats.states_expanded);
+}
+
+TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
+  // The `udring_mc --seed=1 --n=12 --k=4` draws. Schedules, states, dedup
+  // and pruning counts and depth are properties of the tree, not of how the
+  // walk backtracks, so snapshot restores must reproduce them exactly.
+  // replays == 0 and the pinned total_actions (tree edges plus restore
+  // re-steps) keep the restore path from drifting into prefix replays,
+  // which would spend 492410 / 595929 actions here.
+  struct Pin {
+    std::size_t schedules, expanded, deduped, sleep_pruned, dpor_pruned,
+        max_depth, total_actions;
+  };
+  const Pin pin = GetParam() == core::Algorithm::KnownKFull
+                      ? Pin{1, 14125, 13953, 18129, 0, 88, 77170}
+                      : Pin{6, 14609, 13565, 17019, 26, 115, 76401};
+  Rng rng(1);
+  const explore::DrawnInstance drawn =
+      explore::draw_instance(explore::FuzzTopology::Ring, 12, 4, rng);
+  const ModelCheckReport report =
+      check(ring_request(GetParam(), drawn.node_count, drawn.homes));
+  EXPECT_TRUE(report.ok) << report.failure_reason;
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.stats.schedules, pin.schedules);
+  EXPECT_EQ(report.stats.states_expanded, pin.expanded);
+  EXPECT_EQ(report.stats.states_deduped, pin.deduped);
+  EXPECT_EQ(report.stats.sleep_pruned, pin.sleep_pruned);
+  EXPECT_EQ(report.stats.dpor_pruned, pin.dpor_pruned);
+  EXPECT_EQ(report.stats.max_depth, pin.max_depth);
+  EXPECT_EQ(report.stats.replays, 0u);
+  EXPECT_EQ(report.stats.total_actions, pin.total_actions);
+  EXPECT_EQ(report.stats.shards, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallGrids, ExhaustiveAlgorithms,

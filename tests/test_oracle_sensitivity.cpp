@@ -19,31 +19,32 @@ namespace {
 // ---- mutants of Algorithm 1 ---------------------------------------------------
 
 /// Base: a faithful Algorithm 1 whose deployment distance is produced by a
-/// (possibly broken) policy hook.
+/// (possibly broken) policy hook. Concrete variants derive through
+/// sim::CopyableProgram<Variant, MutantAlgo1>.
 class MutantAlgo1 : public sim::AgentProgram {
  public:
   explicit MutantAlgo1(std::size_t k) : k_(k) {}
 
-  sim::Behavior run(sim::AgentContext& ctx) override {
-    if (drop_token()) ctx.release_token();
-    for (std::size_t j = 0; j < k_; ++j) {
-      std::size_t dis = 0;
-      do {
-        co_await ctx.move();
-        ++dis;
-      } while (ctx.tokens_here() == 0);
-      d_.push_back(dis);
-    }
-    const std::size_t total = deployment_distance();
-    for (std::size_t i = 0; i < total; ++i) {
-      co_await ctx.move();
-    }
-    co_return;
-  }
-
   [[nodiscard]] std::string_view name() const override { return "mutant-algo1"; }
 
  protected:
+  sim::Request act(sim::AgentContext& ctx) override {
+    UDRING_BEGIN;
+    if (drop_token()) ctx.release_token();
+    while (d_.size() < k_) {
+      dis_ = 0;
+      do {
+        UDRING_AWAIT(ctx.move());
+        ++dis_;
+      } while (ctx.tokens_here() == 0);
+      d_.push_back(dis_);
+    }
+    for (steps_left_ = deployment_distance(); steps_left_ > 0; --steps_left_) {
+      UDRING_AWAIT(ctx.move());
+    }
+    UDRING_END;
+  }
+
   [[nodiscard]] virtual bool drop_token() const { return true; }
 
   /// Faithful policy; mutants override.
@@ -58,14 +59,23 @@ class MutantAlgo1 : public sim::AgentProgram {
 
   std::size_t k_;
   DistanceSeq d_;
+  std::size_t dis_ = 0;
+  std::size_t steps_left_ = 0;
+};
+
+/// The un-mutated control.
+class FaithfulAlgo1 final : public sim::CopyableProgram<FaithfulAlgo1, MutantAlgo1> {
+ public:
+  using CopyableProgram::CopyableProgram;
 };
 
 /// Bug: clamped rank (a saturating decrement) — two agents compute the same
 /// target offset and collide. (A pure cyclic shift of all ranks would still
 /// be uniform; the bug must break the bijection, not rotate it.)
-class RankCollisionMutant final : public MutantAlgo1 {
+class RankCollisionMutant final
+    : public sim::CopyableProgram<RankCollisionMutant, MutantAlgo1> {
  public:
-  using MutantAlgo1::MutantAlgo1;
+  using CopyableProgram::CopyableProgram;
 
  protected:
   std::size_t deployment_distance() const override {
@@ -79,9 +89,10 @@ class RankCollisionMutant final : public MutantAlgo1 {
 };
 
 /// Bug: stops one node short of the target.
-class OneShortMutant final : public MutantAlgo1 {
+class OneShortMutant final
+    : public sim::CopyableProgram<OneShortMutant, MutantAlgo1> {
  public:
-  using MutantAlgo1::MutantAlgo1;
+  using CopyableProgram::CopyableProgram;
 
  protected:
   std::size_t deployment_distance() const override {
@@ -95,9 +106,10 @@ class OneShortMutant final : public MutantAlgo1 {
 /// keeps whatever irregular spacing the start had. (Note a *consistent*
 /// wrong choice — e.g. everyone using the max rotation — would still be
 /// uniform; the dangerous bug is the one that destroys agreement.)
-class SelfishBaseMutant final : public MutantAlgo1 {
+class SelfishBaseMutant final
+    : public sim::CopyableProgram<SelfishBaseMutant, MutantAlgo1> {
  public:
-  using MutantAlgo1::MutantAlgo1;
+  using CopyableProgram::CopyableProgram;
 
  protected:
   std::size_t deployment_distance() const override {
@@ -106,24 +118,29 @@ class SelfishBaseMutant final : public MutantAlgo1 {
 };
 
 /// Bug: forgets to drop the token (poisons *everyone's* measurement).
-class NoTokenMutant final : public MutantAlgo1 {
+class NoTokenMutant final
+    : public sim::CopyableProgram<NoTokenMutant, MutantAlgo1> {
  public:
-  using MutantAlgo1::MutantAlgo1;
+  using CopyableProgram::CopyableProgram;
 
  protected:
   bool drop_token() const override { return false; }
 };
 
 /// Bug: never halts — walks forever after deployment (livelock).
-class NeverHaltsMutant final : public sim::AgentProgram {
+class NeverHaltsMutant final : public sim::CopyableProgram<NeverHaltsMutant> {
  public:
-  sim::Behavior run(sim::AgentContext& ctx) override {
+  [[nodiscard]] std::string_view name() const override { return "never-halts"; }
+
+ private:
+  sim::Request act(sim::AgentContext& ctx) override {
+    UDRING_BEGIN;
     ctx.release_token();
     for (;;) {
-      co_await ctx.move();
+      UDRING_AWAIT(ctx.move());
     }
+    UDRING_END;
   }
-  [[nodiscard]] std::string_view name() const override { return "never-halts"; }
 };
 
 template <typename Mutant>
@@ -152,7 +169,7 @@ constexpr std::size_t kN = 16;
 const std::vector<std::size_t> kHomes = {0, 1, 5, 7};
 
 TEST(OracleSensitivity, FaithfulBaselinePasses) {
-  const Outcome outcome = run_mutant<MutantAlgo1>(kN, kHomes);
+  const Outcome outcome = run_mutant<FaithfulAlgo1>(kN, kHomes);
   EXPECT_TRUE(outcome.quiescent);
   EXPECT_TRUE(outcome.uniform) << "the un-mutated control must pass";
 }
@@ -199,17 +216,22 @@ TEST(OracleSensitivity, SuspendedIsNotHalted) {
   // An algorithm that parks in the Definition-2 state must fail the
   // Definition-1 oracle even at perfect positions — and vice versa. (The
   // distinction is the whole content of Theorem 5.)
-  class SuspendAtTarget final : public sim::AgentProgram {
+  class SuspendAtTarget final : public sim::CopyableProgram<SuspendAtTarget> {
    public:
-    sim::Behavior run(sim::AgentContext& ctx) override {
-      ctx.release_token();
-      for (int i = 0; i < 8; ++i) {
-        co_await ctx.move();
-      }
-      co_await ctx.suspend();
-      co_return;
-    }
     [[nodiscard]] std::string_view name() const override { return "suspender"; }
+
+   private:
+    sim::Request act(sim::AgentContext& ctx) override {
+      UDRING_BEGIN;
+      ctx.release_token();
+      for (moved_ = 0; moved_ < 8; ++moved_) {
+        UDRING_AWAIT(ctx.move());
+      }
+      UDRING_AWAIT(ctx.suspend());
+      UDRING_END;
+    }
+
+    int moved_ = 0;
   };
   sim::Simulator simulator(16, {0, 8}, [](sim::AgentId) {
     return std::make_unique<SuspendAtTarget>();

@@ -1,9 +1,16 @@
 // Tests for util/table.h and util/cli.h — the presentation layer of the
-// bench binaries and examples.
+// bench binaries and examples — plus the udring_mc flag checks end to end.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/table.h"
@@ -62,6 +69,89 @@ TEST(Cli, DefaultsApplyWhenAbsent) {
   EXPECT_EQ(cli.get_size("n", 128, "ring size"), 128u);
   EXPECT_EQ(cli.get_u64("seed", 42, "rng seed"), 42u);
   EXPECT_EQ(cli.get("name", "label", "fallback").value(), "fallback");
+}
+
+/// Runs `parse`, expecting std::invalid_argument whose message names `flag`
+/// and contains `detail`.
+template <typename Parse>
+void expect_rejected(Parse parse, const std::string& flag,
+                     const std::string& detail) {
+  try {
+    (void)parse();
+    ADD_FAILURE() << flag << ": accepted, expected a rejection";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_EQ(message.rfind(flag + ":", 0), 0u) << message;
+    EXPECT_NE(message.find(detail), std::string::npos) << message;
+  }
+}
+
+TEST(Cli, NumericFlagsRejectWhatStoullAccepted) {
+  // std::stoull accepts each of these: it wraps "-5" to a huge budget, drops
+  // the "x" of "3x" and skips the blank of " 7".
+  const char* argv[] = {"prog",     "--budget=-5", "--n=-1",  "--k=3x",
+                        "--seed=",  "--plus=+4",   "--blank= 7",
+                        "--big=18446744073709551616"};
+  Cli cli(8, argv);
+  expect_rejected([&] { return cli.get_size("budget", 0, "b"); }, "--budget",
+                  "'-5'");
+  expect_rejected([&] { return cli.get_size("n", 6, "n"); }, "--n", "'-1'");
+  expect_rejected([&] { return cli.get_size("k", 2, "k"); }, "--k", "'3x'");
+  expect_rejected([&] { return cli.get_u64("seed", 1, "s"); }, "--seed", "''");
+  expect_rejected([&] { return cli.get_size("plus", 0, "p"); }, "--plus",
+                  "'+4'");
+  expect_rejected([&] { return cli.get_size("blank", 0, "b"); }, "--blank",
+                  "' 7'");
+  expect_rejected([&] { return cli.get_u64("big", 0, "b"); }, "--big",
+                  "out of range");
+}
+
+TEST(Cli, ParseUnsignedAcceptsTheFullRange) {
+  EXPECT_EQ(parse_unsigned("0", "--x"), 0u);
+  EXPECT_EQ(parse_unsigned("007", "--x"), 7u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615", "--x"),
+            std::numeric_limits<std::uint64_t>::max());
+  const char* argv[] = {"prog", "--workers=4"};
+  Cli cli(2, argv);
+  EXPECT_EQ(cli.get_size("workers", 0, "w"), 4u);
+}
+
+TEST(Cli, UnsignedListsRejectEmptyAndMalformedEntries) {
+  EXPECT_EQ(parse_unsigned_list("0,3,7", "--homes"),
+            (std::vector<std::size_t>{0, 3, 7}));
+  EXPECT_EQ(parse_unsigned_list("5", "--homes"), (std::vector<std::size_t>{5}));
+  expect_rejected([] { return parse_unsigned_list("0,3x", "--homes"); },
+                  "--homes", "'3x'");
+  expect_rejected([] { return parse_unsigned_list("0,,3", "--homes"); },
+                  "--homes", "empty entry");
+  expect_rejected([] { return parse_unsigned_list("0,3,", "--homes"); },
+                  "--homes", "empty entry");
+  expect_rejected([] { return parse_unsigned_list("0,-3", "--homes"); },
+                  "--homes", "'-3'");
+  expect_rejected(
+      [] { return parse_unsigned_list("1,99999999999999999999", "--homes"); },
+      "--homes", "out of range");
+}
+
+/// Exit status of `udring_mc <args>`, output discarded.
+int run_udring_mc(const std::string& args) {
+  const std::string command =
+      std::string(UDRING_MC_BINARY) + " " + args + " > /dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
+  // Through std::stoull, -5 becomes an unlimited budget, -1 dies in a vector
+  // allocation, "3x" checks homes {0,3}, an empty entry or an overflow
+  // prints a bare "stoull"; and the instance draw clamps k > n to k = n.
+  for (const char* bad :
+       {"--budget=-5", "--n=-1", "--homes=0,3x", "--homes=0,,3",
+        "--budget=99999999999999999999", "--n=4 --k=5"}) {
+    EXPECT_EQ(run_udring_mc(std::string("--algo=known-k-full ") + bad), 2)
+        << bad;
+  }
+  EXPECT_EQ(run_udring_mc("--algo=known-k-full --n=6 --k=2"), 0);
 }
 
 TEST(Cli, HelpFlagDetected) {

@@ -62,13 +62,8 @@ std::pair<std::size_t, std::size_t> parse_shard_spec(const std::string& spec) {
   if (slash == std::string::npos) {
     throw std::invalid_argument("--shard expects i/N, got '" + spec + "'");
   }
-  std::size_t index = 0, count = 0;
-  try {
-    index = std::stoull(spec.substr(0, slash));
-    count = std::stoull(spec.substr(slash + 1));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--shard expects i/N, got '" + spec + "'");
-  }
+  const std::uint64_t index = parse_unsigned(spec.substr(0, slash), "--shard");
+  const std::uint64_t count = parse_unsigned(spec.substr(slash + 1), "--shard");
   if (count == 0 || index >= count) {
     throw std::invalid_argument("--shard index out of range: '" + spec + "'");
   }

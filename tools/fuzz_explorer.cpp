@@ -20,12 +20,15 @@
 // regression inputs.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "explore/fuzz.h"
 #include "explore/shrink.h"
@@ -181,9 +184,13 @@ int main(int argc, char** argv) {
     // into a no-op pass; fall back to the default and say so.
     std::size_t default_budget = 200;
     if (const char* budget_env = std::getenv("UDRING_FUZZ_BUDGET")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(budget_env, &end, 10);
-      if (end != budget_env && *end == '\0' && parsed > 0) {
+      std::uint64_t parsed = 0;
+      try {
+        parsed = parse_unsigned(budget_env, "UDRING_FUZZ_BUDGET");
+      } catch (const std::invalid_argument&) {
+        // Reported below like a zero budget.
+      }
+      if (parsed > 0 && std::in_range<std::size_t>(parsed)) {
         default_budget = static_cast<std::size_t>(parsed);
       } else {
         std::cerr << "udring_fuzz: ignoring invalid UDRING_FUZZ_BUDGET='"
@@ -233,10 +240,10 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("--faults: bad token '" + item +
                                       "' (want crash=N or rewire=N)");
         }
-        const std::size_t value =
-            static_cast<std::size_t>(std::stoull(item.substr(eq + 1)));
         (key == "crash" ? options.fault_crash_budget
-                        : options.fault_rewire_budget) = value;
+                        : options.fault_rewire_budget) =
+            static_cast<std::size_t>(
+                parse_unsigned(item.substr(eq + 1), "--faults"));
       }
     }
     const std::string homes_csv =
@@ -247,11 +254,7 @@ int main(int argc, char** argv) {
             .value_or("");
     if (!homes_csv.empty()) {
       options.fixed_nodes = n;
-      std::istringstream list(homes_csv);
-      for (std::string item; std::getline(list, item, ',');) {
-        options.fixed_homes.push_back(
-            static_cast<std::size_t>(std::stoull(item)));
-      }
+      options.fixed_homes = parse_unsigned_list(homes_csv, "--homes");
     }
     const std::string out_dir =
         cli.get("out", "directory for shrunk failing traces", "").value_or("");

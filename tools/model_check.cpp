@@ -97,7 +97,9 @@ int main(int argc, char** argv) {
         cli.get_u64("seed", 1, "seed for the instance draw (homes / network)");
     const std::size_t budget = cli.get_size(
         "budget", 0,
-        "action budget, replays included (0 = walk the tree to exhaustion)");
+        "budget on executed simulator actions: tree edges plus snapshot-"
+        "restore re-steps, ~5 per expanded state on a pruned walk (0 = walk "
+        "the tree to exhaustion)");
     const std::size_t frontier = cli.get_size(
         "frontier", 1, "frontier shards for the parallel walk (1 = serial)");
     const std::size_t workers =
@@ -152,6 +154,13 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    if (homes_csv.empty() && k > n) {
+      // The instance draw would quietly clamp k to n and verify an instance
+      // the caller never asked for.
+      std::cerr << "udring_mc: --k=" << k << " exceeds --n=" << n << '\n';
+      return 2;
+    }
+
     mc::FaultBudget fault_budget;
     fault_budget.max_fault_action = fault_max_action;
     if (!fault_budget_spec.empty()) {
@@ -163,9 +172,9 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("--fault-budget: bad token '" + item +
                                       "' (want crash=N or rewire=N)");
         }
-        const std::size_t value =
-            static_cast<std::size_t>(std::stoull(item.substr(eq + 1)));
-        (key == "crash" ? fault_budget.crashes : fault_budget.rewires) = value;
+        (key == "crash" ? fault_budget.crashes : fault_budget.rewires) =
+            static_cast<std::size_t>(
+                parse_unsigned(item.substr(eq + 1), "--fault-budget"));
       }
     }
 
@@ -251,10 +260,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       request.node_count = n;
-      std::istringstream list(homes_csv);
-      for (std::string item; std::getline(list, item, ',');) {
-        request.homes.push_back(static_cast<std::size_t>(std::stoull(item)));
-      }
+      request.homes = parse_unsigned_list(homes_csv, "--homes");
     } else {
       explore::DrawnInstance drawn = explore::draw_instance(topology, n, k, rng);
       request.node_count = drawn.node_count;
