@@ -2,7 +2,9 @@
 // acceptance grid (n ∈ {16..64}, k ∈ {2..8}, 16 seeds, 2 schedulers —
 // 1568 scenarios) serially and sharded, verifies the worker-count
 // determinism contract (identical digests), and reports throughput and
-// parallel speedup. Set UDRING_CAMPAIGN_SMOKE=1 for the tiny CI grid.
+// parallel speedup. A digest mismatch on any row exits 2, so the report
+// doubles as the CI digest smoke. Set UDRING_CAMPAIGN_SMOKE=1 for the tiny
+// CI grid.
 
 #include <chrono>
 #include <cstdlib>
@@ -52,13 +54,15 @@ void print_report() {
   table.add_row({"1", Table::num(serial_ms, 0),
                  Table::num(1000.0 * static_cast<double>(scenario_count) / serial_ms, 0),
                  "1.0", "-"});
+  bool digests_match = true;
   for (const std::size_t workers : {2u, 4u, 8u}) {
     exp::CampaignResult sharded;
     const double ms = run_timed(grid, workers, sharded);
+    const bool match = sharded.digest() == serial.digest();
+    digests_match = digests_match && match;
     table.add_row({Table::num(workers), Table::num(ms, 0),
                    Table::num(1000.0 * static_cast<double>(scenario_count) / ms, 0),
-                   Table::num(serial_ms / ms, 2),
-                   sharded.digest() == serial.digest() ? "yes" : "NO"});
+                   Table::num(serial_ms / ms, 2), match ? "yes" : "NO"});
   }
   std::cout << table;
 
@@ -69,38 +73,12 @@ void print_report() {
   print_section(std::cout, "Streaming aggregation");
   const exp::CampaignResult streamed =
       exp::run_campaign_streaming(grid, {.workers = 8});
+  const bool streamed_match = streamed.digest() == serial.digest();
+  digests_match = digests_match && streamed_match;
   std::cout << "streaming digest "
-            << (streamed.digest() == serial.digest() ? "matches" : "DOES NOT match")
+            << (streamed_match ? "matches" : "DOES NOT match")
             << " the materialized serial run ("
             << streamed.cells.size() << " cells, no per-scenario storage).\n";
-
-  // Lane-batched A/B: the SoA lane engine (sim::BatchArena) must reproduce
-  // the scalar digest at every lane setting — 1 is the historical scalar
-  // path, auto is what production campaigns run. A mismatch here is an
-  // engine bug, so the report exits nonzero (this is the CI batch smoke).
-  print_section(std::cout, "Lane batching (batch_lanes A/B, workers = 1)");
-  bool lanes_ok = true;
-  Table lane_table({"lanes", "wall ms", "scenarios/s", "digest match"});
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    exp::CampaignOptions options;
-    options.workers = 1;
-    options.batch_lanes = lanes;
-    const auto start = std::chrono::steady_clock::now();
-    const exp::CampaignResult result = exp::run_campaign(grid, options);
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(stop - start).count();
-    const bool match = result.digest() == serial.digest();
-    lanes_ok = lanes_ok && match;
-    lane_table.add_row({lanes == 0 ? "auto" : Table::num(lanes),
-                        Table::num(ms, 0),
-                        Table::num(1000.0 * static_cast<double>(scenario_count) / ms, 0),
-                        match ? "yes" : "NO"});
-  }
-  std::cout << lane_table;
-  if (!lanes_ok) {
-    std::cout << "ERROR: lane-batched digest diverged from the scalar engine.\n";
-    std::exit(2);
-  }
 
   std::cout << "\nfailures: " << serial.failures << " / " << scenario_count
             << "   digest: " << std::hex << serial.digest() << std::dec << '\n';
@@ -108,6 +86,10 @@ void print_report() {
     for (const std::string& sample : serial.failure_samples) {
       std::cout << "  FAIL " << sample << '\n';
     }
+  }
+  if (!digests_match) {
+    std::cout << "ERROR: a digest diverged from the serial run.\n";
+    std::exit(2);
   }
   std::cout << "\nEvery row's digest matches the serial run: aggregation is\n"
                "byte-identical at any worker count (per-scenario substreams +\n"
@@ -136,34 +118,6 @@ void register_timings() {
             if (!result.all_ok()) state.SkipWithError("campaign failed");
           }
           state.counters["workers"] = static_cast<double>(workers);
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
-  // Lane-scaling rows: the same acceptance cell swept over batch_lanes at
-  // one worker, so the artifact tracks the lane engine's own trajectory
-  // (lanes=1 is the scalar path; the workers= rows above run auto lanes).
-  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
-    const std::string name =
-        "campaign/n=32..48/k=4,8/lanes=" + std::to_string(lanes);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [lanes](benchmark::State& state) {
-          exp::CampaignGrid grid;
-          grid.algorithms = {core::Algorithm::KnownKFull};
-          grid.schedulers = {sim::SchedulerKind::RoundRobin,
-                             sim::SchedulerKind::Random};
-          grid.node_counts = {32, 48};
-          grid.agent_counts = {4, 8};
-          grid.seeds = 4;
-          exp::CampaignOptions options;
-          options.workers = 1;
-          options.batch_lanes = lanes;
-          for (auto _ : state) {
-            const exp::CampaignResult result = exp::run_campaign(grid, options);
-            benchmark::DoNotOptimize(result.failures);
-            if (!result.all_ok()) state.SkipWithError("campaign failed");
-          }
-          state.counters["lanes"] = static_cast<double>(lanes);
         })
         ->Unit(benchmark::kMillisecond);
   }

@@ -1,15 +1,13 @@
 // bench_mc_throughput — the exhaustive model checker's own artifact.
 //
 // Reports, for a small verification grid, the walk throughput
-// (schedules/s and actions/s), the pruning economics (dedup hit-rate,
-// sleep-set and DPOR cut counts), and the serial vs frontier-sharded
-// trade: private-visited sharding buys parallel wall-clock but pays for
-// it in cross-shard dedup loss, while the lock-free shared visited set
-// recovers the dedup at the cost of claim-order nondeterminism in WHO
-// expands a state (never in the counts — they are functions of the
-// claimed closure). The DPOR + symmetry layers are what push the
-// exhaustive grid to n=24 (2x the pre-DPOR maximum of n=12). The
-// google-benchmark timings land in the BENCH_mc.json CI artifact like
+// (schedules/s and actions/s), the pruning economics (dedup hit-rate and
+// sleep-set cut counts), and the serial vs frontier-sharded trade:
+// private-visited sharding buys parallel wall-clock but pays for it in
+// cross-shard dedup loss, while the lock-free shared visited set recovers
+// the dedup at the cost of claim-order nondeterminism in WHO expands a
+// state (never in the counts — they are functions of the claimed closure).
+// The google-benchmark timings land in the BENCH_mc.json CI artifact like
 // bench_campaign_engine's.
 //
 // Set UDRING_MC_SMOKE=1 for the tiny CI grid.
@@ -37,8 +35,6 @@ std::vector<BenchCell> bench_cells() {
   }
   return {{core::Algorithm::KnownKFull, 10, 3},
           {core::Algorithm::KnownKFull, 12, 4},
-          // 2x the pre-DPOR maximum n: exhaustive only because DPOR and
-          // the symmetry quotient cut the interleaving tree.
           {core::Algorithm::KnownKFull, 24, 4},
           {core::Algorithm::KnownKLogMem, 8, 3},
           {core::Algorithm::KnownKLogMem, 10, 4},
@@ -71,7 +67,7 @@ void print_report() {
 
   print_section(std::cout, "Serial walk (full cross-subtree dedup)");
   Table serial_table({"algorithm", "n", "k", "wall ms", "states/s", "actions/s",
-                      "dedup hit-rate", "sleep cut", "dpor cut", "verdict"});
+                      "dedup hit-rate", "sleep cut", "verdict"});
   std::vector<mc::ModelCheckReport> serial_reports;
   std::vector<double> serial_ms_by_cell;
   for (const BenchCell& cell : bench_cells()) {
@@ -87,8 +83,7 @@ void print_report() {
          rate(static_cast<double>(s.total_actions), ms),
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
-         Table::num(static_cast<double>(s.sleep_pruned), 0),
-         Table::num(static_cast<double>(s.dpor_pruned), 0), report.verdict});
+         Table::num(static_cast<double>(s.sleep_pruned), 0), report.verdict});
     serial_reports.push_back(std::move(report));
   }
   std::cout << serial_table;
@@ -156,23 +151,18 @@ void register_timings() {
   struct TimingCase {
     const char* name;
     std::size_t n, k;
-    bool dedup, sleep, dpor, shared;
+    bool dedup, sleep, shared;
     std::size_t frontier, workers;
   };
-  // The three n=8 names predate DPOR and must keep existing (bench_compare
-  // matches rows by name); their timings shift because the default walk now
-  // carries backtrack sets. no-pruning turns DPOR off along with the rest.
+  // bench_compare matches rows by name, so a renamed row reads as one
+  // removed and one added.
   static constexpr TimingCase kCases[] = {
-      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, true, true, false, 1, 1},
-      {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, true, true, false, 8,
+      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, true, false, 1, 1},
+      {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, true, false, 8, 8},
+      {"mc/known-k-full/n=8/k=3/no-pruning", 8, 3, false, false, false, 1, 1},
+      {"mc/known-k-full/n=8/k=3/shared-visited-w8", 8, 3, true, true, true, 8,
        8},
-      {"mc/known-k-full/n=8/k=3/no-pruning", 8, 3, false, false, false, false,
-       1, 1},
-      {"mc/known-k-full/n=8/k=3/no-dpor", 8, 3, true, true, false, false, 1, 1},
-      {"mc/known-k-full/n=8/k=3/shared-visited-w8", 8, 3, true, true, true,
-       true, 8, 8},
-      // Exhaustive at 2x the pre-DPOR maximum n — the row this PR exists for.
-      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, true, true, false, 1, 1},
+      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, true, false, 1, 1},
   };
   for (const TimingCase& c : kCases) {
     benchmark::RegisterBenchmark(
@@ -185,7 +175,6 @@ void register_timings() {
           mc::McOptions options;
           options.dedup_states = c.dedup;
           options.sleep_sets = c.sleep;
-          options.dpor = c.dpor;
           options.shared_visited = c.shared;
           options.frontier_target = c.frontier;
           options.workers = c.workers;

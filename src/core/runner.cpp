@@ -9,7 +9,6 @@
 #include "core/known_k_logmem.h"
 #include "core/rendezvous.h"
 #include "core/unknown_relaxed.h"
-#include "sim/batch_arena.h"
 #include "util/parallel.h"
 
 namespace udring::core {
@@ -165,43 +164,15 @@ sim::Scheduler& RunContext::scheduler(sim::SchedulerKind kind,
   return *slot;
 }
 
-const sim::GoalOracle& OracleCache::get(Algorithm algorithm,
-                                        const ProblemSpec& problem) {
-  if (!oracle_ || algorithm_ != algorithm || problem_ != problem) {
-    oracle_ = make_goal_oracle(algorithm, problem);
-    algorithm_ = algorithm;
-    problem_ = problem;
-  }
-  return *oracle_;
-}
-
 const sim::GoalOracle& RunContext::oracle(Algorithm algorithm,
                                           const ProblemSpec& problem) {
-  return oracles_.get(algorithm, problem);
-}
-
-LanePool::LanePool(std::size_t lanes) : lanes_(lanes) {
-  if (lanes == 0) {
-    throw std::invalid_argument("LanePool: lane count must be positive");
+  if (!oracle_ || oracle_algorithm_ != algorithm ||
+      oracle_problem_ != problem) {
+    oracle_ = make_goal_oracle(algorithm, problem);
+    oracle_algorithm_ = algorithm;
+    oracle_problem_ = problem;
   }
-}
-
-const sim::Instance& LanePool::emplace_instance(std::size_t lane,
-                                                Algorithm algorithm,
-                                                const RunSpec& spec) {
-  return lanes_[lane].instance.emplace(make_instance(algorithm, spec));
-}
-
-sim::Scheduler& LanePool::scheduler(std::size_t lane, sim::SchedulerKind kind,
-                                    std::uint64_t seed,
-                                    std::size_t agent_count) {
-  auto& slot = lanes_[lane].schedulers[static_cast<std::size_t>(kind)];
-  if (!slot) {
-    slot = sim::make_scheduler(kind, seed, agent_count);
-  } else {
-    slot->reseed(seed);
-  }
-  return *slot;
+  return *oracle_;
 }
 
 RunReport RunContext::run(Algorithm algorithm, const RunSpec& spec) {
@@ -219,69 +190,9 @@ RunReport RunContext::run(Algorithm algorithm, const RunSpec& spec) {
 
 std::vector<RunReport> run_many(Algorithm algorithm,
                                 const std::vector<RunSpec>& specs,
-                                std::size_t workers, std::size_t lanes) {
+                                std::size_t workers) {
   std::vector<RunReport> reports(specs.size());
   const std::size_t resolved = resolve_workers(specs.size(), workers);
-  if (lanes > 1) {
-    // Lane-batched engine: each worker interleaves `lanes` in-flight specs
-    // through a BatchArena, with the same finish_report epilogue and the
-    // same "exception: " accounting as the scalar path below (a spec that
-    // throws at build or finish time fills its own report slot and frees
-    // the lane for the next claim).
-    parallel_pump_workers(
-        specs.size(), resolved,
-        [&](std::size_t /*worker*/,
-            const std::function<std::size_t()>& claim) {
-          LanePool pool(lanes);
-          sim::BatchArena arena(lanes);
-          std::vector<const sim::Scheduler*> lane_scheduler(lanes, nullptr);
-          const auto record_exception = [&](std::size_t i,
-                                            const std::exception& error) {
-            reports[i] = RunReport{};
-            reports[i].success = false;
-            reports[i].failure = std::string("exception: ") + error.what();
-          };
-          arena.run(
-              [&](std::size_t lane) {
-                for (std::size_t i = claim(); i < specs.size(); i = claim()) {
-                  try {
-                    const RunSpec& spec = specs[i];
-                    const sim::Instance& instance =
-                        pool.emplace_instance(lane, algorithm, spec);
-                    sim::Scheduler& scheduler = pool.scheduler(
-                        lane, spec.scheduler, spec.seed, spec.homes.size());
-                    arena.load(lane, instance, scheduler, spec.scheduler, i);
-                    lane_scheduler[lane] = &scheduler;
-                    return true;
-                  } catch (const std::exception& error) {
-                    record_exception(i, error);
-                  }
-                }
-                return false;
-              },
-              [&](std::size_t lane, std::uint64_t ticket,
-                  const sim::RunResult& result) {
-                const std::size_t i = static_cast<std::size_t>(ticket);
-                try {
-                  reports[i] = finish_report(
-                      pool.oracle(algorithm, specs[i].problem),
-                      resolve_problem(algorithm, specs[i].problem),
-                      arena.state(lane), *lane_scheduler[lane], result);
-                } catch (const std::exception& error) {
-                  record_exception(i, error);
-                }
-              },
-              [&](std::size_t /*lane*/, std::uint64_t ticket,
-                  std::exception_ptr error) {
-                try {
-                  std::rethrow_exception(error);
-                } catch (const std::exception& caught) {
-                  record_exception(static_cast<std::size_t>(ticket), caught);
-                }
-              });
-        });
-    return reports;
-  }
   // One arena per worker, built before the pool starts; deque-free because
   // RunContext is neither copyable nor movable.
   std::vector<std::unique_ptr<RunContext>> contexts;

@@ -12,7 +12,6 @@
 
 #include "explore/fuzz.h"
 #include "explore/replay.h"
-#include "mc/symmetry.h"
 #include "sim/checker.h"
 #include "sim/footprint.h"
 #include "util/parallel.h"
@@ -24,7 +23,7 @@ namespace udring::mc {
 namespace {
 
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
-/// Bitmask width shared by sleep sets, DPOR backtrack sets and summaries.
+/// Bitmask width of the sleep sets.
 constexpr std::size_t kMaskAgents = 64;
 /// The DFS snapshots the configuration of every kSnapshotEvery-th stack
 /// frame; a backtrack copies the nearest snapshotted ancestor and re-steps
@@ -41,18 +40,9 @@ struct ShardNode {
   AgentMask sleep = 0;
 };
 
-/// Visited-state store for the (default) per-shard tree walk. Sleep masks
-/// feed the subset rule; the subtree summary (agents acted / nodes touched
-/// below the state, complete once the state's frame pops) is what lets DPOR
-/// stay sound across dedup cuts — see model_check.h. When symmetry is on,
-/// masks and sub_agents are stored in canonical rank space.
-struct VisitedEntry {
-  std::vector<AgentMask> masks;
-  AgentMask sub_agents = 0;
-  std::uint64_t sub_nodes = 0;
-  bool summary_recorded = false;
-};
-using VisitedMap = std::unordered_map<std::uint64_t, VisitedEntry>;
+/// Visited-state store for the (default) per-shard tree walk: every sleep
+/// mask a configuration was expanded under, for the subset rule.
+using VisitedMap = std::unordered_map<std::uint64_t, std::vector<AgentMask>>;
 
 [[nodiscard]] sim::Instance build_instance(const CheckRequest& request) {
   core::RunSpec spec;
@@ -118,8 +108,7 @@ class Explorer {
     root_depth_ = prefix.size();
     reposition();
     std::vector<Frame> stack;
-    push_frame(stack, make_frame(root_sleep, 0, 0, 0, root_dedup_key()));
-    if (options_.dpor) dpor_push_update(stack);
+    push_frame(stack, make_frame(root_sleep, 0));
 
     while (!stack.empty() && !violation && !budget_stop && !should_stop()) {
       Frame& f = stack.back();
@@ -143,12 +132,8 @@ class Explorer {
         }
         path_.push_back(static_cast<branch_index_t>(b));
         cur_.apply_rewire(static_cast<std::size_t>(b));
-        DedupHit hit;
-        const NodeClass cls =
-            classify(f.sleep, cur_.total_tokens(), &hit);
-        if (cls == NodeClass::Open) {
-          push_frame(stack, make_frame(f.sleep, f.entered_agent, f.entered_n1,
-                                       f.entered_n2, hit.key));
+        if (classify(f.sleep, cur_.total_tokens()) == NodeClass::Open) {
+          push_frame(stack, make_frame(f.sleep, f.entered_agent));
         } else {
           path_.pop_back();
           at_tip_ = false;
@@ -166,42 +151,21 @@ class Explorer {
       }
       const AgentMask child_sleep = inherit_sleep(f.agents, f.sleep, agent);
       const std::size_t prev_tokens = cur_.total_tokens();
-      // Footprint of the edge about to be taken, captured pre-step (the
-      // shared {node, next(node)} bound from sim/footprint.h).
-      const sim::ActionFootprint fp = sim::action_footprint(cur_, agent);
-      const sim::NodeId n1 = fp.node;
-      const sim::NodeId n2 = fp.next;
       path_.push_back(static_cast<branch_index_t>(b));
       step(agent);
-      DedupHit hit;
-      const NodeClass cls = classify(child_sleep, prev_tokens, &hit);
-      if (cls == NodeClass::Open) {
-        push_frame(stack, make_frame(child_sleep, agent, n1, n2, hit.key));
-        if (options_.dpor) dpor_push_update(stack);
+      if (classify(child_sleep, prev_tokens) == NodeClass::Open) {
+        push_frame(stack, make_frame(child_sleep, agent));
       } else {
         path_.pop_back();
         at_tip_ = false;
-        Frame& parent = stack.back();  // f may dangle after push; re-take
-        if (options_.sleep_sets) parent.sleep |= bit(agent);
-        if (options_.dpor) {
-          // The edge (and, on a dedup hit, the whole skipped subtree) is
-          // behaviour under this frame: fold it into the running summary
-          // and re-arm any ancestor whose edge races with it.
-          parent.sub_agents |= bit(agent) | hit.sub_agents;
-          parent.sub_nodes |= node_bit(n1) | node_bit(n2) | hit.sub_nodes;
-          if (cls == NodeClass::DedupLeaf) {
-            dpor_dedup_update(stack, hit, agent, n1, n2);
-          }
-        }
+        if (options_.sleep_sets) f.sleep |= bit(agent);
       }
     }
   }
 
-  /// Expands every node of `level` one step, appending surviving open
-  /// children to `next` (the BFS frontier phase; no DPOR — the phase fully
-  /// expands all non-sleeping branches, which is what lets shard-local
-  /// backtrack sets stay shard-local). Stops early on violation or budget
-  /// exhaustion.
+  /// Expands every non-sleeping branch of every node of `level` one step,
+  /// appending surviving open children to `next` (the BFS frontier phase).
+  /// Stops early on violation or budget exhaustion.
   void expand_level(const std::vector<ShardNode>& level,
                     std::vector<ShardNode>& next) {
     for (const ShardNode& node : level) {
@@ -231,8 +195,7 @@ class Explorer {
         const std::size_t prev_tokens = cur_.total_tokens();
         path_.push_back(b);
         step(agent);
-        DedupHit hit;
-        if (classify(child_sleep, prev_tokens, &hit) == NodeClass::Open) {
+        if (classify(child_sleep, prev_tokens) == NodeClass::Open) {
           next.push_back({path_, child_sleep});
         }
         path_.pop_back();
@@ -247,38 +210,19 @@ class Explorer {
     std::vector<sim::AgentId> agents;  ///< sorted enabled set at this node
     AgentMask enabled_mask = 0;
     AgentMask sleep = 0;
-    AgentMask done = 0;       ///< branches explored (or sleep-handled)
-    AgentMask backtrack = 0;  ///< DPOR: branches scheduled for exploration
-    AgentMask sub_agents = 0;    ///< DPOR summary: agents acted below
-    std::uint64_t sub_nodes = 0; ///< DPOR summary: nodes touched below
-    std::uint64_t dedup_key = 0; ///< visited key (summary write-back)
-    /// id -> canonical rank at this node (symmetry + DPOR write-back only).
-    std::vector<std::uint32_t> rank;
+    AgentMask done = 0;              ///< branches explored (or sleep-handled)
     branch_index_t next_branch = 0;  ///< sequential fallback (> 64 agents)
     bool rewire = false;             ///< branches = rewiring candidate strides
     branch_index_t rewire_branches = 0;  ///< candidate count of a rewire node
     sim::AgentId entered_agent = 0;  ///< edge into this node (parent's pick)
-    sim::NodeId entered_n1 = 0;      ///< that edge's footprint
-    sim::NodeId entered_n2 = 0;
   };
 
-  enum class NodeClass { Open, Leaf, DedupLeaf };
-
-  /// What classify() learned at a node, for the DFS to thread into frames:
-  /// the visited key of an open node, or the stored subtree summary
-  /// (translated back to concrete agent ids) of a dedup hit.
-  struct DedupHit {
-    std::uint64_t key = 0;
-    AgentMask sub_agents = 0;
-    std::uint64_t sub_nodes = 0;
-    bool summary_valid = false;
-  };
+  /// A configuration just stepped into is Open (interior: the caller pushes
+  /// a frame / emits a BFS child) or a Leaf.
+  enum class NodeClass { Open, Leaf };
 
   [[nodiscard]] static AgentMask bit(sim::AgentId agent) noexcept {
     return AgentMask{1} << agent;
-  }
-  [[nodiscard]] static std::uint64_t node_bit(sim::NodeId node) noexcept {
-    return std::uint64_t{1} << node;
   }
   [[nodiscard]] bool masks_usable() const noexcept {
     return cur_.agent_count() <= kMaskAgents;
@@ -287,58 +231,33 @@ class Explorer {
     return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] Frame make_frame(AgentMask sleep, sim::AgentId entered,
-                                 sim::NodeId n1, sim::NodeId n2,
-                                 std::uint64_t dedup_key) {
+  [[nodiscard]] Frame make_frame(AgentMask sleep, sim::AgentId entered) {
+    ++stats.states_expanded;
+    Frame f;
+    f.sleep = sleep;
+    f.entered_agent = entered;
     if (fault_mode_ && cur_.pending_rewire()) {
       // A pending rewiring is its own choice-tree level: branches are the
-      // candidate stride indices. The path-dependent prunings are forced
-      // off under event plans (mc::check), so the frame only needs the
-      // sequential branch cursor.
-      ++stats.states_expanded;
-      Frame f;
+      // candidate stride indices. Sleep sets are forced off under event
+      // plans (mc::check), so the frame only needs the sequential branch
+      // cursor.
       f.rewire = true;
       f.rewire_branches =
           static_cast<branch_index_t>(cur_.rewire_candidate_count());
-      f.sleep = sleep;
-      f.entered_agent = entered;
-      f.entered_n1 = n1;
-      f.entered_n2 = n2;
-      f.dedup_key = dedup_key;
       return f;
     }
     sort_enabled();
-    ++stats.states_expanded;
-    Frame f;
     f.agents = sorted_;
-    f.sleep = sleep;
-    f.entered_agent = entered;
-    f.entered_n1 = n1;
-    f.entered_n2 = n2;
-    f.dedup_key = dedup_key;
     if (masks_usable()) {
       for (const sim::AgentId a : f.agents) f.enabled_mask |= bit(a);
-    }
-    if (options_.dpor) {
-      // FG initialization: schedule one branch; every other branch runs
-      // only if some deeper race re-arms it (dpor_push_update /
-      // dpor_dedup_update).
-      const AgentMask awake = f.enabled_mask & ~f.sleep;
-      f.backtrack = awake == 0 ? 0 : awake & (~awake + 1);  // lowest bit
-      if (options_.symmetry && options_.dedup_states) {
-        f.rank = canon_.rank_table();  // for the pop-time summary write-back
-      }
-    } else {
-      f.backtrack = ~AgentMask{0};
     }
     return f;
   }
 
   /// Next branch of `f` to explore, or -1 when the frame is exhausted.
-  /// Bitmask-driven (lowest eligible agent id = sorted branch order, so the
-  /// walk order matches the historical sequential scan when DPOR is off);
-  /// falls back to a plain scan when the instance exceeds the mask width,
-  /// where sleep sets and DPOR are auto-disabled anyway.
+  /// Bitmask-driven (lowest eligible agent id = sorted branch order); falls
+  /// back to a plain scan when the instance exceeds the mask width, where
+  /// sleep sets are auto-disabled anyway.
   [[nodiscard]] int pick_branch(Frame& f) {
     if (f.rewire) {
       if (f.next_branch >= f.rewire_branches) return -1;
@@ -348,8 +267,7 @@ class Explorer {
       if (f.next_branch >= f.agents.size()) return -1;
       return static_cast<int>(f.next_branch++);
     }
-    const AgentMask avail =
-        f.backtrack & f.enabled_mask & ~f.done & ~f.sleep;
+    const AgentMask avail = f.enabled_mask & ~f.done & ~f.sleep;
     if (avail == 0) return -1;
     const auto agent =
         static_cast<sim::AgentId>(std::countr_zero(avail));
@@ -358,117 +276,19 @@ class Explorer {
     return static_cast<int>(it - f.agents.begin());
   }
 
-  /// Pops the exhausted top frame: accounts the branches DPOR / sleep sets
-  /// left unexplored, writes the subtree summary back to the visited entry,
-  /// and propagates both the sleep-set edge rule and the summary to the
-  /// parent.
+  /// Pops the exhausted top frame: accounts the branches sleep sets left
+  /// unexplored and applies the sleep-set edge rule to the parent.
   void pop_frame(std::vector<Frame>& stack) {
-    Frame& f = stack.back();
+    const Frame& f = stack.back();
     if (masks_usable()) {
-      const AgentMask unexplored = f.enabled_mask & ~f.done;
-      stats.sleep_pruned += std::popcount(unexplored & f.sleep);
-      if (options_.dpor) {
-        stats.dpor_pruned += std::popcount(unexplored & ~f.sleep);
-      }
-    }
-    if (options_.dpor && options_.dedup_states && shared_ == nullptr) {
-      const auto it = visited_.find(f.dedup_key);
-      if (it != visited_.end()) {
-        it->second.sub_agents |= options_.symmetry
-                                     ? map_mask(f.sub_agents, f.rank)
-                                     : f.sub_agents;
-        it->second.sub_nodes |= f.sub_nodes;
-        it->second.summary_recorded = true;
-      }
+      stats.sleep_pruned += std::popcount(f.enabled_mask & ~f.done & f.sleep);
     }
     const sim::AgentId entered = f.entered_agent;
-    const AgentMask sub_agents = f.sub_agents | bit(entered);
-    const std::uint64_t sub_nodes =
-        f.sub_nodes | node_bit(f.entered_n1) | node_bit(f.entered_n2);
     stack.pop_back();
     if (!stack.empty()) {
       path_.pop_back();
       at_tip_ = false;
-      Frame& parent = stack.back();
-      if (options_.sleep_sets) parent.sleep |= bit(entered);
-      if (options_.dpor) {
-        parent.sub_agents |= sub_agents;
-        parent.sub_nodes |= sub_nodes;
-      }
-    }
-  }
-
-  /// The FG race scan for the freshly pushed top frame: for every branch p
-  /// enabled there, find the DEEPEST stack edge dependent with p's next
-  /// action (same agent, or intersecting {node, next(node)} footprints) and
-  /// re-arm p at that edge's pre-state — the heart of dynamic POR. cur_
-  /// must be positioned at the new frame's state.
-  void dpor_push_update(std::vector<Frame>& stack) {
-    if (stack.size() < 2) return;
-    const Frame& top = stack.back();
-    for (const sim::AgentId p : top.agents) {
-      const sim::ActionFootprint pfp = sim::action_footprint(cur_, p);
-      for (std::size_t i = stack.size() - 1; i >= 1; --i) {
-        const Frame& child = stack[i];  // edge stack[i-1] -> stack[i]
-        const bool dependent =
-            child.entered_agent == p ||
-            sim::ActionFootprint{child.entered_n1, child.entered_n2}.overlaps(
-                pfp);
-        if (!dependent) continue;
-        Frame& pre = stack[i - 1];
-        if ((pre.enabled_mask & bit(p)) != 0) {
-          pre.backtrack |= bit(p);
-        } else {
-          pre.backtrack = pre.enabled_mask;
-        }
-        break;
-      }
-    }
-  }
-
-  /// Stateful-DPOR repair on a dedup cut: the skipped subtree's transitions
-  /// (aggregated as agent / node masks) may race with edges on the current
-  /// stack — the cut edge included — and those races can no longer seed
-  /// backtrack points from below, so fully re-arm every pre-state whose edge
-  /// intersects the summary. The cut edge (cut_agent, cut_n1, cut_n2) is not
-  /// a stack frame, but its pre-state IS stack.back(): a subtree transition
-  /// racing with it would, in the unskipped walk, have re-armed exactly that
-  /// frame (the Yang et al. repair), so stack.back() is checked against the
-  /// RAW subtree summary while deeper frames see the summary plus the cut
-  /// edge's own footprint. A hit without a recorded summary (should not
-  /// occur; defensive) re-arms every frame, stack.back() included.
-  void dpor_dedup_update(std::vector<Frame>& stack, const DedupHit& hit,
-                         sim::AgentId cut_agent, sim::NodeId cut_n1,
-                         sim::NodeId cut_n2) {
-    Frame& top = stack.back();
-    const bool cut_races =
-        !hit.summary_valid || ((hit.sub_agents >> cut_agent) & 1) != 0 ||
-        ((node_bit(cut_n1) | node_bit(cut_n2)) & hit.sub_nodes) != 0;
-    if (cut_races) {
-      // FG rule at the cut edge's pre-state: every subtree transition's
-      // agent is in the summary mask, so when they are all enabled here,
-      // re-arming exactly those suffices; a missing summary or a disabled
-      // summary agent forces the full re-arm.
-      if (hit.summary_valid && (hit.sub_agents & ~top.enabled_mask) == 0) {
-        top.backtrack |= hit.sub_agents;
-      } else {
-        top.backtrack = top.enabled_mask;
-      }
-    }
-    const AgentMask sub_agents = hit.sub_agents | bit(cut_agent);
-    const std::uint64_t sub_nodes =
-        hit.sub_nodes | node_bit(cut_n1) | node_bit(cut_n2);
-    for (std::size_t i = stack.size(); i >= 2; --i) {
-      const Frame& child = stack[i - 1];
-      const bool races =
-          !hit.summary_valid ||
-          ((sub_agents >> child.entered_agent) & 1) != 0 ||
-          ((node_bit(child.entered_n1) | node_bit(child.entered_n2)) &
-           sub_nodes) != 0;
-      if (races) {
-        Frame& pre = stack[i - 2];
-        pre.backtrack = pre.enabled_mask;
-      }
+      if (options_.sleep_sets) stack.back().sleep |= bit(entered);
     }
   }
 
@@ -585,41 +405,11 @@ class Explorer {
     return sim::independent_actions(cur_, a, b);
   }
 
-  /// Dedup key of the configuration cur_ currently sits at. With symmetry
-  /// on this also refreshes the canonicalizer's rank tables for mask
-  /// translation.
-  [[nodiscard]] std::uint64_t dedup_key_of_current() {
-    return options_.symmetry ? canon_.canonical_digest(cur_)
-                             : cur_.config_digest();
-  }
-
-  /// Key for a shard/tree root frame — only needed for the DPOR summary
-  /// write-back, so skip the digest work otherwise.
-  [[nodiscard]] std::uint64_t root_dedup_key() {
-    if (options_.dpor && options_.dedup_states && shared_ == nullptr) {
-      return dedup_key_of_current();
-    }
-    return 0;
-  }
-
-  [[nodiscard]] static AgentMask map_mask(
-      AgentMask mask, const std::vector<std::uint32_t>& rank) {
-    if (rank.empty()) return mask;  // identity (symmetry off)
-    AgentMask out = 0;
-    for (std::size_t id = 0; id < rank.size() && id < kMaskAgents; ++id) {
-      if ((mask >> id) & 1) out |= AgentMask{1} << rank[id];
-    }
-    return out;
-  }
-
-  /// Classifies the configuration just stepped into. Open means interior:
-  /// the caller pushes a frame / emits a BFS child. Everything else is a
-  /// leaf — quiescent schedule, violation, action limit, budget stop, or a
-  /// dedup hit (reported separately so DPOR can replay the skipped
-  /// subtree's summary). Mirrors the fuzzer's drive_checked verdicts
-  /// exactly, so a counterexample replays to the same failure.
-  [[nodiscard]] NodeClass classify(AgentMask sleep, std::size_t prev_tokens,
-                                   DedupHit* hit) {
+  /// Classifies the configuration just stepped into. Everything but an
+  /// interior node is a leaf — quiescent schedule, violation, action limit,
+  /// budget stop, or a dedup hit. Mirrors the fuzzer's drive_checked
+  /// verdicts exactly, so a counterexample replays to the same failure.
+  [[nodiscard]] NodeClass classify(AgentMask sleep, std::size_t prev_tokens) {
     const sim::CheckResult invariants = oracle_.check_action(cur_, prev_tokens);
     if (!invariants) {
       violation = {path_, "invariant: " + invariants.reason};
@@ -647,43 +437,32 @@ class Explorer {
     }
     if (!options_.dedup_states) return NodeClass::Open;
 
-    const std::uint64_t key = dedup_key_of_current();
-    hit->key = key;
+    const std::uint64_t key = cur_.config_digest();
     if (shared_ != nullptr) {
       switch (shared_->insert(key)) {
         case LockFreeVisitedSet::Insert::Claimed:
           return NodeClass::Open;
         case LockFreeVisitedSet::Insert::Present:
           ++stats.states_deduped;
-          return NodeClass::DedupLeaf;
+          return NodeClass::Leaf;
         case LockFreeVisitedSet::Insert::Full:
           budget_stop = true;  // undersized table: degrade, never lie
           return NodeClass::Leaf;
       }
     }
-    const AgentMask stored_sleep =
-        options_.symmetry ? canon_.to_canonical(sleep) : sleep;
-    VisitedEntry& entry = visited_[key];
-    for (const AgentMask mask : entry.masks) {
-      if ((mask & stored_sleep) == mask) {  // stored ⊆ current: covered
+    std::vector<AgentMask>& masks = visited_[key];
+    for (const AgentMask mask : masks) {
+      if ((mask & sleep) == mask) {  // stored ⊆ current: covered
         ++stats.states_deduped;
-        hit->sub_agents = options_.symmetry
-                              ? canon_.from_canonical(entry.sub_agents)
-                              : entry.sub_agents;
-        hit->sub_nodes = entry.sub_nodes;
-        hit->summary_valid = entry.summary_recorded;
-        return NodeClass::DedupLeaf;
+        return NodeClass::Leaf;
       }
     }
     // The new mask dominates any stored superset (it will be explored
     // with more branches awake); drop the dominated entries.
-    entry.masks.erase(
-        std::remove_if(entry.masks.begin(), entry.masks.end(),
-                       [stored_sleep](AgentMask mask) {
-                         return (stored_sleep & mask) == stored_sleep;
-                       }),
-        entry.masks.end());
-    entry.masks.push_back(stored_sleep);
+    std::erase_if(masks, [sleep](AgentMask mask) {
+      return (sleep & mask) == sleep;
+    });
+    masks.push_back(sleep);
     return NodeClass::Open;
   }
 
@@ -708,7 +487,6 @@ class Explorer {
   LockFreeVisitedSet* shared_ = nullptr;
   std::atomic<std::size_t>* shared_actions_ = nullptr;
   std::atomic<bool>* stop_flag_ = nullptr;
-  SymmetryCanonicalizer canon_;
   /// True when the instance's fault plan has events: rewire choice levels
   /// exist (and the walk is one shard rooted at C_0).
   const bool fault_mode_ = false;
@@ -752,7 +530,7 @@ void fold_stats(std::uint64_t& state, const McStats& stats) {
   fold64(state, stats.states_expanded);
   fold64(state, stats.states_deduped);
   fold64(state, stats.sleep_pruned);
-  fold64(state, stats.dpor_pruned);
+  fold64(state, stats.dpor_pruned);  // always 0; keeps the digest layout
   fold64(state, stats.replays);
   fold64(state, stats.total_actions);
   fold64(state, stats.max_depth);
@@ -764,7 +542,6 @@ void accumulate(McStats& into, const McStats& from) {
   into.states_expanded += from.states_expanded;
   into.states_deduped += from.states_deduped;
   into.sleep_pruned += from.sleep_pruned;
-  into.dpor_pruned += from.dpor_pruned;
   into.replays += from.replays;
   into.total_actions += from.total_actions;
   into.max_depth = std::max(into.max_depth, from.max_depth);
@@ -801,34 +578,22 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
   McOptions opts = options;
   if (request.homes.size() > kMaskAgents) {  // bitmask width
     opts.sleep_sets = false;
-    opts.dpor = false;
   }
   if (request.faults.has_events()) {
     // Crash-stop faults and rewirings are global events the footprint
     // independence relation does not model (a crash at action t is not a
-    // local transition two agents can commute around), so the path-dependent
-    // prunings are unsound across fault boundaries and are forced off. The
-    // BFS frontier phase is skipped too — rewiring choice levels exist only
-    // in the DFS walk. Dedup (and, crash-free, symmetry) stay sound because
-    // config_digest / canonical_digest fold the live fault state.
+    // local transition two agents can commute around), so sleep sets are
+    // unsound across fault boundaries and are forced off. The BFS frontier
+    // phase is skipped too — rewiring choice levels exist only in the DFS
+    // walk. Dedup stays sound because config_digest folds the live fault
+    // state.
     opts.sleep_sets = false;
-    opts.dpor = false;
     opts.frontier_target = 1;
   }
-  if (request.faults.has_crashes()) {
-    // A crash plan names concrete agent ids; quotienting by agent
-    // relabelling would merge states whose futures differ (the named agent
-    // dies, its image does not).
-    opts.symmetry = false;
-  }
-  const std::size_t node_count =
-      request.topology.empty() ? request.node_count : request.topology.size();
-  if (node_count > 64) opts.dpor = false;  // summary masks are node bitmasks
   if (opts.shared_visited && opts.dedup_states) {
     // The shared claim set turns the walk into a closure over the state
-    // DAG; path-dependent prunings are unsound against racing claims.
+    // DAG; the path-dependent sleep sets are unsound against racing claims.
     opts.sleep_sets = false;
-    opts.dpor = false;
   } else {
     opts.shared_visited = false;  // meaningless without dedup
   }
@@ -1142,9 +907,9 @@ Table GridReport::summary_table() const {
         return cell.problem.kind != core::Problem::Auto;
       });
   std::vector<std::string> headers = {
-      "algorithm", "family",       "n",           "k",       "l",
-      "rep",       "schedules",    "states",      "deduped", "sleep-pruned",
-      "dpor-pruned", "actions",    "verdict"};
+      "algorithm", "family",    "n",       "k",            "l",
+      "rep",       "schedules", "states",  "deduped",      "sleep-pruned",
+      "actions",   "verdict"};
   if (show_problem) headers.insert(headers.begin() + 1, "problem");
   Table table(std::move(headers));
   for (const GridCell& cell : cells) {
@@ -1156,7 +921,7 @@ Table GridReport::summary_table() const {
         Table::num(static_cast<std::size_t>(cell.repetition)),
         Table::num(s.schedules), Table::num(s.states_expanded),
         Table::num(s.states_deduped), Table::num(s.sleep_pruned),
-        Table::num(s.dpor_pruned), Table::num(s.total_actions),
+        Table::num(s.total_actions),
         cell.report.complete && cell.report.ok
             ? "verified over all schedules"
             : (cell.report.ok ? "budget" : "VIOLATION")};

@@ -30,7 +30,7 @@
 // out-of-range/exhausted pick as the same bug; McStats::replays counts those
 // replays, so a serial walk reports 0.
 //
-// Four prunings, all verdict-preserving (pinned by test_mc.cpp's
+// Two prunings, both verdict-preserving (pinned by test_mc.cpp's
 // pruned == unpruned grids over every combination of the option flags):
 //  - Visited-state dedup on ExecutionState::config_digest(): a configuration
 //    reached again (necessarily at the same depth — the digest folds
@@ -49,29 +49,6 @@
 //    footprints commute and cannot enable/disable each other, including
 //    under the non-FIFO fault (overtaking eligibility is a queue-membership
 //    property of those same nodes).
-//  - Dynamic partial-order reduction (Flanagan–Godefroid backtrack sets)
-//    over the same dependency relation: each DFS node starts with a single
-//    scheduled branch, and when a deeper transition is found to race with
-//    the edge out of an ancestor (same agent, or intersecting
-//    {node, next(node)} footprints), the racing agent is added to that
-//    ancestor's backtrack set — so only representatives of distinct
-//    Mazurkiewicz traces are explored, which preserves every reachable
-//    quiescent / action-limit configuration and hence the verdict. Because
-//    dedup can skip a subtree whose transitions would have seeded backtrack
-//    points, each visited entry carries a summary of the agents and nodes
-//    its explored subtree touched (the Yang et al. stateful-DPOR repair);
-//    a dedup hit replays that summary against every edge on the current
-//    stack — the cut edge itself included, whose pre-state is the top frame
-//    — and fully re-expands each pre-state whose edge races with it.
-//    Auto-disabled beyond 64 agents or 64 nodes (the summaries are
-//    bitmasks).
-//  - Anonymous-agent symmetry: dedup keys are SymmetryCanonicalizer's
-//    canonical digests (src/mc/symmetry.h), quotienting configurations by
-//    agent-id permutations — sound because agents are anonymous and every
-//    oracle is id-symmetric. Sleep masks and DPOR summaries stored under a
-//    canonical key are translated to canonical rank space on the way in and
-//    back to concrete agent ids on the way out, so the subset rule never
-//    compares masks from two different labellings.
 //
 // Parallel mode is frontier-sharded: a serial BFS expands the tree until a
 // level has at least `frontier_target` open nodes (one replay per node, its
@@ -89,8 +66,8 @@
 // shard: the first arrival at a configuration claims it and expands it,
 // every later arrival from any shard skips it, which eliminates the
 // cross-shard re-exploration tax entirely and turns the walk into a
-// closure over the state DAG. Path-dependent prunings (sleep sets, DPOR)
-// are force-disabled in this mode — a state claimed under one path's sleep
+// closure over the state DAG. The path-dependent sleep sets are
+// force-disabled in this mode — a state claimed under one path's sleep
 // set must still be expanded with every branch — and determinism survives
 // the racing claims because every reported number is a function of the
 // closure itself, not of who claimed what: each reachable state is
@@ -163,11 +140,9 @@ struct CheckRequest {
   /// rewiring the node's branches are the candidate strides instead of
   /// agents, so counterexample traces carry the adversary's rewiring choices
   /// in `choices` and replay through the ordinary pick_index path. Plans
-  /// with events force the path-dependent prunings off (sleep sets, DPOR —
-  /// a crash is a global asymmetric event their independence relation does
-  /// not model) and crash plans force symmetry off (they name concrete
-  /// agent ids); dedup stays sound because config_digest folds the live
-  /// fault state.
+  /// with events force sleep sets off (a crash is a global asymmetric event
+  /// their independence relation does not model); dedup stays sound because
+  /// config_digest folds the live fault state.
   sim::FaultPlan faults;
   /// Per-schedule action cap; 0 = the simulator's auto limit. Hitting it on
   /// any branch is a violation (livelock or broken algorithm), like the
@@ -182,21 +157,10 @@ struct McOptions {
   /// the instance has more than 64 agents (the sleep mask is a bitmask —
   /// exhaustive checking far beyond that is hopeless anyway).
   bool sleep_sets = true;
-  /// (c) dynamic partial-order reduction (Flanagan–Godefroid backtrack
-  /// sets) over the same footprint dependency the sleep sets use, with
-  /// per-visited-state subtree summaries repairing the dedup interaction
-  /// (header comment). Auto-disabled beyond 64 agents or 64 nodes, and in
-  /// shared_visited mode (the reduction is path-dependent).
-  bool dpor = true;
-  /// (d) anonymous-agent symmetry reduction: dedup on the canonical digest
-  /// of src/mc/symmetry.h instead of the raw config digest, merging states
-  /// that differ only by an agent-id permutation. No effect when
-  /// dedup_states is off.
-  bool symmetry = true;
   /// Replace the per-shard visited maps with one lock-free open-addressing
   /// hash set (util/visited_set.h) shared across the BFS phase and every
   /// frontier shard. Eliminates cross-shard re-exploration; forces
-  /// sleep_sets and dpor off; ignored when dedup_states is off. See the
+  /// sleep_sets off; ignored when dedup_states is off. See the
   /// header comment for the determinism contract.
   bool shared_visited = false;
   /// Slot count of the shared set (0 = auto, currently 2^22 ≈ 32 MiB).
@@ -229,7 +193,7 @@ struct McStats {
   std::size_t states_expanded = 0;  ///< choice-tree nodes expanded
   std::size_t states_deduped = 0;   ///< subtrees cut by the visited-state hash
   std::size_t sleep_pruned = 0;     ///< branches cut by sleep sets
-  std::size_t dpor_pruned = 0;      ///< branches cut by DPOR backtrack sets
+  std::size_t dpor_pruned = 0;      ///< always 0 (no DPOR); kept in digest()
   std::size_t replays = 0;          ///< prefix re-executions from C_0 (shard roots, BFS nodes)
   std::size_t total_actions = 0;    ///< simulator actions executed, restore re-steps and replays included
   std::size_t max_depth = 0;        ///< deepest schedule prefix reached

@@ -148,14 +148,6 @@ CheckResult UniformDeploymentOracle::check_goal(const Simulator& sim) const {
   return check_positions_uniform(live_staying_nodes(sim), sim.node_count());
 }
 
-CheckResult check_uniform_deployment_with_termination(const Simulator& sim) {
-  return UniformDeploymentOracle(true).check_goal(sim);
-}
-
-CheckResult check_uniform_deployment_without_termination(const Simulator& sim) {
-  return UniformDeploymentOracle(false).check_goal(sim);
-}
-
 namespace {
 
 /// One queue member's local validity: InTransit status and a destination

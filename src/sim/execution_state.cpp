@@ -137,48 +137,6 @@ RunResult ExecutionState::run(Scheduler& scheduler) {
                                        : run_impl<false, false>(scheduler);
 }
 
-template <bool Logging, bool Fault>
-std::optional<RunResult> ExecutionState::run_chunk_impl(Scheduler& scheduler,
-                                                        SchedulerKind kind,
-                                                        std::size_t budget) {
-  // Same termination checks in the same order as run_impl — quiescence
-  // before the action limit — so a budget-sliced run retires with the exact
-  // RunResult a monolithic run would.
-  while (budget-- > 0) {
-    if (enabled_.empty()) {
-      return RunResult{RunResult::Outcome::Quiescent, action_counter_};
-    }
-    if (action_counter_ >= options_.max_actions) {
-      return RunResult{RunResult::Outcome::ActionLimit, action_counter_};
-    }
-    if (has_fault_events_ && pending_rewire_) {
-      // Resolving a rewiring charges one budget unit like an action would;
-      // the action *sequence* is budget-independent either way (the chunk
-      // boundary still carries no state), which is all the byte-equality
-      // contract needs.
-      apply_rewire(scheduler.pick_index(rewire_candidates_));
-      continue;
-    }
-    execute_action_impl<Logging, Fault>(
-        Scheduler::draw_batch(scheduler, kind, enabled_));
-  }
-  return std::nullopt;
-}
-
-std::optional<RunResult> ExecutionState::run_chunk(Scheduler& scheduler,
-                                                   SchedulerKind kind,
-                                                   std::size_t budget) {
-  // Mode dispatch once per chunk (cf. run()'s once per run).
-  if (log_.enabled()) {
-    return options_.fault_non_fifo_links
-               ? run_chunk_impl<true, true>(scheduler, kind, budget)
-               : run_chunk_impl<true, false>(scheduler, kind, budget);
-  }
-  return options_.fault_non_fifo_links
-             ? run_chunk_impl<false, true>(scheduler, kind, budget)
-             : run_chunk_impl<false, false>(scheduler, kind, budget);
-}
-
 bool ExecutionState::step(Scheduler& scheduler) {
   if (enabled_.empty()) return false;
   if (has_fault_events_ && pending_rewire_) {
@@ -325,22 +283,6 @@ void ExecutionState::fold_fault_state(std::uint64_t& state) const noexcept {
   fold64(state, dups_remaining_);
 }
 
-std::uint64_t ExecutionState::agent_digest(AgentId id) const {
-  // Same per-agent folds as config_digest() above (kept in lockstep: a field
-  // added there without a fold here would let the symmetry quotient merge
-  // states whose agents are NOT interchangeable), under a separate domain.
-  std::uint64_t state = 0xa6e27d16e5700000ULL;  // "agent-digest" domain
-  const AgentCell& c = agents_[id];
-  fold64(state, static_cast<std::uint64_t>(c.status));
-  fold64(state, c.node);
-  fold64(state, metrics_.agent(id).phase);
-  fold64(state, metrics_.agent(id).actions);
-  fold64(state, c.program->state_hash());
-  fold64(state, c.mailbox.size());
-  for (const Message& message : c.mailbox) fold_message(state, message);
-  return state;
-}
-
 // ---- fault events (sim/fault.h) ---------------------------------------------
 
 void ExecutionState::apply_due_faults() {
@@ -395,7 +337,7 @@ void ExecutionState::apply_rewire(std::size_t candidate_index) {
 
 void ExecutionState::execute_action(AgentId id) {
   // Per-action mode dispatch for callers outside a mode-specialized loop
-  // (step/step_agent/step_chosen): two predictable branches, then the same
+  // (step/step_agent): two predictable branches, then the same
   // single action body run_impl executes.
   if (log_.enabled()) {
     options_.fault_non_fifo_links ? execute_action_impl<true, true>(id)

@@ -58,7 +58,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -148,7 +147,7 @@ class ExecutionState {
   // ---- dynamic-ring rewiring (sim/fault.h) --------------------------------
 
   /// True while a scheduled rewiring (FaultPlan::rewire_at) awaits its
-  /// replacement-cycle choice. run()/step()/run_chunk() resolve it at the
+  /// replacement-cycle choice. run()/step() resolve it at the
   /// next choice point via Scheduler::pick_index; drivers that step agents
   /// directly (the model checker) must resolve it themselves with
   /// apply_rewire() before the next action.
@@ -186,25 +185,6 @@ class ExecutionState {
     const NodeId moved = v + live_stride_;
     return moved >= tokens_.size() ? moved - tokens_.size() : moved;
   }
-
-  /// Lane-stepping entry (sim::BatchArena's per-action call): executes one
-  /// atomic action for `id`, which MUST currently be enabled — typically
-  /// Scheduler::draw_batch's choice, so the membership re-check step_agent
-  /// performs is skipped. Behaviour is byte-identical to the action run()
-  /// would execute for the same choice.
-  void step_chosen(AgentId id) { execute_action(id); }
-
-  /// Lane-sweep entry (sim::BatchArena): runs up to `budget` atomic actions,
-  /// drawing each choice through Scheduler::draw_batch(scheduler, kind, …) —
-  /// the devirtualized equivalent of scheduler.pick(). Returns the finished
-  /// RunResult when the run completed within the budget (quiescent, or the
-  /// instance's action limit — checked in exactly run()'s order), or nullopt
-  /// when the budget ran out first and the lane should be swept again.
-  /// A sequence of run_chunk calls with any budgets executes the byte-exact
-  /// action sequence run(scheduler) would, because the chunk boundary carries
-  /// no state: each draw depends only on the scheduler and the enabled set.
-  std::optional<RunResult> run_chunk(Scheduler& scheduler, SchedulerKind kind,
-                                     std::size_t budget);
 
   // ---- inspection ---------------------------------------------------------
 
@@ -304,25 +284,6 @@ class ExecutionState {
   /// pruned-vs-unpruned equality tests exercise the caveat.
   [[nodiscard]] std::uint64_t config_digest() const;
 
-  /// Identity-free digest of one agent's contribution to the configuration:
-  /// exactly the per-agent fields config_digest() folds (status, node,
-  /// phase, action count, state_hash, undelivered mailbox contents), under
-  /// a distinct domain salt and without the agent's id. Agents are anonymous
-  /// in this model — AgentContext exposes neither node nor agent identity to
-  /// algorithm code — so two agents with equal agent_digest() are
-  /// behaviourally interchangeable up to link-queue membership. This is the
-  /// sort key of mc::SymmetryCanonicalizer's agent-permutation quotient.
-  [[nodiscard]] std::uint64_t agent_digest(AgentId id) const;
-
-  /// Folds the *live* fault state (current stride, pending/consumed
-  /// rewires, crash cursor, remaining drop/dup budgets) into `state` — but
-  /// only when the instance's FaultPlan carries fault events, so fault-free
-  /// digests are byte-identical to the pre-fault-layer ones. Shared by
-  /// config_digest() and mc::SymmetryCanonicalizer (which must fold exactly
-  /// the same fields, or the symmetry quotient would merge states whose
-  /// adversaries can still act differently).
-  void fold_fault_state(std::uint64_t& state) const noexcept;
-
   [[nodiscard]] std::size_t actions_executed() const noexcept {
     return action_counter_;
   }
@@ -387,6 +348,12 @@ class ExecutionState {
   [[nodiscard]] AgentCell& cell(AgentId id) { return agents_[id]; }
   [[nodiscard]] const AgentCell& cell(AgentId id) const { return agents_[id]; }
 
+  /// Folds the *live* fault state (current stride, pending/consumed
+  /// rewires, crash cursor, remaining drop/dup budgets) into config_digest()'s
+  /// `state` — but only when the instance's FaultPlan carries fault events,
+  /// so fault-free digests are byte-identical to the pre-fault-layer ones.
+  void fold_fault_state(std::uint64_t& state) const noexcept;
+
   // The action engine is one templated body specialized on the two run-mode
   // flags (event logging on? non-FIFO fault injection on?): the campaign hot
   // path runs the <false, false> instantiation with both mode branches
@@ -398,10 +365,6 @@ class ExecutionState {
   void execute_action_impl(AgentId id);
   template <bool Logging, bool Fault>
   RunResult run_impl(Scheduler& scheduler);
-  template <bool Logging, bool Fault>
-  std::optional<RunResult> run_chunk_impl(Scheduler& scheduler,
-                                          SchedulerKind kind,
-                                          std::size_t budget);
   void refresh_enabled(AgentId id);
   template <bool Fault>
   void refresh_enabled_impl(AgentId id);

@@ -9,14 +9,12 @@
 // runs, {agent_node, next(agent_node)} is therefore a sound overestimate of
 // every node the action may touch, whatever the agent's program does.
 //
-// Three subsystems lean on exactly this bound and historically each carried
-// its own copy of the two-line computation: the mc:: sleep sets (commuting
-// independent actions), DPOR re-arming (the race scan over stack edges),
-// and — in its tighter post-hoc form — ExecutionState::last_action_nodes(),
-// which the O(dirty) incremental invariant checker consumes. This header is
-// the single definition; a drifted copy would silently unsound one of the
-// pruners, so new consumers (the lane-batched stepper included) must use it
-// instead of re-deriving the pair.
+// Two subsystems lean on exactly this bound: the mc:: sleep sets (commuting
+// independent actions) and — in its tighter post-hoc form —
+// ExecutionState::last_action_nodes(), which the O(dirty) incremental
+// invariant checker consumes. This header is the single definition; a
+// drifted copy would silently unsound the pruning, so new consumers must
+// use it instead of re-deriving the pair.
 
 #pragma once
 
@@ -34,7 +32,7 @@ struct ActionFootprint {
 
   /// True when the two footprints share any node — i.e. the two actions may
   /// be dependent. The negation is the independence predicate of the mc::
-  /// sleep sets and of Flanagan–Godefroid re-arming.
+  /// sleep sets.
   [[nodiscard]] constexpr bool overlaps(
       const ActionFootprint& other) const noexcept {
     return node == other.node || node == other.next || next == other.node ||

@@ -90,29 +90,11 @@ class Scheduler {
 
   /// Completed lockstep rounds; 0 for schedulers without round structure.
   [[nodiscard]] virtual std::uint64_t rounds() const { return 0; }
-
-  /// The batched draw API — the per-action entry of the lane-stepping
-  /// engine (sim::BatchArena). Semantically identical to scheduler.pick():
-  /// `kind` devirtualizes the five built-in kinds (they are final, so the
-  /// cast + call inlines into the lane sweep), and MUST name `scheduler`'s
-  /// dynamic type when it is one of them. Defined after the derived classes.
-  [[nodiscard]] static AgentId draw_batch(Scheduler& scheduler,
-                                          SchedulerKind kind,
-                                          const std::vector<AgentId>& enabled);
-
-  /// Kind-less overload for schedulers outside SchedulerKind (the explore
-  /// adversaries): the plain virtual draw, so lane-pooled drivers have one
-  /// spelling for both worlds.
-  [[nodiscard]] static AgentId draw_batch(Scheduler& scheduler,
-                                          const std::vector<AgentId>& enabled) {
-    return scheduler.pick(enabled);
-  }
 };
 
-// The pick() bodies of the five built-in kinds live here, in-class, so both
-// virtual dispatch (ExecutionState::run) and the devirtualized batched draw
-// (Scheduler::draw_batch below) inline them — a per-action call, worth
-// ~20% of the campaign hot loop. Cold members (reset, constructors) stay in
+// The pick() bodies of the five built-in kinds live here, in-class, so they
+// stay visible for inlining: pick() is a per-action call, worth ~20% of the
+// campaign hot loop. Cold members (reset, constructors) stay in
 // scheduler.cpp.
 
 /// Cycles through agent ids, running the first enabled agent at or after the
@@ -268,25 +250,6 @@ enum class SchedulerKind {
 /// Number of SchedulerKind values (sizes pooled per-kind caches).
 inline constexpr std::size_t kSchedulerKindCount =
     static_cast<std::size_t>(SchedulerKind::Burst) + 1;
-
-inline AgentId Scheduler::draw_batch(Scheduler& scheduler, SchedulerKind kind,
-                                     const std::vector<AgentId>& enabled) {
-  // One predictable switch on a lane-resident tag replaces the indirect
-  // virtual call; each case is a direct (inlineable) call on a final class.
-  switch (kind) {
-    case SchedulerKind::RoundRobin:
-      return static_cast<RoundRobinScheduler&>(scheduler).pick(enabled);
-    case SchedulerKind::Random:
-      return static_cast<RandomScheduler&>(scheduler).pick(enabled);
-    case SchedulerKind::Synchronous:
-      return static_cast<SynchronousScheduler&>(scheduler).pick(enabled);
-    case SchedulerKind::Priority:
-      return static_cast<PriorityScheduler&>(scheduler).pick(enabled);
-    case SchedulerKind::Burst:
-      return static_cast<BurstScheduler&>(scheduler).pick(enabled);
-  }
-  return scheduler.pick(enabled);  // future kinds: fair virtual fallback
-}
 
 [[nodiscard]] std::string_view to_string(SchedulerKind kind) noexcept;
 

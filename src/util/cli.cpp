@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <iostream>
@@ -68,11 +69,10 @@ Cli::Cli(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       // Only the unambiguous forms: --name=value, or bare --name (boolean).
       const auto eq = arg.find('=');
-      if (eq != std::string::npos) {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      } else {
-        values_[arg.substr(2)] = "true";  // boolean flag
-      }
+      const bool bare = eq == std::string::npos;
+      std::string name = arg.substr(2, bare ? eq : eq - 2);
+      values_[name] = bare ? "true" : arg.substr(eq + 1);
+      flags_.push_back(std::move(name));
     } else {
       positional_.push_back(std::move(arg));
     }
@@ -117,6 +117,17 @@ bool Cli::get_flag(const std::string& name, const std::string& help) {
   register_flag(name, help, "false");
   const auto it = values_.find(name);
   return it != values_.end() && it->second != "false" && it->second != "0";
+}
+
+void Cli::reject_unknown_flags() const {
+  for (const std::string& flag : flags_) {
+    const bool known =
+        std::any_of(registered_.begin(), registered_.end(),
+                    [&](const auto& entry) { return entry[0] == flag; });
+    if (!known) {
+      throw std::invalid_argument("--" + flag + ": unknown flag (see --help)");
+    }
+  }
 }
 
 void Cli::print_help(const std::string& program_description) const {

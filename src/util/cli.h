@@ -51,6 +51,12 @@ class Cli {
                                       const std::string& help);
   [[nodiscard]] bool get_flag(const std::string& name, const std::string& help);
 
+  /// Throws std::invalid_argument naming the first flag, in command-line
+  /// order, that no get* call registered. Call it once every flag is
+  /// registered, so a misspelt or retired flag is a usage error instead of
+  /// a silently different run.
+  void reject_unknown_flags() const;
+
   /// True if --help was passed; callers should print_help() and exit.
   [[nodiscard]] bool wants_help() const noexcept { return help_requested_; }
 
@@ -65,6 +71,7 @@ class Cli {
  private:
   std::string program_;
   std::map<std::string, std::string> values_;
+  std::vector<std::string> flags_;  // flag names in command-line order
   std::vector<std::string> positional_;
   // name -> (help text, default shown in --help)
   mutable std::vector<std::array<std::string, 3>> registered_;

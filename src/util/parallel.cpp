@@ -64,40 +64,4 @@ std::size_t parallel_for_index(std::size_t count, std::size_t workers,
       count, workers, [&fn](std::size_t /*worker*/, std::size_t i) { fn(i); });
 }
 
-std::size_t parallel_pump_workers(
-    std::size_t count, std::size_t workers,
-    const std::function<void(std::size_t,
-                             const std::function<std::size_t()>&)>& body) {
-  workers = resolve_workers(count, workers);
-
-  std::atomic<std::size_t> cursor{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const std::function<std::size_t()> claim = [&]() -> std::size_t {
-    const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-    return i < count ? i : count;
-  };
-  const auto work = [&](std::size_t worker) {
-    try {
-      body(worker, claim);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-      cursor.store(count, std::memory_order_relaxed);  // stop all workers
-    }
-  };
-  if (workers == 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(work, w);
-    }
-    for (std::thread& thread : pool) thread.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return workers;
-}
-
 }  // namespace udring

@@ -12,7 +12,7 @@
 // coarser where values are large) but stores COUNTS in a fixed bucket
 // universe, so merging is element-wise integer addition: commutative,
 // associative, exact. Any partition of a value stream over any workers,
-// lanes, shards or checkpoint intervals folds to the same bytes — the same
+// shards or checkpoint intervals folds to the same bytes — the same
 // argument (and the same guarantee) as CellStats' integer sums.
 //
 // Bucket universe (fixed, value-independent):

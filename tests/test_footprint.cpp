@@ -1,7 +1,7 @@
 // Tests for sim/footprint.h — the shared conservative {node, next(node)}
-// action footprint. Three pruners (mc:: sleep sets, DPOR re-arming, the
-// incremental checker's dirty set) and the lane-batched stepper all consume
-// this one definition; these tests pin its two load-bearing properties:
+// action footprint. The mc:: sleep sets and the incremental checker's dirty
+// set both consume this one definition; these tests pin its two
+// load-bearing properties:
 // overlaps() is a sound symmetric intersection test (including the 1-node
 // self-loop where node == next), and independent_actions() implies the two
 // actions commute — executing them in either order reaches the same
@@ -101,13 +101,13 @@ TEST(ActionFootprint, IndependentActionsCommute) {
   ab.reset(instance);
   ASSERT_EQ(ab.enabled().size(), 2u);
   ASSERT_TRUE(independent_actions(ab, 0, 1));
-  ab.step_chosen(0);
-  ab.step_chosen(1);
+  ASSERT_TRUE(ab.step_agent(0));
+  ASSERT_TRUE(ab.step_agent(1));
 
   ExecutionState ba;
   ba.reset(instance);
-  ba.step_chosen(1);
-  ba.step_chosen(0);
+  ASSERT_TRUE(ba.step_agent(1));
+  ASSERT_TRUE(ba.step_agent(0));
 
   EXPECT_EQ(ab.config_digest(), ba.config_digest());
 
@@ -116,7 +116,7 @@ TEST(ActionFootprint, IndependentActionsCommute) {
   ExecutionState probe;
   probe.reset(instance);
   const ActionFootprint before = action_footprint(probe, 0);
-  probe.step_chosen(0);
+  ASSERT_TRUE(probe.step_agent(0));
   for (const NodeId touched : probe.last_action_nodes()) {
     EXPECT_TRUE(touched == before.node || touched == before.next)
         << "action touched node " << touched << " outside footprint {"

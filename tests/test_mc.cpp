@@ -15,9 +15,9 @@
 //     replaying through the existing explore::replay_trace path to the same
 //     failure and digest.
 //  3. Pruned == unpruned verdict equality on grids where full enumeration
-//     is feasible, for every pruning combination (dedup × sleep sets × DPOR
-//     × symmetry), plus shared-visited-set runs whose verdicts and counts
-//     are byte-identical at any worker count.
+//     is feasible, for every pruning combination (dedup × sleep sets), plus
+//     shared-visited-set runs whose verdicts and counts are byte-identical
+//     at any worker count.
 //
 // Plus the foundation the dedup pruning rests on: ExecutionState::
 // config_digest() must hash the configuration and not the history
@@ -111,7 +111,6 @@ TEST(Exhaustive, KnownKFullSmallestInstanceFullEnumerationCount) {
   McOptions options;
   options.dedup_states = false;
   options.sleep_sets = false;
-  options.dpor = false;
   const ModelCheckReport report =
       check(ring_request(core::Algorithm::KnownKFull, 6, {0, 3}), options);
   EXPECT_TRUE(report.ok);
@@ -176,16 +175,6 @@ TEST_P(ExhaustiveAlgorithms, VerifiedAtIssueScaleWithPruning) {
   EXPECT_TRUE(report.complete);
   EXPECT_GT(report.stats.states_deduped, 0u);
   EXPECT_GT(report.stats.sleep_pruned, 0u);
-  EXPECT_GT(report.stats.dpor_pruned, 0u);
-
-  // DPOR must actually shrink the walk relative to sleep sets + dedup alone
-  // (the tentpole's point), not merely keep the verdict.
-  McOptions no_dpor;
-  no_dpor.dpor = false;
-  const ModelCheckReport baseline =
-      check(ring_request(GetParam(), n, gen::uniform_homes(n, 4)), no_dpor);
-  EXPECT_TRUE(baseline.ok);
-  EXPECT_LT(report.stats.states_expanded, baseline.stats.states_expanded);
 }
 
 TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
@@ -196,12 +185,12 @@ TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
   // re-steps) keep the restore path from drifting into prefix replays,
   // which would spend 492410 / 595929 actions here.
   struct Pin {
-    std::size_t schedules, expanded, deduped, sleep_pruned, dpor_pruned,
-        max_depth, total_actions;
+    std::size_t schedules, expanded, deduped, sleep_pruned, max_depth,
+        total_actions;
   };
   const Pin pin = GetParam() == core::Algorithm::KnownKFull
-                      ? Pin{1, 14125, 13953, 18129, 0, 88, 77170}
-                      : Pin{6, 14609, 13565, 17019, 26, 115, 76401};
+                      ? Pin{1, 14125, 13953, 18129, 88, 77170}
+                      : Pin{6, 14659, 13582, 17093, 115, 76546};
   Rng rng(1);
   const explore::DrawnInstance drawn =
       explore::draw_instance(explore::FuzzTopology::Ring, 12, 4, rng);
@@ -213,7 +202,7 @@ TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
   EXPECT_EQ(report.stats.states_expanded, pin.expanded);
   EXPECT_EQ(report.stats.states_deduped, pin.deduped);
   EXPECT_EQ(report.stats.sleep_pruned, pin.sleep_pruned);
-  EXPECT_EQ(report.stats.dpor_pruned, pin.dpor_pruned);
+  EXPECT_EQ(report.stats.dpor_pruned, 0u);
   EXPECT_EQ(report.stats.max_depth, pin.max_depth);
   EXPECT_EQ(report.stats.replays, 0u);
   EXPECT_EQ(report.stats.total_actions, pin.total_actions);
@@ -282,18 +271,15 @@ TEST(FaultRediscovery, HardenedVariantSurvivesTheSameSearchBudget) {
 TEST(FaultRediscovery, VerdictIdenticalUnderEveryPruningCombination) {
   for (const bool dedup : {false, true}) {
     for (const bool sleep : {false, true}) {
-      for (const bool dpor : {false, true}) {
-        McOptions options;
-        options.dedup_states = dedup;
-        options.sleep_sets = sleep;
-        options.dpor = dpor;
-        const ModelCheckReport report =
-            check(stress_fault_request(core::Algorithm::KnownKLogMemStrict),
-                  options);
-        EXPECT_FALSE(report.ok);
-        EXPECT_EQ(report.failure_reason, "goal: two agents share node 0")
-            << "dedup=" << dedup << " sleep=" << sleep << " dpor=" << dpor;
-      }
+      McOptions options;
+      options.dedup_states = dedup;
+      options.sleep_sets = sleep;
+      const ModelCheckReport report =
+          check(stress_fault_request(core::Algorithm::KnownKLogMemStrict),
+                options);
+      EXPECT_FALSE(report.ok);
+      EXPECT_EQ(report.failure_reason, "goal: two agents share node 0")
+          << "dedup=" << dedup << " sleep=" << sleep;
     }
   }
 }
@@ -321,36 +307,25 @@ TEST(PruningSoundness, VerdictEqualOnFullyEnumerableGrid) {
     bool have_reference = false;
     for (const bool dedup : {false, true}) {
       for (const bool sleep : {false, true}) {
-        for (const bool dpor : {false, true}) {
-          // Symmetry only acts through the dedup key; skip the redundant
-          // dedup=false duplicate to keep the grid's runtime in check.
-          for (const bool symmetry :
-               dedup ? std::vector<bool>{false, true}
-                     : std::vector<bool>{false}) {
-            McOptions options;
-            options.dedup_states = dedup;
-            options.sleep_sets = sleep;
-            options.dpor = dpor;
-            options.symmetry = symmetry;
-            const ModelCheckReport report = check(request, options);
-            EXPECT_TRUE(report.complete)
-                << core::to_string(cell.algorithm) << " n=" << cell.n;
-            if (!have_reference) {
-              reference = report;
-              have_reference = true;
-              EXPECT_GT(report.stats.schedules, 0u);
-            }
-            EXPECT_EQ(report.ok, reference.ok)
-                << core::to_string(cell.algorithm) << " n=" << cell.n
-                << " dedup=" << dedup << " sleep=" << sleep
-                << " dpor=" << dpor << " symmetry=" << symmetry;
-            EXPECT_EQ(report.verdict, reference.verdict);
-            // Pruning may only shrink the walk, never grow it.
-            EXPECT_LE(report.stats.schedules, reference.stats.schedules);
-            EXPECT_LE(report.stats.states_expanded,
-                      reference.stats.states_expanded);
-          }
+        McOptions options;
+        options.dedup_states = dedup;
+        options.sleep_sets = sleep;
+        const ModelCheckReport report = check(request, options);
+        EXPECT_TRUE(report.complete)
+            << core::to_string(cell.algorithm) << " n=" << cell.n;
+        if (!have_reference) {
+          reference = report;
+          have_reference = true;
+          EXPECT_GT(report.stats.schedules, 0u);
         }
+        EXPECT_EQ(report.ok, reference.ok)
+            << core::to_string(cell.algorithm) << " n=" << cell.n
+            << " dedup=" << dedup << " sleep=" << sleep;
+        EXPECT_EQ(report.verdict, reference.verdict);
+        // Pruning may only shrink the walk, never grow it.
+        EXPECT_LE(report.stats.schedules, reference.stats.schedules);
+        EXPECT_LE(report.stats.states_expanded,
+                  reference.stats.states_expanded);
       }
     }
   }

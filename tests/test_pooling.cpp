@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 
 #include "core/runner.h"
 #include "explore/adversary.h"
@@ -239,44 +238,6 @@ TEST(RunMany, MatchesRunAlgorithmPerSpec) {
   }
 }
 
-TEST(RunMany, LaneBatchedEngineMatchesScalarEngine) {
-  // run_many's lanes > 1 path routes every spec through a BatchArena with
-  // per-lane retirement; the reports (including scheduler_rounds, which the
-  // retire callback reads off the lane's scheduler) must be byte-identical
-  // to the scalar RunContext engine at any worker x lane combination. Mix
-  // scheduler kinds and seeds so lanes genuinely interleave unequal-length
-  // runs.
-  std::vector<core::RunSpec> specs;
-  std::uint64_t seed = 1;
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random,
-        sim::SchedulerKind::Synchronous, sim::SchedulerKind::Burst}) {
-    for (const std::size_t n : {14u, 22u}) {
-      specs.push_back(make_spec(n, 3, kind, seed++));
-    }
-  }
-  for (const core::Algorithm algorithm :
-       {core::Algorithm::KnownKFull, core::Algorithm::UnknownRelaxed}) {
-    const std::vector<core::RunReport> scalar =
-        core::run_many(algorithm, specs, 1, 1);
-    ASSERT_EQ(scalar.size(), specs.size());
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t lanes : {std::size_t{2}, std::size_t{3}}) {
-        const std::vector<core::RunReport> batched =
-            core::run_many(algorithm, specs, workers, lanes);
-        ASSERT_EQ(batched.size(), specs.size());
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          SCOPED_TRACE(std::string(core::to_string(algorithm)) + " spec " +
-                       std::to_string(i) + " workers " +
-                       std::to_string(workers) + " lanes " +
-                       std::to_string(lanes));
-          expect_reports_equal(batched[i], scalar[i]);
-        }
-      }
-    }
-  }
-}
-
 // ---- pooled mc explorer walks -----------------------------------------------
 
 TEST(McPooling, InterleavedChecksAreByteIdenticalToIsolatedOnes) {
@@ -309,78 +270,32 @@ TEST(McPooling, InterleavedChecksAreByteIdenticalToIsolatedOnes) {
   EXPECT_EQ(first.stats.total_actions, again.stats.total_actions);
 }
 
-// ---- draw_batch reseed audit: lane-pooled explore schedulers ----------------
+// ---- pooled explore schedulers: the reseed contract -------------------------
 
-/// The five sim/ kinds take the devirtualized draw_batch overload; the
-/// explore adversaries fall back to the kind-less virtual one.
-std::optional<sim::SchedulerKind> devirtualized_kind(
-    explore::ExploreSchedulerKind kind) {
-  switch (kind) {
-    case explore::ExploreSchedulerKind::RoundRobin:
-      return sim::SchedulerKind::RoundRobin;
-    case explore::ExploreSchedulerKind::Random:
-      return sim::SchedulerKind::Random;
-    case explore::ExploreSchedulerKind::Synchronous:
-      return sim::SchedulerKind::Synchronous;
-    case explore::ExploreSchedulerKind::Priority:
-      return sim::SchedulerKind::Priority;
-    case explore::ExploreSchedulerKind::Burst:
-      return sim::SchedulerKind::Burst;
-    default:
-      return std::nullopt;
-  }
-}
-
-/// Drives `state` to quiescence drawing every action through
-/// Scheduler::draw_batch — the exact per-action sequence a BatchArena lane
-/// performs (attach, reset, then one draw per step_chosen).
-std::uint64_t drive_via_draw_batch(sim::ExecutionState& state,
-                                   sim::Scheduler& scheduler,
-                                   std::optional<sim::SchedulerKind> kind,
-                                   std::size_t agent_count) {
-  scheduler.attach(state);
-  scheduler.reset(agent_count);
-  std::size_t actions = 0;
-  while (!state.enabled().empty()) {
-    const sim::AgentId id =
-        kind ? sim::Scheduler::draw_batch(scheduler, *kind, state.enabled())
-             : sim::Scheduler::draw_batch(scheduler, state.enabled());
-    state.step_chosen(id);
-    if (++actions > 200000u) {
-      ADD_FAILURE() << "run did not quiesce";
-      break;
-    }
-  }
-  return state.log().digest();
-}
-
-class DrawBatchReseedSweep
+class PooledReseedSweep
     : public ::testing::TestWithParam<explore::ExploreSchedulerKind> {};
 
-TEST_P(DrawBatchReseedSweep, LanePooledSchedulerMatchesFreshPerScenario) {
-  // The lane-pool contract: ONE scheduler object reused across scenarios —
-  // reseed(seed) + attach + reset per scenario, every draw through
-  // draw_batch — is byte-identical to constructing a fresh
-  // make_explore_scheduler for each scenario and letting
-  // ExecutionState::run drive it. Both the reseed contract and the
-  // draw_batch ≡ pick equivalence are under test, for every kind.
+TEST_P(PooledReseedSweep, PooledSchedulerMatchesFreshPerScenario) {
+  // The pooled-scheduler contract RunContext::scheduler relies on: ONE
+  // scheduler object reused across scenarios — reseed(seed) and then
+  // ExecutionState::run, which attaches and resets it — is byte-identical to
+  // constructing a fresh make_explore_scheduler for each scenario, for
+  // every kind.
   const core::RunSpec specs[] = {make_spec(18, 5, sim::SchedulerKind::RoundRobin, 21),
                                  make_spec(24, 4, sim::SchedulerKind::RoundRobin, 22),
                                  make_spec(16, 3, sim::SchedulerKind::RoundRobin, 23)};
-  const std::optional<sim::SchedulerKind> kind = devirtualized_kind(GetParam());
 
-  // Lane-pooled: one scheduler, one state, reused across all scenarios.
+  // Pooled: one scheduler, one state, reused across all scenarios.
   std::unique_ptr<sim::Scheduler> pooled = explore::make_explore_scheduler(
       GetParam(), specs[0].seed, specs[0].homes.size());
-  sim::ExecutionState lane_state;
+  sim::ExecutionState pooled_state;
 
   for (const core::RunSpec& spec : specs) {
     const sim::Instance pooled_instance =
         core::make_instance(core::Algorithm::KnownKFull, spec);
-    lane_state.reset(pooled_instance);
+    pooled_state.reset(pooled_instance);
     pooled->reseed(spec.seed);
-    const std::uint64_t pooled_digest = drive_via_draw_batch(
-        lane_state, *pooled, kind, spec.homes.size());
+    const sim::RunResult pooled_result = pooled_state.run(*pooled);
 
     // Fresh per-scenario reference: new scheduler, new state, plain run().
     auto fresh = explore::make_explore_scheduler(GetParam(), spec.seed,
@@ -392,16 +307,17 @@ TEST_P(DrawBatchReseedSweep, LanePooledSchedulerMatchesFreshPerScenario) {
     const sim::RunResult fresh_result = fresh_state.run(*fresh);
 
     EXPECT_TRUE(fresh_result.quiescent());
-    EXPECT_EQ(pooled_digest, fresh_state.log().digest())
+    EXPECT_EQ(pooled_result.actions, fresh_result.actions);
+    EXPECT_EQ(pooled_state.log().digest(), fresh_state.log().digest())
         << explore::to_string(GetParam()) << " n=" << spec.node_count
-        << ": lane-pooled reseed diverged from a fresh scheduler";
-    EXPECT_EQ(lane_state.staying_nodes(), fresh_state.staying_nodes());
-    EXPECT_EQ(lane_state.metrics().total_moves(),
+        << ": pooled reseed diverged from a fresh scheduler";
+    EXPECT_EQ(pooled_state.staying_nodes(), fresh_state.staying_nodes());
+    EXPECT_EQ(pooled_state.metrics().total_moves(),
               fresh_state.metrics().total_moves());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllExploreKinds, DrawBatchReseedSweep,
+INSTANTIATE_TEST_SUITE_P(AllExploreKinds, PooledReseedSweep,
                          ::testing::ValuesIn(explore::all_explore_scheduler_kinds()),
                          [](const auto& info) {
                            std::string name(explore::to_string(info.param));

@@ -5,7 +5,7 @@
 // process and crash boundaries:
 //  - load(encode(shard)) is the identity, and corrupt bytes fail loudly;
 //  - N shards merged == the single uninterrupted run, byte for byte
-//    (digest AND summary), at worker counts {1, 4} × lanes {1, auto};
+//    (digest AND summary), at worker counts {1, 4};
 //  - kill-and-resume at ANY checkpoint watermark reproduces the
 //    uninterrupted digest (the checkpoint_abort_after hook simulates the
 //    kill with exactly the on-disk state a real one leaves);
@@ -193,28 +193,24 @@ TEST(ShardFile, WriteAndLoadFile) {
 
 // ---- shard × merge == whole -------------------------------------------------
 
-TEST(ShardMerge, ThreeShardsMergeToTheWholeAcrossWorkersAndLanes) {
+TEST(ShardMerge, ThreeShardsMergeToTheWholeAcrossWorkers) {
   const CampaignGrid grid = small_grid();
   const CampaignResult reference = run_campaign_streaming(grid, {.workers = 1});
   ASSERT_GT(reference.scenario_count, 0u);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{0}}) {
-      CampaignOptions options;
-      options.workers = workers;
-      options.batch_lanes = lanes;
-      std::vector<ShardFile> shards;
-      for (std::size_t i = 0; i < 3; ++i) {
-        shards.push_back(run_campaign_shard(grid, options, i, 3));
-      }
-      // Shards tile [0, S) exactly.
-      EXPECT_EQ(shards.front().range_begin, 0u);
-      EXPECT_EQ(shards.back().range_end, shards.back().scenario_total);
-      const CampaignResult merged = merge_shards(std::move(shards));
-      EXPECT_EQ(merged.digest(), reference.digest())
-          << "workers=" << workers << " lanes=" << lanes;
-      EXPECT_EQ(merged.scenario_count, reference.scenario_count);
-      EXPECT_EQ(merged.scenario_hash, reference.scenario_hash);
+    CampaignOptions options;
+    options.workers = workers;
+    std::vector<ShardFile> shards;
+    for (std::size_t i = 0; i < 3; ++i) {
+      shards.push_back(run_campaign_shard(grid, options, i, 3));
     }
+    // Shards tile [0, S) exactly.
+    EXPECT_EQ(shards.front().range_begin, 0u);
+    EXPECT_EQ(shards.back().range_end, shards.back().scenario_total);
+    const CampaignResult merged = merge_shards(std::move(shards));
+    EXPECT_EQ(merged.digest(), reference.digest()) << "workers=" << workers;
+    EXPECT_EQ(merged.scenario_count, reference.scenario_count);
+    EXPECT_EQ(merged.scenario_hash, reference.scenario_hash);
   }
 }
 
@@ -323,7 +319,6 @@ TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
 
   CampaignOptions threaded = options;
   threaded.workers = 7;
-  threaded.batch_lanes = 4;
   threaded.checkpoint_every_scenarios = 5;
   threaded.checkpoint_path = "somewhere.bin";
   EXPECT_EQ(grid_fingerprint(grid, threaded), base)

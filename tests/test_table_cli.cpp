@@ -1,5 +1,6 @@
 // Tests for util/table.h and util/cli.h — the presentation layer of the
-// bench binaries and examples — plus the udring_mc flag checks end to end.
+// bench binaries and examples — plus the udring_mc, udring_fuzz and
+// udring_campaign flag checks end to end.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -133,10 +134,25 @@ TEST(Cli, UnsignedListsRejectEmptyAndMalformedEntries) {
       "--homes", "out of range");
 }
 
-/// Exit status of `udring_mc <args>`, output discarded.
-int run_udring_mc(const std::string& args) {
-  const std::string command =
-      std::string(UDRING_MC_BINARY) + " " + args + " > /dev/null 2>&1";
+TEST(Cli, RejectsUnregisteredFlagsInCommandLineOrder) {
+  const char* argv[] = {"prog", "--n=8", "--no-such-flag", "--lanes=4",
+                        "pos1"};
+  Cli cli(5, argv);
+  (void)cli.get_size("n", 6, "ring size");
+  const auto reject = [&] {
+    cli.reject_unknown_flags();
+    return 0;
+  };
+  expect_rejected(reject, "--no-such-flag", "unknown flag");
+  (void)cli.get_flag("no-such-flag", "registered late");
+  expect_rejected(reject, "--lanes", "unknown flag");
+  (void)cli.get_size("lanes", 0, "registered late");
+  EXPECT_NO_THROW(cli.reject_unknown_flags());  // positionals are not flags
+}
+
+/// Exit status of `<binary> <args>`, output discarded.
+int run_tool(const std::string& binary, const std::string& args) {
+  const std::string command = binary + " " + args + " > /dev/null 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -145,13 +161,29 @@ TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
   // Through std::stoull, -5 becomes an unlimited budget, -1 dies in a vector
   // allocation, "3x" checks homes {0,3}, an empty entry or an overflow
   // prints a bare "stoull"; and the instance draw clamps k > n to k = n.
+  // An unknown flag (a typo, or a retired option) was silently ignored, so
+  // the run checked something other than was asked.
   for (const char* bad :
        {"--budget=-5", "--n=-1", "--homes=0,3x", "--homes=0,,3",
-        "--budget=99999999999999999999", "--n=4 --k=5"}) {
-    EXPECT_EQ(run_udring_mc(std::string("--algo=known-k-full ") + bad), 2)
+        "--budget=99999999999999999999", "--n=4 --k=5", "--no-such-flag"}) {
+    EXPECT_EQ(
+        run_tool(UDRING_MC_BINARY, std::string("--algo=known-k-full ") + bad),
+        2)
         << bad;
   }
-  EXPECT_EQ(run_udring_mc("--algo=known-k-full --n=6 --k=2"), 0);
+  EXPECT_EQ(run_tool(UDRING_MC_BINARY, "--algo=known-k-full --n=6 --k=2"), 0);
+}
+
+TEST(Cli, FuzzAndCampaignToolsRejectUnknownFlags) {
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --no-such-flag"), 2);
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --workers=1"), 0);
+  for (const char* bad : {"--no-such-flag", "--lanes=4"}) {
+    EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                       std::string("--grid=smoke --workers=1 ") + bad),
+              2)
+        << bad;
+  }
+  EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY, "--grid=smoke --workers=1"), 0);
 }
 
 TEST(Cli, HelpFlagDetected) {

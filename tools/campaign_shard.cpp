@@ -83,13 +83,16 @@ int run(int argc, char** argv) {
   const std::string grid_name =
       *cli.get("grid", "grid preset: engine (1568 scenarios) or smoke",
                "engine");
+  // Cli::get returns nullopt for an absent flag with an empty fallback.
   const std::string shard_spec =
-      *cli.get("shard", "run only slice i of N equal slices (i/N)", "");
+      cli.get("shard", "run only slice i of N equal slices (i/N)")
+          .value_or("");
   const std::string out_path =
-      *cli.get("out", "shard-file path for --shard (doubles as checkpoint)",
-               "");
+      cli.get("out", "shard-file path for --shard (doubles as checkpoint)")
+          .value_or("");
   const std::string checkpoint_path =
-      *cli.get("checkpoint", "checkpoint file for a whole-grid run", "");
+      cli.get("checkpoint", "checkpoint file for a whole-grid run")
+          .value_or("");
   const std::size_t checkpoint_every = cli.get_size(
       "checkpoint-every", 0,
       "scenarios per checkpoint write (0 = only the final file)");
@@ -99,8 +102,6 @@ int run(int argc, char** argv) {
       cli.get_u64("base-seed", 0, "override the preset's base seed");
   const std::size_t workers =
       cli.get_size("workers", 0, "worker threads (0 = hardware)");
-  const std::size_t lanes =
-      cli.get_size("lanes", 0, "batch lanes per worker (0 = auto)");
   const bool merge =
       cli.get_flag("merge", "merge the positional shard files instead");
   const bool allow_partial = cli.get_flag(
@@ -112,6 +113,7 @@ int run(int argc, char** argv) {
                    "processes and merge their shard files byte-identically.");
     return 0;
   }
+  cli.reject_unknown_flags();
 
   if (merge) {
     if (cli.positional().empty()) {
@@ -134,7 +136,6 @@ int run(int argc, char** argv) {
   if (base_seed != 0) grid.base_seed = base_seed;
   exp::CampaignOptions options;
   options.workers = workers;
-  options.batch_lanes = lanes;
   options.checkpoint_every_scenarios = checkpoint_every;
 
   if (!shard_spec.empty()) {

@@ -265,6 +265,7 @@ int main(int argc, char** argv) {
           "replay executions");
       return 0;
     }
+    cli.reject_unknown_flags();
     if (!replay_path.empty()) return replay_mode(replay_path);
 
     options.algorithm = explore::algorithm_from_name(algorithm_name);

@@ -35,8 +35,7 @@ void print_report(const mc::ModelCheckReport& report) {
             << "schedules explored: " << s.schedules
             << "   states expanded: " << s.states_expanded
             << "   deduped: " << s.states_deduped
-            << "   sleep-pruned: " << s.sleep_pruned
-            << "   dpor-pruned: " << s.dpor_pruned << '\n'
+            << "   sleep-pruned: " << s.sleep_pruned << '\n'
             << "actions: " << s.total_actions << "   replays: " << s.replays
             << "   max depth: " << s.max_depth << "   shards: " << s.shards
             << '\n';
@@ -108,15 +107,10 @@ int main(int argc, char** argv) {
         cli.get_flag("no-dedup", "disable visited-state deduplication");
     const bool no_sleep =
         cli.get_flag("no-sleep", "disable sleep-set independence pruning");
-    const bool no_dpor = cli.get_flag(
-        "no-dpor", "disable dynamic partial-order reduction (backtrack sets)");
-    const bool no_symmetry = cli.get_flag(
-        "no-symmetry",
-        "disable the anonymous-agent symmetry quotient on dedup keys");
     const bool shared_visited = cli.get_flag(
         "shared-visited",
         "share one lock-free visited set across all shards (closure walk; "
-        "disables sleep sets + DPOR, counts stay worker-independent)");
+        "disables sleep sets, counts stay worker-independent)");
     const std::size_t shared_capacity = cli.get_size(
         "shared-visited-capacity", 0,
         "slot count for --shared-visited (0 = auto, 2^22)");
@@ -147,12 +141,13 @@ int main(int argc, char** argv) {
     if (cli.wants_help()) {
       cli.print_help(
           "udring exhaustive model checker: walks every schedule of a small "
-          "instance (DFS + sleep sets + DPOR backtrack sets + symmetry-"
-          "quotiented state dedup over the replay choice tree, optionally a "
-          "lock-free shared visited set across shards) and proves the goal, "
-          "or emits a replayable counterexample");
+          "instance (DFS + sleep sets + visited-state dedup over the replay "
+          "choice tree, optionally a lock-free shared visited set across "
+          "shards) and proves the goal, or emits a replayable "
+          "counterexample");
       return 0;
     }
+    cli.reject_unknown_flags();
 
     if (homes_csv.empty() && k > n) {
       // The instance draw would quietly clamp k to n and verify an instance
@@ -181,8 +176,6 @@ int main(int argc, char** argv) {
     mc::McOptions options;
     options.dedup_states = !no_dedup;
     options.sleep_sets = !no_sleep;
-    options.dpor = !no_dpor;
-    options.symmetry = !no_symmetry;
     options.shared_visited = shared_visited;
     options.shared_visited_capacity = shared_capacity;
     options.budget_actions = budget;
