@@ -224,7 +224,10 @@ CheckResult check_model_invariants(const Simulator& sim,
 
   // Every agent is either in exactly one link queue (in transit) or staying;
   // queue members must have InTransit status and match their queue's node.
-  std::vector<std::size_t> seen_in_queue(sim.agent_count(), 0);
+  // The count buffer is per thread and reused: this runs once per mc tree
+  // edge and once per checked-fuzz action, so it must not allocate per call.
+  static thread_local std::vector<std::size_t> seen_in_queue;
+  seen_in_queue.assign(sim.agent_count(), 0);
   for (NodeId node = 0; node < sim.node_count(); ++node) {
     for (const AgentId id : sim.link_queue(node)) {
       ++seen_in_queue.at(id);

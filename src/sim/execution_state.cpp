@@ -76,6 +76,7 @@ void ExecutionState::reset(const Instance& instance) {
   enabled_.clear();
   enabled_.reserve(k);
   enabled_pos_.assign(k, kNotEnabled);
+  enabled_bits_.assign((k + 63) / 64, 0);
 
   agents_.resize(k);
   for (AgentId id = 0; id < k; ++id) {
@@ -532,15 +533,18 @@ template <bool Fault>
 void ExecutionState::refresh_enabled_impl(AgentId id) {
   const bool want = should_be_enabled_impl<Fault>(id);
   const std::size_t pos = enabled_pos_[id];
+  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
   if (want && pos == kNotEnabled) {
     enabled_pos_[id] = enabled_.size();
     enabled_.push_back(id);
+    enabled_bits_[id / 64] |= bit;
   } else if (!want && pos != kNotEnabled) {
     const AgentId moved = enabled_.back();
     enabled_[pos] = moved;
     enabled_pos_[moved] = pos;
     enabled_.pop_back();
     enabled_pos_[id] = kNotEnabled;
+    enabled_bits_[id / 64] &= ~bit;
   }
 }
 

@@ -38,6 +38,14 @@
 // programs, which are inherently per-run) instead of O(n): the steady-state
 // action loop allocates nothing.
 //
+// Enabled set: kept in two forms that every enabledness change updates
+// together. enabled() is the id vector in insertion order with swap-remove;
+// the random, burst and synchronous draws read its order, so every trace
+// depends on it. enabled_bits() is the same set as a bitmask over agent ids
+// (⌈k/64⌉ words), which lets RoundRobinScheduler find the first enabled id
+// at or after its cursor in O(k/64) instead of O(|enabled|). Both are reset
+// and copied with the rest of the arena.
+//
 // Copying: an ExecutionState is a plain value. A copy is an independent
 // state at the same configuration — programs (with their resume points),
 // mailboxes, queues, metrics, event log and live fault state — that shares
@@ -138,7 +146,10 @@ class ExecutionState {
   /// agents — Definitions 1/2's terminal shapes) or the action limit.
   RunResult run(Scheduler& scheduler);
 
-  /// Executes one atomic action; returns false when quiescent.
+  /// Executes one atomic action; returns false when quiescent. Unlike
+  /// run(), step() neither attaches nor resets `scheduler`: a driver that
+  /// steps by hand calls attach() and reset(agent_count()) itself before the
+  /// first step, or the scheduler draws with whatever state it last had.
   bool step(Scheduler& scheduler);
 
   /// Force-steps a specific agent (tests); returns false if not enabled.
@@ -216,9 +227,19 @@ class ExecutionState {
   [[nodiscard]] NodeId agent_node(AgentId id) const { return cell(id).node; }
 
   /// Agents currently allowed to act (queue heads; schedulable stayers;
-  /// parked agents with pending mail).
+  /// parked agents with pending mail), in insertion order with swap-remove:
+  /// the order the random, burst and synchronous draws (and so every trace)
+  /// depend on.
   [[nodiscard]] const std::vector<AgentId>& enabled() const noexcept {
     return enabled_;
+  }
+
+  /// The same set as enabled(), as a bitmask over agent ids: bit id % 64 of
+  /// word id / 64, ⌈agent_count() / 64⌉ words, no bit set at or past
+  /// agent_count(). Lets RoundRobinScheduler find the first enabled id at
+  /// or after its cursor in O(k/64) instead of scanning enabled().
+  [[nodiscard]] std::span<const std::uint64_t> enabled_bits() const noexcept {
+    return enabled_bits_;
   }
 
   [[nodiscard]] bool quiescent() const noexcept { return enabled_.empty(); }
@@ -398,6 +419,7 @@ class ExecutionState {
   std::vector<std::uint64_t> queue_arrival_ts_;    // FIFO causal stamps
   std::vector<AgentId> enabled_;
   std::vector<std::size_t> enabled_pos_;           // id -> index in enabled_
+  std::vector<std::uint64_t> enabled_bits_;        // enabled_ as a bitmask
   Metrics metrics_;
   EventLog log_;
   std::size_t action_counter_ = 0;

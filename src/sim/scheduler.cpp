@@ -1,18 +1,73 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <stdexcept>
+
+#include "sim/execution_state.h"
 
 namespace udring::sim {
 
 // ---- RoundRobinScheduler ----------------------------------------------------
 
-// pick() bodies live inline in scheduler.h (the batched draw must inline
-// them); only the cold per-run machinery stays here.
+namespace {
+
+/// The first set bit of `bits` at or after bit `from`, wrapping to bit 0.
+/// `bits` holds at least one set bit; `from` may lie past its last word.
+AgentId first_set_bit_cyclic(std::span<const std::uint64_t> bits,
+                             std::size_t from) {
+  std::size_t w = from / 64;
+  if (w < bits.size()) {
+    std::uint64_t word = bits[w] & (~std::uint64_t{0} << (from % 64));
+    for (;;) {
+      if (word != 0) {
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      }
+      if (++w == bits.size()) break;
+      word = bits[w];
+    }
+  }
+  w = 0;
+  while (bits[w] == 0) ++w;
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(bits[w]));
+}
+
+}  // namespace
+
+void RoundRobinScheduler::attach(const ExecutionState& sim) {
+  attached_ = &sim;
+  attached_enabled_ = &sim.enabled();
+}
 
 void RoundRobinScheduler::reset(std::size_t agent_count) {
   agent_count_ = agent_count;
   cursor_ = 0;
+}
+
+AgentId RoundRobinScheduler::pick(const std::vector<AgentId>& enabled) {
+  AgentId best = enabled.front();
+  if (&enabled == attached_enabled_ &&
+      agent_count_ >= attached_->agent_count()) {
+    best = first_set_bit_cyclic(attached_->enabled_bits(), cursor_);
+  } else {
+    // Choose the enabled agent with the smallest cyclic distance from
+    // cursor_.
+    std::size_t best_key = agent_count_;
+    for (const AgentId id : enabled) {
+      const std::size_t key =
+          id >= cursor_ ? id - cursor_ : agent_count_ - cursor_ + id;
+      if (key < best_key) {
+        best_key = key;
+        best = id;
+      }
+    }
+  }
+  // best < agent_count_ always (it is an enabled agent id), so the cyclic
+  // increment needs a compare, not a per-action modulo.
+  cursor_ = best + 1;
+  if (cursor_ >= agent_count_) cursor_ = 0;
+  return best;
 }
 
 // ---- RandomScheduler --------------------------------------------------------

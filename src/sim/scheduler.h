@@ -21,6 +21,15 @@
 // All schedulers are fair on terminating workloads: an enabled agent is
 // never ignored forever because the others eventually park or halt.
 //
+// Attach contract: ExecutionState::run calls attach(state) and then
+// reset(agent_count) before the first action; step() does neither, so a
+// driver stepping by hand makes both calls itself. A scheduler may read the
+// attached state in any pick() until the next attach(), so the state must
+// outlive the scheduler's use or be replaced by attaching another.
+// RoundRobinScheduler uses it to recognise when pick() is handed that
+// state's own enabled(), and then draws from the state's enabled_bits() mask
+// in O(k/64); any other vector gets the O(|enabled|) scan.
+//
 // Pooled reuse contract: a scheduler object may drive many runs back to
 // back. reset(agent_count) must restore *every* piece of mutable state —
 // including RNGs, which re-seed from the stored seed — so a reused
@@ -52,9 +61,10 @@ class Scheduler {
 
   /// Lets a scheduler observe the execution it is about to drive. Called by
   /// ExecutionState::run (and the explore harnesses) before reset(). The
-  /// default schedulers ignore it; the adversarial schedulers in src/explore
-  /// use the observable state (statuses, queue lengths, metrics) to steer
-  /// their choices. The reference is valid for the duration of the run.
+  /// adversarial schedulers in src/explore use the observable state
+  /// (statuses, queue lengths, metrics) to steer their choices;
+  /// RoundRobinScheduler reads its enabled-set bitmask. The state must stay
+  /// alive while the scheduler draws for it (see the attach contract above).
   virtual void attach(const ExecutionState& sim) { (void)sim; }
 
   /// Called by ExecutionState::run before the first action. Restores the
@@ -92,37 +102,36 @@ class Scheduler {
   [[nodiscard]] virtual std::uint64_t rounds() const { return 0; }
 };
 
-// The pick() bodies of the five built-in kinds live here, in-class, so they
-// stay visible for inlining: pick() is a per-action call, worth ~20% of the
-// campaign hot loop. Cold members (reset, constructors) stay in
+// The pick() bodies of the other four built-in kinds live here, in-class, so
+// a caller holding the concrete type (RewiringAdversary's inner
+// RandomScheduler) can inline them. Cold members (reset, constructors) and
+// RoundRobinScheduler::pick, which needs ExecutionState's definition, stay in
 // scheduler.cpp.
 
 /// Cycles through agent ids, running the first enabled agent at or after the
 /// cursor.
+///
+/// Two draws with one result. When pick() is handed the attached state's own
+/// enabled() (the ExecutionState::run and step() loops), it takes the first
+/// set bit of enabled_bits() at or after the cursor, wrapping to bit 0:
+/// O(k/64). Any other vector (direct pick() calls, an unattached scheduler,
+/// another state's set) gets the reference scan over every enabled id:
+/// O(|enabled|). The mask draw is also skipped while reset() was last given
+/// fewer agents than the state holds, where the scan's cyclic keys no longer
+/// order every id; with that guard both draws return the same agent for
+/// every cursor and set.
 class RoundRobinScheduler final : public Scheduler {
  public:
+  void attach(const ExecutionState& sim) override;
   void reset(std::size_t agent_count) override;
-  AgentId pick(const std::vector<AgentId>& enabled) override {
-    // Choose the enabled agent with the smallest cyclic distance from cursor_.
-    AgentId best = enabled.front();
-    std::size_t best_key = agent_count_;
-    for (const AgentId id : enabled) {
-      const std::size_t key =
-          id >= cursor_ ? id - cursor_ : agent_count_ - cursor_ + id;
-      if (key < best_key) {
-        best_key = key;
-        best = id;
-      }
-    }
-    // best < agent_count_ always (it is an enabled agent id), so the cyclic
-    // increment needs a compare, not a per-action modulo.
-    cursor_ = best + 1;
-    if (cursor_ >= agent_count_) cursor_ = 0;
-    return best;
-  }
+  AgentId pick(const std::vector<AgentId>& enabled) override;
   [[nodiscard]] std::string_view name() const override { return "round-robin"; }
 
  private:
+  const ExecutionState* attached_ = nullptr;
+  // &attached_->enabled(), compared by address alone: a vector handed to
+  // pick() is only dereferenced as the state's once it matches.
+  const std::vector<AgentId>* attached_enabled_ = nullptr;
   std::size_t agent_count_ = 0;
   std::size_t cursor_ = 0;
 };

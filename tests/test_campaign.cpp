@@ -126,6 +126,24 @@ TEST(Campaign, RepeatedRunsAreIdentical) {
             run_campaign(grid, {.workers = 5}).digest());
 }
 
+TEST(Campaign, RoundRobinDigestAcrossMaskWordsIsPinned) {
+  // Round-robin draws read the enabled set's bitmask (one 64-bit word per 64
+  // agents) and wrap the cursor across words; k = 65 and k = 130 span two
+  // and three words. The pinned value is the enabled-set scan's digest, so a
+  // missed wrap or a stale bit moves it.
+  CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull,
+                     core::Algorithm::KnownKLogMem};
+  grid.schedulers = {sim::SchedulerKind::RoundRobin};
+  grid.instances = {{512, 65}, {640, 130}};
+  grid.seeds = 2;
+  const CampaignResult result = run_campaign(grid, {.workers = 1});
+  ASSERT_TRUE(result.all_ok());
+  EXPECT_EQ(result.scenario_count, 8u);
+  EXPECT_EQ(result.digest(), 0x7f803383588eb989ULL)
+      << std::hex << result.digest();
+}
+
 TEST(Campaign, AllScenariosSucceedOnPaperAlgorithms) {
   const CampaignResult result = run_campaign(small_grid(), {.workers = 4});
   EXPECT_TRUE(result.all_ok()) << result.summary();

@@ -180,6 +180,7 @@ TEST(Definition1Fuzz, AgentStillOnALinkFailsWithStatusReason) {
                    : std::unique_ptr<AgentProgram>(std::make_unique<HaltAgent>());
   });
   RoundRobinScheduler scheduler;
+  scheduler.reset(2);  // step() does not reset: without this it never cycles
   for (int step = 0; step < 9; ++step) {
     ASSERT_TRUE(sim.step(scheduler));
   }

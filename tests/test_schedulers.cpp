@@ -1,24 +1,95 @@
 // Tests for sim/scheduler.h: each scheduler family must be deterministic
 // given its seed, respect the enabled set, and drive workloads to
-// completion (fairness on terminating runs).
+// completion (fairness on terminating runs). Round-robin's two draws (the
+// attached state's enabled_bits() mask and the enabled-set scan) must agree
+// on every cursor and enabled set.
 
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <tuple>
 
+#include "config/generators.h"
+#include "core/runner.h"
 #include "sim/simulator.h"
 #include "support/test_agents.h"
+#include "util/rng.h"
 
 namespace udring::sim {
 namespace {
 
 using test::SitterAgent;
 using test::WalkerAgent;
+
+/// The enabled set as enabled_bits() must hold it: ⌈k/64⌉ words, bit id % 64
+/// of word id / 64.
+std::vector<std::uint64_t> mask_of(const ExecutionState& sim) {
+  std::vector<std::uint64_t> words((sim.agent_count() + 63) / 64, 0);
+  for (const AgentId id : sim.enabled()) {
+    words[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+  return words;
+}
+
+std::vector<std::uint64_t> bits_of(const ExecutionState& sim) {
+  const auto bits = sim.enabled_bits();
+  return {bits.begin(), bits.end()};
+}
+
+/// k agents on a k-ring, each alone at its home and halting on its first
+/// action: all start enabled, and stepping an agent disables it for good, so
+/// any non-empty set of ids can be left enabled.
+Instance halting_instance(std::size_t k) {
+  std::vector<NodeId> homes(k);
+  std::iota(homes.begin(), homes.end(), NodeId{0});
+  return Instance(k, std::move(homes),
+                  [](AgentId) { return std::make_unique<WalkerAgent>(0); });
+}
+
+void keep_enabled_only(ExecutionState& sim, const std::vector<bool>& keep) {
+  for (AgentId id = 0; id < keep.size(); ++id) {
+    if (!keep[id]) {
+      ASSERT_TRUE(sim.step_agent(id));
+    }
+  }
+}
+
+/// Moves a round-robin cursor to `cursor` by a scan-path pick of agent
+/// cursor - 1 (mod `agent_count`, the count of the scheduler's last reset).
+void seek(RoundRobinScheduler& scheduler, std::size_t cursor,
+          std::size_t agent_count) {
+  const std::vector<AgentId> one = {(cursor + agent_count - 1) % agent_count};
+  (void)scheduler.pick(one);
+}
+
+/// Logs the picks of the round-robin scheduler it wraps. It forwards
+/// attach() and hands pick() the same vector, as RecordingScheduler does, so
+/// the wrapped scheduler keeps its mask draw.
+class PickLog final : public Scheduler {
+ public:
+  void attach(const ExecutionState& sim) override { inner_.attach(sim); }
+  void reset(std::size_t agent_count) override {
+    inner_.reset(agent_count);
+    picks.clear();
+  }
+  AgentId pick(const std::vector<AgentId>& enabled) override {
+    picks.push_back(inner_.pick(enabled));
+    return picks.back();
+  }
+  [[nodiscard]] std::string_view name() const override { return "pick-log"; }
+
+  std::vector<AgentId> picks;
+
+ private:
+  RoundRobinScheduler inner_;
+};
 
 TEST(RoundRobin, CyclesThroughAllAgents) {
   RoundRobinScheduler scheduler;
@@ -35,6 +106,184 @@ TEST(RoundRobin, SkipsDisabledAgents) {
   EXPECT_EQ(scheduler.pick({1, 3}), 1u);
   EXPECT_EQ(scheduler.pick({1, 3}), 3u);
   EXPECT_EQ(scheduler.pick({1, 3}), 1u);
+}
+
+TEST(RoundRobinMask, DrawMatchesTheScanForEveryCursorAndSubset) {
+  Rng rng(5);
+  for (const std::size_t k : {1, 63, 64, 65, 128, 129, 256}) {
+    const Instance instance = halting_instance(k);
+    // Every agent, the first alone, the last alone (alone in the top word),
+    // then random sets from sparse to dense.
+    std::vector<std::vector<bool>> subsets(3, std::vector<bool>(k, false));
+    subsets[0].assign(k, true);
+    subsets[1][0] = true;
+    subsets[2][k - 1] = true;
+    for (const double density : {0.02, 0.1, 0.5, 0.9}) {
+      for (int draw = 0; draw < 2; ++draw) {
+        std::vector<bool> keep(k);
+        for (std::size_t id = 0; id < k; ++id) keep[id] = rng.chance(density);
+        keep[rng.index(k)] = true;  // never empty
+        subsets.push_back(keep);
+      }
+    }
+    for (const std::vector<bool>& keep : subsets) {
+      ExecutionState sim;
+      sim.reset(instance);
+      keep_enabled_only(sim, keep);
+      const std::vector<AgentId> copy = sim.enabled();
+      RoundRobinScheduler fast;
+      RoundRobinScheduler reference;
+      fast.attach(sim);
+      fast.reset(k);
+      reference.reset(k);
+      for (std::size_t cursor = 0; cursor < k; ++cursor) {
+        seek(fast, cursor, k);
+        seek(reference, cursor, k);
+        // The draw at this cursor, then the draw at the cursor it advanced to.
+        for (int draw = 0; draw < 2; ++draw) {
+          ASSERT_EQ(fast.pick(sim.enabled()), reference.pick(copy))
+              << "k=" << k << " cursor=" << cursor << " draw=" << draw
+              << " enabled=" << copy.size();
+        }
+      }
+    }
+  }
+}
+
+TEST(RoundRobinMask, CursorPastTheLastMaskWordWrapsToWordZero) {
+  // A pooled scheduler last reset for 256 agents draws for a state since
+  // reset onto fewer: its cursor can sit at or past the state's last mask
+  // word. The draw must wrap to word 0 and must not read the words the
+  // 256-agent instance left in the vector's capacity (all ones here).
+  const Instance big = halting_instance(256);
+  for (const std::size_t k : {10, 64, 65, 100}) {
+    ExecutionState sim;
+    sim.reset(big);
+    RoundRobinScheduler fast;
+    fast.attach(sim);
+    fast.reset(256);
+    sim.reset(halting_instance(k));
+    std::vector<bool> keep(k, false);
+    keep[3] = keep[k / 2] = keep[k - 1] = true;
+    keep_enabled_only(sim, keep);
+    ASSERT_EQ(sim.enabled_bits().size(), (k + 63) / 64);
+    const std::vector<AgentId> copy = sim.enabled();
+    RoundRobinScheduler reference;
+    reference.reset(256);
+    for (const std::size_t cursor : {k, std::size_t{63}, std::size_t{64},
+                                     std::size_t{127}, std::size_t{128},
+                                     std::size_t{200}, std::size_t{255}}) {
+      if (cursor < k) continue;
+      seek(fast, cursor, 256);
+      seek(reference, cursor, 256);
+      const AgentId pick = fast.pick(sim.enabled());
+      EXPECT_EQ(pick, reference.pick(copy))
+          << "k=" << k << " cursor=" << cursor;
+      EXPECT_EQ(pick, 3u) << "k=" << k << " cursor=" << cursor;
+    }
+  }
+}
+
+TEST(RoundRobinMask, ResetForFewerAgentsThanTheStateKeepsTheScan) {
+  // Reset for 10 agents while attached to a 100-agent state: the scan's
+  // cyclic keys order only ids below 10, where the mask would take the
+  // first set bit anywhere. The draw must stay the scan's.
+  ExecutionState sim;
+  sim.reset(halting_instance(100));
+  std::vector<bool> keep(100, false);
+  keep[20] = keep[50] = keep[70] = true;
+  keep_enabled_only(sim, keep);
+  const std::vector<AgentId> copy = sim.enabled();
+  RoundRobinScheduler fast;
+  RoundRobinScheduler reference;
+  fast.attach(sim);
+  fast.reset(10);
+  reference.reset(10);
+  for (int draw = 0; draw < 4; ++draw) {
+    ASSERT_EQ(fast.pick(sim.enabled()), reference.pick(copy))
+        << "draw " << draw;
+  }
+}
+
+TEST(RoundRobinMask, AttachedRunsMatchScanDrivenRuns) {
+  // ExecutionState::run attaches the scheduler, so every draw takes the mask;
+  // the reference run hands an unattached scheduler a copy of enabled() per
+  // step_agent, so every draw scans.
+  for (const auto& [algorithm, n, k] :
+       {std::tuple{core::Algorithm::KnownKFull, 256, 65},
+        std::tuple{core::Algorithm::KnownKFull, 320, 130},
+        std::tuple{core::Algorithm::KnownKLogMem, 256, 100}}) {
+    Rng rng(k);
+    core::RunSpec spec;
+    spec.node_count = n;
+    spec.homes = gen::random_homes(n, k, rng);
+    spec.sim_options.record_events = true;
+    const Instance instance = core::make_instance(algorithm, spec);
+
+    ExecutionState attached;
+    attached.reset(instance);
+    PickLog logged;
+    ASSERT_TRUE(attached.run(logged).quiescent());
+
+    ExecutionState scanned;
+    scanned.reset(instance);
+    RoundRobinScheduler reference;
+    reference.reset(scanned.agent_count());
+    std::vector<AgentId> picks;
+    while (!scanned.quiescent()) {
+      const std::vector<AgentId> copy = scanned.enabled();
+      picks.push_back(reference.pick(copy));
+      ASSERT_TRUE(scanned.step_agent(picks.back()));
+    }
+    EXPECT_EQ(logged.picks, picks) << core::to_string(algorithm) << " k=" << k;
+    EXPECT_EQ(attached.log().digest(), scanned.log().digest())
+        << core::to_string(algorithm) << " k=" << k;
+  }
+}
+
+TEST(RoundRobinMask, EnabledBitsTrackTheEnabledSet) {
+  const auto instance_for = [](std::size_t n, std::size_t k) {
+    Rng rng(n * k);
+    core::RunSpec spec;
+    spec.node_count = n;
+    spec.homes = gen::random_homes(n, k, rng);
+    return core::make_instance(core::Algorithm::KnownKFull, spec);
+  };
+  const Instance instance = instance_for(320, 130);
+  ExecutionState sim;
+  sim.reset(instance);
+  ASSERT_EQ(sim.enabled_bits().size(), 3u);
+  ASSERT_EQ(bits_of(sim), mask_of(sim));
+
+  RoundRobinScheduler scheduler;
+  scheduler.attach(sim);
+  scheduler.reset(sim.agent_count());
+  ExecutionState snapshot;
+  while (sim.step(scheduler)) {
+    ASSERT_EQ(bits_of(sim), mask_of(sim))
+        << "after action " << sim.actions_executed();
+    if (sim.actions_executed() == 1000) {
+      snapshot = sim;  // copy-assign into an empty state
+      ASSERT_EQ(bits_of(snapshot), mask_of(snapshot));
+    }
+  }
+  ASSERT_TRUE(sim.quiescent());
+  EXPECT_EQ(bits_of(sim), std::vector<std::uint64_t>(3, 0));
+
+  sim = snapshot;  // copy-assign over a finished run of the same instance
+  EXPECT_FALSE(sim.quiescent());
+  EXPECT_EQ(bits_of(sim), mask_of(sim));
+
+  // Reset onto fewer agents: two words, and only bit 0 of the top one may
+  // be set (agent 64); nothing of the 130-agent run survives.
+  sim.reset(instance_for(160, 65));
+  ASSERT_EQ(sim.enabled_bits().size(), 2u);
+  EXPECT_EQ(bits_of(sim), mask_of(sim));
+  EXPECT_EQ(sim.enabled_bits()[1] >> 1, 0u);
+  sim.reset(instance_for(16, 5));
+  ASSERT_EQ(sim.enabled_bits().size(), 1u);
+  EXPECT_EQ(bits_of(sim), mask_of(sim));
+  EXPECT_EQ(sim.enabled_bits()[0] >> 5, 0u);
 }
 
 TEST(Random, DeterministicPerSeedAndCoversAgents) {
