@@ -7,7 +7,6 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "explore/fuzz.h"
@@ -31,7 +30,7 @@ constexpr std::size_t kMaskAgents = 64;
 /// of a ~200-deep walk at ~25 states.
 constexpr std::size_t kSnapshotEvery = 8;
 
-using AgentMask = std::uint64_t;
+using AgentMask = VisitedMaskTable::Mask;
 
 /// A choice-tree node handed from the BFS frontier phase to a DFS shard:
 /// the schedule prefix that reaches it plus the sleep set it inherited.
@@ -39,10 +38,6 @@ struct ShardNode {
   std::vector<branch_index_t> prefix;
   AgentMask sleep = 0;
 };
-
-/// Visited-state store for the (default) per-shard tree walk: every sleep
-/// mask a configuration was expanded under, for the subset rule.
-using VisitedMap = std::unordered_map<std::uint64_t, std::vector<AgentMask>>;
 
 [[nodiscard]] sim::Instance build_instance(const CheckRequest& request) {
   core::RunSpec spec;
@@ -78,7 +73,7 @@ class Explorer {
  public:
   Explorer(const sim::Instance& instance, const sim::GoalOracle& oracle,
            const McOptions& options, sim::ExecutionState& state,
-           std::size_t budget, VisitedMap visited_seed,
+           std::size_t budget, VisitedMaskTable visited_seed,
            LockFreeVisitedSet* shared_visited = nullptr,
            std::atomic<std::size_t>* shared_actions = nullptr,
            std::atomic<bool>* stop_flag = nullptr)
@@ -98,7 +93,9 @@ class Explorer {
   /// First violation in this explorer's deterministic walk order.
   std::optional<std::pair<std::vector<branch_index_t>, std::string>> violation;
 
-  [[nodiscard]] const VisitedMap& visited() const noexcept { return visited_; }
+  [[nodiscard]] const VisitedMaskTable& visited() const noexcept {
+    return visited_;
+  }
 
   /// Walks the whole subtree rooted at `prefix` (with inherited sleep set)
   /// by iterative DFS. The prefix node must be an open interior node (the
@@ -450,19 +447,12 @@ class Explorer {
           return NodeClass::Leaf;
       }
     }
-    std::vector<AgentMask>& masks = visited_[key];
-    for (const AgentMask mask : masks) {
-      if ((mask & sleep) == mask) {  // stored ⊆ current: covered
-        ++stats.states_deduped;
-        return NodeClass::Leaf;
-      }
+    // Subset rule: covered when an earlier expansion's sleep set is a
+    // subset of this one (util/visited_set.h).
+    if (visited_.covered_or_insert(key, sleep)) {
+      ++stats.states_deduped;
+      return NodeClass::Leaf;
     }
-    // The new mask dominates any stored superset (it will be explored
-    // with more branches awake); drop the dominated entries.
-    std::erase_if(masks, [sleep](AgentMask mask) {
-      return (sleep & mask) == sleep;
-    });
-    masks.push_back(sleep);
     return NodeClass::Open;
   }
 
@@ -483,7 +473,7 @@ class Explorer {
   const McOptions& options_;
   sim::ExecutionState& cur_;
   std::size_t budget_ = kUnlimited;
-  VisitedMap visited_;
+  VisitedMaskTable visited_;
   LockFreeVisitedSet* shared_ = nullptr;
   std::atomic<std::size_t>* shared_actions_ = nullptr;
   std::atomic<bool>* stop_flag_ = nullptr;
@@ -686,12 +676,13 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
     for (std::size_t w = 0; w < workers; ++w) {
       contexts.push_back(std::make_unique<core::RunContext>());
     }
-    // Each shard copies the frontier phase's visited map as its seed: states
-    // the frontier already resolved are covered by some shard's subtree, so
-    // re-encounters skip (soundness argument in the header). Per-shard maps
-    // never cross worker boundaries — determinism like the campaign engine.
-    // In shared mode the maps are empty and the claim set carries it all.
-    const VisitedMap& seed = root.visited();
+    // Each shard copies the frontier phase's visited table as its seed:
+    // states the frontier already resolved are covered by some shard's
+    // subtree, so re-encounters skip (soundness argument in the header).
+    // Per-shard tables never cross worker boundaries — determinism like the
+    // campaign engine. In shared mode the tables are empty and the claim
+    // set carries it all.
+    const VisitedMaskTable& seed = root.visited();
     parallel_for_workers(
         shards.size(), workers, [&](std::size_t worker, std::size_t i) {
           Explorer shard(instance, *oracle, opts, contexts[worker]->state(),

@@ -38,7 +38,14 @@
 //    via the standard subset rule: a state is skipped only when it was
 //    previously expanded with a sleep set that is a SUBSET of the current
 //    one (the stored exploration covered a superset of the transitions the
-//    current visit would explore).
+//    current visit would explore). The serial store is a
+//    util::VisitedMaskTable: one flat linear-probing array of 16-byte
+//    {digest, sleep mask} slots, one slot per stored mask, the masks of one
+//    digest in its probe run. A mask that is not covered overwrites one
+//    stored superset it dominates in place, or takes the run's empty slot;
+//    other dominated supersets may stay, since a kept superset M of a
+//    stored mask S covers a sleep set only when S does (S ⊆ M ⊆ Q), so
+//    the covered answers are exactly the erase-all-dominated rule's.
 //  - Sleep sets (last-agent independence): after branch `a` of a node is
 //    fully explored, `a` sleeps for the node's later branches; a child
 //    inherits the sleeping agents that are independent of the edge taken.
@@ -56,12 +63,13 @@
 // choice prefix + inherited sleep set) becomes one shard, and shards run
 // DFS walks across util::parallel_for_workers with one pooled
 // core::RunContext per worker. The shard decomposition, per-shard budgets
-// and per-shard visited maps (seeded from the BFS phase's map) depend only
-// on the options — never on the worker count — and reports fold in shard
-// index order, so schedules/states/verdict and digest() are byte-identical
-// at any parallelism, the same contract as exp::run_campaign.
+// and per-shard visited tables (each seeded with a copy of the BFS phase's
+// table) depend only on the options — never on the worker count — and
+// reports fold in shard index order, so schedules/states/verdict and
+// digest() are byte-identical at any parallelism, the same contract as
+// exp::run_campaign.
 //
-// `shared_visited` swaps the per-shard maps for one lock-free
+// `shared_visited` swaps the per-shard tables for one lock-free
 // LockFreeVisitedSet (util/visited_set.h) shared by the BFS phase and every
 // shard: the first arrival at a configuration claims it and expands it,
 // every later arrival from any shard skips it, which eliminates the
@@ -157,7 +165,7 @@ struct McOptions {
   /// the instance has more than 64 agents (the sleep mask is a bitmask —
   /// exhaustive checking far beyond that is hopeless anyway).
   bool sleep_sets = true;
-  /// Replace the per-shard visited maps with one lock-free open-addressing
+  /// Replace the per-shard visited tables with one lock-free open-addressing
   /// hash set (util/visited_set.h) shared across the BFS phase and every
   /// frontier shard. Eliminates cross-shard re-exploration; forces
   /// sleep_sets off; ignored when dedup_states is off. See the

@@ -150,78 +150,131 @@ CheckResult UniformDeploymentOracle::check_goal(const Simulator& sim) const {
 
 namespace {
 
+/// The first model-invariant violation a check found, as plain data: the
+/// sweeps pass it around without building a CheckResult, and
+/// invariant_result() formats the reason text only when there is one.
+/// Shared verbatim by the full and incremental checkers so the two modes
+/// cannot drift apart in wording.
+struct InvariantViolation {
+  enum class Kind : std::uint8_t {
+    None,
+    TokensDecreased,       ///< count = total tokens < bound
+    MemberStatus,          ///< queue member with a non-transit status
+    MemberDestination,     ///< queue member bound for another node
+    CrashedInQueues,       ///< crashed agent in `count` (> 1) queues
+    InTransitOccurrences,  ///< in-transit agent in `count` (!= 1) queues
+    StayingInQueue,        ///< staying agent also in a queue
+  };
+  Kind kind = Kind::None;
+  AgentStatus status = AgentStatus::InTransit;
+  AgentId agent = 0;
+  NodeId node = 0;
+  std::size_t count = 0;
+  std::size_t bound = 0;
+
+  explicit operator bool() const noexcept { return kind != Kind::None; }
+};
+
+/// The CheckResult for `violation`: pass() for Kind::None, otherwise the
+/// reason text every checker mode reports.
+CheckResult invariant_result(const InvariantViolation& violation) {
+  using Kind = InvariantViolation::Kind;
+  if (!violation) return CheckResult::pass();
+  std::ostringstream why;
+  switch (violation.kind) {
+    case Kind::None:
+      break;
+    case Kind::TokensDecreased:
+      why << "token count decreased: " << violation.count << " < "
+          << violation.bound;
+      break;
+    case Kind::MemberStatus:
+      why << "agent " << violation.agent << " is in queue to node "
+          << violation.node << " but has status "
+          << to_string(violation.status);
+      break;
+    case Kind::MemberDestination:
+      why << "agent " << violation.agent << " queue/destination mismatch";
+      break;
+    case Kind::CrashedInQueues:
+      why << "crashed agent " << violation.agent << " appears in "
+          << violation.count << " queues";
+      break;
+    case Kind::InTransitOccurrences:
+      why << "in-transit agent " << violation.agent << " appears in "
+          << violation.count << " queues";
+      break;
+    case Kind::StayingInQueue:
+      why << "staying agent " << violation.agent
+          << " also appears in a link queue";
+      break;
+  }
+  return CheckResult::fail(why.str());
+}
+
 /// One queue member's local validity: InTransit status and a destination
-/// matching the queue it sits in. Shared verbatim by the full and
-/// incremental checkers so the two modes cannot drift apart in wording.
-CheckResult check_queue_member(const Simulator& sim, AgentId id, NodeId node) {
-  if (sim.status(id) != AgentStatus::InTransit &&
-      sim.status(id) != AgentStatus::Crashed) {
+/// matching the queue it sits in.
+InvariantViolation queue_member_violation(const Simulator& sim, AgentId id,
+                                          NodeId node) {
+  using Kind = InvariantViolation::Kind;
+  const AgentStatus status = sim.status(id);
+  if (status != AgentStatus::InTransit && status != AgentStatus::Crashed) {
     // A crash-stop corpse legitimately freezes inside the queue it was
     // transiting (destination still must match below); every live member
     // must be InTransit exactly as before.
-    std::ostringstream why;
-    why << "agent " << id << " is in queue to node " << node << " but has status "
-        << to_string(sim.status(id));
-    return CheckResult::fail(why.str());
+    return {.kind = Kind::MemberStatus, .status = status, .agent = id,
+            .node = node};
   }
   if (sim.agent_node(id) != node) {
-    std::ostringstream why;
-    why << "agent " << id << " queue/destination mismatch";
-    return CheckResult::fail(why.str());
+    return {.kind = Kind::MemberDestination, .agent = id, .node = node};
   }
-  return CheckResult::pass();
+  return {};
 }
 
 /// One agent's status/queue-occurrence consistency given how many queues
-/// hold it. Shared by both checker modes.
-CheckResult check_occurrences(const Simulator& sim, AgentId id,
-                              std::size_t occurrences) {
-  if (sim.status(id) == AgentStatus::Crashed) {
+/// hold it.
+InvariantViolation occurrence_violation(const Simulator& sim, AgentId id,
+                                        std::size_t occurrences) {
+  using Kind = InvariantViolation::Kind;
+  const AgentStatus status = sim.status(id);
+  if (status == AgentStatus::Crashed) {
     // A corpse froze either in its link queue (1 occurrence) or in a
     // staying set (0); more than one queue is corruption as always.
     if (occurrences > 1) {
-      std::ostringstream why;
-      why << "crashed agent " << id << " appears in " << occurrences
-          << " queues";
-      return CheckResult::fail(why.str());
+      return {.kind = Kind::CrashedInQueues, .agent = id, .count = occurrences};
     }
-    return CheckResult::pass();
+    return {};
   }
-  const bool in_transit = sim.status(id) == AgentStatus::InTransit;
+  const bool in_transit = status == AgentStatus::InTransit;
   if (in_transit && occurrences != 1) {
-    std::ostringstream why;
-    why << "in-transit agent " << id << " appears in " << occurrences
-        << " queues";
-    return CheckResult::fail(why.str());
+    return {.kind = Kind::InTransitOccurrences, .agent = id,
+            .count = occurrences};
   }
   if (!in_transit && occurrences != 0) {
-    std::ostringstream why;
-    why << "staying agent " << id << " also appears in a link queue";
-    return CheckResult::fail(why.str());
+    return {.kind = Kind::StayingInQueue, .agent = id};
   }
-  return CheckResult::pass();
+  return {};
 }
 
-CheckResult check_token_monotonicity(const Simulator& sim,
-                                     std::size_t min_expected_tokens) {
+InvariantViolation token_violation(const Simulator& sim,
+                                   std::size_t min_expected_tokens) {
   // Token monotonicity: tokens are indelible, so the total may only grow,
   // and in this paper's algorithms it is bounded by the number of agents.
   const std::size_t total_tokens = sim.total_tokens();
   if (total_tokens < min_expected_tokens) {
-    std::ostringstream why;
-    why << "token count decreased: " << total_tokens << " < "
-        << min_expected_tokens;
-    return CheckResult::fail(why.str());
+    return {.kind = InvariantViolation::Kind::TokensDecreased,
+            .count = total_tokens, .bound = min_expected_tokens};
   }
-  return CheckResult::pass();
+  return {};
 }
 
-}  // namespace
-
-CheckResult check_model_invariants(const Simulator& sim,
-                                   std::size_t min_expected_tokens) {
-  if (auto r = check_token_monotonicity(sim, min_expected_tokens); !r) return r;
-
+/// The full sweep: tokens, then every queue member in node order, then
+/// every agent's occurrence count in id order; the first violation wins.
+InvariantViolation first_invariant_violation(const Simulator& sim,
+                                             std::size_t min_expected_tokens) {
+  if (const InvariantViolation v = token_violation(sim, min_expected_tokens)) {
+    return v;
+  }
   // Every agent is either in exactly one link queue (in transit) or staying;
   // queue members must have InTransit status and match their queue's node.
   // The count buffer is per thread and reused: this runs once per mc tree
@@ -231,13 +284,25 @@ CheckResult check_model_invariants(const Simulator& sim,
   for (NodeId node = 0; node < sim.node_count(); ++node) {
     for (const AgentId id : sim.link_queue(node)) {
       ++seen_in_queue.at(id);
-      if (auto r = check_queue_member(sim, id, node); !r) return r;
+      if (const InvariantViolation v = queue_member_violation(sim, id, node)) {
+        return v;
+      }
     }
   }
   for (AgentId id = 0; id < sim.agent_count(); ++id) {
-    if (auto r = check_occurrences(sim, id, seen_in_queue[id]); !r) return r;
+    if (const InvariantViolation v =
+            occurrence_violation(sim, id, seen_in_queue[id])) {
+      return v;
+    }
   }
-  return CheckResult::pass();
+  return {};
+}
+
+}  // namespace
+
+CheckResult check_model_invariants(const Simulator& sim,
+                                   std::size_t min_expected_tokens) {
+  return invariant_result(first_invariant_violation(sim, min_expected_tokens));
 }
 
 CheckResult IncrementalInvariantChecker::reset(const ExecutionState& sim,
@@ -284,7 +349,9 @@ CheckResult IncrementalInvariantChecker::check_after_action(
 
   // total_tokens() is a maintained counter, so the global token check stays
   // exact and O(1) even in incremental mode.
-  if (auto r = check_token_monotonicity(sim, min_expected_tokens); !r) return r;
+  if (const InvariantViolation v = token_violation(sim, min_expected_tokens)) {
+    return invariant_result(v);
+  }
 
   // Diff the dirty queues against the shadow: membership counts update for
   // departed and (re)present members, and each current member is validated
@@ -293,7 +360,7 @@ CheckResult IncrementalInvariantChecker::check_after_action(
   touched_.clear();
   const AgentId actor = sim.last_acting_agent();
   if (actor != ExecutionState::kNoAgentActing) touch(actor);
-  CheckResult member_verdict = CheckResult::pass();
+  InvariantViolation member_violation;
   for (const NodeId node : sim.last_action_nodes()) {
     auto& shadow = queue_shadow_[node];
     for (const AgentId id : shadow) {
@@ -305,20 +372,23 @@ CheckResult IncrementalInvariantChecker::check_after_action(
       shadow.push_back(id);
       ++in_queue_count_[id];
       touch(id);
-      if (member_verdict.ok) {
-        member_verdict = check_queue_member(sim, id, node);
+      if (!member_violation) {
+        member_violation = queue_member_violation(sim, id, node);
       }
     }
   }
   // Counts must be consistent before returning a member failure, or a later
   // check_after_action would diff against stale state; hence the deferred
   // return.
-  if (!member_verdict.ok) return member_verdict;
+  if (member_violation) return invariant_result(member_violation);
 
   // Ascending agent order mirrors the full checker's occurrence sweep.
   std::sort(touched_.begin(), touched_.end());
   for (const AgentId id : touched_) {
-    if (auto r = check_occurrences(sim, id, in_queue_count_[id]); !r) return r;
+    if (const InvariantViolation v =
+            occurrence_violation(sim, id, in_queue_count_[id])) {
+      return invariant_result(v);
+    }
   }
 
   // Periodic safety net: a full re-walk catches any corruption outside the

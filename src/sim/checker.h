@@ -58,6 +58,13 @@ struct CheckResult {
 /// and queue sanity. Used by randomized tests after every step. Reads queues
 /// and agents directly (no Snapshot materialization): O(n + k) time, O(k)
 /// scratch.
+///
+/// One sweep — tokens, then queue members in node order, then agents in id
+/// order — that records the first violation as a small plain struct. The
+/// pass path builds no CheckResult per member or agent and formats no text:
+/// it returns CheckResult::pass() (empty reason, no allocation), and the
+/// reason string is formatted only on failure. IncrementalInvariantChecker
+/// uses the same per-member predicates and the same formatter.
 [[nodiscard]] CheckResult check_model_invariants(const Simulator& sim,
                                                  std::size_t min_expected_tokens);
 

@@ -242,32 +242,64 @@ void fold_message(std::uint64_t& state, const Message& message) {
 }  // namespace
 
 std::uint64_t ExecutionState::config_digest() const {
-  std::uint64_t state = 0xc0f1Dd16e5700000ULL;  // "config-digest" domain
-  fold64(state, tokens_.size());
-  fold64(state, agents_.size());
-  for (const std::size_t count : tokens_) fold64(state, count);  // T
-  for (AgentId id = 0; id < agents_.size(); ++id) {              // S, M
+  // Independent chains, each under its own domain salt, so their folds
+  // overlap instead of forming one serial dependency chain.
+  std::uint64_t token_chain = 0x70ce5d16e5700000ULL;  // "tokens" domain
+  std::uint64_t queue_chain = 0x0e0ed16e57000000ULL;  // "queues" domain
+  std::array<std::uint64_t, 4> agent_chains = {
+      0xa9e47d16e5700000ULL, 0xa9e47d16e5700001ULL, 0xa9e47d16e5700002ULL,
+      0xa9e47d16e5700003ULL};  // "agents" domain, one salt per chain
+
+  // T: occupied nodes only, each entry led by its node index.
+  std::uint64_t token_entries = 0;
+  for (NodeId node = 0; node < tokens_.size(); ++node) {
+    if (tokens_[node] == 0) continue;
+    fold64(token_chain, node);
+    fold64(token_chain, tokens_[node]);
+    ++token_entries;
+  }
+  // Q: non-empty link queues only, each led by its node index and length
+  // (FIFO order is state).
+  std::uint64_t queue_entries = 0;
+  for (NodeId node = 0; node < queues_.size(); ++node) {
+    const LinkQueue& queue = queues_[node];
+    if (queue.empty()) continue;
+    fold64(queue_chain, node);
+    fold64(queue_chain, queue.size());
+    for (const AgentId member : queue) fold64(queue_chain, member);
+    ++queue_entries;
+  }
+  // S, M: every agent, in id order within its chain.
+  for (AgentId id = 0; id < agents_.size(); ++id) {
+    std::uint64_t& chain = agent_chains[id % agent_chains.size()];
     const AgentCell& c = agents_[id];
-    fold64(state, static_cast<std::uint64_t>(c.status));
-    fold64(state, c.node);
+    fold64(chain, static_cast<std::uint64_t>(c.status));
+    fold64(chain, c.node);
     // Phase and action count are behavioural under the non-FIFO fault
     // (should_be_enabled reads both); including them unconditionally keeps
     // one digest definition for every mode, and commuting schedules agree
     // on per-agent counts, so dedup effectiveness is unaffected.
-    fold64(state, metrics_.agent(id).phase);
-    fold64(state, metrics_.agent(id).actions);
-    fold64(state, c.program->state_hash());
-    fold64(state, c.mailbox.size());
-    for (const Message& message : c.mailbox) fold_message(state, message);
+    fold64(chain, metrics_.agent(id).phase);
+    fold64(chain, metrics_.agent(id).actions);
+    fold64(chain, c.program->state_hash());
+    fold64(chain, c.mailbox.size());
+    for (const Message& message : c.mailbox) fold_message(chain, message);
   }
-  for (const auto& queue : queues_) {  // Q (FIFO order is state)
-    fold64(state, queue.size());
-    for (const AgentId member : queue) fold64(state, member);
-  }
+
+  std::uint64_t state = 0xc0f1Dd16e5700000ULL;  // "config-digest" domain
+  fold64(state, tokens_.size());
+  fold64(state, agents_.size());
+  // Each sparse section is led by its entry count, so the joined encoding
+  // stays injective.
+  fold64(state, token_entries);
+  fold64(state, token_chain);
+  fold64(state, queue_entries);
+  fold64(state, queue_chain);
+  for (const std::uint64_t chain : agent_chains) fold64(state, chain);
   // P (staying membership) is fully determined by status + node above.
-  // Live fault state (no-op for event-free plans, keeping legacy digests
-  // byte-identical): what the adversary may still do is part of the
-  // configuration, or mc dedup would merge states with different futures.
+  // Live fault state (no-op for event-free plans): what the adversary may
+  // still do is part of the configuration, or mc dedup would merge states
+  // with different futures.
   fold_fault_state(state);
   return state;
 }

@@ -303,6 +303,17 @@ class ExecutionState {
   /// out (sim/agent.h): covering them would move every pinned digest and mc
   /// count, a decision left open on the ROADMAP. src/mc's
   /// pruned-vs-unpruned equality tests exercise the caveat.
+  ///
+  /// Encoding: T and Q are sparse sections — only nodes holding tokens and
+  /// non-empty link queues contribute, each entry led by its node index
+  /// (a queue entry also by its length) and each section by its entry
+  /// count, so the word sequence still determines the configuration. T, Q
+  /// and four agent chains (agents split by id % 4) are folded as
+  /// independent fold64 chains under their own domain salts, then joined
+  /// into one word with the sizes and entry counts; every word gets a full
+  /// splitmix avalanche. The values are in-memory dedup keys only (mc's
+  /// visited tables, LockFreeVisitedSet): nothing persists or pins them,
+  /// so the encoding may change whenever equality semantics are kept.
   [[nodiscard]] std::uint64_t config_digest() const;
 
   [[nodiscard]] std::size_t actions_executed() const noexcept {
@@ -372,7 +383,7 @@ class ExecutionState {
   /// Folds the *live* fault state (current stride, pending/consumed
   /// rewires, crash cursor, remaining drop/dup budgets) into config_digest()'s
   /// `state` — but only when the instance's FaultPlan carries fault events,
-  /// so fault-free digests are byte-identical to the pre-fault-layer ones.
+  /// so fault-free digests fold no fault words at all.
   void fold_fault_state(std::uint64_t& state) const noexcept;
 
   // The action engine is one templated body specialized on the two run-mode

@@ -157,9 +157,12 @@ class RandomScheduler final : public Scheduler {
   Rng rng_;
 };
 
-/// Lockstep rounds: within a round every enabled agent acts exactly once
-/// (agents enabled mid-round join the next round). rounds() then equals the
-/// execution's synchronous length, which matches the ideal-time makespan.
+/// Lockstep rounds: within a round every enabled agent acts exactly once.
+/// pick() returns the first agent of `enabled` that has not acted in the
+/// current round, so an agent enabled mid-round acts in that same round;
+/// the round closes only when every agent enabled at a pick has acted in
+/// it. rounds() counts closed rounds (the execution's synchronous length,
+/// which matches the ideal-time makespan).
 ///
 /// Membership is tracked with per-agent round stamps (acted in round r ⇔
 /// stamp == r), so advancing a round is O(1) instead of clearing a flag

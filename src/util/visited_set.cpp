@@ -66,4 +66,54 @@ LockFreeVisitedSet::Insert LockFreeVisitedSet::insert(
   return Insert::Full;
 }
 
+bool VisitedMaskTable::covered_or_insert(std::uint64_t digest, Mask mask) {
+  if (digest == 0) {
+    Mask* dominated = nullptr;
+    for (Mask& stored : zero_digest_masks_) {
+      if ((stored & mask) == stored) return true;  // stored ⊆ mask: covered
+      if (dominated == nullptr && (mask & stored) == mask) dominated = &stored;
+    }
+    if (dominated != nullptr) {
+      *dominated = mask;
+    } else {
+      zero_digest_masks_.push_back(mask);
+    }
+    return false;
+  }
+  // Growing before the probe keeps at least a quarter of the slots empty,
+  // so every probe run ends.
+  if ((used_ + 1) * 4 > slots_.size() * 3) grow();
+  const std::size_t index_mask = slots_.size() - 1;
+  std::size_t index = static_cast<std::size_t>(digest) & index_mask;
+  Slot* dominated = nullptr;
+  for (;; index = (index + 1) & index_mask) {
+    Slot& slot = slots_[index];
+    if (slot.digest == 0) break;
+    if (slot.digest != digest) continue;
+    if ((slot.mask & mask) == slot.mask) return true;  // stored ⊆ mask: covered
+    // The new mask will be explored with more branches awake than this
+    // stored superset; overwrite one such slot (header: the rest may stay).
+    if (dominated == nullptr && (mask & slot.mask) == mask) dominated = &slot;
+  }
+  if (dominated != nullptr) {
+    dominated->mask = mask;
+  } else {
+    slots_[index] = {digest, mask};
+    ++used_;
+  }
+  return false;
+}
+
+void VisitedMaskTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(64, old.size() * 2), Slot{});
+  const std::size_t index_mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.digest == 0) continue;
+    std::size_t index = static_cast<std::size_t>(slot.digest) & index_mask;
+    while (slots_[index].digest != 0) index = (index + 1) & index_mask;
+    slots_[index] = slot;
+  }
+}
+
 }  // namespace udring

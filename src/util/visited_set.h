@@ -1,9 +1,14 @@
 // udring/util/visited_set.h
 //
-// A lock-free, fixed-capacity, open-addressing hash set of 64-bit keys with
-// insert-if-absent ("claim") semantics, built for mc::check's shared visited
-// set: frontier shards race to claim configuration digests, and exactly one
-// shard wins each key — the winner expands the state, every loser skips it.
+// The two visited-state stores of mc::check: VisitedMaskTable, the serial
+// walk's {digest, sleep mask} table (last in this file), and
+// LockFreeVisitedSet, the shared-visited mode's claim set.
+//
+// LockFreeVisitedSet is a lock-free, fixed-capacity, open-addressing hash
+// set of 64-bit keys with insert-if-absent ("claim") semantics, built for
+// mc::check's shared visited set: frontier shards race to claim
+// configuration digests, and exactly one shard wins each key — the winner
+// expands the state, every loser skips it.
 //
 // ## Protocol
 //
@@ -66,6 +71,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace udring {
 
@@ -102,6 +108,66 @@ class LockFreeVisitedSet {
   std::size_t fill_limit_ = 0; // claimed-key ceiling (~7/8 of capacity; racing
                                // claims may overshoot by threads-1 — header)
   std::atomic<std::size_t> size_{0};
+};
+
+/// The serial visited store of mc::check's tree walks: every sleep mask a
+/// configuration digest was expanded under, queried with the subset rule
+/// (a configuration is covered when it was expanded before under a sleep
+/// set that is a SUBSET of the current one).
+///
+/// ## Slot layout
+///
+/// One flat linear-probing array of 16-byte {digest, mask} slots; every
+/// stored mask takes its own slot, so one digest's masks all sit in the
+/// probe run that starts at slot `digest & (capacity - 1)` (digests are
+/// splitmix outputs, so their low bits are already uniform). Digest 0 marks
+/// an empty slot; masks stored under digest 0 live in a side list instead,
+/// so no real digest shares the sentinel. There is no erase: a lookup walks
+/// the run to its first empty slot, and a mask that is not covered either
+/// overwrites one stored mask it dominates (a superset of it) in place or
+/// is appended at that empty slot. The table doubles once stored masks
+/// would pass 3/4 of the slots; while it rehashes, the old and the new
+/// array are both held.
+///
+/// ## Why dominated masks may be kept
+///
+/// The plain form of the rule (the reference model in
+/// tests/test_visited_set.cpp) erases EVERY stored superset of a new mask;
+/// this table replaces at most one and leaves the rest. That never changes an
+/// answer: a kept superset M of a stored mask S covers a query Q only when
+/// M ⊆ Q, and then S ⊆ M ⊆ Q, so S covers Q as well. Covered/inserted
+/// answers are therefore exactly the reference's on every call
+/// (tests/test_visited_set.cpp drives both with the same streams).
+///
+/// Copyable: mc::check hands each frontier shard a copy of the frontier
+/// phase's table as its seed.
+class VisitedMaskTable {
+ public:
+  using Mask = std::uint64_t;
+
+  /// True when some mask stored under `digest` is a subset of `mask` (the
+  /// earlier expansion explored every branch this visit would). Otherwise
+  /// stores `mask` under `digest` and returns false.
+  [[nodiscard]] bool covered_or_insert(std::uint64_t digest, Mask mask);
+
+  /// Stored masks (slots in use plus digest 0's masks).
+  [[nodiscard]] std::size_t size() const noexcept {
+    return used_ + zero_digest_masks_.size();
+  }
+  /// Slot count (a power of two; 0 before the first insert).
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+
+ private:
+  struct Slot {
+    std::uint64_t digest = 0;  ///< 0 = empty (digest 0 lives in the side list)
+    Mask mask = 0;
+  };
+
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+  std::vector<Mask> zero_digest_masks_;
 };
 
 }  // namespace udring

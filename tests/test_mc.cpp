@@ -21,18 +21,31 @@
 //
 // Plus the foundation the dedup pruning rests on: ExecutionState::
 // config_digest() must hash the configuration and not the history
-// (commuting independent actions converge; the event log does not).
+// (commuting independent actions converge; the event log does not), and
+// must never give two structurally different reachable configurations the
+// same value — for every algorithm, under faults, and for a test program
+// whose token positions record a schedule choice. And ModelCheckReport::
+// digest() pins per algorithm and walk mode, which hold every McStats
+// field, the verdict and the counterexample.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "config/generators.h"
 #include "core/runner.h"
 #include "embed/topology.h"
 #include "explore/fuzz.h"
+#include "explore/trace.h"
 #include "mc/model_check.h"
+#include "sim/agent.h"
 #include "util/rng.h"
 
 namespace udring::mc {
@@ -98,6 +111,201 @@ TEST(ConfigDigest, DistinguishesSuccessiveConfigurations) {
   // A fresh state on the same instance digests identically to the first.
   auto again = core::make_simulator(core::Algorithm::KnownKFull, spec);
   EXPECT_EQ(again->config_digest(), initial);
+}
+
+/// A configuration's structural identity, read through snapshot() — never
+/// config_digest(), the function under test: token counts, link queues in
+/// FIFO order, and per agent status, node, phase, mailbox size and
+/// state_hash. The live successor map (stride, pending rewiring) leads it:
+/// a rewiring changes nothing else, and without it the enumeration would
+/// take every rewired child for its parent.
+[[nodiscard]] std::vector<std::uint64_t> structural_key(
+    const sim::ExecutionState& state) {
+  const sim::Snapshot snap = state.snapshot();
+  std::vector<std::uint64_t> key = {state.live_stride(),
+                                    state.pending_rewire() ? 1u : 0u};
+  key.insert(key.end(), snap.tokens.begin(), snap.tokens.end());
+  for (const std::vector<sim::AgentId>& queue : snap.queues) {
+    key.push_back(queue.size());
+    key.insert(key.end(), queue.begin(), queue.end());
+  }
+  for (const sim::AgentSnap& agent : snap.agents) {
+    key.push_back(static_cast<std::uint64_t>(agent.status));
+    key.push_back(agent.node);
+    key.push_back(agent.phase);
+    key.push_back(agent.mailbox_size);
+    key.push_back(agent.state_hash);
+  }
+  return key;
+}
+
+/// Enumerates the configurations reachable from `instance`'s C_0
+/// breadth-first — every enabled agent, every candidate of a pending
+/// rewiring — deduplicated by structural key, until `cap` distinct ones.
+/// Fails when two structurally different configurations share a
+/// config_digest() (equal structure may still digest apart: the digest also
+/// folds action counts, message payloads and the live fault state).
+/// Returns how many configurations it compared.
+std::size_t expect_digest_separates_reachable_configurations(
+    const sim::Instance& instance, std::size_t cap, const std::string& what) {
+  std::set<std::vector<std::uint64_t>> seen;
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> by_digest;
+  std::deque<sim::ExecutionState> frontier;
+  std::size_t collisions = 0;
+  const auto visit = [&](sim::ExecutionState&& state) {
+    if (seen.size() >= cap) return;
+    std::vector<std::uint64_t> key = structural_key(state);
+    if (!seen.insert(key).second) return;
+    // The key is new, so a digest already taken is a collision.
+    const auto [it, inserted] =
+        by_digest.try_emplace(state.config_digest(), std::move(key));
+    if (!inserted) {
+      if (++collisions <= 3) {
+        ADD_FAILURE() << what << ": two structurally different configurations "
+                      << "share digest " << it->first << " (action "
+                      << state.actions_executed() << ")";
+      }
+    }
+    if (!state.quiescent() && state.actions_executed() < state.max_actions()) {
+      frontier.push_back(std::move(state));
+    }
+  };
+  sim::ExecutionState root;
+  root.reset(instance);
+  visit(std::move(root));
+  std::vector<sim::AgentId> sorted;
+  while (!frontier.empty() && seen.size() < cap) {
+    const sim::ExecutionState state = std::move(frontier.front());
+    frontier.pop_front();
+    if (state.pending_rewire()) {
+      for (std::size_t c = 0; c < state.rewire_candidate_count(); ++c) {
+        sim::ExecutionState child = state;
+        child.apply_rewire(c);
+        visit(std::move(child));
+      }
+      continue;
+    }
+    sorted.assign(state.enabled().begin(), state.enabled().end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const sim::AgentId agent : sorted) {
+      sim::ExecutionState child = state;
+      EXPECT_TRUE(child.step_agent(agent)) << what;
+      visit(std::move(child));
+    }
+  }
+  EXPECT_EQ(collisions, 0u) << what;
+  return seen.size();
+}
+
+TEST(ConfigDigest, NoCollisionAmongReachableConfigurationsOfEveryAlgorithm) {
+  // The sparse sections (occupied nodes, non-empty queues) must keep the
+  // encoding injective on every algorithm's reachable states. A token entry
+  // that lost its node index stays hidden here (tokens lie at homes); the
+  // MeetingDropper test below exposes that slip.
+  Rng rng(29);
+  for (const core::Algorithm algorithm : explore::all_algorithms()) {
+    for (const std::size_t n : {7u, 8u}) {
+      core::RunSpec spec;
+      spec.node_count = n;
+      spec.homes = exp::draw_homes(exp::ConfigFamily::RandomAny, n, 3, 1, rng);
+      spec.sim_options.record_events = false;
+      const sim::Instance instance = core::make_instance(algorithm, spec);
+      const std::string what = std::string(core::to_string(algorithm)) +
+                               " n=" + std::to_string(n);
+      EXPECT_GT(expect_digest_separates_reachable_configurations(instance, 3000,
+                                                                 what),
+                200u)
+          << what;
+    }
+  }
+}
+
+TEST(ConfigDigest, NoCollisionUnderNonFifoLinksOrCrashAndRewire) {
+  {
+    // The non-FIFO fault lets agents overtake inside a queue: queue order
+    // and mail are where such states differ.
+    core::RunSpec spec;
+    spec.node_count = 8;
+    spec.homes = {0, 1, 3, 6};
+    spec.sim_options.record_events = false;
+    spec.sim_options.fault_non_fifo_links = true;
+    spec.sim_options.fault_non_fifo_min_phase = 1;
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKLogMemStrict, spec);
+    EXPECT_GT(expect_digest_separates_reachable_configurations(
+                  instance, 6000, "known-k-logmem-strict non-FIFO"),
+              1000u);
+  }
+  {
+    // A crash-stop fault and a rewiring point: corpses, the live stride and
+    // the fault cursors are folded too.
+    core::RunSpec spec;
+    spec.node_count = 8;
+    spec.homes = {0, 2, 5};
+    spec.sim_options.record_events = false;
+    spec.sim_options.faults.crashes = {sim::CrashFault{2, 12}};
+    spec.sim_options.faults.rewire_at = {5};
+    const sim::Instance instance =
+        core::make_instance(core::Algorithm::KnownKFull, spec);
+    EXPECT_GT(expect_digest_separates_reachable_configurations(
+                  instance, 6000, "known-k-full crash + rewire"),
+              1000u);
+  }
+}
+
+/// A program whose token position is the only record of a schedule choice:
+/// the walker moves every action and drops its token where it first finds
+/// another agent staying; the stopper alternates staying and moving. Where
+/// the two meet depends on the interleaving, while each agent's node,
+/// action count and state_hash do not.
+class MeetingDropper final : public sim::CopyableProgram<MeetingDropper> {
+ public:
+  explicit MeetingDropper(bool walker) noexcept : walker_(walker) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "meeting-dropper";
+  }
+  [[nodiscard]] std::uint64_t state_hash() const override {
+    return (walker_ ? 2u : 0u) | (dropped_ ? 1u : 0u);
+  }
+
+ protected:
+  sim::Request act(sim::AgentContext& ctx) override {
+    UDRING_BEGIN;
+    while (true) {
+      if (walker_ && !dropped_ && ctx.others_staying_here() > 0) {
+        ctx.release_token();
+        dropped_ = true;
+      }
+      if (!walker_) {
+        UDRING_AWAIT(ctx.stay());
+      }
+      UDRING_AWAIT(ctx.move());
+    }
+    UDRING_END;
+  }
+
+ private:
+  bool walker_;
+  bool dropped_ = false;
+};
+
+TEST(ConfigDigest, NoCollisionWhenOnlyATokenPositionDiffers) {
+  // The in-tree algorithms drop their tokens at their homes, so a token's
+  // node follows from the agents' action counts and an entry that lost its
+  // node index would still never collide there. Here it would: the
+  // walker's token lies wherever it met the stopper.
+  sim::SimOptions options;
+  options.record_events = false;
+  const sim::Instance instance(
+      8, {0, 3},
+      [](sim::AgentId id) -> std::unique_ptr<sim::AgentProgram> {
+        return std::make_unique<MeetingDropper>(id == 0);
+      },
+      options);
+  EXPECT_GT(expect_digest_separates_reachable_configurations(
+                instance, 3000, "meeting dropper"),
+            1000u);
 }
 
 // ---- 1. exhaustive verification, counts stable across workers ---------------
@@ -219,6 +427,63 @@ INSTANTIATE_TEST_SUITE_P(SmallGrids, ExhaustiveAlgorithms,
                            }
                            return name;
                          });
+
+TEST(ReportDigest, PinnedForEveryAlgorithmAcrossWalkModes) {
+  // One small drawn instance per algorithm, walked three ways: the default
+  // dedup + sleep walk, the walk without sleep sets, and the walk cut into
+  // frontier shards. digest() folds every McStats field, the verdict and
+  // the counterexample, so these pins hold each walk's expansion order,
+  // dedup answers, sleep cuts and shard split. None of that may depend on
+  // config_digest()'s values or the visited table's layout — only on which
+  // configurations they identify.
+  struct Pin {
+    std::uint64_t walk, no_sleep, sharded;
+  };
+  // Pairs that walk the same tree on this FIFO instance share their pins
+  // (Algorithm 1 with k or n known; the hardened and literal Algorithms
+  // 2+3; rendezvous and 2-partial gathering, which for three agents both
+  // gather all of them).
+  const std::map<core::Algorithm, Pin> pins = {
+      {core::Algorithm::KnownKFull,
+       {0x8f99c9bcd6b65d03, 0x5b014fa3c9a28f4e, 0xbe2db7365b6417c1}},
+      {core::Algorithm::KnownNFull,
+       {0x8f99c9bcd6b65d03, 0x5b014fa3c9a28f4e, 0xbe2db7365b6417c1}},
+      {core::Algorithm::KnownKLogMem,
+       {0x0560f791fe6fdd19, 0xe1a1bfcc765a28b7, 0x1df4821a7177c471}},
+      {core::Algorithm::KnownKLogMemStrict,
+       {0x0560f791fe6fdd19, 0xe1a1bfcc765a28b7, 0x1df4821a7177c471}},
+      {core::Algorithm::UnknownRelaxed,
+       {0x8a9e1b1363ac43b3, 0x9200105d4e1d36e2, 0x3dd18a49852d5030}},
+      {core::Algorithm::Rendezvous,
+       {0xee36347b53c7642d, 0xd850390aa9086b58, 0x8c7d3548bbb2f559}},
+      {core::Algorithm::GatherRing,
+       {0xee36347b53c7642d, 0xd850390aa9086b58, 0x8c7d3548bbb2f559}},
+      {core::Algorithm::DisperseRing,
+       {0xc1729967defb8525, 0x03db4f750ed69426, 0x8ef30741c257d8f2}},
+  };
+  McOptions no_sleep;
+  no_sleep.sleep_sets = false;
+  McOptions sharded;
+  sharded.frontier_target = 6;
+  sharded.workers = 1;
+  for (const core::Algorithm algorithm : explore::all_algorithms()) {
+    Rng rng(5);
+    const explore::DrawnInstance drawn =
+        explore::draw_instance(explore::FuzzTopology::Ring, 7, 3, rng);
+    const CheckRequest request =
+        ring_request(algorithm, drawn.node_count, drawn.homes);
+    const Pin got{check(request).digest(), check(request, no_sleep).digest(),
+                  check(request, sharded).digest()};
+    const Pin& want = pins.at(algorithm);
+    const std::string what(core::to_string(algorithm));
+    EXPECT_EQ(got.walk, want.walk)
+        << what << std::hex << " walk 0x" << got.walk;
+    EXPECT_EQ(got.no_sleep, want.no_sleep)
+        << what << std::hex << " no-sleep 0x" << got.no_sleep;
+    EXPECT_EQ(got.sharded, want.sharded)
+        << what << std::hex << " sharded 0x" << got.sharded;
+  }
+}
 
 // ---- 2. deterministic rediscovery of the non-FIFO violation -----------------
 

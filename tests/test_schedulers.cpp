@@ -312,6 +312,20 @@ TEST(Synchronous, EveryEnabledAgentActsOncePerRound) {
   EXPECT_EQ(scheduler.rounds(), 2u) << "two completed rounds after 9 picks";
 }
 
+TEST(Synchronous, AgentEnabledMidRoundActsInThatRound) {
+  // A round closes only when every agent enabled at a pick has acted in
+  // it, so an agent enabled mid-round joins the current round. Every
+  // synchronous trace and campaign digest depends on this order.
+  SynchronousScheduler scheduler;
+  scheduler.reset(3);
+  EXPECT_EQ(scheduler.pick({0, 1}), 0u);
+  EXPECT_EQ(scheduler.pick({0, 1, 2}), 1u);
+  EXPECT_EQ(scheduler.pick({0, 1, 2}), 2u);
+  EXPECT_EQ(scheduler.rounds(), 0u) << "agent 2 acted in round 1";
+  EXPECT_EQ(scheduler.pick({0, 1, 2}), 0u);
+  EXPECT_EQ(scheduler.rounds(), 1u);
+}
+
 TEST(Priority, AlwaysPicksHighestPriorityEnabled) {
   PriorityScheduler scheduler({2, 0, 1});
   scheduler.reset(3);
