@@ -1,14 +1,12 @@
 // bench_mc_throughput — the exhaustive model checker's own artifact.
 //
-// Reports, for a small verification grid, the walk throughput
-// (schedules/s and actions/s), the pruning economics (dedup hit-rate and
-// sleep-set cut counts), and the serial vs frontier-sharded trade:
-// private-visited sharding buys parallel wall-clock but pays for it in
-// cross-shard dedup loss, while the lock-free shared visited set recovers
-// the dedup at the cost of claim-order nondeterminism in WHO expands a
-// state (never in the counts — they are functions of the claimed closure).
-// The google-benchmark timings land in the BENCH_mc.json CI artifact like
-// bench_campaign_engine's.
+// Reports, for a small verification grid, the closure walk's throughput
+// (states/s and actions/s) and dedup hit-rate, serial and frontier-sharded.
+// Both walks claim configurations in one visited store, so they expand the
+// same closure; sharding buys parallel wall-clock for a BFS prefix replay
+// per shard, and racing claims change only WHO expands a state, never the
+// counts. The google-benchmark timings land in the BENCH_mc.json CI
+// artifact like bench_campaign_engine's.
 //
 // Set UDRING_MC_SMOKE=1 for the tiny CI grid.
 
@@ -65,9 +63,9 @@ void print_report() {
   std::cout << "Model-checker throughput: exhaustive verification cells,\n"
                "serial (frontier=1) vs sharded (frontier=8, all cores).\n";
 
-  print_section(std::cout, "Serial walk (full cross-subtree dedup)");
+  print_section(std::cout, "Serial walk (the store grows with the closure)");
   Table serial_table({"algorithm", "n", "k", "wall ms", "states/s", "actions/s",
-                      "dedup hit-rate", "sleep cut", "verdict"});
+                      "dedup hit-rate", "verdict"});
   std::vector<mc::ModelCheckReport> serial_reports;
   std::vector<double> serial_ms_by_cell;
   for (const BenchCell& cell : bench_cells()) {
@@ -83,14 +81,15 @@ void print_report() {
          rate(static_cast<double>(s.total_actions), ms),
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
-         Table::num(static_cast<double>(s.sleep_pruned), 0), report.verdict});
+         report.verdict});
     serial_reports.push_back(std::move(report));
   }
   std::cout << serial_table;
 
-  print_section(std::cout, "Frontier-sharded walk (per-shard dedup)");
+  print_section(std::cout,
+                "Frontier-sharded walk (one store, reserved before workers)");
   Table sharded_table({"algorithm", "n", "k", "wall ms", "shards", "states/s",
-                       "dedup hit-rate", "speedup", "verdict match"});
+                       "dedup hit-rate", "speedup", "same closure"});
   std::size_t i = 0;
   for (const BenchCell& cell : bench_cells()) {
     mc::McOptions options;
@@ -101,6 +100,11 @@ void print_report() {
     const mc::McStats& s = report.stats;
     const double seen = static_cast<double>(s.states_expanded + s.states_deduped);
     const double serial_ms = serial_ms_by_cell[i];
+    const mc::ModelCheckReport& serial = serial_reports[i];
+    const bool same_closure =
+        report.verdict == serial.verdict &&
+        s.states_expanded == serial.stats.states_expanded &&
+        s.states_deduped == serial.stats.states_deduped;
     sharded_table.add_row(
         {std::string(core::to_string(cell.algorithm)), Table::num(cell.n),
          Table::num(cell.k), Table::num(ms, 2), Table::num(s.shards),
@@ -108,61 +112,31 @@ void print_report() {
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
          Table::num(serial_ms / (ms > 0 ? ms : 1), 2),
-         report.verdict == serial_reports[i].verdict ? "yes" : "NO"});
+         same_closure ? "yes" : "NO"});
     ++i;
   }
   std::cout << sharded_table;
 
-  print_section(std::cout,
-                "Shared-visited sharded walk (lock-free cross-shard dedup)");
-  Table shared_table({"algorithm", "n", "k", "wall ms", "shards", "states/s",
-                      "dedup hit-rate", "verdict match"});
-  i = 0;
-  for (const BenchCell& cell : bench_cells()) {
-    mc::McOptions options;
-    options.frontier_target = 8;
-    options.workers = 0;  // all cores
-    options.shared_visited = true;
-    mc::ModelCheckReport report;
-    const double ms = run_timed(cell_request(cell), options, report);
-    const mc::McStats& s = report.stats;
-    const double seen = static_cast<double>(s.states_expanded + s.states_deduped);
-    shared_table.add_row(
-        {std::string(core::to_string(cell.algorithm)), Table::num(cell.n),
-         Table::num(cell.k), Table::num(ms, 2), Table::num(s.shards),
-         rate(static_cast<double>(s.states_expanded), ms),
-         Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
-                    3),
-         report.verdict == serial_reports[i].verdict ? "yes" : "NO"});
-    ++i;
-  }
-  std::cout << shared_table;
-
-  std::cout << "\nSharding is worker-count-invariant by construction: private\n"
-               "visited maps pay cross-shard dedup loss (equal states in\n"
-               "different shards are both expanded); the lock-free shared set\n"
-               "recovers the dedup — claim-first insertion makes the counts a\n"
-               "function of the claimed closure, so they too are identical at\n"
-               "any worker count. Use frontier=1 when the state DAG is dense,\n"
-               "sharding when pruning is off.\n";
+  std::cout << "\nBoth walks expand the same closure: the sharded walk's\n"
+               "states and dedup counts equal the serial walk's at any\n"
+               "worker count, since every count is a function of the claimed\n"
+               "closure. Sharding adds one prefix replay per shard.\n";
 }
 
 void register_timings() {
   struct TimingCase {
     const char* name;
     std::size_t n, k;
-    bool dedup, sleep, shared;
+    bool dedup;
     std::size_t frontier, workers;
   };
   // bench_compare matches rows by name, so a renamed row reads as one
   // removed and one added.
   static constexpr TimingCase kCases[] = {
-      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, true, false, 1, 1},
-      {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, true, false, 8, 8},
-      {"mc/known-k-full/n=8/k=3/no-pruning", 8, 3, false, false, false, 1, 1},
-      {"mc/known-k-full/n=8/k=3/shared-visited-w8", 8, 3, true, true, true, 8,
-       8},
-      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, true, false, 1, 1},
+      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, 1, 1},
+      {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, 8, 8},
+      {"mc/known-k-full/n=8/k=3/no-pruning", 8, 3, false, 1, 1},
+      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, 1, 1},
   };
   for (const TimingCase& c : kCases) {
     benchmark::RegisterBenchmark(
@@ -174,8 +148,6 @@ void register_timings() {
           request.homes = gen::uniform_homes(c.n, c.k);
           mc::McOptions options;
           options.dedup_states = c.dedup;
-          options.sleep_sets = c.sleep;
-          options.shared_visited = c.shared;
           options.frontier_target = c.frontier;
           options.workers = c.workers;
           // The unpruned tree at n=8,k=3 is large; bound it so the timing

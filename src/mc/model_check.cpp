@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -12,7 +11,6 @@
 #include "explore/fuzz.h"
 #include "explore/replay.h"
 #include "sim/checker.h"
-#include "sim/footprint.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/visited_set.h"
@@ -22,21 +20,30 @@ namespace udring::mc {
 namespace {
 
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
-/// Bitmask width of the sleep sets.
-constexpr std::size_t kMaskAgents = 64;
+/// Slots the shard phase reserves at more than one worker when
+/// shared_visited_capacity is 0: 2^22 slots, 32 MiB.
+constexpr std::size_t kDefaultReserve = std::size_t{1} << 22;
 /// The DFS snapshots the configuration of every kSnapshotEvery-th stack
 /// frame; a backtrack copies the nearest snapshotted ancestor and re-steps
 /// at most kSnapshotEvery - 1 recorded branches. 8 keeps the snapshot stack
 /// of a ~200-deep walk at ~25 states.
 constexpr std::size_t kSnapshotEvery = 8;
 
-using AgentMask = VisitedMaskTable::Mask;
-
 /// A choice-tree node handed from the BFS frontier phase to a DFS shard:
-/// the schedule prefix that reaches it plus the sleep set it inherited.
-struct ShardNode {
-  std::vector<branch_index_t> prefix;
-  AgentMask sleep = 0;
+/// the schedule prefix that reaches it.
+using ShardRoot = std::vector<branch_index_t>;
+
+/// What every explorer of one check() shares: the visited store, the budget
+/// and the action counter it meters, and the stop flag a violation raises.
+struct Walk {
+  /// Starts at the set's 64-slot minimum and grows while single_owner.
+  LockFreeVisitedSet visited{0};
+  std::size_t budget = kUnlimited;
+  /// Actions executed so far across all explorers; kept only under a budget.
+  std::atomic<std::size_t> actions{0};
+  std::atomic<bool> stop{false};
+  /// True while one thread drives the walk: only then may the store grow.
+  bool single_owner = true;
 };
 
 [[nodiscard]] sim::Instance build_instance(const CheckRequest& request) {
@@ -66,26 +73,16 @@ struct ShardNode {
 
 /// One DFS (or BFS-expansion) engine over one pooled ExecutionState plus its
 /// own pool of snapshot states. Not thread-safe; shards own independent
-/// Explorers. In shared_visited mode the explorers additionally share the
-/// claim set, the global action counter and the stop flag — all the
-/// cross-thread state there is.
+/// Explorers, which share only the Walk.
 class Explorer {
  public:
   Explorer(const sim::Instance& instance, const sim::GoalOracle& oracle,
-           const McOptions& options, sim::ExecutionState& state,
-           std::size_t budget, VisitedMaskTable visited_seed,
-           LockFreeVisitedSet* shared_visited = nullptr,
-           std::atomic<std::size_t>* shared_actions = nullptr,
-           std::atomic<bool>* stop_flag = nullptr)
+           bool dedup, sim::ExecutionState& state, Walk& walk)
       : instance_(instance),
         oracle_(oracle),
-        options_(options),
+        dedup_(dedup),
         cur_(state),
-        budget_(budget),
-        visited_(std::move(visited_seed)),
-        shared_(shared_visited),
-        shared_actions_(shared_actions),
-        stop_flag_(stop_flag),
+        walk_(walk),
         fault_mode_(instance.options().faults.has_events()) {}
 
   McStats stats;
@@ -93,111 +90,73 @@ class Explorer {
   /// First violation in this explorer's deterministic walk order.
   std::optional<std::pair<std::vector<branch_index_t>, std::string>> violation;
 
-  [[nodiscard]] const VisitedMaskTable& visited() const noexcept {
-    return visited_;
-  }
-
-  /// Walks the whole subtree rooted at `prefix` (with inherited sleep set)
-  /// by iterative DFS. The prefix node must be an open interior node (the
-  /// tree root, or a node the BFS phase classified as open).
-  void dfs(const std::vector<branch_index_t>& prefix, AgentMask root_sleep) {
+  /// Walks the whole subtree rooted at `prefix` by iterative DFS. The prefix
+  /// node must be an open interior node (the tree root, or a node the BFS
+  /// phase classified as open).
+  void dfs(const std::vector<branch_index_t>& prefix) {
+    if (should_stop()) return;  // another shard already found a violation
     path_ = prefix;
     root_depth_ = prefix.size();
     reposition();
     std::vector<Frame> stack;
-    push_frame(stack, make_frame(root_sleep, 0));
+    push_frame(stack, make_frame());
 
     while (!stack.empty() && !violation && !budget_stop && !should_stop()) {
       Frame& f = stack.back();
-      const int b = pick_branch(f);
-      if (b < 0) {
+      if (f.next_branch == f.branches) {
         pop_frame(stack);
         continue;
       }
+      const branch_index_t b = f.next_branch++;
+      if (!at_tip_) restore(stack);
+      const std::size_t prev_tokens = cur_.total_tokens();
+      path_.push_back(b);
       if (f.rewire) {
         // Rewire node: the branch is a candidate stride index, not an agent.
         // Applying it consumes no simulator action — the configuration
         // changes only in its live successor map — so the child classifies
         // like any configuration (dedup folds the fault state).
-        if (!at_tip_) {
-          restore(stack);
-          if (!cur_.pending_rewire()) {
-            throw std::logic_error(
-                "mc: rewiring point vanished on snapshot restore "
-                "(determinism bug)");
-          }
-        }
-        path_.push_back(static_cast<branch_index_t>(b));
-        cur_.apply_rewire(static_cast<std::size_t>(b));
-        if (classify(f.sleep, cur_.total_tokens()) == NodeClass::Open) {
-          push_frame(stack, make_frame(f.sleep, f.entered_agent));
-        } else {
-          path_.pop_back();
-          at_tip_ = false;
-        }
-        continue;
+        cur_.apply_rewire(b);
+      } else {
+        step(f.agents[b]);
       }
-      const sim::AgentId agent = f.agents[static_cast<std::size_t>(b)];
-      if (!at_tip_) {
-        restore(stack);
-        sort_enabled();
-        if (sorted_ != f.agents) {
-          throw std::logic_error(
-              "mc: enabled set changed on snapshot restore (determinism bug)");
-        }
-      }
-      const AgentMask child_sleep = inherit_sleep(f.agents, f.sleep, agent);
-      const std::size_t prev_tokens = cur_.total_tokens();
-      path_.push_back(static_cast<branch_index_t>(b));
-      step(agent);
-      if (classify(child_sleep, prev_tokens) == NodeClass::Open) {
-        push_frame(stack, make_frame(child_sleep, agent));
+      if (classify(prev_tokens) == NodeClass::Open) {
+        push_frame(stack, make_frame());
       } else {
         path_.pop_back();
         at_tip_ = false;
-        if (options_.sleep_sets) f.sleep |= bit(agent);
       }
     }
   }
 
-  /// Expands every non-sleeping branch of every node of `level` one step,
-  /// appending surviving open children to `next` (the BFS frontier phase).
-  /// Stops early on violation or budget exhaustion.
-  void expand_level(const std::vector<ShardNode>& level,
-                    std::vector<ShardNode>& next) {
-    for (const ShardNode& node : level) {
-      if (violation || budget_stop || should_stop()) return;
-      path_ = node.prefix;
+  /// Expands every branch of every node of `level` one step, appending
+  /// surviving open children to `next` (the BFS frontier phase). Stops early
+  /// on violation or budget exhaustion.
+  void expand_level(const std::vector<ShardRoot>& level,
+                    std::vector<ShardRoot>& next) {
+    for (const ShardRoot& node : level) {
+      if (violation || budget_stop) return;
+      path_ = node;
       reposition();
       save_snapshot(0);
       sort_enabled();
       // Stepping invalidates the tip, and each sibling restores the node's
       // snapshot; copy the branch agents up front.
       const std::vector<sim::AgentId> agents = sorted_;
-      AgentMask sleep = node.sleep;
       ++stats.states_expanded;
       const auto branch_count = static_cast<branch_index_t>(agents.size());
       for (branch_index_t b = 0; b < branch_count; ++b) {
-        if (violation || budget_stop || should_stop()) return;
-        const sim::AgentId agent = agents[b];
-        if (options_.sleep_sets && (sleep & bit(agent)) != 0) {
-          ++stats.sleep_pruned;
-          continue;
-        }
+        if (violation || budget_stop) return;
         if (!at_tip_) {
           cur_ = snapshots_[0];
           at_tip_ = true;
         }
-        const AgentMask child_sleep = inherit_sleep(agents, sleep, agent);
         const std::size_t prev_tokens = cur_.total_tokens();
         path_.push_back(b);
-        step(agent);
-        if (classify(child_sleep, prev_tokens) == NodeClass::Open) {
-          next.push_back({path_, child_sleep});
-        }
+        step(agents[b]);
+        if (classify(prev_tokens) == NodeClass::Open) next.push_back(path_);
         path_.pop_back();
         at_tip_ = false;
-        if (options_.sleep_sets) sleep |= bit(agent);
       }
     }
   }
@@ -205,87 +164,41 @@ class Explorer {
  private:
   struct Frame {
     std::vector<sim::AgentId> agents;  ///< sorted enabled set at this node
-    AgentMask enabled_mask = 0;
-    AgentMask sleep = 0;
-    AgentMask done = 0;              ///< branches explored (or sleep-handled)
-    branch_index_t next_branch = 0;  ///< sequential fallback (> 64 agents)
-    bool rewire = false;             ///< branches = rewiring candidate strides
-    branch_index_t rewire_branches = 0;  ///< candidate count of a rewire node
-    sim::AgentId entered_agent = 0;  ///< edge into this node (parent's pick)
+    branch_index_t branches = 0;       ///< agents, or rewiring candidates
+    branch_index_t next_branch = 0;    ///< next branch to explore
+    bool rewire = false;               ///< branches = rewiring candidate strides
   };
 
   /// A configuration just stepped into is Open (interior: the caller pushes
   /// a frame / emits a BFS child) or a Leaf.
   enum class NodeClass { Open, Leaf };
 
-  [[nodiscard]] static AgentMask bit(sim::AgentId agent) noexcept {
-    return AgentMask{1} << agent;
-  }
-  [[nodiscard]] bool masks_usable() const noexcept {
-    return cur_.agent_count() <= kMaskAgents;
-  }
   [[nodiscard]] bool should_stop() const noexcept {
-    return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
+    return walk_.stop.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] Frame make_frame(AgentMask sleep, sim::AgentId entered) {
+  [[nodiscard]] Frame make_frame() {
     ++stats.states_expanded;
     Frame f;
-    f.sleep = sleep;
-    f.entered_agent = entered;
     if (fault_mode_ && cur_.pending_rewire()) {
       // A pending rewiring is its own choice-tree level: branches are the
-      // candidate stride indices. Sleep sets are forced off under event
-      // plans (mc::check), so the frame only needs the sequential branch
-      // cursor.
+      // candidate stride indices.
       f.rewire = true;
-      f.rewire_branches =
-          static_cast<branch_index_t>(cur_.rewire_candidate_count());
+      f.branches = static_cast<branch_index_t>(cur_.rewire_candidate_count());
       return f;
     }
     sort_enabled();
     f.agents = sorted_;
-    if (masks_usable()) {
-      for (const sim::AgentId a : f.agents) f.enabled_mask |= bit(a);
-    }
+    f.branches = static_cast<branch_index_t>(f.agents.size());
     return f;
   }
 
-  /// Next branch of `f` to explore, or -1 when the frame is exhausted.
-  /// Bitmask-driven (lowest eligible agent id = sorted branch order); falls
-  /// back to a plain scan when the instance exceeds the mask width, where
-  /// sleep sets are auto-disabled anyway.
-  [[nodiscard]] int pick_branch(Frame& f) {
-    if (f.rewire) {
-      if (f.next_branch >= f.rewire_branches) return -1;
-      return static_cast<int>(f.next_branch++);
-    }
-    if (!masks_usable()) {
-      if (f.next_branch >= f.agents.size()) return -1;
-      return static_cast<int>(f.next_branch++);
-    }
-    const AgentMask avail = f.enabled_mask & ~f.done & ~f.sleep;
-    if (avail == 0) return -1;
-    const auto agent =
-        static_cast<sim::AgentId>(std::countr_zero(avail));
-    f.done |= bit(agent);
-    const auto it = std::lower_bound(f.agents.begin(), f.agents.end(), agent);
-    return static_cast<int>(it - f.agents.begin());
-  }
-
-  /// Pops the exhausted top frame: accounts the branches sleep sets left
-  /// unexplored and applies the sleep-set edge rule to the parent.
+  /// Pops the exhausted top frame and leaves the parent off its tip.
   void pop_frame(std::vector<Frame>& stack) {
-    const Frame& f = stack.back();
-    if (masks_usable()) {
-      stats.sleep_pruned += std::popcount(f.enabled_mask & ~f.done & f.sleep);
-    }
-    const sim::AgentId entered = f.entered_agent;
     stack.pop_back();
     if (!stack.empty()) {
       path_.pop_back();
       at_tip_ = false;
-      if (options_.sleep_sets) stack.back().sleep |= bit(entered);
     }
   }
 
@@ -338,8 +251,8 @@ class Explorer {
 
   /// Moves cur_ back to the configuration of stack.back() after a descent
   /// left it at a child: copies the nearest snapshotted ancestor frame, then
-  /// re-steps the branches path_ recorded below it. The caller re-checks the
-  /// restored node against its frame (the determinism check).
+  /// re-steps the branches path_ recorded below it, and checks the restored
+  /// node against its frame (the determinism check).
   void restore(const std::vector<Frame>& stack) {
     const std::size_t top = stack.size() - 1;
     const std::size_t base = top - top % kSnapshotEvery;
@@ -361,12 +274,26 @@ class Explorer {
     }
     count_actions(actions);
     at_tip_ = true;
+    const Frame& f = stack.back();
+    if (f.rewire) {
+      if (!cur_.pending_rewire()) {
+        throw std::logic_error(
+            "mc: rewiring point vanished on snapshot restore "
+            "(determinism bug)");
+      }
+      return;
+    }
+    sort_enabled();
+    if (sorted_ != f.agents) {
+      throw std::logic_error(
+          "mc: enabled set changed on snapshot restore (determinism bug)");
+    }
   }
 
   void count_actions(std::size_t actions) {
     stats.total_actions += actions;
-    if (shared_actions_ != nullptr) {
-      shared_actions_->fetch_add(actions, std::memory_order_relaxed);
+    if (walk_.budget != kUnlimited) {
+      walk_.actions.fetch_add(actions, std::memory_order_relaxed);
     }
   }
 
@@ -383,30 +310,11 @@ class Explorer {
     stats.max_depth = std::max(stats.max_depth, path_.size());
   }
 
-  /// Sleeping agents that stay asleep across the edge taken by `agent`:
-  /// those whose pending action is independent of it (conservative
-  /// footprint disjointness on {node, next(node)}). `enabled_agents` is the
-  /// node's enabled set (sleep ⊆ enabled always holds — see model_check.h).
-  [[nodiscard]] AgentMask inherit_sleep(
-      const std::vector<sim::AgentId>& enabled_agents, AgentMask sleep,
-      sim::AgentId agent) const {
-    if (!options_.sleep_sets || sleep == 0) return 0;
-    AgentMask child = 0;
-    for (const sim::AgentId z : enabled_agents) {
-      if ((sleep & bit(z)) != 0 && independent(z, agent)) child |= bit(z);
-    }
-    return child;
-  }
-
-  [[nodiscard]] bool independent(sim::AgentId a, sim::AgentId b) const {
-    return sim::independent_actions(cur_, a, b);
-  }
-
   /// Classifies the configuration just stepped into. Everything but an
   /// interior node is a leaf — quiescent schedule, violation, action limit,
   /// budget stop, or a dedup hit. Mirrors the fuzzer's drive_checked
   /// verdicts exactly, so a counterexample replays to the same failure.
-  [[nodiscard]] NodeClass classify(AgentMask sleep, std::size_t prev_tokens) {
+  [[nodiscard]] NodeClass classify(std::size_t prev_tokens) {
     const sim::CheckResult invariants = oracle_.check_action(cur_, prev_tokens);
     if (!invariants) {
       violation = {path_, "invariant: " + invariants.reason};
@@ -428,55 +336,49 @@ class Explorer {
       signal_stop();
       return NodeClass::Leaf;
     }
-    if (budget_ != kUnlimited && actions_spent() >= budget_) {
+    if (walk_.budget != kUnlimited &&
+        walk_.actions.load(std::memory_order_relaxed) >= walk_.budget) {
       budget_stop = true;
       return NodeClass::Leaf;
     }
-    if (!options_.dedup_states) return NodeClass::Open;
-
-    const std::uint64_t key = cur_.config_digest();
-    if (shared_ != nullptr) {
-      switch (shared_->insert(key)) {
-        case LockFreeVisitedSet::Insert::Claimed:
-          return NodeClass::Open;
-        case LockFreeVisitedSet::Insert::Present:
-          ++stats.states_deduped;
-          return NodeClass::Leaf;
-        case LockFreeVisitedSet::Insert::Full:
-          budget_stop = true;  // undersized table: degrade, never lie
-          return NodeClass::Leaf;
-      }
+    if (!dedup_) return NodeClass::Open;
+    switch (claim(cur_.config_digest())) {
+      case LockFreeVisitedSet::Insert::Claimed:
+        return NodeClass::Open;
+      case LockFreeVisitedSet::Insert::Present:
+        ++stats.states_deduped;
+        return NodeClass::Leaf;
+      case LockFreeVisitedSet::Insert::Full:
+        budget_stop = true;  // reserve too small: degrade, never lie
+        return NodeClass::Leaf;
     }
-    // Subset rule: covered when an earlier expansion's sleep set is a
-    // subset of this one (util/visited_set.h).
-    if (visited_.covered_or_insert(key, sleep)) {
-      ++stats.states_deduped;
-      return NodeClass::Leaf;
-    }
-    return NodeClass::Open;
+    return NodeClass::Leaf;  // unreachable: the switch covers every answer
   }
 
-  [[nodiscard]] std::size_t actions_spent() const noexcept {
-    return shared_actions_ != nullptr
-               ? shared_actions_->load(std::memory_order_relaxed)
-               : stats.total_actions;
+  /// Claims `key` in the walk's store. A single owner keeps the load at most
+  /// 3/4, which keeps probe runs short, and grows past a Full answer (a
+  /// probe run past its bound), so only a multi-worker walk ever sees Full.
+  [[nodiscard]] LockFreeVisitedSet::Insert claim(std::uint64_t key) {
+    LockFreeVisitedSet& visited = walk_.visited;
+    if (!walk_.single_owner) return visited.insert(key);
+    if (visited.size() >= visited.capacity() / 4 * 3) visited.grow();
+    LockFreeVisitedSet::Insert answer = visited.insert(key);
+    while (answer == LockFreeVisitedSet::Insert::Full) {
+      visited.grow();
+      answer = visited.insert(key);
+    }
+    return answer;
   }
 
   void signal_stop() noexcept {
-    if (stop_flag_ != nullptr) {
-      stop_flag_->store(true, std::memory_order_relaxed);
-    }
+    walk_.stop.store(true, std::memory_order_relaxed);
   }
 
   const sim::Instance& instance_;
   const sim::GoalOracle& oracle_;
-  const McOptions& options_;
+  const bool dedup_;
   sim::ExecutionState& cur_;
-  std::size_t budget_ = kUnlimited;
-  VisitedMaskTable visited_;
-  LockFreeVisitedSet* shared_ = nullptr;
-  std::atomic<std::size_t>* shared_actions_ = nullptr;
-  std::atomic<bool>* stop_flag_ = nullptr;
+  Walk& walk_;
   /// True when the instance's fault plan has events: rewire choice levels
   /// exist (and the walk is one shard rooted at C_0).
   const bool fault_mode_ = false;
@@ -519,8 +421,8 @@ void fold_stats(std::uint64_t& state, const McStats& stats) {
   fold64(state, stats.schedules);
   fold64(state, stats.states_expanded);
   fold64(state, stats.states_deduped);
-  fold64(state, stats.sleep_pruned);
-  fold64(state, stats.dpor_pruned);  // always 0; keeps the digest layout
+  fold64(state, stats.sleep_pruned);  // always 0; keeps the digest layout
+  fold64(state, stats.dpor_pruned);   // always 0; keeps the digest layout
   fold64(state, stats.replays);
   fold64(state, stats.total_actions);
   fold64(state, stats.max_depth);
@@ -531,7 +433,6 @@ void accumulate(McStats& into, const McStats& from) {
   into.schedules += from.schedules;
   into.states_expanded += from.states_expanded;
   into.states_deduped += from.states_deduped;
-  into.sleep_pruned += from.sleep_pruned;
   into.replays += from.replays;
   into.total_actions += from.total_actions;
   into.max_depth = std::max(into.max_depth, from.max_depth);
@@ -565,29 +466,17 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
     throw std::invalid_argument(
         "mc::check: agent count exceeds branch_index_t range");
   }
-  McOptions opts = options;
-  if (request.homes.size() > kMaskAgents) {  // bitmask width
-    opts.sleep_sets = false;
-  }
-  if (request.faults.has_events()) {
-    // Crash-stop faults and rewirings are global events the footprint
-    // independence relation does not model (a crash at action t is not a
-    // local transition two agents can commute around), so sleep sets are
-    // unsound across fault boundaries and are forced off. The BFS frontier
-    // phase is skipped too — rewiring choice levels exist only in the DFS
-    // walk. Dedup stays sound because config_digest folds the live fault
-    // state.
-    opts.sleep_sets = false;
-    opts.frontier_target = 1;
-  }
-  if (opts.shared_visited && opts.dedup_states) {
-    // The shared claim set turns the walk into a closure over the state
-    // DAG; the path-dependent sleep sets are unsound against racing claims.
-    opts.sleep_sets = false;
-  } else {
-    opts.shared_visited = false;  // meaningless without dedup
-  }
-  if (opts.frontier_target == 0) opts.frontier_target = 1;
+  // Validated here, at any worker count, so a bad capacity fails the same
+  // way whether or not this walk would ever reserve it.
+  const std::size_t reserve = LockFreeVisitedSet::slot_count(
+      options.shared_visited_capacity != 0 ? options.shared_visited_capacity
+                                           : kDefaultReserve);
+  // Rewiring choice levels exist only in the DFS walk, so fault plans with
+  // events skip the BFS frontier phase and walk as one shard rooted at C_0.
+  // Dedup stays sound because config_digest folds the live fault state.
+  const std::size_t frontier_target =
+      request.faults.has_events() ? 1 : std::max<std::size_t>(
+                                            options.frontier_target, 1);
 
   const sim::Instance instance = build_instance(request);
   // One immutable oracle for the whole walk, shared by the root explorer
@@ -595,34 +484,21 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
   // stateless).
   const std::unique_ptr<sim::GoalOracle> oracle =
       core::make_goal_oracle(request.algorithm, request.problem);
-  const std::size_t budget =
-      opts.budget_actions == 0 ? kUnlimited : opts.budget_actions;
-
-  std::unique_ptr<LockFreeVisitedSet> shared;
-  std::atomic<std::size_t> shared_actions{0};
-  std::atomic<bool> shared_stop{false};
-  if (opts.shared_visited) {
-    const std::size_t capacity = opts.shared_visited_capacity != 0
-                                     ? opts.shared_visited_capacity
-                                     : (std::size_t{1} << 22);
-    shared = std::make_unique<LockFreeVisitedSet>(capacity);
-  }
-  LockFreeVisitedSet* shared_ptr = shared.get();
-  std::atomic<std::size_t>* actions_ptr =
-      opts.shared_visited ? &shared_actions : nullptr;
-  std::atomic<bool>* stop_ptr = opts.shared_visited ? &shared_stop : nullptr;
+  Walk walk;
+  walk.budget =
+      options.budget_actions == 0 ? kUnlimited : options.budget_actions;
 
   ModelCheckReport report;
 
   // ---- frontier phase (serial, deterministic) -------------------------------
   core::RunContext root_context;
-  Explorer root(instance, *oracle, opts, root_context.state(), budget, {},
-                shared_ptr, actions_ptr, stop_ptr);
-  std::vector<ShardNode> level = {{{}, 0}};
+  Explorer root(instance, *oracle, options.dedup_states, root_context.state(),
+                walk);
+  std::vector<ShardRoot> level = {{}};
   bool resolved_in_bfs = false;
-  if (opts.frontier_target > 1) {
-    std::vector<ShardNode> next;
-    while (level.size() < opts.frontier_target && !root.violation &&
+  if (frontier_target > 1) {
+    std::vector<ShardRoot> next;
+    while (level.size() < frontier_target && !root.violation &&
            !root.budget_stop) {
       next.clear();
       root.expand_level(level, next);
@@ -639,28 +515,15 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
   bool budget_stop = root.budget_stop;
 
   // ---- shard phase ----------------------------------------------------------
+  std::size_t workers = 1;
   if (!violation && !budget_stop && !resolved_in_bfs) {
-    const std::vector<ShardNode> shards = std::move(level);
+    const std::vector<ShardRoot> shards = std::move(level);
     report.stats.shards = shards.size();
-    // Deterministic budget split: what the frontier phase left, divided
-    // across shards (remainder to the first ones). Never depends on workers.
-    // In shared mode the budget is global instead — shards meter the one
-    // atomic action counter, and the exceeded/not verdict is a function of
-    // the closure's total work, not of the racing split.
-    std::vector<std::size_t> shard_budget(shards.size(), kUnlimited);
-    if (budget != kUnlimited) {
-      if (opts.shared_visited) {
-        std::fill(shard_budget.begin(), shard_budget.end(), budget);
-      } else {
-        const std::size_t remaining =
-            budget > report.stats.total_actions
-                ? budget - report.stats.total_actions
-                : 0;
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-          shard_budget[i] = remaining / shards.size() +
-                            (i < remaining % shards.size() ? 1 : 0);
-        }
-      }
+    workers = resolve_workers(shards.size(), options.workers);
+    if (workers > 1) {
+      // The store cannot grow under racing workers: fix its capacity first.
+      walk.single_owner = false;
+      if (options.dedup_states) walk.visited.reserve(reserve);
     }
 
     struct ShardOutcome {
@@ -670,25 +533,16 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
           violation;
     };
     std::vector<ShardOutcome> outcomes(shards.size());
-    const std::size_t workers = resolve_workers(shards.size(), opts.workers);
     std::vector<std::unique_ptr<core::RunContext>> contexts;
     contexts.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       contexts.push_back(std::make_unique<core::RunContext>());
     }
-    // Each shard copies the frontier phase's visited table as its seed:
-    // states the frontier already resolved are covered by some shard's
-    // subtree, so re-encounters skip (soundness argument in the header).
-    // Per-shard tables never cross worker boundaries — determinism like the
-    // campaign engine. In shared mode the tables are empty and the claim
-    // set carries it all.
-    const VisitedMaskTable& seed = root.visited();
     parallel_for_workers(
         shards.size(), workers, [&](std::size_t worker, std::size_t i) {
-          Explorer shard(instance, *oracle, opts, contexts[worker]->state(),
-                         shard_budget[i], seed, shared_ptr, actions_ptr,
-                         stop_ptr);
-          shard.dfs(shards[i].prefix, shards[i].sleep);
+          Explorer shard(instance, *oracle, options.dedup_states,
+                         contexts[worker]->state(), walk);
+          shard.dfs(shards[i]);
           outcomes[i] = {shard.stats, shard.budget_stop,
                          std::move(shard.violation)};
         });
@@ -701,14 +555,14 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
 
   // ---- verdict --------------------------------------------------------------
   if (violation) {
-    if (opts.shared_visited) {
+    if (workers > 1) {
       // Which shard reaches a violating state first is a race; the
-      // existence of one is not. Re-check without the shared set so the
-      // counterexample (and every count) comes from the deterministic tree
-      // walk — byte-identical at any worker count.
-      McOptions fallback = options;
-      fallback.shared_visited = false;
-      return check(request, fallback);
+      // existence of one is not. Re-check at one worker with the same
+      // frontier: that walk is deterministic over the one store, so the
+      // counterexample and every count are the same at any worker count.
+      McOptions serial = options;
+      serial.workers = 1;
+      return check(request, serial);
     }
     report.ok = false;
     report.complete = false;
@@ -898,9 +752,8 @@ Table GridReport::summary_table() const {
         return cell.problem.kind != core::Problem::Auto;
       });
   std::vector<std::string> headers = {
-      "algorithm", "family",    "n",       "k",            "l",
-      "rep",       "schedules", "states",  "deduped",      "sleep-pruned",
-      "actions",   "verdict"};
+      "algorithm", "family", "n",       "k",       "l",      "rep",
+      "schedules", "states", "deduped", "actions", "verdict"};
   if (show_problem) headers.insert(headers.begin() + 1, "problem");
   Table table(std::move(headers));
   for (const GridCell& cell : cells) {
@@ -911,8 +764,7 @@ Table GridReport::summary_table() const {
         Table::num(cell.agent_count), Table::num(cell.symmetry),
         Table::num(static_cast<std::size_t>(cell.repetition)),
         Table::num(s.schedules), Table::num(s.states_expanded),
-        Table::num(s.states_deduped), Table::num(s.sleep_pruned),
-        Table::num(s.total_actions),
+        Table::num(s.states_deduped), Table::num(s.total_actions),
         cell.report.complete && cell.report.ok
             ? "verified over all schedules"
             : (cell.report.ok ? "budget" : "VIOLATION")};

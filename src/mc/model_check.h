@@ -10,9 +10,9 @@
 // 0..|enabled|-1 into the sorted enabled set, and every root-to-leaf path IS
 // a ScheduleTrace — so a violating path is immediately a replayable artifact
 // for `udring_fuzz --replay` and shrink_trace, and "verified" means every
-// schedule of the instance was executed (modulo the sound prunings below)
-// with check_model_invariants after each action and the algorithm's goal
-// oracle at quiescence, exactly the fuzzer's per-run verdict.
+// schedule of the instance was executed (modulo the dedup below) with
+// check_model_invariants after each action and the algorithm's goal oracle
+// at quiescence, exactly the fuzzer's per-run verdict.
 //
 // The walk is an iterative DFS with an explicit prefix stack over a pooled
 // sim::ExecutionState: descending one level is one atomic action. Agent
@@ -30,73 +30,63 @@
 // out-of-range/exhausted pick as the same bug; McStats::replays counts those
 // replays, so a serial walk reports 0.
 //
-// Two prunings, both verdict-preserving (pinned by test_mc.cpp's
-// pruned == unpruned grids over every combination of the option flags):
-//  - Visited-state dedup on ExecutionState::config_digest(): a configuration
-//    reached again (necessarily at the same depth — the digest folds
-//    per-agent action counts) is not re-expanded. Combined with sleep sets
-//    via the standard subset rule: a state is skipped only when it was
-//    previously expanded with a sleep set that is a SUBSET of the current
-//    one (the stored exploration covered a superset of the transitions the
-//    current visit would explore). The serial store is a
-//    util::VisitedMaskTable: one flat linear-probing array of 16-byte
-//    {digest, sleep mask} slots, one slot per stored mask, the masks of one
-//    digest in its probe run. A mask that is not covered overwrites one
-//    stored superset it dominates in place, or takes the run's empty slot;
-//    other dominated supersets may stay, since a kept superset M of a
-//    stored mask S covers a sleep set only when S does (S ⊆ M ⊆ Q), so
-//    the covered answers are exactly the erase-all-dominated rule's.
-//  - Sleep sets (last-agent independence): after branch `a` of a node is
-//    fully explored, `a` sleeps for the node's later branches; a child
-//    inherits the sleeping agents that are independent of the edge taken.
-//    Independence is conservative footprint disjointness — an enabled
-//    agent's next action can only touch its node (arrival, tokens,
-//    broadcast, staying set, queue head) and its successor node's link
-//    queue (departure), so two agents with disjoint {node, next(node)}
-//    footprints commute and cannot enable/disable each other, including
-//    under the non-FIFO fault (overtaking eligibility is a queue-membership
-//    property of those same nodes).
+// ## The closure
+//
+// With dedup on (the default) the walk is the closure of the reachable
+// configurations: each configuration is expanded once, on every enabled
+// branch, and a configuration reached again is a leaf. Dedup keys on
+// ExecutionState::config_digest(), which folds per-agent action counts, so
+// every path to a configuration has the same length and the state graph is
+// a DAG. The reduction is state equivalence alone, which keeps every
+// verdict (test_mc.cpp pins dedup on == dedup off on enumerable grids).
+// `dedup_states = false` walks the unpruned tree, the reference for those
+// grids.
+//
+// ## One store
+//
+// Every explorer of one check() — the serial walk, the BFS frontier phase
+// and every shard — claims configurations in one util::LockFreeVisitedSet
+// (util/visited_set.h): the first arrival at a configuration claims and
+// expands it, every later arrival skips it. The set grows only under a
+// single owner, so the rule is:
+//  - while one thread drives the walk (a serial walk, the BFS phase, a shard
+//    phase at one worker), the store starts at 64 slots and doubles as the
+//    closure grows; such a walk never reports a full table;
+//  - a shard phase at more than one worker first reserves
+//    `shared_visited_capacity` slots and then runs at that fixed capacity.
+//    If the closure overfills it, the walk degrades to "budget-exhausted",
+//    never to a wrong verdict.
+//
+// ## Parallel mode
 //
 // Parallel mode is frontier-sharded: a serial BFS expands the tree until a
 // level has at least `frontier_target` open nodes (one replay per node, its
 // siblings restored from the node's snapshot), each frontier node (its
-// choice prefix + inherited sleep set) becomes one shard, and shards run
-// DFS walks across util::parallel_for_workers with one pooled
-// core::RunContext per worker. The shard decomposition, per-shard budgets
-// and per-shard visited tables (each seeded with a copy of the BFS phase's
-// table) depend only on the options — never on the worker count — and
-// reports fold in shard index order, so schedules/states/verdict and
-// digest() are byte-identical at any parallelism, the same contract as
-// exp::run_campaign.
+// choice prefix) becomes one shard, and shards run DFS walks across
+// util::parallel_for_workers with one pooled core::RunContext per worker.
+// The budget meters one action counter across the whole walk, and a
+// violation anywhere stops every shard.
 //
-// `shared_visited` swaps the per-shard tables for one lock-free
-// LockFreeVisitedSet (util/visited_set.h) shared by the BFS phase and every
-// shard: the first arrival at a configuration claims it and expands it,
-// every later arrival from any shard skips it, which eliminates the
-// cross-shard re-exploration tax entirely and turns the walk into a
-// closure over the state DAG. The path-dependent sleep sets are
-// force-disabled in this mode — a state claimed under one path's sleep
-// set must still be expanded with every branch — and determinism survives
-// the racing claims because every reported number is a function of the
-// closure itself, not of who claimed what: each reachable state is
-// expanded exactly once by whichever shard wins it, each edge out of a
-// claimed state is explored exactly once, all paths to a state have equal
-// length (depth is a function of the state), and the report folds only
-// sums and maxima of those quantities. Verdicts and all counts therefore
-// stay byte-identical at any worker count for walks that complete; a
-// budget-stopped walk keeps a deterministic verdict but its partial
-// counters depend on where the global budget landed. One caveat bounds the
-// contract: when the closure's size approaches the shared table's fill
-// limit (~7/8 of capacity), whether some insert observes Full — via the
+// Determinism survives the racing claims because every reported number is
+// a function of the closure itself, not of who claimed what: each reachable
+// state is expanded exactly once by whichever shard wins it, each edge out
+// of a claimed state is explored exactly once, all paths to a state have
+// equal length (depth is a function of the state), and the report folds
+// only sums and maxima of those quantities. Verdicts and all counts
+// therefore stay byte-identical at any worker count for walks that
+// complete; a budget-stopped walk keeps a deterministic verdict but its
+// partial counters depend on where the global budget landed. One caveat
+// bounds the contract: when the closure's size approaches the reserved
+// capacity's fill limit (~7/8), whether some insert observes Full — via the
 // racy fill gate or a clustered probe run — depends on the racing claim
 // order, so the same instance may report "verified" in one run and
 // "budget-exhausted" in another at that boundary. The verdict is never
-// wrong, only unstably incomplete; size the table (shared_visited_capacity)
-// so the closure fits comfortably under the limit and the complete /
-// incomplete boundary is deterministic too. A violating instance
-// is re-checked without the shared set (the deterministic tree walk) so
-// the counterexample trace is byte-identical too — the shared set
-// accelerates the common "verified" case.
+// wrong, only unstably incomplete; size the reserve so the closure fits
+// comfortably under the limit. Which shard reaches a violating state first
+// is a race too, so a violation found at more than one worker is re-checked
+// at one worker with the same frontier: that walk is deterministic over the
+// one store, and its report — counterexample included — is the report at
+// every worker count.
 
 #pragma once
 
@@ -148,8 +138,7 @@ struct CheckRequest {
   /// rewiring the node's branches are the candidate strides instead of
   /// agents, so counterexample traces carry the adversary's rewiring choices
   /// in `choices` and replay through the ordinary pick_index path. Plans
-  /// with events force sleep sets off (a crash is a global asymmetric event
-  /// their independence relation does not model); dedup stays sound because
+  /// with events walk as one shard rooted at C_0; dedup stays sound because
   /// config_digest folds the live fault state.
   sim::FaultPlan faults;
   /// Per-schedule action cap; 0 = the simulator's auto limit. Hitting it on
@@ -159,32 +148,27 @@ struct CheckRequest {
 };
 
 struct McOptions {
-  /// (a) visited-state deduplication on ExecutionState::config_digest().
+  /// Visited-state deduplication on ExecutionState::config_digest(): the
+  /// walk is the closure of the reachable configurations. Off = the unpruned
+  /// tree, the reference the pruned == unpruned tests compare against.
   bool dedup_states = true;
-  /// (b) sleep-set / last-agent independence pruning. Auto-disabled when
-  /// the instance has more than 64 agents (the sleep mask is a bitmask —
-  /// exhaustive checking far beyond that is hopeless anyway).
-  bool sleep_sets = true;
-  /// Replace the per-shard visited tables with one lock-free open-addressing
-  /// hash set (util/visited_set.h) shared across the BFS phase and every
-  /// frontier shard. Eliminates cross-shard re-exploration; forces
-  /// sleep_sets off; ignored when dedup_states is off. See the
-  /// header comment for the determinism contract.
-  bool shared_visited = false;
-  /// Slot count of the shared set (0 = auto, currently 2^22 ≈ 32 MiB).
-  /// Overflow degrades the verdict to "budget-exhausted", never corrupts
-  /// it — but near the fill limit WHICH runs overflow is claim-order
-  /// dependent (header comment), so size generously for a deterministic
-  /// complete/incomplete boundary.
+  /// Slot count a shard phase at more than one worker reserves in the
+  /// visited store before its workers start (0 = auto, currently 2^22 ≈
+  /// 32 MiB). The store cannot grow while workers race on it, so overflow
+  /// degrades the verdict to "budget-exhausted", never corrupts it — but
+  /// near the fill limit WHICH runs overflow is claim-order dependent
+  /// (header comment), so size generously for a deterministic
+  /// complete/incomplete boundary. A walk one thread drives ignores it and
+  /// grows the store instead. A value whose power-of-two slot array
+  /// overflows std::size_t is rejected (std::invalid_argument) at any
+  /// worker count.
   std::size_t shared_visited_capacity = 0;
-  /// Global budget on executed simulator actions — every action the walk
-  /// executes: tree edges, snapshot-restore re-steps and shard-root replays
-  /// (0 = unlimited). Split deterministically across shards, so exceeding
-  /// it yields `complete = false` at any worker count identically. With
-  /// snapshot restores a pruned serial walk spends ~5 actions per expanded
-  /// state (the unpruned n=8 tree ~2); replaying every backtrack's prefix
-  /// from C_0 cost 35–75 on the same walks, so a budget sized for that
-  /// walks ~6–15× more states now (~3× on the unpruned tree).
+  /// Budget on executed simulator actions over the whole walk — every
+  /// action it executes: tree edges, snapshot-restore re-steps and shard-root
+  /// replays (0 = unlimited). Exceeding it yields `complete = false`. With
+  /// snapshot restores the closure spends ~11–12 actions per expanded state
+  /// (every enabled branch of every configuration; the unpruned n=8 tree
+  /// ~2).
   std::size_t budget_actions = 0;
   /// Frontier sharding target: the BFS phase expands until a level has at
   /// least this many open nodes, each of which becomes one DFS shard.
@@ -192,7 +176,7 @@ struct McOptions {
   /// cut, never the verdict.
   std::size_t frontier_target = 1;
   /// Worker threads executing shards (resolve_workers semantics; 0 = all
-  /// cores). Never affects any reported number.
+  /// cores). Never affects any reported number of a complete walk.
   std::size_t workers = 1;
 };
 
@@ -200,7 +184,7 @@ struct McStats {
   std::size_t schedules = 0;        ///< complete schedules (quiescent or limit leaves)
   std::size_t states_expanded = 0;  ///< choice-tree nodes expanded
   std::size_t states_deduped = 0;   ///< subtrees cut by the visited-state hash
-  std::size_t sleep_pruned = 0;     ///< branches cut by sleep sets
+  std::size_t sleep_pruned = 0;     ///< always 0 (no sleep sets); kept in digest()
   std::size_t dpor_pruned = 0;      ///< always 0 (no DPOR); kept in digest()
   std::size_t replays = 0;          ///< prefix re-executions from C_0 (shard roots, BFS nodes)
   std::size_t total_actions = 0;    ///< simulator actions executed, restore re-steps and replays included
@@ -209,8 +193,8 @@ struct McStats {
 };
 
 struct ModelCheckReport {
-  /// True when the (pruned) choice tree was walked to exhaustion within the
-  /// budget. `ok && complete` is the "verified over all schedules" verdict.
+  /// True when the closure (or, without dedup, the tree) was walked to
+  /// exhaustion within the budget. `ok && complete` is the "verified over all schedules" verdict.
   bool complete = false;
   /// False as soon as any branch violated an invariant, failed its goal
   /// oracle at quiescence, or hit the action limit.
@@ -289,7 +273,7 @@ struct GridReport {
   }
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// One row per cell: coordinates, schedule/state counts, prune counters,
+  /// One row per cell: coordinates, schedule/state/dedup/action counts,
   /// and a "verified over all schedules" / "VIOLATION" / "budget" verdict —
   /// the exhaustive sibling of exp::CampaignResult::summary_table().
   [[nodiscard]] Table summary_table() const;

@@ -71,9 +71,9 @@ struct CheckResult {
 /// Incremental form of check_model_invariants for per-action checking at
 /// fuzz scale (n ≫ 100): instead of re-walking every node and queue after
 /// every atomic action, it revalidates only the action's conservative node
-/// footprint (ExecutionState::last_action_nodes() — {node, next(node)},
-/// the same bound the mc:: sleep sets use) against shadow queue-membership
-/// counts it maintains, in O(dirty) per action. Token monotonicity stays a
+/// footprint (ExecutionState::last_action_nodes(), inside the pre-action
+/// pair {node, live_next(node)}) against shadow queue-membership counts it
+/// maintains, in O(dirty) per action. Token monotonicity stays a
 /// full check — total_tokens() is O(1).
 ///
 /// Soundness: a *legal* atomic action can only change state at its

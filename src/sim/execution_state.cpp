@@ -388,8 +388,8 @@ void ExecutionState::execute_action_impl(AgentId id) {
   // Footprint bookkeeping for incremental oracles: this action can only
   // touch the node it executes at (c.node — the arrival node when in
   // transit, the staying node otherwise) and, if it moves, the successor —
-  // the conservative bound sim/footprint.h defines, narrowed post hoc to
-  // the nodes actually touched.
+  // the conservative pre-action bound {node, live_next(node)}, narrowed
+  // post hoc to the nodes actually touched.
   last_acting_agent_ = id;
   last_action_nodes_[0] = c.node;
   last_action_node_count_ = 1;

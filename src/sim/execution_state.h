@@ -189,8 +189,8 @@ class ExecutionState {
   /// The *live* forward neighbour of `v`: the instance topology's successor
   /// until a rewiring fires, then the stride ring (v + d) mod n. Every move
   /// the execution makes goes through this — consumers of the
-  /// {node, next(node)} footprint bound (sim/footprint.h) must use it, not
-  /// Topology::next, or a rewired run would unsound their node sets.
+  /// {node, next(node)} footprint bound (last_action_nodes()) must use it,
+  /// not Topology::next, or a rewired run would unsound their node sets.
   [[nodiscard]] NodeId live_next(NodeId v) const noexcept {
     if (live_stride_ == 0) return topo_->next(v);
     const NodeId moved = v + live_stride_;
@@ -264,9 +264,11 @@ class ExecutionState {
   /// action: the node the agent acted at, plus — when it moved — the
   /// successor it departed to. Every component of the configuration an
   /// action can change (queue membership, staying sets, tokens, the acting
-  /// agent's status, co-located mailboxes) lives at one of these nodes; this
-  /// is the same {node, next(node)} bound the mc:: sleep sets rely on, and
-  /// it is what makes O(dirty) incremental invariant checking sound.
+  /// agent's status, co-located mailboxes) lives at one of these nodes, and
+  /// both lie inside the pre-action pair {agent_node(a), live_next(
+  /// agent_node(a))}; that bound is what makes O(dirty) incremental
+  /// invariant checking sound (tests/test_checker_incremental.cpp checks it
+  /// on every action of a run of each algorithm).
   /// Empty until the first action after a reset.
   [[nodiscard]] std::span<const NodeId> last_action_nodes() const noexcept {
     return {last_action_nodes_.data(), last_action_node_count_};

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -12,30 +15,73 @@ namespace {
 /// Stand-in for key 0 so the empty sentinel stays unambiguous.
 constexpr std::uint64_t kZeroKeySurrogate = 0x9e3779b97f4a7c15ULL;
 
+/// The largest power-of-two slot count whose byte size fits std::size_t.
+constexpr std::size_t kMaxSlots = std::bit_floor(
+    std::numeric_limits<std::size_t>::max() /
+    sizeof(std::atomic<std::uint64_t>));
+
+/// Home slot of a stored key. splitmix64 advances its state argument in
+/// place; hash a copy, or the table would store key + golden-ratio instead
+/// of key (and the state that lands exactly on 0 would masquerade as the
+/// empty sentinel).
+[[nodiscard]] std::size_t home_slot(std::uint64_t key, std::size_t mask) {
+  std::uint64_t hash_state = key;
+  return static_cast<std::size_t>(splitmix64(hash_state)) & mask;
+}
+
 }  // namespace
 
+std::size_t LockFreeVisitedSet::slot_count(std::size_t min_capacity) {
+  if (min_capacity > kMaxSlots) {
+    throw std::invalid_argument(
+        "visited set capacity " + std::to_string(min_capacity) +
+        " is too large: its power-of-two slot array overflows std::size_t");
+  }
+  return std::bit_ceil(std::max<std::size_t>(min_capacity, 64));
+}
+
 LockFreeVisitedSet::LockFreeVisitedSet(std::size_t min_capacity) {
-  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(min_capacity, 64));
-  slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
+  rehash(slot_count(min_capacity));
+}
+
+void LockFreeVisitedSet::grow() { rehash(slot_count(capacity() * 2)); }
+
+void LockFreeVisitedSet::reserve(std::size_t min_capacity) {
+  const std::size_t slots = slot_count(min_capacity);
+  if (slots > capacity()) rehash(slots);
+}
+
+void LockFreeVisitedSet::rehash(std::size_t slots) {
+  std::unique_ptr<std::atomic<std::uint64_t>[]> old = std::move(slots_);
+  const std::size_t old_capacity = old ? capacity() : 0;
+  slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
     slots_[i].store(0, std::memory_order_relaxed);
   }
-  mask_ = capacity - 1;
+  mask_ = slots - 1;
   // A probe run this long means heavy clustering near the fill limit; giving
   // up keeps insert O(1) and only ever degrades toward Full, which callers
-  // must treat as "stop", never as "absent".
-  max_probe_ = std::min<std::size_t>(capacity, 256);
-  fill_limit_ = capacity - capacity / 8;
+  // must treat as "stop" or "grow", never as "absent".
+  max_probe_ = std::min<std::size_t>(slots, 256);
+  fill_limit_ = slots - slots / 8;
+  // Stored keys are already remapped off 0 and distinct, and the new array
+  // has more slots than there are keys, so each lands at the first empty
+  // slot of its run.
+  for (std::size_t i = 0; i < old_capacity; ++i) {
+    const std::uint64_t key = old[i].load(std::memory_order_relaxed);
+    if (key == 0) continue;
+    std::size_t index = home_slot(key, mask_);
+    while (slots_[index].load(std::memory_order_relaxed) != 0) {
+      index = (index + 1) & mask_;
+    }
+    slots_[index].store(key, std::memory_order_relaxed);
+  }
 }
 
 LockFreeVisitedSet::Insert LockFreeVisitedSet::insert(
     std::uint64_t key) noexcept {
   if (key == 0) key = kZeroKeySurrogate;
-  // splitmix64 advances its state argument in place; hash a copy, or the
-  // table would store key + golden-ratio instead of key (and the state that
-  // lands exactly on 0 would masquerade as the empty sentinel).
-  std::uint64_t hash_state = key;
-  std::size_t index = static_cast<std::size_t>(splitmix64(hash_state)) & mask_;
+  std::size_t index = home_slot(key, mask_);
   for (std::size_t probe = 0; probe < max_probe_; ++probe) {
     std::atomic<std::uint64_t>& slot = slots_[index];
     std::uint64_t seen = slot.load(std::memory_order_acquire);
@@ -64,56 +110,6 @@ LockFreeVisitedSet::Insert LockFreeVisitedSet::insert(
     index = (index + 1) & mask_;
   }
   return Insert::Full;
-}
-
-bool VisitedMaskTable::covered_or_insert(std::uint64_t digest, Mask mask) {
-  if (digest == 0) {
-    Mask* dominated = nullptr;
-    for (Mask& stored : zero_digest_masks_) {
-      if ((stored & mask) == stored) return true;  // stored ⊆ mask: covered
-      if (dominated == nullptr && (mask & stored) == mask) dominated = &stored;
-    }
-    if (dominated != nullptr) {
-      *dominated = mask;
-    } else {
-      zero_digest_masks_.push_back(mask);
-    }
-    return false;
-  }
-  // Growing before the probe keeps at least a quarter of the slots empty,
-  // so every probe run ends.
-  if ((used_ + 1) * 4 > slots_.size() * 3) grow();
-  const std::size_t index_mask = slots_.size() - 1;
-  std::size_t index = static_cast<std::size_t>(digest) & index_mask;
-  Slot* dominated = nullptr;
-  for (;; index = (index + 1) & index_mask) {
-    Slot& slot = slots_[index];
-    if (slot.digest == 0) break;
-    if (slot.digest != digest) continue;
-    if ((slot.mask & mask) == slot.mask) return true;  // stored ⊆ mask: covered
-    // The new mask will be explored with more branches awake than this
-    // stored superset; overwrite one such slot (header: the rest may stay).
-    if (dominated == nullptr && (mask & slot.mask) == mask) dominated = &slot;
-  }
-  if (dominated != nullptr) {
-    dominated->mask = mask;
-  } else {
-    slots_[index] = {digest, mask};
-    ++used_;
-  }
-  return false;
-}
-
-void VisitedMaskTable::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(std::max<std::size_t>(64, old.size() * 2), Slot{});
-  const std::size_t index_mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.digest == 0) continue;
-    std::size_t index = static_cast<std::size_t>(slot.digest) & index_mask;
-    while (slots_[index].digest != 0) index = (index + 1) & index_mask;
-    slots_[index] = slot;
-  }
 }
 
 }  // namespace udring

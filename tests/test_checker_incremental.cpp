@@ -9,6 +9,12 @@
 // (including the planted non-FIFO double-booked-base-node violation, which
 // must still be caught with its reason prefix intact) under both oracles,
 // and pins the safety-net / reason-parity behaviours directly.
+//
+// The incremental oracle is sound only while every action touches nodes
+// inside its pre-action pair {agent_node(a), live_next(agent_node(a))}:
+// ExecutionState::last_action_nodes() must never leave it. That bound is
+// checked on every action of a run of each algorithm, and of a run under a
+// crash + rewiring fault plan.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +32,8 @@
 #include "explore/fuzz.h"
 #include "explore/trace.h"
 #include "sim/checker.h"
+#include "sim/execution_state.h"
+#include "sim/fault.h"
 #include "util/rng.h"
 
 namespace udring {
@@ -91,6 +99,81 @@ TEST(IncrementalChecker, EquivalentUnderNonFifoFaultQueueJumping) {
     scheduler.reset(spec.homes.size());
     assert_equivalent_along_run(*sim, scheduler);
   }
+}
+
+// ---- the footprint bound the incremental oracle rests on --------------------
+
+/// Steps `state` (already reset) to quiescence, or `max_steps`, picking
+/// agents and rewiring strides at random, and checks after every action
+/// that last_action_nodes() lies inside the acting agent's pre-action pair
+/// {agent_node(a), live_next(agent_node(a))}. Returns the actions checked.
+std::size_t expect_actions_inside_footprint(sim::ExecutionState& state,
+                                            Rng& rng,
+                                            std::size_t max_steps = 10'000) {
+  std::vector<sim::AgentId> enabled;
+  std::size_t actions = 0;
+  while (!state.enabled().empty() && actions < max_steps) {
+    if (state.pending_rewire()) {
+      state.apply_rewire(rng.index(state.rewire_candidate_count()));
+    }
+    enabled.assign(state.enabled().begin(), state.enabled().end());
+    const sim::AgentId agent = enabled[rng.index(enabled.size())];
+    const sim::NodeId node = state.agent_node(agent);
+    const sim::NodeId next = state.live_next(node);
+    if (!state.step_agent(agent)) {
+      ADD_FAILURE() << "enabled agent " << agent << " did not step";
+      return actions;
+    }
+    ++actions;
+    for (const sim::NodeId touched : state.last_action_nodes()) {
+      if (touched != node && touched != next) {
+        ADD_FAILURE() << "action " << actions << " by agent " << agent
+                      << " touched node " << touched << " outside {" << node
+                      << ", " << next << "}";
+        return actions;
+      }
+    }
+  }
+  return actions;
+}
+
+TEST(FootprintBound, EveryActionOfEveryAlgorithmStaysInsideItsPair) {
+  Rng rng(2028);
+  for (const core::Algorithm algorithm : explore::all_algorithms()) {
+    const explore::DrawnInstance drawn =
+        explore::draw_instance(explore::FuzzTopology::Ring, 12, 4, rng);
+    core::RunSpec spec;
+    spec.node_count = drawn.node_count;
+    spec.homes = drawn.homes;
+    const sim::Instance instance = core::make_instance(algorithm, spec);
+    sim::ExecutionState state;
+    state.reset(instance);
+    EXPECT_GT(expect_actions_inside_footprint(state, rng), 0u)
+        << core::to_string(algorithm);
+    EXPECT_TRUE(state.enabled().empty())
+        << core::to_string(algorithm) << " did not reach quiescence";
+  }
+}
+
+TEST(FootprintBound, HoldsAcrossCrashAndRewiring) {
+  // A rewiring moves live_next off the topology's successor, so the pair
+  // must be taken on the live ring; a crash removes an agent mid-run.
+  constexpr std::size_t kNodes = 12;
+  ASSERT_GT(sim::rewire_candidate_count(kNodes), 0u);
+  core::RunSpec spec;
+  spec.node_count = kNodes;
+  spec.homes = {0, 3, 5, 9};
+  spec.sim_options.faults.crashes = {sim::CrashFault{1, 6}};
+  spec.sim_options.faults.rewire_at = {4, 15};
+  spec.sim_options.faults.normalize();
+  const sim::Instance instance =
+      core::make_instance(core::Algorithm::KnownKFull, spec);
+  sim::ExecutionState state;
+  state.reset(instance);
+  Rng rng(2029);
+  EXPECT_GT(expect_actions_inside_footprint(state, rng), 15u);
+  EXPECT_EQ(state.rewires_applied(), 2u);
+  EXPECT_EQ(state.status(1), sim::AgentStatus::Crashed);
 }
 
 // ---- corpus replay under both oracles ---------------------------------------

@@ -15,9 +15,9 @@
 //     replaying through the existing explore::replay_trace path to the same
 //     failure and digest.
 //  3. Pruned == unpruned verdict equality on grids where full enumeration
-//     is feasible, for every pruning combination (dedup × sleep sets), plus
-//     shared-visited-set runs whose verdicts and counts are byte-identical
-//     at any worker count.
+//     is feasible (dedup on and off), plus sharded walks over the one
+//     visited store whose verdicts and counts are byte-identical at any
+//     worker count, and the store's growth and reserve rules.
 //
 // Plus the foundation the dedup pruning rests on: ExecutionState::
 // config_digest() must hash the configuration and not the history
@@ -311,14 +311,13 @@ TEST(ConfigDigest, NoCollisionWhenOnlyATokenPositionDiffers) {
 // ---- 1. exhaustive verification, counts stable across workers ---------------
 
 TEST(Exhaustive, KnownKFullSmallestInstanceFullEnumerationCount) {
-  // n = 6, k = 2, every pruning off: the walk IS the full schedule tree.
+  // n = 6, k = 2, dedup off: the walk IS the full schedule tree.
   // 2704 complete schedules (6989 tree nodes) is a structural constant of
   // the simulator's atomic-action semantics for homes {0, 3} — a number
   // independent of any hash function, so any drift in the action semantics,
   // the enabled-set rule, or the choice encoding moves it.
   McOptions options;
   options.dedup_states = false;
-  options.sleep_sets = false;
   const ModelCheckReport report =
       check(ring_request(core::Algorithm::KnownKFull, 6, {0, 3}), options);
   EXPECT_TRUE(report.ok);
@@ -374,7 +373,7 @@ TEST_P(ExhaustiveAlgorithms, VerifiedNativelyOnEulerTreeAndEulerianGraph) {
 
 TEST_P(ExhaustiveAlgorithms, VerifiedAtIssueScaleWithPruning) {
   // The tentpole's stated grid corner: n = 12 (full) / 10 (logmem), k = 4 —
-  // feasible only because dedup + sleep sets cut the tree to its state DAG.
+  // feasible only because dedup cuts the tree to its state DAG.
   const bool logmem = GetParam() == core::Algorithm::KnownKLogMem;
   const std::size_t n = logmem ? 10 : 12;
   const ModelCheckReport report =
@@ -382,23 +381,21 @@ TEST_P(ExhaustiveAlgorithms, VerifiedAtIssueScaleWithPruning) {
   EXPECT_TRUE(report.ok) << report.failure_reason;
   EXPECT_TRUE(report.complete);
   EXPECT_GT(report.stats.states_deduped, 0u);
-  EXPECT_GT(report.stats.sleep_pruned, 0u);
 }
 
 TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
   // The `udring_mc --seed=1 --n=12 --k=4` draws. Schedules, states, dedup
-  // and pruning counts and depth are properties of the tree, not of how the
-  // walk backtracks, so snapshot restores must reproduce them exactly.
+  // counts and depth are properties of the closure, not of how the walk
+  // backtracks, so snapshot restores must reproduce them exactly.
   // replays == 0 and the pinned total_actions (tree edges plus restore
-  // re-steps) keep the restore path from drifting into prefix replays,
-  // which would spend 492410 / 595929 actions here.
+  // re-steps) keep the restore path from drifting into prefix replays.
   struct Pin {
     std::size_t schedules, expanded, deduped, sleep_pruned, max_depth,
         total_actions;
   };
   const Pin pin = GetParam() == core::Algorithm::KnownKFull
-                      ? Pin{1, 14125, 13953, 18129, 88, 77170}
-                      : Pin{6, 14659, 13582, 17093, 115, 76546};
+                      ? Pin{1, 5576, 11837, 0, 88, 58898}
+                      : Pin{6, 6442, 12247, 0, 115, 61710};
   Rng rng(1);
   const explore::DrawnInstance drawn =
       explore::draw_instance(explore::FuzzTopology::Ring, 12, 4, rng);
@@ -429,15 +426,15 @@ INSTANTIATE_TEST_SUITE_P(SmallGrids, ExhaustiveAlgorithms,
                          });
 
 TEST(ReportDigest, PinnedForEveryAlgorithmAcrossWalkModes) {
-  // One small drawn instance per algorithm, walked three ways: the default
-  // dedup + sleep walk, the walk without sleep sets, and the walk cut into
-  // frontier shards. digest() folds every McStats field, the verdict and
-  // the counterexample, so these pins hold each walk's expansion order,
-  // dedup answers, sleep cuts and shard split. None of that may depend on
-  // config_digest()'s values or the visited table's layout — only on which
-  // configurations they identify.
+  // One small drawn instance per algorithm, walked two ways: the default
+  // serial walk, and the walk cut into frontier shards, at one worker and at
+  // four. digest() folds every McStats field, the verdict and the
+  // counterexample, so these pins hold each walk's expansion order, dedup
+  // answers and shard split. None of that may depend on config_digest()'s
+  // values, the visited store's layout or the worker count — only on which
+  // configurations the digests identify.
   struct Pin {
-    std::uint64_t walk, no_sleep, sharded;
+    std::uint64_t walk, sharded;
   };
   // Pairs that walk the same tree on this FIFO instance share their pins
   // (Algorithm 1 with k or n known; the hardened and literal Algorithms
@@ -445,43 +442,41 @@ TEST(ReportDigest, PinnedForEveryAlgorithmAcrossWalkModes) {
   // gather all of them).
   const std::map<core::Algorithm, Pin> pins = {
       {core::Algorithm::KnownKFull,
-       {0x8f99c9bcd6b65d03, 0x5b014fa3c9a28f4e, 0xbe2db7365b6417c1}},
+       {0x5b014fa3c9a28f4e, 0x30f3945f41483424}},
       {core::Algorithm::KnownNFull,
-       {0x8f99c9bcd6b65d03, 0x5b014fa3c9a28f4e, 0xbe2db7365b6417c1}},
+       {0x5b014fa3c9a28f4e, 0x30f3945f41483424}},
       {core::Algorithm::KnownKLogMem,
-       {0x0560f791fe6fdd19, 0xe1a1bfcc765a28b7, 0x1df4821a7177c471}},
+       {0xe1a1bfcc765a28b7, 0x980dea76d553282e}},
       {core::Algorithm::KnownKLogMemStrict,
-       {0x0560f791fe6fdd19, 0xe1a1bfcc765a28b7, 0x1df4821a7177c471}},
+       {0xe1a1bfcc765a28b7, 0x980dea76d553282e}},
       {core::Algorithm::UnknownRelaxed,
-       {0x8a9e1b1363ac43b3, 0x9200105d4e1d36e2, 0x3dd18a49852d5030}},
+       {0x9200105d4e1d36e2, 0xc4f1c8af782604d4}},
       {core::Algorithm::Rendezvous,
-       {0xee36347b53c7642d, 0xd850390aa9086b58, 0x8c7d3548bbb2f559}},
+       {0xd850390aa9086b58, 0xabda668abca85ab7}},
       {core::Algorithm::GatherRing,
-       {0xee36347b53c7642d, 0xd850390aa9086b58, 0x8c7d3548bbb2f559}},
+       {0xd850390aa9086b58, 0xabda668abca85ab7}},
       {core::Algorithm::DisperseRing,
-       {0xc1729967defb8525, 0x03db4f750ed69426, 0x8ef30741c257d8f2}},
+       {0x03db4f750ed69426, 0x80789d39aa5dad74}},
   };
-  McOptions no_sleep;
-  no_sleep.sleep_sets = false;
   McOptions sharded;
   sharded.frontier_target = 6;
-  sharded.workers = 1;
   for (const core::Algorithm algorithm : explore::all_algorithms()) {
     Rng rng(5);
     const explore::DrawnInstance drawn =
         explore::draw_instance(explore::FuzzTopology::Ring, 7, 3, rng);
     const CheckRequest request =
         ring_request(algorithm, drawn.node_count, drawn.homes);
-    const Pin got{check(request).digest(), check(request, no_sleep).digest(),
-                  check(request, sharded).digest()};
     const Pin& want = pins.at(algorithm);
     const std::string what(core::to_string(algorithm));
-    EXPECT_EQ(got.walk, want.walk)
-        << what << std::hex << " walk 0x" << got.walk;
-    EXPECT_EQ(got.no_sleep, want.no_sleep)
-        << what << std::hex << " no-sleep 0x" << got.no_sleep;
-    EXPECT_EQ(got.sharded, want.sharded)
-        << what << std::hex << " sharded 0x" << got.sharded;
+    const std::uint64_t walk = check(request).digest();
+    EXPECT_EQ(walk, want.walk) << what << std::hex << " walk 0x" << walk;
+    for (const std::size_t workers : {1u, 4u}) {
+      sharded.workers = workers;
+      const std::uint64_t got = check(request, sharded).digest();
+      EXPECT_EQ(got, want.sharded)
+          << what << " workers=" << workers << std::hex << " sharded 0x"
+          << got;
+    }
   }
 }
 
@@ -535,17 +530,13 @@ TEST(FaultRediscovery, HardenedVariantSurvivesTheSameSearchBudget) {
 
 TEST(FaultRediscovery, VerdictIdenticalUnderEveryPruningCombination) {
   for (const bool dedup : {false, true}) {
-    for (const bool sleep : {false, true}) {
-      McOptions options;
-      options.dedup_states = dedup;
-      options.sleep_sets = sleep;
-      const ModelCheckReport report =
-          check(stress_fault_request(core::Algorithm::KnownKLogMemStrict),
-                options);
-      EXPECT_FALSE(report.ok);
-      EXPECT_EQ(report.failure_reason, "goal: two agents share node 0")
-          << "dedup=" << dedup << " sleep=" << sleep;
-    }
+    McOptions options;
+    options.dedup_states = dedup;
+    const ModelCheckReport report = check(
+        stress_fault_request(core::Algorithm::KnownKLogMemStrict), options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.failure_reason, "goal: two agents share node 0")
+        << "dedup=" << dedup;
   }
 }
 
@@ -571,93 +562,134 @@ TEST(PruningSoundness, VerdictEqualOnFullyEnumerableGrid) {
     ModelCheckReport reference;  // fully unpruned = ground truth
     bool have_reference = false;
     for (const bool dedup : {false, true}) {
-      for (const bool sleep : {false, true}) {
-        McOptions options;
-        options.dedup_states = dedup;
-        options.sleep_sets = sleep;
-        const ModelCheckReport report = check(request, options);
-        EXPECT_TRUE(report.complete)
-            << core::to_string(cell.algorithm) << " n=" << cell.n;
-        if (!have_reference) {
-          reference = report;
-          have_reference = true;
-          EXPECT_GT(report.stats.schedules, 0u);
-        }
-        EXPECT_EQ(report.ok, reference.ok)
-            << core::to_string(cell.algorithm) << " n=" << cell.n
-            << " dedup=" << dedup << " sleep=" << sleep;
-        EXPECT_EQ(report.verdict, reference.verdict);
-        // Pruning may only shrink the walk, never grow it.
-        EXPECT_LE(report.stats.schedules, reference.stats.schedules);
-        EXPECT_LE(report.stats.states_expanded,
-                  reference.stats.states_expanded);
+      McOptions options;
+      options.dedup_states = dedup;
+      const ModelCheckReport report = check(request, options);
+      EXPECT_TRUE(report.complete)
+          << core::to_string(cell.algorithm) << " n=" << cell.n;
+      if (!have_reference) {
+        reference = report;
+        have_reference = true;
+        EXPECT_GT(report.stats.schedules, 0u);
       }
+      EXPECT_EQ(report.ok, reference.ok)
+          << core::to_string(cell.algorithm) << " n=" << cell.n
+          << " dedup=" << dedup;
+      EXPECT_EQ(report.verdict, reference.verdict);
+      // Pruning may only shrink the walk, never grow it.
+      EXPECT_LE(report.stats.schedules, reference.stats.schedules);
+      EXPECT_LE(report.stats.states_expanded, reference.stats.states_expanded);
     }
   }
 }
 
-// ---- shared visited set -----------------------------------------------------
+// ---- the one visited store --------------------------------------------------
 
-TEST(SharedVisited, VerdictAndCountsIdenticalAtAnyWorkerCount) {
-  // The closure-walk contract (model_check.h): with the lock-free shared
-  // visited set, every count is a function of the claimed closure, so the
-  // full report — not just the verdict — is byte-identical whether shards
-  // race on 1, 2 or 4 threads.
+TEST(OneStore, VerdictAndCountsIdenticalAtAnyWorkerCount) {
+  // The closure-walk contract (model_check.h): every count is a function of
+  // the claimed closure, so the full report — not just the verdict — is
+  // byte-identical whether shards race on 1, 2 or 4 threads.
   const CheckRequest request =
       ring_request(core::Algorithm::KnownKFull, 8, {0, 3, 6});
   McOptions options;
-  options.shared_visited = true;
   options.frontier_target = 6;
   options.workers = 1;
-  const ModelCheckReport serial = check(request, options);
-  EXPECT_TRUE(serial.ok) << serial.failure_reason;
-  EXPECT_TRUE(serial.complete);
-  EXPECT_GT(serial.stats.states_deduped, 0u);
+  const ModelCheckReport sharded = check(request, options);
+  EXPECT_TRUE(sharded.ok) << sharded.failure_reason;
+  EXPECT_TRUE(sharded.complete);
+  EXPECT_GT(sharded.stats.states_deduped, 0u);
+  EXPECT_GT(sharded.stats.shards, 1u);
   for (const std::size_t workers : {2u, 4u}) {
     McOptions racing = options;
     racing.workers = workers;
-    expect_same_report(serial, check(request, racing),
-                       "worker count changed the shared-visited report");
+    expect_same_report(sharded, check(request, racing),
+                       "worker count changed the sharded report");
   }
-  // And the verdict agrees with the deterministic tree walk (counts differ:
-  // the closure visits each state once, the tree walk re-proves per sleep
-  // mask).
-  const ModelCheckReport tree = check(request);
-  EXPECT_EQ(serial.ok, tree.ok);
-  EXPECT_EQ(serial.verdict, tree.verdict);
+  // The serial walk claims the same closure: only the replays, the actions
+  // they spend and the shard count differ.
+  const ModelCheckReport serial = check(request);
+  EXPECT_EQ(serial.verdict, sharded.verdict);
+  EXPECT_EQ(serial.stats.schedules, sharded.stats.schedules);
+  EXPECT_EQ(serial.stats.states_expanded, sharded.stats.states_expanded);
+  EXPECT_EQ(serial.stats.states_deduped, sharded.stats.states_deduped);
+  EXPECT_EQ(serial.stats.max_depth, sharded.stats.max_depth);
 }
 
-TEST(SharedVisited, ViolationFallsBackToTheDeterministicWalk) {
-  // Which racing shard trips a violation first is nondeterministic, so
-  // check() re-runs without the shared set: the report — counterexample
-  // included — must be byte-identical to a plain check's.
+TEST(OneStore, ViolationFallsBackToTheDeterministicWalk) {
+  // Which racing shard trips a violation first is nondeterministic, so a
+  // violation found at more than one worker is re-checked at one worker
+  // with the same frontier: the report — counterexample included — must be
+  // byte-identical to the one-worker check's, and the counterexample must
+  // replay.
   McOptions options;
-  options.shared_visited = true;
   options.frontier_target = 6;
   options.workers = 4;
-  const ModelCheckReport shared =
+  const ModelCheckReport racing =
       check(stress_fault_request(core::Algorithm::KnownKLogMemStrict), options);
-  McOptions plain_options = options;  // fallback = same options, no shared set
-  plain_options.shared_visited = false;
-  const ModelCheckReport plain = check(
-      stress_fault_request(core::Algorithm::KnownKLogMemStrict), plain_options);
-  ASSERT_FALSE(shared.ok);
-  expect_same_report(plain, shared, "violation fallback must be exact");
-  ASSERT_TRUE(shared.counterexample.has_value());
-  EXPECT_EQ(shared.counterexample->choices, plain.counterexample->choices);
+  McOptions one_worker = options;
+  one_worker.workers = 1;
+  const ModelCheckReport serial = check(
+      stress_fault_request(core::Algorithm::KnownKLogMemStrict), one_worker);
+  ASSERT_FALSE(racing.ok);
+  EXPECT_EQ(racing.failure_reason, "goal: two agents share node 0");
+  expect_same_report(serial, racing, "violation fallback must be exact");
+  ASSERT_TRUE(racing.counterexample.has_value());
+  ASSERT_TRUE(serial.counterexample.has_value());
+  EXPECT_EQ(racing.counterexample->choices, serial.counterexample->choices);
+  const explore::ReplayOutcome replayed =
+      explore::replay_trace(*racing.counterexample);
+  EXPECT_TRUE(replayed.failed);
+  EXPECT_EQ(replayed.reason, racing.failure_reason);
 }
 
-TEST(SharedVisited, UndersizedTableDegradesToBudgetExhaustion) {
-  // A full table may not silently drop states: the run must downgrade to
-  // "budget-exhausted" (incomplete, not wrong).
+TEST(OneStore, SerialWalkGrowsPastTheReserve) {
+  // A walk one thread drives owns the store and grows it, so the reserve
+  // does not bound it: this closure is far past 64 slots and still closes,
+  // with the same report as the default options.
+  const CheckRequest request = ring_request(core::Algorithm::KnownKFull, 12,
+                                            gen::uniform_homes(12, 4));
   McOptions options;
-  options.shared_visited = true;
+  options.shared_visited_capacity = 64;
+  const ModelCheckReport report = check(request, options);
+  EXPECT_EQ(report.verdict, "verified");
+  EXPECT_GT(report.stats.states_expanded, 64u * 8);
+  expect_same_report(check(request), report,
+                     "the reserve changed a serial walk");
+}
+
+TEST(OneStore, UndersizedReserveDegradesToBudgetExhaustion) {
+  // Workers cannot grow the store they race on: a full store may not
+  // silently drop states, so the run must downgrade to "budget-exhausted"
+  // (incomplete, not wrong).
+  McOptions options;
   options.shared_visited_capacity = 64;  // far below this instance's closure
-  const ModelCheckReport report =
-      check(ring_request(core::Algorithm::KnownKFull, 8, {0, 3, 6}), options);
+  options.frontier_target = 8;
+  options.workers = 4;
+  const ModelCheckReport report = check(
+      ring_request(core::Algorithm::KnownKFull, 12, gen::uniform_homes(12, 4)),
+      options);
   EXPECT_TRUE(report.ok);
   EXPECT_FALSE(report.complete);
   EXPECT_EQ(report.verdict, "budget-exhausted");
+}
+
+TEST(OneStore, RejectsAnOverflowingReserveAtAnyWorkerCount) {
+  // The reserve is validated before the walk, even when a serial walk would
+  // never use it: 2^63 + 1 and 2^62 + 1 slots overflow std::size_t.
+  const CheckRequest request =
+      ring_request(core::Algorithm::KnownKFull, 6, {0, 3});
+  for (const std::size_t capacity :
+       {std::size_t{9223372036854775809ULL},
+        std::size_t{4611686018427387905ULL}}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      McOptions options;
+      options.shared_visited_capacity = capacity;
+      options.frontier_target = 4;
+      options.workers = workers;
+      EXPECT_THROW((void)check(request, options), std::invalid_argument)
+          << capacity << " at " << workers << " workers";
+    }
+  }
 }
 
 TEST(FaultRediscovery, CapSensitiveCounterexampleReplaysStandAlone) {

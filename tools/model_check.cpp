@@ -34,8 +34,7 @@ void print_report(const mc::ModelCheckReport& report) {
             << (report.complete ? " (complete)" : " (incomplete)") << '\n'
             << "schedules explored: " << s.schedules
             << "   states expanded: " << s.states_expanded
-            << "   deduped: " << s.states_deduped
-            << "   sleep-pruned: " << s.sleep_pruned << '\n'
+            << "   deduped: " << s.states_deduped << '\n'
             << "actions: " << s.total_actions << "   replays: " << s.replays
             << "   max depth: " << s.max_depth << "   shards: " << s.shards
             << '\n';
@@ -97,23 +96,19 @@ int main(int argc, char** argv) {
     const std::size_t budget = cli.get_size(
         "budget", 0,
         "budget on executed simulator actions: tree edges plus snapshot-"
-        "restore re-steps, ~5 per expanded state on a pruned walk (0 = walk "
-        "the tree to exhaustion)");
+        "restore re-steps, ~11-12 per expanded state on the dedup closure "
+        "(0 = walk to exhaustion)");
     const std::size_t frontier = cli.get_size(
         "frontier", 1, "frontier shards for the parallel walk (1 = serial)");
     const std::size_t workers =
         cli.get_size("workers", 0, "worker threads for shards (0 = all cores)");
     const bool no_dedup =
         cli.get_flag("no-dedup", "disable visited-state deduplication");
-    const bool no_sleep =
-        cli.get_flag("no-sleep", "disable sleep-set independence pruning");
-    const bool shared_visited = cli.get_flag(
-        "shared-visited",
-        "share one lock-free visited set across all shards (closure walk; "
-        "disables sleep sets, counts stay worker-independent)");
     const std::size_t shared_capacity = cli.get_size(
         "shared-visited-capacity", 0,
-        "slot count for --shared-visited (0 = auto, 2^22)");
+        "visited-store slots a walk with more than one worker reserves; "
+        "the store cannot grow while workers race, so a closure that "
+        "overfills it ends budget-exhausted (0 = auto, 2^22)");
     const bool fault = cli.get_flag(
         "inject-non-fifo", "TEST-ONLY: weaken the FIFO link guarantee");
     const std::size_t fault_min_phase = cli.get_size(
@@ -141,10 +136,9 @@ int main(int argc, char** argv) {
     if (cli.wants_help()) {
       cli.print_help(
           "udring exhaustive model checker: walks every schedule of a small "
-          "instance (DFS + sleep sets + visited-state dedup over the replay "
-          "choice tree, optionally a lock-free shared visited set across "
-          "shards) and proves the goal, or emits a replayable "
-          "counterexample");
+          "instance (a DFS over the closure of its reachable configurations, "
+          "deduplicated in one visited store shared by every shard) and "
+          "proves the goal, or emits a replayable counterexample");
       return 0;
     }
     cli.reject_unknown_flags();
@@ -175,8 +169,6 @@ int main(int argc, char** argv) {
 
     mc::McOptions options;
     options.dedup_states = !no_dedup;
-    options.sleep_sets = !no_sleep;
-    options.shared_visited = shared_visited;
     options.shared_visited_capacity = shared_capacity;
     options.budget_actions = budget;
     options.frontier_target = frontier;
