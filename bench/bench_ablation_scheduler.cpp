@@ -28,7 +28,7 @@ void print_report() {
   grid.schedulers = sim::all_scheduler_kinds();
   grid.instances = {{192, 16}};
   grid.seeds = 5;
-  const exp::CampaignResult result = exp::run_campaign(grid);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
 
   for (const auto& [algorithm, label] :
        {std::make_pair(core::Algorithm::KnownKFull, "Algorithm 1"),

@@ -86,9 +86,13 @@ void BM_FuzzerSteps(benchmark::State& state) {
 void BM_Replay(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
-  const explore::ScheduleTrace trace = explore::record_trace(
-      core::Algorithm::KnownKFull, n, bench_homes(n, k),
-      explore::ExploreSchedulerKind::FifoStress, /*seed=*/7);
+  explore::RecordRequest request;
+  request.algorithm = core::Algorithm::KnownKFull;
+  request.node_count = n;
+  request.homes = bench_homes(n, k);
+  request.kind = explore::ExploreSchedulerKind::FifoStress;
+  request.seed = 7;
+  const explore::ScheduleTrace trace = explore::record_trace(request);
   std::size_t actions = 0;
   for (auto _ : state) {
     const explore::ReplayOutcome outcome = explore::replay_trace(trace);

@@ -26,18 +26,29 @@ void print_report() {
   const std::vector<std::pair<std::size_t, std::size_t>> cases = {
       {16, 4}, {14, 4}, {23, 7}, {60, 12}, {100, 13}, {128, 16}, {257, 32}};
 
-  // One campaign over every algorithm × instance, recording each scenario's
-  // final staying positions. The initial configurations are re-derived from
-  // the engine's substream contract (scenario_homes), so the before/after
-  // gap comparison needs no side channel.
+  // One campaign over every algorithm × instance; the scenario sink keeps
+  // each scenario's outcome and final staying positions in its expansion
+  // slot. The initial configurations are re-derived from the engine's
+  // substream contract (scenario_homes), so the before/after gap comparison
+  // needs no side channel.
   exp::CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull, core::Algorithm::KnownKLogMem,
                      core::Algorithm::UnknownRelaxed};
   grid.instances = cases;
   grid.seeds = 5;
+  struct Outcome {
+    exp::Scenario scenario;
+    bool success = false;
+    std::vector<std::size_t> final_positions;
+  };
+  std::vector<Outcome> outcomes(exp::expansion_size(grid));
   exp::CampaignOptions options;
-  options.record_final_positions = true;
-  const exp::CampaignResult result = exp::run_campaign(grid, options);
+  options.scenario_sink = [&outcomes](const exp::Scenario& s,
+                                      const exp::ScenarioResult& r) {
+    const std::span<const std::size_t> positions = r.final_positions();
+    outcomes[s.index] = {s, r.success, {positions.begin(), positions.end()}};
+  };
+  (void)exp::run_campaign_streaming(grid, options);
 
   for (const auto& [algorithm, label] :
        {std::make_pair(core::Algorithm::KnownKFull, "Algorithm 1"),
@@ -50,8 +61,8 @@ void print_report() {
       std::map<std::size_t, std::size_t> histogram;
       double worst_before = 0;
       bool all_exact = true;
-      for (std::size_t i = 0; i < result.scenarios.size(); ++i) {
-        const exp::Scenario& scenario = result.scenarios[i];
+      for (const Outcome& outcome : outcomes) {
+        const exp::Scenario& scenario = outcome.scenario;
         if (scenario.algorithm != algorithm || scenario.node_count != n ||
             scenario.agent_count != k) {
           continue;
@@ -62,12 +73,9 @@ void print_report() {
               worst_before, std::abs(static_cast<double>(gap) -
                                      static_cast<double>(n) / static_cast<double>(k)));
         }
-        all_exact = all_exact && result.results[i].success;
-        const std::span<const std::size_t> positions =
-            result.results[i].final_positions();
-        for (const std::size_t gap : sim::ring_gaps(
-                 std::vector<std::size_t>(positions.begin(), positions.end()),
-                 n)) {
+        all_exact = all_exact && outcome.success;
+        for (const std::size_t gap :
+             sim::ring_gaps(outcome.final_positions, n)) {
           ++histogram[gap];
         }
       }

@@ -27,7 +27,7 @@ void print_report() {
   for (const std::size_t n : {64u, 128u, 256u, 512u, 1024u}) {
     grid.instances.emplace_back(n, n / 8);
   }
-  const exp::CampaignResult result = exp::run_campaign(grid);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
 
   for (const auto& [algorithm, label] :
        {std::make_pair(core::Algorithm::KnownKFull, "Algorithm 1"),

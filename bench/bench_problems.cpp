@@ -61,7 +61,8 @@ using namespace udring::bench;
 void report_cross_problem_table() {
   print_section(std::cout, "Cross-problem campaign (paired instances)");
   const exp::CampaignGrid grid = cross_problem_grid();
-  const exp::CampaignResult result = exp::run_campaign(grid, {.workers = 0});
+  const exp::CampaignResult result =
+      exp::run_campaign_streaming(grid, {.workers = 0});
 
   // Tail columns ride along with the means: the per-cell quantile sketches
   // make p50/p90/p99 mergeable (and therefore digest-stable) statistics, so
@@ -109,12 +110,14 @@ void report_cross_problem_table() {
 void report_determinism() {
   print_section(std::cout, "Cross-problem digest vs worker count");
   const exp::CampaignGrid grid = cross_problem_grid();
-  const exp::CampaignResult reference = exp::run_campaign(grid, {.workers = 1});
+  const exp::CampaignResult reference =
+      exp::run_campaign_streaming(grid, {.workers = 1});
   Table table({"workers", "scenarios", "digest match"});
   bool all_match = true;
   for (const std::size_t workers :
        {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {  // 0 = hardware
-    const exp::CampaignResult run = exp::run_campaign(grid, {.workers = workers});
+    const exp::CampaignResult run =
+        exp::run_campaign_streaming(grid, {.workers = workers});
     const bool ok = run.digest() == reference.digest();
     all_match = all_match && ok;
     table.add_row({Table::num(run.workers_used), Table::num(run.scenario_count),

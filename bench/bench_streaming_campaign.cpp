@@ -1,17 +1,15 @@
 // bench_streaming_campaign — the huge-n / streaming-aggregation artifact.
 //
-// Four sections, each one claim of the streaming story:
-//  1. Equivalence: streaming and materialized aggregation produce the SAME
-//     digest on a shared grid at worker counts {1, 4, hw} — streaming is a
-//     memory mode, not a different computation.
-//  2. Huge-n cells: grids at n ∈ {10^5, 10^6} swept through the streaming
-//     path (the per-worker ExecutionState arena is the only n-sized state).
-//  3. Scenario scale: a 10^6-scenario grid streamed under a fixed memory
-//     budget — accumulator bytes stay O(cells) while the materialized path
-//     would hold ~10^8 result bytes.
-//  4. Checked-fuzz oracle: fuzzer steps/s at n = 4096 under the full
-//     per-action invariant checker vs the incremental one; the ≥2× speedup
-//     is this PR's oracle acceptance number.
+// Three sections, each one claim of the streaming story:
+//  1. Huge-n cells: grids at n ∈ {10^5, 10^6} swept through the campaign
+//     engine (the per-worker ExecutionState arena is the only n-sized
+//     state).
+//  2. Scenario scale: a 10^6-scenario grid streamed under a fixed memory
+//     budget — accumulator bytes stay O(cells) where a per-scenario result
+//     vector would hold ~10^8 bytes.
+//  3. Checked-fuzz oracle: fuzzer steps/s at n = 4096 under the full
+//     per-action invariant checker vs the incremental one; the acceptance
+//     number is a ≥2× speedup.
 //
 // Set UDRING_STREAM_SMOKE=1 for the CI-sized version. The google-benchmark
 // timings land in BENCH_streaming.json via the bench-smoke CI job and are
@@ -41,47 +39,7 @@ using namespace udring::bench;
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-// ---- 1. streaming vs materialized equivalence -------------------------------
-
-void report_equivalence() {
-  print_section(std::cout, "Streaming vs materialized equivalence");
-  exp::CampaignGrid grid;
-  grid.algorithms = {core::Algorithm::KnownKFull,
-                     core::Algorithm::UnknownRelaxed};
-  grid.schedulers = {sim::SchedulerKind::RoundRobin, sim::SchedulerKind::Random};
-  grid.node_counts = smoke() ? std::vector<std::size_t>{16, 24}
-                             : std::vector<std::size_t>{16, 32, 64};
-  grid.agent_counts = {2, 4};
-  grid.seeds = smoke() ? 2 : 8;
-
-  const exp::CampaignResult reference = exp::run_campaign(grid, {.workers = 1});
-  Table table({"path", "workers", "scenarios", "digest match"});
-  bool all_match = true;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{0}}) {  // 0 = hardware
-    const exp::CampaignResult materialized =
-        exp::run_campaign(grid, {.workers = workers});
-    const exp::CampaignResult streamed =
-        exp::run_campaign_streaming(grid, {.workers = workers});
-    const bool ok = materialized.digest() == reference.digest() &&
-                    streamed.digest() == reference.digest();
-    all_match = all_match && ok;
-    table.add_row({"materialized", Table::num(materialized.workers_used),
-                   Table::num(materialized.scenario_count),
-                   materialized.digest() == reference.digest() ? "yes" : "NO"});
-    table.add_row({"streaming", Table::num(streamed.workers_used),
-                   Table::num(streamed.scenario_count), ok ? "yes" : "NO"});
-  }
-  std::cout << table;
-  std::cout << (all_match
-                    ? "every path/worker combination reproduces the serial "
-                      "materialized digest byte-identically.\n\n"
-                    : "DIGEST MISMATCH — the streaming fold diverged from the "
-                      "materialized aggregation.\n\n");
-  if (!all_match) std::exit(2);
-}
-
-// ---- 2. huge-n grids --------------------------------------------------------
+// ---- 1. huge-n grids --------------------------------------------------------
 
 void report_huge_n() {
   print_section(std::cout, "Huge-n streaming sweeps");
@@ -116,7 +74,7 @@ void report_huge_n() {
                "n-sized memory is the single pooled ExecutionState arena.\n\n";
 }
 
-// ---- 3. scenario scale under a budget ---------------------------------------
+// ---- 2. scenario scale under a budget ---------------------------------------
 
 void report_scenario_scale() {
   print_section(std::cout, "10^6-scenario stream under a memory budget");
@@ -139,25 +97,25 @@ void report_scenario_scale() {
       result.cells.size() *
       exp::streaming_cell_footprint_bytes(options) *
       (result.workers_used + 1);
-  const std::size_t materialized_bytes =
+  const std::size_t per_scenario_bytes =
       result.scenario_count *
       (sizeof(exp::ScenarioResult) + sizeof(exp::Scenario));
   Table table({"scenarios", "wall ms", "scenarios/s", "cells",
-               "accumulator bytes", "materialized would hold", "ok"});
+               "accumulator bytes", "per-scenario storage", "ok"});
   table.add_row({Table::num(result.scenario_count), Table::num(ms, 0),
                  Table::num(1000.0 * static_cast<double>(result.scenario_count) / ms, 0),
                  Table::num(result.cells.size()),
                  Table::num(accumulator_bytes),
-                 Table::num(materialized_bytes),
+                 Table::num(per_scenario_bytes),
                  result.all_ok() && result.cells_skipped == 0 ? "yes" : "NO"});
   std::cout << table;
   std::cout << "the stream held O(cells + workers) aggregation state — "
             << accumulator_bytes << " bytes vs the "
-            << materialized_bytes
-            << " a materialized result vector would pin.\n\n";
+            << per_scenario_bytes
+            << " a per-scenario result vector would pin.\n\n";
 }
 
-// ---- 4. checked-fuzz oracle at n = 4096 -------------------------------------
+// ---- 3. checked-fuzz oracle at n = 4096 -------------------------------------
 
 [[nodiscard]] explore::FuzzOptions oracle_options(explore::OracleMode oracle,
                                                  std::size_t n) {
@@ -203,7 +161,6 @@ void report_oracle() {
 void print_report() {
   std::cout << "Streaming campaign engine: bounded-memory aggregation + "
                "O(dirty) incremental oracle.\n\n";
-  report_equivalence();
   report_huge_n();
   report_scenario_scale();
   report_oracle();
@@ -224,23 +181,6 @@ void register_timings() {
         for (auto _ : state) {
           const exp::CampaignResult result =
               exp::run_campaign_streaming(grid, {.workers = 1});
-          benchmark::DoNotOptimize(result.scenario_hash);
-          if (!result.all_ok()) state.SkipWithError("campaign failed");
-        }
-      })
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark(
-      "materialized_campaign/n=32..64/seeds=8",
-      [](benchmark::State& state) {
-        exp::CampaignGrid grid;
-        grid.algorithms = {core::Algorithm::KnownKFull};
-        grid.schedulers = {sim::SchedulerKind::RoundRobin};
-        grid.node_counts = {32, 64};
-        grid.agent_counts = {4, 8};
-        grid.seeds = 8;
-        for (auto _ : state) {
-          const exp::CampaignResult result =
-              exp::run_campaign(grid, {.workers = 1});
           benchmark::DoNotOptimize(result.scenario_hash);
           if (!result.all_ok()) state.SkipWithError("campaign failed");
         }

@@ -39,7 +39,7 @@ void print_report() {
     for (const std::size_t n : ns) grid.instances.emplace_back(n, n / divisor);
   }
   grid.seeds = 5;
-  const exp::CampaignResult result = exp::run_campaign(grid);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
 
   for (const auto& [algorithm, label] :
        {std::make_pair(core::Algorithm::KnownKFull, "Result 1: Algorithm 1 (known k)"),

@@ -30,9 +30,9 @@ using exp::draw_homes;
 
 /// Seed-averaged measurement of one (algorithm, configuration family) cell,
 /// delegated to the campaign engine (substream-seeded, reproducible).
-/// measure_cell rides the streaming aggregation path, so every bench
-/// binary's sweep — table1, fig2, the ablations — runs in O(cells +
-/// workers) memory at any n; huge-n grids are just more cells.
+/// The engine folds as it goes, so every bench binary's sweep — table1,
+/// fig2, the ablations — runs in O(cells + workers) memory at any n; huge-n
+/// grids are just more cells.
 inline Averages measure(core::Algorithm algorithm, ConfigFamily family,
                         std::size_t n, std::size_t k, std::size_t l = 1,
                         std::size_t seeds = 5,

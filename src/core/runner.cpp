@@ -9,7 +9,6 @@
 #include "core/known_k_logmem.h"
 #include "core/rendezvous.h"
 #include "core/unknown_relaxed.h"
-#include "util/parallel.h"
 
 namespace udring::core {
 
@@ -186,32 +185,6 @@ RunReport RunContext::run(Algorithm algorithm, const RunSpec& spec) {
   return finish_report(oracle(algorithm, spec.problem),
                        resolve_problem(algorithm, spec.problem), state_, sched,
                        result);
-}
-
-std::vector<RunReport> run_many(Algorithm algorithm,
-                                const std::vector<RunSpec>& specs,
-                                std::size_t workers) {
-  std::vector<RunReport> reports(specs.size());
-  const std::size_t resolved = resolve_workers(specs.size(), workers);
-  // One arena per worker, built before the pool starts; deque-free because
-  // RunContext is neither copyable nor movable.
-  std::vector<std::unique_ptr<RunContext>> contexts;
-  contexts.reserve(resolved);
-  for (std::size_t w = 0; w < resolved; ++w) {
-    contexts.push_back(std::make_unique<RunContext>());
-  }
-  parallel_for_workers(specs.size(), resolved,
-                       [&](std::size_t worker, std::size_t i) {
-                         try {
-                           reports[i] = contexts[worker]->run(algorithm, specs[i]);
-                         } catch (const std::exception& error) {
-                           reports[i] = RunReport{};
-                           reports[i].success = false;
-                           reports[i].failure =
-                               std::string("exception: ") + error.what();
-                         }
-                       });
-  return reports;
 }
 
 }  // namespace udring::core

@@ -8,13 +8,12 @@
 // Two forms:
 //  - run_algorithm(spec): the historical one-shot — builds everything,
 //    runs, tears down. Right for a single run.
-//  - RunContext + run_many(specs): the pooled form — a RunContext owns a
-//    reusable sim::ExecutionState arena and a per-kind scheduler cache, so
-//    a worker that executes thousands of runs performs O(k) allocations per
-//    run (the agent programs) instead of O(n). run_many shards a spec list
-//    over util::parallel_for_workers with one RunContext per worker.
-//    exp::run_campaign and the src/explore fuzzer sit on the same
-//    machinery.
+//  - RunContext: the pooled form — a RunContext owns a reusable
+//    sim::ExecutionState arena, a per-kind scheduler cache and the goal
+//    oracle, so a worker that executes thousands of runs performs O(k)
+//    allocations per run (the agent programs) instead of O(n). The campaign
+//    engine (exp/campaign.h) keeps one RunContext per worker; it is the one
+//    parallel driver over many specs.
 
 #pragma once
 
@@ -124,9 +123,9 @@ struct RunReport {
 /// call run() per spec; everything n-sized is recycled between runs.
 ///
 /// Not thread-safe — one RunContext per worker thread is the intended shape
-/// (see run_many). Between run() calls the state() holds the *finished*
-/// configuration of the last run, so callers can inspect it before the next
-/// run resets it.
+/// (the campaign engine's). Between run() calls the state() holds the
+/// *finished* configuration of the last run, so callers can inspect it
+/// before the next run resets it.
 class RunContext {
  public:
   RunContext() = default;
@@ -163,13 +162,5 @@ class RunContext {
   Algorithm oracle_algorithm_ = Algorithm::KnownKFull;
   ProblemSpec oracle_problem_;
 };
-
-/// Runs every spec through `algorithm` across a worker pool (0 = hardware
-/// concurrency). Reports are index-aligned with `specs`; a spec that throws
-/// yields a report with success = false and the exception text in `failure`.
-/// One RunContext per worker.
-[[nodiscard]] std::vector<RunReport> run_many(Algorithm algorithm,
-                                              const std::vector<RunSpec>& specs,
-                                              std::size_t workers = 0);
 
 }  // namespace udring::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "core/distance_sequence.h"
 #include "exp/shard.h"
 #include "util/bits.h"
+#include "util/parallel.h"
 
 namespace udring::exp {
 
@@ -103,8 +103,8 @@ namespace {
   return key;
 }
 
-/// Builds the RunSpec scenario `s` executes — the substream derivation both
-/// engines (and scenario_homes) share: homes drawn from the instance-keyed
+/// Builds the RunSpec scenario `s` executes — the substream derivation the
+/// engine and scenario_homes share: homes drawn from the instance-keyed
 /// substream, then one extra draw for the scheduler seed.
 [[nodiscard]] core::RunSpec make_scenario_spec(const Scenario& scenario,
                                                const CampaignGrid& grid) {
@@ -147,7 +147,10 @@ constexpr std::uint64_t kScenarioHashSalt = 0x5ce7a210ba5eedULL;
 /// wrapping addition — commutative and associative — so any partition of
 /// the scenario set over any workers sums to the same value; the index
 /// inside the hash is what keeps the sum sensitive to results landing on
-/// the wrong scenario.
+/// the wrong scenario. Final positions (filled only for a scenario sink)
+/// stay out: the trailing 0 is where the historical layout folded their
+/// count, always 0 on a digest-pinned run, so every digest and shard byte
+/// is the same with or without a sink.
 [[nodiscard]] std::uint64_t hash_scenario(std::size_t index,
                                           const ScenarioResult& r) {
   std::uint64_t h = kScenarioHashSalt;
@@ -157,9 +160,7 @@ constexpr std::uint64_t kScenarioHashSalt = 0x5ce7a210ba5eedULL;
   fold64(h, r.makespan);
   fold64(h, r.max_memory_bits);
   fold64(h, r.actions);
-  const std::span<const std::size_t> positions = r.final_positions();
-  fold64(h, positions.size());
-  for (const std::size_t position : positions) fold64(h, position);
+  fold64(h, 0);
   return h;
 }
 
@@ -177,7 +178,7 @@ using SampleBuffer = FailureSamples;
 /// entries in ascending order. Workers see scenarios in work-stealing order,
 /// so "first N failures" must mean "lowest N indices", maintained by
 /// bounded insertion — that is what makes failure samples identical at any
-/// worker count and across aggregation paths.
+/// worker count, shard split or checkpoint resume.
 void insert_bounded(SampleBuffer& buffer, std::size_t cap, std::size_t index,
                     std::string text) {
   if (cap == 0) return;
@@ -196,8 +197,7 @@ void insert_bounded(SampleBuffer& buffer, std::size_t cap, std::size_t index,
 }
 
 /// Folds one scenario's measures into its cell accumulator — THE
-/// aggregation step, shared verbatim by the materialized fold and the
-/// streaming per-worker fold so the two paths cannot drift.
+/// aggregation step of the per-worker fold.
 void fold_into_cell(CellStats& stats, const ScenarioResult& r) {
   ++stats.runs;
   if (r.success) ++stats.successes;
@@ -211,7 +211,7 @@ void fold_into_cell(CellStats& stats, const ScenarioResult& r) {
 
 /// Samples one failing scenario into the cell and global buffers, building
 /// the description string at most once — and only when one of the bounded
-/// buffers will actually keep it. Shared by both aggregation paths.
+/// buffers will actually keep it.
 void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
                     const ScenarioResult& r, const CampaignOptions& options) {
   const bool cell_wants =
@@ -233,13 +233,14 @@ void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
 /// Lean scenario epilogue: exactly the fields the aggregation folds consume
 /// — core::finish_report's success/failure derivation (oracle on
 /// quiescence, the action-limit text otherwise), the three complexity
-/// measures, the action count, and the final positions only when
-/// requested. None of the report-only extras (moves_by_phase, labels,
-/// string copies) the scalar RunReport allocates and the campaign discards.
+/// measures, the action count, and the final positions only when a scenario
+/// sink will see them. None of the report-only extras (moves_by_phase,
+/// labels, string copies) the scalar RunReport allocates and the campaign
+/// discards.
 [[nodiscard]] ScenarioResult finish_scenario(const sim::GoalOracle& oracle,
                                              const sim::ExecutionState& state,
                                              const sim::RunResult& result,
-                                             bool record_final_positions) {
+                                             bool keep_positions) {
   ScenarioResult out;
   if (result.quiescent()) {
     const sim::CheckResult goal = oracle.check_goal(state);
@@ -254,7 +255,7 @@ void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
   out.makespan = state.metrics().makespan();
   out.max_memory_bits = state.metrics().max_memory_bits();
   out.actions = result.actions;
-  if (record_final_positions) {
+  if (keep_positions) {
     out.ensure_cold().final_positions = state.staying_nodes();
   }
   return out;
@@ -267,7 +268,7 @@ void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
 /// assemble a full RunReport — moves_by_phase, sorted positions, label
 /// mapping — that the campaign folds immediately discard).
 ScenarioResult run_one(const Scenario& scenario, const CampaignGrid& grid,
-                       bool record_final_positions, core::RunContext& ctx,
+                       bool keep_positions, core::RunContext& ctx,
                        std::optional<sim::Instance>& instance_slot) {
   try {
     const core::RunSpec spec = make_scenario_spec(scenario, grid);
@@ -278,7 +279,7 @@ ScenarioResult run_one(const Scenario& scenario, const CampaignGrid& grid,
         ctx.scheduler(spec.scheduler, spec.seed, spec.homes.size());
     const sim::RunResult result = ctx.state().run(scheduler);
     return finish_scenario(ctx.oracle(scenario.algorithm, scenario.problem),
-                           ctx.state(), result, record_final_positions);
+                           ctx.state(), result, keep_positions);
   } catch (const std::exception& error) {
     ScenarioResult out;
     out.success = false;
@@ -353,8 +354,8 @@ Scenario scenario_at(const std::vector<CellKey>& cells, std::size_t seeds,
 }
 
 std::vector<Scenario> expand(const CampaignGrid& grid) {
-  // Built over the compact cell expansion so the materialized and streaming
-  // paths agree on scenario order by construction.
+  // Built over the compact cell expansion so this list and the engine's
+  // on-the-fly scenario_at agree on scenario order by construction.
   const std::vector<CellKey> cells = expand_cells(grid);
   std::vector<Scenario> scenarios;
   scenarios.reserve(cells.size() * grid.seeds);
@@ -452,9 +453,8 @@ constexpr std::uint64_t kDigestSalt = 0xd16e57eeda7a600dULL;
 std::uint64_t CampaignResult::digest() const {
   std::uint64_t state = kDigestSalt;
   fold64(state, scenario_count);
-  // The per-scenario component is the cached commutative hash-sum: the
-  // streaming path has no results vector to walk, and the materialized path
-  // computes the identical sum during aggregation.
+  // The per-scenario component is the commutative hash-sum the workers fold
+  // as scenarios finish; no results vector survives to walk.
   fold64(state, scenario_hash);
   for (const auto& [key, stats] : cells) {
     fold64(state, static_cast<std::uint64_t>(key.algorithm));
@@ -564,60 +564,6 @@ std::string CampaignResult::summary() const {
   return text.str();
 }
 
-CampaignResult run_campaign(const CampaignGrid& grid,
-                            const CampaignOptions& options) {
-  CampaignResult result;
-  result.scenarios = expand(grid);
-  result.results.resize(result.scenarios.size());
-  result.scenario_count = result.scenarios.size();
-
-  // One pooled RunContext per worker: every scenario a worker executes
-  // reuses the same ExecutionState arena and scheduler cache, so a
-  // 1000-instance campaign performs O(workers), not O(instances),
-  // steady-state heap allocations. Scenario *outputs* still go to
-  // index-owned slots — pooling changes where the arena lives, not the
-  // determinism story.
-  const std::size_t workers =
-      resolve_workers(result.scenarios.size(), options.workers);
-  std::vector<std::unique_ptr<core::RunContext>> contexts;
-  std::vector<std::optional<sim::Instance>> instances(workers);
-  contexts.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    contexts.push_back(std::make_unique<core::RunContext>());
-  }
-  result.workers_used = parallel_for_workers(
-      result.scenarios.size(), workers, [&](std::size_t worker, std::size_t i) {
-        result.results[i] =
-            run_one(result.scenarios[i], grid, options.record_final_positions,
-                    *contexts[worker], instances[worker]);
-      });
-
-  // Aggregation in scenario-index order. Every fold below is
-  // order-independent anyway (integer sums, commutative hash-sum,
-  // lowest-index sampling) — the same folds the streaming path applies
-  // per worker — so this loop and a streaming merge produce identical
-  // bytes; walking in index order here is just the natural iteration.
-  SampleBuffer samples;
-  for (std::size_t i = 0; i < result.scenarios.size(); ++i) {
-    const Scenario& s = result.scenarios[i];
-    const ScenarioResult& r = result.results[i];
-    result.scenario_hash += hash_scenario(i, r);
-    CellStats& stats = result.cells[CellKey{s.algorithm, s.family, s.scheduler,
-                                            s.node_count, s.agent_count,
-                                            s.symmetry, s.problem, s.fault}];
-    fold_into_cell(stats, r);
-    if (!r.success) {
-      ++result.failures;
-      sample_failure(stats, samples, s, r, options);
-    }
-  }
-  result.failure_samples.reserve(samples.size());
-  for (auto& entry : samples) {
-    result.failure_samples.push_back(std::move(entry.second));
-  }
-  return result;
-}
-
 std::size_t streaming_cell_footprint_bytes(
     const CampaignOptions& options) noexcept {
   // A map node (key + stats + tree overhead) plus an allowance per sampled
@@ -685,11 +631,13 @@ std::size_t run_campaign_range(const CampaignGrid& grid,
   const std::size_t count = end - begin;
   const std::size_t workers = resolve_workers(count, options.workers);
 
-  // Per-worker state: the pooled RunContext (as in the materialized path)
-  // plus the streaming path's whole point — a private CampaignAccumulator
-  // the worker folds each ScenarioResult into the moment the scenario
-  // finishes. The result is discarded right after; nothing per-scenario
-  // survives the fold.
+  // Per-worker state: one pooled RunContext — every scenario a worker
+  // executes reuses the same ExecutionState arena and scheduler cache, so a
+  // 1000-instance campaign performs O(workers), not O(instances),
+  // steady-state heap allocations — plus a private CampaignAccumulator the
+  // worker folds each ScenarioResult into the moment the scenario finishes.
+  // The result is discarded right after; nothing per-scenario survives the
+  // fold.
   std::vector<CampaignAccumulator> accumulators(workers);
 
   // The worker-local fold: commutative and index-keyed, so the index-claim
@@ -714,36 +662,26 @@ std::size_t run_campaign_range(const CampaignGrid& grid,
   for (std::size_t w = 0; w < workers; ++w) {
     contexts.push_back(std::make_unique<core::RunContext>());
   }
+  const auto& sink = options.scenario_sink;
   const std::size_t used = parallel_for_workers(
       count, workers, [&](std::size_t worker, std::size_t local) {
         const Scenario s = scenario_at(cells, grid.seeds, begin + local);
-        fold(worker, s,
-             run_one(s, grid, /*record_final_positions=*/false,
-                     *contexts[worker], instances[worker]));
+        const ScenarioResult r = run_one(s, grid, static_cast<bool>(sink),
+                                         *contexts[worker], instances[worker]);
+        if (sink) sink(s, r);
+        fold(worker, s, r);
       });
 
   // Merge. Work stealing hands workers arbitrary scenario subsets, so every
   // fold inside merge_accumulators is commutative-exact: integer sums,
   // wrapping hash-sum, lowest-index bounded sample merges. Any worker count
-  // — and the materialized index-order fold — lands on the same bytes.
+  // — and an index-order fold of the same results — lands on the same
+  // bytes.
   for (CampaignAccumulator& acc : accumulators) {
     merge_accumulators(into, std::move(acc), options.max_failures_per_cell,
                        options.max_recorded_failures);
   }
   return used;
-}
-
-void finalize_streaming_result(CampaignResult& result,
-                               CampaignAccumulator&& merged) {
-  result.cells = std::move(merged.cells);
-  result.scenario_hash = merged.scenario_hash;
-  result.failures = merged.failures;
-  result.failure_samples.clear();
-  result.failure_samples.reserve(merged.failure_samples.size());
-  for (auto& [index, text] : merged.failure_samples) {
-    static_cast<void>(index);
-    result.failure_samples.push_back(std::move(text));
-  }
 }
 
 CampaignResult run_campaign_streaming(const CampaignGrid& grid,
@@ -779,9 +717,6 @@ Averages measure_cell(core::Algorithm algorithm, ConfigFamily family,
   grid.symmetries = {l};
   grid.seeds = seeds;
   grid.base_seed = base_seed;
-  // Cells are all a measurement needs, so take the streaming path: the
-  // bench binaries' grid sweeps then run in O(cells) memory at any n
-  // (identical averages — the two paths share the aggregation fold).
   const Averages avg = run_campaign_streaming(grid).averages(
       CellKey{algorithm, family, scheduler, n, k,
               family == ConfigFamily::Periodic ? l : 1});

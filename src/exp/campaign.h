@@ -13,7 +13,7 @@
 //   grid.node_counts = {64, 128, 256};
 //   grid.agent_counts = {8, 16};
 //   grid.seeds = 5;
-//   CampaignResult result = run_campaign(grid, {.workers = 8});
+//   CampaignResult result = run_campaign_streaming(grid, {.workers = 8});
 //
 // Determinism contract: the expansion order of a grid is fixed, every
 // scenario's randomness derives from Rng(base_seed).substream(key) where the
@@ -24,22 +24,21 @@
 // (associative), the per-scenario digest component is a commutative
 // hash-sum, and failure samples keep the lowest scenario indices. The same
 // grid therefore produces *byte-identical* results — digest(), summary(),
-// every cell — at any worker count, and identically through either
-// aggregation path (test_campaign.cpp / test_streaming.cpp pin this).
+// every cell — at any worker count, shard split or checkpoint resume
+// (test_campaign.cpp / test_streaming.cpp / test_shard.cpp pin this).
 // Failures never abort the campaign; they are counted, sampled, and visible
 // in the summary so a 10^5-scenario sweep reports every bad cell at once.
 //
-// Two aggregation paths share all of the above:
-//  - run_campaign: materialized — every ScenarioResult is kept,
-//    index-aligned with the expansion (the inspectable form benches like
-//    fig2 need).
-//  - run_campaign_streaming: workers fold each ScenarioResult into a
-//    per-worker cell accumulator the moment the scenario finishes and the
-//    accumulators merge after the join, so a 10^6-scenario sweep runs in
-//    O(cells + workers) memory — no per-scenario storage, no materialized
-//    expansion (scenarios are recomputed from their index on the fly), and
-//    an optional memory budget that drops whole cells (reported, never
-//    silent) instead of exhausting the host.
+// One engine, one fold path: run_campaign_streaming. Workers fold each
+// ScenarioResult into a per-worker cell accumulator the moment the scenario
+// finishes and the accumulators merge after the join, so a 10^6-scenario
+// sweep runs in O(cells + workers) memory — no per-scenario storage, no
+// materialized expansion (scenarios are recomputed from their index on the
+// fly), and an optional memory budget that drops whole cells (reported,
+// never silent) instead of exhausting the host. A caller that needs each
+// scenario's own outcome (fig2's per-instance final positions, per-scenario
+// tests) attaches CampaignOptions::scenario_sink, which sees every
+// ScenarioResult just before it is folded.
 
 #pragma once
 
@@ -59,7 +58,6 @@
 #include "sim/fault.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
-#include "util/parallel.h"
 #include "util/quantile_sketch.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -84,7 +82,7 @@ enum class ConfigFamily {
 
 /// One fully-instantiated point of a campaign grid.
 struct Scenario {
-  std::size_t index = 0;  ///< position in the grid's expansion (result slot)
+  std::size_t index = 0;  ///< position in the grid's expansion
   core::Algorithm algorithm = core::Algorithm::KnownKFull;
   ConfigFamily family = ConfigFamily::RandomAny;
   sim::SchedulerKind scheduler = sim::SchedulerKind::Synchronous;
@@ -168,8 +166,8 @@ struct CellKey {
 };
 
 /// The grid's feasible cells in expansion order — the O(cells) form of the
-/// expansion a streaming campaign iterates without ever materializing the
-/// scenario list. expand(grid) == flatten(expand_cells(grid) × grid.seeds).
+/// expansion the engine iterates without ever materializing the scenario
+/// list. expand(grid) == flatten(expand_cells(grid) × grid.seeds).
 [[nodiscard]] std::vector<CellKey> expand_cells(const CampaignGrid& grid);
 
 /// Number of scenarios expand(grid) would produce, in O(cells) memory.
@@ -180,12 +178,12 @@ struct CellKey {
 [[nodiscard]] Scenario scenario_at(const std::vector<CellKey>& cells,
                                    std::size_t seeds, std::size_t index);
 
-/// Outcome of one scenario. Written exactly once, into the scenario's own
-/// slot of CampaignResult::results — workers never share accumulators.
+/// Outcome of one scenario, produced on its worker thread, shown to the
+/// scenario sink (if any) and folded into the worker's accumulator.
 /// The hot struct carries only the five measures; failure text and final
-/// positions live behind one cold pointer, so the all-success sweep stores
-/// ~48 bytes per scenario with zero per-scenario heap traffic
-/// (test_campaign.cpp pins both with a counting allocator).
+/// positions live behind one cold pointer, so the all-success sweep does
+/// zero per-scenario heap traffic (test_campaign.cpp pins both with a
+/// counting allocator).
 struct ScenarioResult {
   bool success = false;
   std::size_t total_moves = 0;
@@ -193,8 +191,8 @@ struct ScenarioResult {
   std::size_t max_memory_bits = 0;
   std::size_t actions = 0;
 
-  /// Off-path data: allocated only on failure or when the options request
-  /// final positions.
+  /// Off-path data: allocated only on failure or when a scenario sink is
+  /// attached (final positions).
   struct Cold {
     std::string failure;
     std::vector<std::size_t> final_positions;
@@ -205,7 +203,7 @@ struct ScenarioResult {
   [[nodiscard]] std::string_view failure() const noexcept {
     return cold ? std::string_view(cold->failure) : std::string_view{};
   }
-  /// Final staying positions (empty unless record_final_positions was set).
+  /// Final staying positions (empty unless a scenario sink is attached).
   [[nodiscard]] std::span<const std::size_t> final_positions() const noexcept {
     return cold ? std::span<const std::size_t>(cold->final_positions)
                 : std::span<const std::size_t>{};
@@ -238,12 +236,12 @@ struct Averages {
 /// by index, maintained by bounded insertion (see CampaignOptions caps).
 using FailureSamples = std::vector<std::pair<std::size_t, std::string>>;
 
-/// The per-cell accumulator both aggregation paths fold ScenarioResults
-/// into. Sums are exact integers deliberately: integer addition is
-/// associative, so per-worker partial accumulators merge to the *same
-/// bytes* as an index-order fold — that associativity is what lets the
-/// streaming path keep the worker-count-invariant digest contract without
-/// ever ordering scenarios. A single process cannot overflow them (the
+/// The per-cell accumulator the engine folds ScenarioResults into. Sums are
+/// exact integers deliberately: integer addition is associative, so
+/// per-worker partial accumulators merge to the *same bytes* as an
+/// index-order fold — that associativity is what lets the engine keep the
+/// worker-count-invariant digest contract without ever ordering scenarios.
+/// A single process cannot overflow them (the
 /// expansion is size_t-bounded and each scenario's measures are bounded by
 /// its resolved action limit), but a cross-machine merged sweep CAN: the
 /// shard/accumulator merge paths (merge_accumulators, exp::merge_shards)
@@ -280,23 +278,20 @@ void merge_cell_stats(CellStats& into, CellStats&& from,
 struct CampaignOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (min 1).
   std::size_t workers = 0;
-  /// Record each scenario's final staying positions (materialized path
-  /// only; the streaming path never stores per-scenario data).
-  bool record_final_positions = false;
   /// How many failing scenarios to describe verbatim in the summary.
   std::size_t max_recorded_failures = 16;
   /// Failure strings kept per cell (CellStats::failure_samples).
   std::size_t max_failures_per_cell = 4;
-  /// Streaming path only: byte budget for ONE aggregation store (each
-  /// worker holds one during the run, the merged result is one more).
+  /// Byte budget for ONE aggregation store (each worker holds one during
+  /// the run, the merged result is one more).
   /// When cells × streaming_cell_footprint_bytes() exceeds it, trailing
   /// cells of the expansion are skipped — their scenarios never run — and
   /// reported in cells_skipped / skipped_cell_samples. 0 = unlimited.
   /// Deliberately independent of the worker count so the digest contract
   /// holds even when the budget binds.
   std::size_t memory_budget_bytes = 0;
-  /// Streaming path only: checkpoint/resume. When non-empty, the run folds
-  /// scenarios in watermark blocks and atomically replaces this file (a
+  /// Checkpoint/resume. When non-empty, the run folds scenarios in
+  /// watermark blocks and atomically replaces this file (a
   /// versioned exp::ShardFile, write-temp + rename) after each block, so a
   /// kill -9 at any point loses at most one checkpoint interval. If the file
   /// already exists when the run starts, it is validated against the grid
@@ -313,6 +308,15 @@ struct CampaignOptions {
   /// writes if scenarios remain — simulates a mid-sweep kill with the
   /// on-disk state a real crash would leave. 0 = off.
   std::size_t checkpoint_abort_after = 0;
+  /// Per-scenario observer. When set, the engine calls it once for every
+  /// scenario it runs, on that scenario's worker thread, just before the
+  /// result is folded, and fills ScenarioResult::final_positions(). Calls
+  /// from different workers run concurrently and in no particular order:
+  /// a sink writes only index-owned slots (Scenario::index) or guards its
+  /// own state. Observation only — it changes neither digest() nor the
+  /// grid fingerprint. Scenarios a resumed checkpoint already folded are
+  /// not run again, so the sink does not see them.
+  std::function<void(const Scenario&, const ScenarioResult&)> scenario_sink{};
 };
 
 /// Thrown by the checkpoint_abort_after test hook after the requested number
@@ -330,23 +334,20 @@ struct CampaignAborted : std::runtime_error {
     const CampaignOptions& options) noexcept;
 
 struct CampaignResult {
-  std::vector<Scenario> scenarios;       ///< materialized path only
-  std::vector<ScenarioResult> results;   ///< materialized path only
   std::map<CellKey, CellStats> cells;    ///< deterministic iteration order
-  std::size_t scenario_count = 0;        ///< scenarios run (both paths)
+  std::size_t scenario_count = 0;        ///< scenarios run
   std::size_t failures = 0;
   std::vector<std::string> failure_samples;  ///< lowest-index N failures
   std::size_t workers_used = 0;
-  bool streamed = false;                 ///< which path produced this
-  /// Streaming budget bookkeeping: cells dropped to respect
+  /// Memory-budget bookkeeping: cells dropped to respect
   /// memory_budget_bytes (their scenarios were never run), plus the first
   /// few dropped keys for the report.
   std::size_t cells_skipped = 0;
   std::size_t scenarios_skipped = 0;
   std::vector<CellKey> skipped_cell_samples;
   /// Commutative (wrapping) sum of per-scenario outcome hashes — the
-  /// scenario half of digest(), cached by both aggregation paths so the
-  /// streaming one never needs the results it discarded.
+  /// scenario half of digest(), folded as each scenario finishes so the
+  /// engine never needs the results it discarded.
   std::uint64_t scenario_hash = 0;
 
   [[nodiscard]] bool all_ok() const noexcept { return failures == 0; }
@@ -359,9 +360,8 @@ struct CampaignResult {
 
   /// 64-bit digest of every scenario outcome (index-keyed commutative
   /// hash-sum) and every aggregated cell (key-order fold). Equal digests at
-  /// different worker counts — and between run_campaign and
-  /// run_campaign_streaming on the same grid (with record_final_positions
-  /// off) — is the determinism contract.
+  /// different worker counts, shard splits and with or without a scenario
+  /// sink is the determinism contract.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Aggregated per-cell table (one row per cell, expansion order).
@@ -372,40 +372,28 @@ struct CampaignResult {
   [[nodiscard]] std::string summary() const;
 };
 
-// The engine's sharding primitive moved down a layer to util/parallel.h
-// (core::run_many needs it below exp/); the campaign engine and the
-// schedule explorer now share udring::parallel_for_index /
-// parallel_for_workers. Re-exported here for existing exp:: callers.
-using udring::parallel_for_index;
-using udring::parallel_for_workers;
-using udring::resolve_workers;
-
-/// Runs every scenario of `grid` across a worker pool and aggregates.
-/// A scenario's randomness is Rng(grid.base_seed).substream(key), where the
-/// key hashes only the instance coordinates (family, n, k, l, repetition):
-/// home configurations and scheduler seeds never depend on which worker
-/// runs the scenario or in what order, and algorithm/scheduler cells share
-/// instances. Use scenario_homes() to recompute a scenario's configuration
-/// externally — it applies the exact same derivation. A scenario that
-/// throws is recorded as a failure with the exception text; the campaign
-/// always completes.
-[[nodiscard]] CampaignResult run_campaign(const CampaignGrid& grid,
-                                          const CampaignOptions& options = {});
-
-/// Streaming mode of run_campaign: identical scenarios, identical
-/// per-scenario execution, but each worker folds every ScenarioResult into
-/// its own cell accumulator the moment the scenario finishes, and the
-/// accumulators merge (exactly — integer sums, commutative hash-sum,
-/// lowest-index samples) after the join. The campaign holds O(cells +
-/// workers) state regardless of scenario count: no results vector, no
-/// materialized expansion (scenario i is recomputed from i on the fly), so
-/// a 10^6-scenario sweep's resident set is flat. cells/digest()/summary()
-/// are byte-identical to the materialized path on the same grid;
-/// scenarios/results stay empty and record_final_positions is ignored.
+/// Runs every scenario of `grid` across a worker pool and aggregates — the
+/// campaign engine. A scenario's randomness is
+/// Rng(grid.base_seed).substream(key), where the key hashes only the
+/// instance coordinates (family, n, k, l, repetition): home configurations
+/// and scheduler seeds never depend on which worker runs the scenario or in
+/// what order, and algorithm/scheduler cells share instances. Use
+/// scenario_homes() to recompute a scenario's configuration externally — it
+/// applies the exact same derivation. A scenario that throws is recorded as
+/// a failure with the exception text; the campaign always completes.
+///
+/// Each worker folds every ScenarioResult into its own cell accumulator the
+/// moment the scenario finishes, and the accumulators merge (exactly —
+/// integer sums, commutative hash-sum, lowest-index samples) after the
+/// join. The campaign holds O(cells + workers) state regardless of scenario
+/// count: no results vector, no materialized expansion (scenario i is
+/// recomputed from i on the fly), so a 10^6-scenario sweep's resident set
+/// is flat. Per-scenario outcomes are available through
+/// CampaignOptions::scenario_sink.
 [[nodiscard]] CampaignResult run_campaign_streaming(
     const CampaignGrid& grid, const CampaignOptions& options = {});
 
-/// The order-invariant aggregation state the streaming path folds into —
+/// The order-invariant aggregation state the engine folds into —
 /// now a first-class value so partial folds can cross process boundaries:
 /// per-worker accumulators, checkpoint files and shard files all carry one,
 /// and any merge order reproduces the in-process fold byte for byte (the
@@ -456,18 +444,11 @@ struct AdmittedExpansion {
 [[nodiscard]] AdmittedExpansion admit_cells(const CampaignGrid& grid,
                                             const CampaignOptions& options);
 
-/// Number of scenarios the streaming path will actually run under these
+/// Number of scenarios the engine will actually run under these
 /// options: expansion_size(grid) minus scenarios of cells skipped by a
 /// binding memory_budget_bytes.
 [[nodiscard]] std::size_t admitted_scenario_count(const CampaignGrid& grid,
                                                   const CampaignOptions& options);
-
-/// Moves an accumulator's folds into a streamed CampaignResult (cells,
-/// scenario hash, failure counts and sample texts). Shared by
-/// run_campaign_streaming and exp::merge_shards so the two finishing paths
-/// cannot drift.
-void finalize_streaming_result(CampaignResult& result,
-                               CampaignAccumulator&& merged);
 
 /// The home configuration scenario `s` of `grid` runs on — the substream
 /// contract makes it recomputable outside the engine, so reports can relate

@@ -242,11 +242,13 @@ std::uint64_t grid_fingerprint(const CampaignGrid& grid,
   fold64(state, grid.base_seed);
   fold64(state, grid.sim_options.record_events ? 1 : 0);
   fold64(state, grid.sim_options.max_actions);
-  fold64(state, grid.sim_options.fault_non_fifo_links ? 1 : 0);
-  fold64(state, grid.sim_options.fault_non_fifo_min_phase);
-  // Result-affecting like the legacy pair above; folded only when non-empty
-  // so fault-free fingerprints keep their historical values. (The per-cell
-  // fault-axis plans are already inside fold_cell_key.)
+  // Two zeros where the fingerprint layout once folded a second copy of the
+  // non-FIFO knobs; the grid-wide plan below carries them now.
+  fold64(state, 0);
+  fold64(state, 0);
+  // Folded only when non-empty so fault-free fingerprints keep their
+  // historical values. (The per-cell fault-axis plans are already inside
+  // fold_cell_key.)
   if (!grid.sim_options.faults.empty()) {
     grid.sim_options.faults.fold_into(state);
   }
@@ -519,12 +521,18 @@ CampaignResult merge_shards(std::vector<ShardFile> shards, bool allow_partial) {
   }
 
   CampaignResult result;
-  result.streamed = true;
   result.scenario_count = static_cast<std::size_t>(covered);
   result.cells_skipped = static_cast<std::size_t>(first.cells_skipped);
   result.scenarios_skipped = static_cast<std::size_t>(first.scenarios_skipped);
   result.skipped_cell_samples = shards.front().skipped_cell_samples;
-  finalize_streaming_result(result, std::move(merged));
+  result.cells = std::move(merged.cells);
+  result.scenario_hash = merged.scenario_hash;
+  result.failures = merged.failures;
+  result.failure_samples.reserve(merged.failure_samples.size());
+  for (auto& [index, text] : merged.failure_samples) {
+    static_cast<void>(index);
+    result.failure_samples.push_back(std::move(text));
+  }
   return result;
 }
 

@@ -3,11 +3,11 @@
 // Durable sharded campaigns: a versioned binary shard-file format plus the
 // checkpoint/resume and multi-process primitives built on it.
 //
-// The streaming campaign path made per-cell accumulation exact and
-// commutative precisely so partial CellAccumulators merge byte-identically
-// — this header takes that property across process (and machine)
-// boundaries. A ShardFile is one serialized CampaignAccumulator plus the
-// provenance needed to merge it safely:
+// The campaign engine makes per-cell accumulation exact and commutative
+// precisely so partial CampaignAccumulators merge byte-identically — this
+// header takes that property across process (and machine) boundaries. A
+// ShardFile is one serialized CampaignAccumulator plus the provenance needed
+// to merge it safely:
 //
 //   - a grid FINGERPRINT: a digest of the grid's full cell expansion, the
 //     seed/repetition plan, the sim options, and every CampaignOption that
@@ -79,8 +79,9 @@ struct ShardFile {
 /// Fingerprint of everything that must match for two partial folds to be
 /// mergeable: the admitted cell expansion (every CellKey, in order), seeds,
 /// base_seed, the sim options, the sample caps and the memory budget.
-/// Deliberately excludes workers / checkpoint options — they
-/// change how fast a shard runs, never what it computes.
+/// Deliberately excludes workers, checkpoint options and the scenario sink
+/// — they change how a shard runs or who watches it, never what it
+/// computes.
 [[nodiscard]] std::uint64_t grid_fingerprint(const CampaignGrid& grid,
                                              const CampaignOptions& options);
 
@@ -117,9 +118,9 @@ void write_shard_file(const std::string& path, const ShardFile& shard);
                                            std::size_t shard_index,
                                            std::size_t shard_count);
 
-/// Folds shard files into the final CampaignResult (streamed form; digest/
-/// cells/failure samples byte-identical to the single-process run when the
-/// shards tile the expansion). Validation, all fail-loud:
+/// Folds shard files into the final CampaignResult (digest/cells/failure
+/// samples byte-identical to the single-process run when the shards tile
+/// the expansion). Validation, all fail-loud:
 ///   - at least one shard; all fingerprints, totals and caps identical
 ///   - ranges must not overlap — an overlapping pair (double-submitted
 ///     shard) would double-count runs and failure samples, so it is an

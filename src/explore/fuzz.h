@@ -101,12 +101,9 @@ struct FuzzOptions {
   std::vector<std::size_t> fixed_homes;
   /// Scheduler pool the iteration draws from; empty = all explore kinds.
   std::vector<ExploreSchedulerKind> schedulers;
-  /// Enable the non-FIFO fault injection (SimOptions::fault_non_fifo_links).
-  bool fault_non_fifo = false;
-  /// Fault window (SimOptions::fault_non_fifo_min_phase).
-  std::size_t fault_min_phase = 0;
-  /// Fixed structured fault plan (sim/fault.h) applied verbatim to every
-  /// iteration — the "replay THIS fault scenario under many schedules" mode.
+  /// Fixed fault plan (sim/fault.h) applied verbatim to every iteration —
+  /// the test-only non-FIFO relaxation, or the "replay THIS fault scenario
+  /// under many schedules" mode.
   sim::FaultPlan faults;
   /// Per-iteration fault budgets: when nonzero, each iteration draws that
   /// many crash faults / rewiring points from its own substream (on top of
@@ -206,10 +203,7 @@ struct RecordRequest {
   sim::Topology topology;
   ExploreSchedulerKind kind = ExploreSchedulerKind::RoundRobin;
   std::uint64_t seed = 0;
-  bool fault_non_fifo = false;
-  std::size_t fault_min_phase = 0;
-  /// Structured fault plan for the run (merged with the two legacy knobs
-  /// above by the Instance constructor; recorded into the trace).
+  /// Fault plan for the run (recorded into the trace).
   sim::FaultPlan faults;
   std::size_t max_actions = 0;
   /// Per-action oracle for the recording run (see OracleMode).
@@ -222,15 +216,5 @@ struct RecordRequest {
 /// path of the record/replay pair; also the corpus generator).
 [[nodiscard]] ScheduleTrace record_trace(const RecordRequest& request,
                                          sim::ExecutionState* reuse = nullptr);
-
-/// Historical ring-instance form of record_trace.
-[[nodiscard]] ScheduleTrace record_trace(core::Algorithm algorithm,
-                                         std::size_t node_count,
-                                         std::vector<std::size_t> homes,
-                                         ExploreSchedulerKind kind,
-                                         std::uint64_t seed,
-                                         bool fault_non_fifo = false,
-                                         std::size_t fault_min_phase = 0,
-                                         std::size_t max_actions = 0);
 
 }  // namespace udring::explore

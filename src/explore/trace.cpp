@@ -1,8 +1,13 @@
 #include "explore/trace.h"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_set>
+#include <utility>
+
+#include "util/cli.h"
 
 namespace udring::explore {
 
@@ -12,46 +17,70 @@ namespace {
   throw std::invalid_argument("ScheduleTrace::parse: " + what);
 }
 
-[[nodiscard]] std::uint64_t parse_u64(std::istringstream& line,
-                                      const std::string& key) {
-  std::uint64_t value = 0;
-  if (!(line >> value)) malformed("bad value for '" + key + "'");
-  std::string rest;
-  if (line >> rest) malformed("trailing '" + rest + "' after '" + key + "'");
-  return value;
+/// `token` as an unsigned decimal that fits T, through the strict parser
+/// every CLI flag uses (udring::parse_unsigned: digits only — no sign, no
+/// junk, no overflow); nullopt otherwise. `>>` into an unsigned type would
+/// accept "-1" and wrap it.
+template <typename T>
+[[nodiscard]] std::optional<T> to_unsigned(std::string_view token) {
+  try {
+    const std::uint64_t value = parse_unsigned(token, "trace");
+    if (std::in_range<T>(value)) return static_cast<T>(value);
+  } catch (const std::invalid_argument&) {
+  }
+  return std::nullopt;
 }
 
-/// The whole remainder of the line must be numeric: a corrupt token in the
-/// middle of a homes/choices list is a parse error, never a silent
-/// truncation (a truncated choice list would replay a different schedule).
-void expect_list_consumed(std::istringstream& line, const std::string& key) {
-  if (line.eof()) return;
-  line.clear();
+/// The one numeric value of a scalar key; anything after it is an error.
+template <typename T = std::uint64_t>
+[[nodiscard]] T parse_scalar(std::istringstream& line, const std::string& key) {
+  std::string token;
+  if (!(line >> token)) malformed("bad value for '" + key + "'");
+  const std::optional<T> value = to_unsigned<T>(token);
+  if (!value) malformed("bad value '" + token + "' for '" + key + "'");
   std::string rest;
-  line >> rest;
-  malformed("bad token '" + rest + "' in '" + key + "' list");
+  if (line >> rest) malformed("trailing '" + rest + "' after '" + key + "'");
+  return *value;
+}
+
+/// Appends every remaining token of the line: a corrupt token in the middle
+/// of a homes/choices list is a parse error, never a silent truncation (a
+/// truncated choice list would replay a different schedule).
+template <typename T>
+void parse_list(std::istringstream& line, const std::string& key,
+                std::vector<T>& out) {
+  std::string token;
+  while (line >> token) {
+    const std::optional<T> value = to_unsigned<T>(token);
+    if (!value) malformed("bad token '" + token + "' in '" + key + "' list");
+    out.push_back(*value);
+  }
 }
 
 /// Parses one "A@B" token (crash agent@action, drop/dup count@from-action).
 /// Both halves must be fully numeric — a mangled token is a parse error.
-[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> parse_at_pair(
+[[nodiscard]] std::pair<std::size_t, std::size_t> parse_at_pair(
     const std::string& token, const std::string& key) {
   const std::size_t at = token.find('@');
-  if (at == std::string::npos) {
-    malformed("bad token '" + token + "' in '" + key + "' (want A@B)");
+  if (at != std::string::npos) {
+    const std::string_view text(token);
+    const auto first = to_unsigned<std::size_t>(text.substr(0, at));
+    const auto second = to_unsigned<std::size_t>(text.substr(at + 1));
+    if (first && second) return {*first, *second};
   }
-  std::pair<std::uint64_t, std::uint64_t> out;
-  for (int half = 0; half < 2; ++half) {
-    const std::string part =
-        half == 0 ? token.substr(0, at) : token.substr(at + 1);
-    std::istringstream number(part);
-    std::uint64_t value = 0;
-    if (!(number >> value) || !(number >> std::ws).eof()) {
-      malformed("bad token '" + token + "' in '" + key + "' (want A@B)");
-    }
-    (half == 0 ? out.first : out.second) = value;
-  }
-  return out;
+  malformed("bad token '" + token + "' in '" + key + "' (want A@B)");
+}
+
+/// The single "A@B" token of a drop/dup key.
+[[nodiscard]] std::pair<std::size_t, std::size_t> parse_at_scalar(
+    std::istringstream& line, const std::string& key) {
+  std::string token;
+  line >> token;
+  const auto pair = parse_at_pair(token, key);
+  std::string rest;
+  if (line >> rest) malformed("trailing '" + rest + "' after '" + key + "'");
+  if (pair.first == 0) malformed("zero count in '" + key + "'");
+  return pair;
 }
 
 }  // namespace
@@ -74,23 +103,6 @@ core::Algorithm algorithm_from_name(std::string_view name) {
                               std::string(name) + "'");
 }
 
-void ScheduleTrace::set_fault_plan(const sim::FaultPlan& plan) {
-  fault_non_fifo = plan.non_fifo;
-  fault_min_phase = plan.non_fifo_min_phase;
-  faults = plan;
-  faults.normalize();
-  faults.non_fifo = false;
-  faults.non_fifo_min_phase = 0;
-}
-
-sim::FaultPlan ScheduleTrace::fault_plan() const {
-  sim::FaultPlan plan = faults;
-  plan.non_fifo = fault_non_fifo;
-  plan.non_fifo_min_phase = fault_min_phase;
-  plan.normalize();
-  return plan;
-}
-
 std::string ScheduleTrace::to_text() const {
   std::ostringstream out;
   out << kMagic << " v" << kVersion << '\n';
@@ -108,13 +120,16 @@ std::string ScheduleTrace::to_text() const {
   }
   if (!generator.empty()) out << "generator " << generator << '\n';
   out << "seed " << seed << '\n';
-  if (fault_non_fifo) out << "fault-non-fifo 1\n";
-  if (fault_min_phase != 0) out << "fault-min-phase " << fault_min_phase << '\n';
+  // The non-FIFO relaxation keeps the keys (and the position) the pre-fault
+  // corpus uses.
+  if (faults.non_fifo) out << "fault-non-fifo 1\n";
+  if (faults.non_fifo_min_phase != 0) {
+    out << "fault-min-phase " << faults.non_fifo_min_phase << '\n';
+  }
   // Structured fault keys, canonical order: alphabetical, lists normalized.
   // Emission depends only on the plan's *content*, never on the order the
   // producer filled it in, so re-recording a trace reproduces it byte-for-
-  // byte. The legacy non-FIFO flags above stay authoritative for the plain
-  // relaxation; `faults.non_fifo` mirrors them and is not re-emitted.
+  // byte.
   {
     sim::FaultPlan canonical = faults;
     canonical.normalize();
@@ -186,11 +201,9 @@ ScheduleTrace ScheduleTrace::parse(std::string_view text) {
       trace.algorithm = algorithm_from_name(name);
       saw_algorithm = true;
     } else if (key == "nodes") {
-      trace.node_count = static_cast<std::size_t>(parse_u64(fields, key));
+      trace.node_count = parse_scalar<std::size_t>(fields, key);
     } else if (key == "homes") {
-      std::uint64_t home = 0;
-      while (fields >> home) trace.homes.push_back(static_cast<std::size_t>(home));
-      expect_list_consumed(fields, key);
+      parse_list(fields, key, trace.homes);
     } else if (key == "topology") {
       fields >> trace.topology;
     } else if (key == "problem") {
@@ -201,60 +214,44 @@ ScheduleTrace ScheduleTrace::parse(std::string_view text) {
       // the way resolve_problem does so parse(to_text(x)) == x.
       if (trace.problem.kind != core::Problem::Gather) trace.problem.gather_g = 0;
     } else if (key == "gather-g") {
-      trace.problem.gather_g = static_cast<std::size_t>(parse_u64(fields, key));
+      trace.problem.gather_g = parse_scalar<std::size_t>(fields, key);
     } else if (key == "generator") {
       fields >> trace.generator;
     } else if (key == "seed") {
-      trace.seed = parse_u64(fields, key);
+      trace.seed = parse_scalar(fields, key);
     } else if (key == "fault-non-fifo") {
-      trace.fault_non_fifo = parse_u64(fields, key) != 0;
+      trace.faults.non_fifo = parse_scalar(fields, key) != 0;
     } else if (key == "fault-min-phase") {
-      trace.fault_min_phase = static_cast<std::size_t>(parse_u64(fields, key));
+      trace.faults.non_fifo_min_phase = parse_scalar<std::size_t>(fields, key);
     } else if (key == "fault-crashes") {
       std::string token;
       while (fields >> token) {
         const auto [agent, at_action] = parse_at_pair(token, key);
-        trace.faults.crashes.push_back(
-            sim::CrashFault{static_cast<sim::AgentId>(agent),
-                            static_cast<std::size_t>(at_action)});
+        trace.faults.crashes.push_back(sim::CrashFault{agent, at_action});
       }
       if (trace.faults.crashes.empty()) malformed("empty '" + key + "' list");
     } else if (key == "fault-drops") {
-      std::string token;
-      fields >> token;
-      const auto [count, from] = parse_at_pair(token, key);
-      trace.faults.drop_count = static_cast<std::size_t>(count);
-      trace.faults.drop_from_action = static_cast<std::size_t>(from);
-      if (count == 0) malformed("zero count in '" + key + "'");
+      std::tie(trace.faults.drop_count, trace.faults.drop_from_action) =
+          parse_at_scalar(fields, key);
     } else if (key == "fault-dups") {
-      std::string token;
-      fields >> token;
-      const auto [count, from] = parse_at_pair(token, key);
-      trace.faults.dup_count = static_cast<std::size_t>(count);
-      trace.faults.dup_from_action = static_cast<std::size_t>(from);
-      if (count == 0) malformed("zero count in '" + key + "'");
+      std::tie(trace.faults.dup_count, trace.faults.dup_from_action) =
+          parse_at_scalar(fields, key);
     } else if (key == "fault-non-fifo-window") {
       trace.faults.non_fifo_until_action =
-          static_cast<std::size_t>(parse_u64(fields, key));
+          parse_scalar<std::size_t>(fields, key);
     } else if (key == "fault-rewires") {
-      std::uint64_t at = 0;
-      while (fields >> at) {
-        trace.faults.rewire_at.push_back(static_cast<std::size_t>(at));
-      }
-      expect_list_consumed(fields, key);
+      parse_list(fields, key, trace.faults.rewire_at);
       if (trace.faults.rewire_at.empty()) malformed("empty '" + key + "' list");
     } else if (key == "max-actions") {
-      trace.max_actions = static_cast<std::size_t>(parse_u64(fields, key));
+      trace.max_actions = parse_scalar<std::size_t>(fields, key);
     } else if (key == "note") {
       std::getline(fields, trace.note);
       if (!trace.note.empty() && trace.note.front() == ' ') trace.note.erase(0, 1);
     } else if (key == "choices") {
-      std::uint32_t choice = 0;
-      while (fields >> choice) trace.choices.push_back(choice);
-      expect_list_consumed(fields, key);
+      parse_list(fields, key, trace.choices);
       saw_choices = true;
     } else if (key == "digest") {
-      trace.expected_digest = parse_u64(fields, key);
+      trace.expected_digest = parse_scalar(fields, key);
       saw_digest = true;
     } else if (key == "end") {
       saw_end = true;
@@ -275,6 +272,7 @@ ScheduleTrace ScheduleTrace::parse(std::string_view text) {
     if (home >= trace.node_count) malformed("home node out of range");
     if (!distinct.insert(home).second) malformed("duplicate home node");
   }
+  trace.faults.normalize();
   return trace;
 }
 

@@ -49,15 +49,13 @@ struct ScheduleTrace {
   core::ProblemSpec problem;
   std::string generator;              ///< scheduler that produced it (informational)
   std::uint64_t seed = 0;             ///< generator seed (informational)
-  bool fault_non_fifo = false;        ///< replay with the non-FIFO fault injected
-  std::size_t fault_min_phase = 0;    ///< SimOptions::fault_non_fifo_min_phase
-  /// Structured fault schedule (sim/fault.h) the execution ran under. The
-  /// legacy two fields above stay authoritative for the plain non-FIFO
-  /// relaxation so the pre-fault corpus re-serializes byte-identically;
-  /// `faults` carries everything else (crashes, drops, dups, the non-FIFO
-  /// window bound, rewiring points). Rewiring *stride* draws are not stored
-  /// here — they interleave into `choices` via Scheduler::pick_index, which
-  /// is what makes a faulty trace shrink and replay like any other.
+  /// Fault schedule (sim/fault.h) the execution ran under; replay hands it
+  /// to SimOptions::faults. The non-FIFO relaxation serializes as the
+  /// `fault-non-fifo` / `fault-min-phase` keys the pre-fault corpus already
+  /// uses, the rest as the structured `fault-*` keys. Rewiring *stride*
+  /// draws are not stored here — they interleave into `choices` via
+  /// Scheduler::pick_index, which is what makes a faulty trace shrink and
+  /// replay like any other.
   sim::FaultPlan faults;
   /// Per-run action cap the execution was recorded under; 0 = the
   /// simulator's auto limit. Serialized (when nonzero) so cap-sensitive
@@ -68,21 +66,16 @@ struct ScheduleTrace {
   std::uint64_t expected_digest = 0;  ///< event-log digest the replay must match
   std::string note;                   ///< free text (e.g. the failure reason)
 
-  /// Installs a fault plan, splitting it canonically: the plain non-FIFO
-  /// relaxation goes to the legacy fault_non_fifo/fault_min_phase fields
-  /// (pinning the pre-fault corpus bytes), everything else to `faults`.
-  void set_fault_plan(const sim::FaultPlan& plan);
-
-  /// Reassembles the full plan from both representations — the one to hand
-  /// to SimOptions::faults when replaying.
-  [[nodiscard]] sim::FaultPlan fault_plan() const;
-
   /// Serializes to the versioned text format (ends with "end\n").
   [[nodiscard]] std::string to_text() const;
 
   /// Parses a trace produced by to_text(). Unknown keys are rejected, as is
   /// a missing header or agent/node inconsistency (homes must be distinct
-  /// and in range). Throws std::invalid_argument with a line diagnostic.
+  /// and in range). Every number must be an unsigned decimal that fits its
+  /// field (udring::parse_unsigned: no sign, no junk, no overflow), so a
+  /// hand-edited "-1" is an error naming its key, never a wrapped value.
+  /// The fault plan comes back normalized. Throws std::invalid_argument
+  /// with a line diagnostic.
   [[nodiscard]] static ScheduleTrace parse(std::string_view text);
 };
 

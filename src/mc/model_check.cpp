@@ -54,21 +54,8 @@ struct Walk {
   spec.problem = request.problem;
   spec.sim_options.record_events = false;  // history is not state; stay lean
   spec.sim_options.max_actions = request.max_actions;
-  spec.sim_options.fault_non_fifo_links = request.fault_non_fifo;
-  spec.sim_options.fault_non_fifo_min_phase = request.fault_min_phase;
   spec.sim_options.faults = request.faults;
   return core::make_instance(request.algorithm, spec);
-}
-
-/// The request's full fault plan: the structured plan plus the legacy
-/// non-FIFO knobs (the Instance ctor's merge, reproduced for trace
-/// provenance).
-[[nodiscard]] sim::FaultPlan merged_fault_plan(const CheckRequest& request) {
-  sim::FaultPlan plan = request.faults;
-  plan.non_fifo = plan.non_fifo || request.fault_non_fifo;
-  plan.non_fifo_min_phase =
-      std::max(plan.non_fifo_min_phase, request.fault_min_phase);
-  return plan;
 }
 
 /// One DFS (or BFS-expansion) engine over one pooled ExecutionState plus its
@@ -408,7 +395,8 @@ class Explorer {
                        : std::string(request.topology.name());
   trace.problem = request.problem;
   trace.generator = "model-check";
-  trace.set_fault_plan(merged_fault_plan(request));
+  trace.faults = request.faults;
+  trace.faults.normalize();
   trace.max_actions = request.max_actions;  // cap-sensitive verdicts replay
   trace.choices = choices;
   const explore::ReplayOutcome outcome = explore::replay_trace(trace);
@@ -698,6 +686,7 @@ GridReport check_grid(const exp::CampaignGrid& grid, const McOptions& options) {
     cell.symmetry = s.symmetry;
     cell.repetition = s.repetition;
     cell.problem = s.problem;
+    cell.fault = s.fault;
     cell.homes = exp::scenario_homes(collapsed, s);
 
     CheckRequest request;
@@ -705,9 +694,10 @@ GridReport check_grid(const exp::CampaignGrid& grid, const McOptions& options) {
     request.problem = s.problem;
     request.node_count = s.node_count;
     request.homes = cell.homes;
-    request.fault_non_fifo = grid.sim_options.fault_non_fifo_links;
-    request.fault_min_phase = grid.sim_options.fault_non_fifo_min_phase;
-    request.faults = grid.sim_options.faults;
+    // The campaign's rule (make_scenario_spec): a non-empty cell plan
+    // replaces the grid-wide plan, so the cell is checked under exactly the
+    // faults its sampled runs execute under.
+    request.faults = s.fault.empty() ? grid.sim_options.faults : s.fault;
     request.max_actions = grid.sim_options.max_actions;
     cell.report = check(request, options);
 
@@ -737,6 +727,8 @@ std::uint64_t GridReport::digest() const {
       fold64(state, static_cast<std::uint64_t>(cell.problem.kind));
       fold64(state, cell.problem.gather_g);
     }
+    // Same contract for the fault axis: fault-free grids keep their digest.
+    if (!cell.fault.empty()) cell.fault.fold_into(state);
     fold64(state, cell.report.digest());
   }
   fold64(state, violations);
@@ -745,15 +737,20 @@ std::uint64_t GridReport::digest() const {
 }
 
 Table GridReport::summary_table() const {
-  // The "problem" column appears only when some cell names an explicit
-  // problem, so all-Auto grids render their historical layout.
+  // The "problem" and "fault" columns appear only when some cell names an
+  // explicit problem / a non-empty fault plan, so all-Auto fault-free grids
+  // render their historical layout.
   const bool show_problem =
       std::any_of(cells.begin(), cells.end(), [](const GridCell& cell) {
         return cell.problem.kind != core::Problem::Auto;
       });
+  const bool show_fault =
+      std::any_of(cells.begin(), cells.end(),
+                  [](const GridCell& cell) { return !cell.fault.empty(); });
   std::vector<std::string> headers = {
       "algorithm", "family", "n",       "k",       "l",      "rep",
       "schedules", "states", "deduped", "actions", "verdict"};
+  if (show_fault) headers.insert(headers.begin() + 1, "fault");
   if (show_problem) headers.insert(headers.begin() + 1, "problem");
   Table table(std::move(headers));
   for (const GridCell& cell : cells) {
@@ -768,6 +765,10 @@ Table GridReport::summary_table() const {
         cell.report.complete && cell.report.ok
             ? "verified over all schedules"
             : (cell.report.ok ? "budget" : "VIOLATION")};
+    if (show_fault) {
+      row.insert(row.begin() + 1,
+                 cell.fault.empty() ? "none" : cell.fault.label());
+    }
     if (show_problem) row.insert(row.begin() + 1, core::to_string(cell.problem));
     table.add_row(std::move(row));
   }
@@ -782,8 +783,9 @@ std::string GridReport::summary() const {
   for (const GridCell& cell : cells) {
     if (cell.report.ok) continue;
     out << "  VIOLATION " << core::to_string(cell.algorithm) << " n="
-        << cell.node_count << " k=" << cell.agent_count << ": "
-        << cell.report.failure_reason << '\n';
+        << cell.node_count << " k=" << cell.agent_count;
+    if (!cell.fault.empty()) out << " fault=" << cell.fault.label();
+    out << ": " << cell.report.failure_reason << '\n';
   }
   return out.str();
 }

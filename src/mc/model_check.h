@@ -129,17 +129,15 @@ struct CheckRequest {
   std::size_t node_count = 0;
   std::vector<std::size_t> homes;
   sim::Topology topology;
-  /// TEST-ONLY non-FIFO fault injection, as in SimOptions / ScheduleTrace.
-  bool fault_non_fifo = false;
-  std::size_t fault_min_phase = 0;
-  /// Structured fault schedule (sim/fault.h) every checked schedule runs
-  /// under: crash-stop faults, message drop/duplication, dynamic-ring
-  /// rewiring points. Rewiring points add *choice-tree levels*: at a pending
-  /// rewiring the node's branches are the candidate strides instead of
-  /// agents, so counterexample traces carry the adversary's rewiring choices
-  /// in `choices` and replay through the ordinary pick_index path. Plans
-  /// with events walk as one shard rooted at C_0; dedup stays sound because
-  /// config_digest folds the live fault state.
+  /// Fault schedule (sim/fault.h) every checked schedule runs under: the
+  /// test-only non-FIFO relaxation, crash-stop faults, message
+  /// drop/duplication, dynamic-ring rewiring points. Rewiring points add
+  /// *choice-tree levels*: at a pending rewiring the node's branches are
+  /// the candidate strides instead of agents, so counterexample traces
+  /// carry the adversary's rewiring choices in `choices` and replay through
+  /// the ordinary pick_index path. Plans with events walk as one shard
+  /// rooted at C_0; dedup stays sound because config_digest folds the live
+  /// fault state.
   sim::FaultPlan faults;
   /// Per-schedule action cap; 0 = the simulator's auto limit. Hitting it on
   /// any branch is a violation (livelock or broken algorithm), like the
@@ -258,8 +256,12 @@ struct GridCell {
   std::vector<std::size_t> homes;  ///< the instance actually checked
   ModelCheckReport report;
   /// Goal the cell was verified against (the grid's problem axis). Kept
-  /// last: GridCell predates the field and may be aggregate-initialized.
+  /// after the older fields: GridCell may be aggregate-initialized.
   core::ProblemSpec problem;
+  /// The cell's fault-axis plan (exp::CampaignGrid::fault_plans; empty =
+  /// the cell ran under grid.sim_options.faults, like a campaign cell).
+  /// Same extend-only-at-the-end rule as `problem`.
+  sim::FaultPlan fault;
 };
 
 struct GridReport {
@@ -281,12 +283,13 @@ struct GridReport {
 };
 
 /// Exhaustively model-checks every instance of `grid` — the same expansion
-/// order and substream-derived home configurations exp::run_campaign
+/// order and substream-derived home configurations the campaign engine
 /// samples (exp::scenario_homes), so "verified over all schedules" becomes
 /// a grid cell alongside fuzzed/measured cells. The scheduler axis is
 /// collapsed (the checker quantifies over every scheduler by construction);
-/// grid.sim_options supplies the fault knobs and action cap. Cells run in
-/// expansion order; `options` applies per cell.
+/// grid.sim_options supplies the action cap and the fault plan, which a
+/// cell's non-empty fault-axis plan replaces — the campaign's rule. Cells
+/// run in expansion order; `options` applies per cell.
 [[nodiscard]] GridReport check_grid(const exp::CampaignGrid& grid,
                                     const McOptions& options = {});
 

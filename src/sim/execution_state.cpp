@@ -131,11 +131,11 @@ RunResult ExecutionState::run(Scheduler& scheduler) {
   // Mode dispatch once per run; the loop then executes with both mode
   // branches resolved at compile time.
   if (log_.enabled()) {
-    return options_.fault_non_fifo_links ? run_impl<true, true>(scheduler)
-                                         : run_impl<true, false>(scheduler);
+    return options_.faults.non_fifo ? run_impl<true, true>(scheduler)
+                                    : run_impl<true, false>(scheduler);
   }
-  return options_.fault_non_fifo_links ? run_impl<false, true>(scheduler)
-                                       : run_impl<false, false>(scheduler);
+  return options_.faults.non_fifo ? run_impl<false, true>(scheduler)
+                                  : run_impl<false, false>(scheduler);
 }
 
 bool ExecutionState::step(Scheduler& scheduler) {
@@ -373,11 +373,11 @@ void ExecutionState::execute_action(AgentId id) {
   // (step/step_agent): two predictable branches, then the same
   // single action body run_impl executes.
   if (log_.enabled()) {
-    options_.fault_non_fifo_links ? execute_action_impl<true, true>(id)
-                                  : execute_action_impl<true, false>(id);
+    options_.faults.non_fifo ? execute_action_impl<true, true>(id)
+                             : execute_action_impl<true, false>(id);
   } else {
-    options_.fault_non_fifo_links ? execute_action_impl<false, true>(id)
-                                  : execute_action_impl<false, false>(id);
+    options_.faults.non_fifo ? execute_action_impl<false, true>(id)
+                             : execute_action_impl<false, false>(id);
   }
 }
 
@@ -507,8 +507,8 @@ void ExecutionState::execute_action_impl(AgentId id) {
 }
 
 bool ExecutionState::should_be_enabled(AgentId id) const {
-  return options_.fault_non_fifo_links ? should_be_enabled_impl<true>(id)
-                                       : should_be_enabled_impl<false>(id);
+  return options_.faults.non_fifo ? should_be_enabled_impl<true>(id)
+                                  : should_be_enabled_impl<false>(id);
 }
 
 template <bool Fault>
@@ -520,13 +520,13 @@ bool ExecutionState::should_be_enabled_impl(AgentId id) const {
       if (queue.empty()) return false;
       if (queue.front() == id) return true;
       if constexpr (!Fault) return false;
-      if (!options_.fault_non_fifo_links) return false;  // unreachable guard
+      if (!options_.faults.non_fifo) return false;  // unreachable guard
       // Fault injection: enabled from any position, but never overtaking an
       // agent that has not yet had its first action (the initial occupant of
       // its home buffer) — that would break the home-node-first rule, which
       // is not the guarantee under test — and only within the configured
       // phase window.
-      if (metrics_.agent(id).phase < options_.fault_non_fifo_min_phase) {
+      if (metrics_.agent(id).phase < options_.faults.non_fifo_min_phase) {
         return false;
       }
       // Generalized window (FaultPlan): overtaking closes again once the
@@ -538,7 +538,7 @@ bool ExecutionState::should_be_enabled_impl(AgentId id) const {
       for (const AgentId member : queue) {
         if (member == id) return true;
         if (metrics_.agent(member).actions == 0 ||
-            metrics_.agent(member).phase < options_.fault_non_fifo_min_phase) {
+            metrics_.agent(member).phase < options_.faults.non_fifo_min_phase) {
           return false;
         }
       }
@@ -557,8 +557,8 @@ bool ExecutionState::should_be_enabled_impl(AgentId id) const {
 }
 
 void ExecutionState::refresh_enabled(AgentId id) {
-  options_.fault_non_fifo_links ? refresh_enabled_impl<true>(id)
-                                : refresh_enabled_impl<false>(id);
+  options_.faults.non_fifo ? refresh_enabled_impl<true>(id)
+                           : refresh_enabled_impl<false>(id);
 }
 
 template <bool Fault>
@@ -676,26 +676,6 @@ void ExecutionState::agent_broadcast(AgentId id, Message message) {
 
 void ExecutionState::agent_set_phase(AgentId id, std::size_t phase) {
   metrics_.agent(id).phase = phase;
-}
-
-// ---- batching ---------------------------------------------------------------
-
-std::size_t run_batch(
-    ExecutionState& state, const std::vector<const Instance*>& instances,
-    const std::function<Scheduler&(std::size_t)>& scheduler_for,
-    const std::function<void(std::size_t, const ExecutionState&,
-                             const RunResult&)>& consume) {
-  std::size_t executed = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (instances[i] == nullptr) {
-      throw std::invalid_argument("run_batch: null instance");
-    }
-    state.reset(*instances[i]);
-    const RunResult result = state.run(scheduler_for(i));
-    if (consume) consume(i, state, result);
-    ++executed;
-  }
-  return executed;
 }
 
 }  // namespace udring::sim

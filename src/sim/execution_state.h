@@ -64,7 +64,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -459,16 +458,5 @@ class ExecutionState {
 /// Historical name, kept so the execution engine reads as "the simulator"
 /// everywhere a run is one-shot. The pooled APIs say ExecutionState.
 using Simulator = ExecutionState;
-
-/// Runs `instances` back to back on one pooled `state` (the serial pooling
-/// primitive; core::run_many adds the worker sharding on top). For each
-/// index i: state.reset(*instances[i]), then run under scheduler_for(i),
-/// then consume(i, state, result) while the state still holds the finished
-/// configuration. Returns the number of runs executed.
-std::size_t run_batch(
-    ExecutionState& state, const std::vector<const Instance*>& instances,
-    const std::function<Scheduler&(std::size_t)>& scheduler_for,
-    const std::function<void(std::size_t, const ExecutionState&,
-                             const RunResult&)>& consume);
 
 }  // namespace udring::sim

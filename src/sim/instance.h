@@ -8,8 +8,9 @@
 // an ExecutionState is the mutable arena that executes it. One Instance can
 // be executed any number of times, concurrently, by different
 // ExecutionStates — it is never written after construction — which is what
-// makes pooled batch drivers (sim::run_batch, core::run_many,
-// exp::run_campaign) safe and allocation-free in steady state.
+// makes the pooled drivers (core::RunContext under the campaign engine, the
+// fuzzer's and the model checker's per-worker states) safe and
+// allocation-free in steady state.
 //
 // Lifetime contract: an ExecutionState holds a plain pointer to the
 // Instance it was last reset() onto. The Instance must stay alive until the
@@ -41,37 +42,8 @@ struct SimOptions {
   /// Structured fault schedule (crash-stop faults, link faults, dynamic-ring
   /// rewiring — see sim/fault.h). Empty (default) = the fault-free paper
   /// model. The Instance constructor normalizes the plan (sorting its event
-  /// lists), folds the two DEPRECATED legacy fields below into it, and
-  /// validates it against the instance's dimensions.
+  /// lists) and validates it against the instance's dimensions.
   FaultPlan faults;
-  /// DEPRECATED — legacy alias for faults.non_fifo, kept so historical
-  /// callers and recorded traces keep working unchanged; the Instance
-  /// constructor merges it into `faults` and mirrors the resolved value
-  /// back, so reading either field after construction sees the same truth.
-  ///
-  /// TEST-ONLY fault injection: weakens the FIFO link guarantee. When set,
-  /// an in-transit agent may arrive from *any* queue position — overtaking
-  /// agents ahead of it — as long as it does not pass an agent still in its
-  /// initial transit (that restriction preserves the §2.1 home-node-first
-  /// rule, which every algorithm legitimately relies on; the FIFO
-  /// non-overtaking property is the only guarantee removed). The scheduler
-  /// decides who jumps: all such agents join the enabled set. This models a
-  /// substrate without FIFO links and exists so the schedule explorer can
-  /// demonstrate that KnownKLogMemStrict's correctness — unlike the hardened
-  /// default — leans on FIFO order (see known_k_logmem.h). Never set it in
-  /// experiments that reproduce the paper's model.
-  bool fault_non_fifo_links = false;
-  /// DEPRECATED — legacy alias for faults.non_fifo_min_phase (see above).
-  ///
-  /// Narrows the fault window: overtaking is permitted only when the jumper
-  /// and every agent it passes have reached this phase tag (metrics phase,
-  /// see AgentContext::set_phase). Phases are how multi-phase algorithms
-  /// announce their progress, so this seeds a non-FIFO bug into one phase
-  /// without corrupting the phases before it — e.g. phase 1 targets
-  /// Algorithm 3's deployment race while Algorithm 2's selection-phase
-  /// geometry measurements (which also assume non-overtaking, for every
-  /// variant) stay sound. 0 = the fault is live from the first action.
-  std::size_t fault_non_fifo_min_phase = 0;
 };
 
 /// Creates the program (algorithm instance) for agent `id`. Algorithms are

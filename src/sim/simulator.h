@@ -6,9 +6,9 @@
 // Instance × ExecutionState split (immutable spec × pooled mutable arena);
 // `Simulator` is an alias for ExecutionState whose legacy constructor
 // builds and owns a one-off ring Instance. Code that runs one instance and
-// throws the simulator away keeps reading naturally; batch drivers
-// (sim::run_batch, core::run_many, exp::run_campaign) construct
-// ExecutionStates directly and reset() them across runs.
+// throws the simulator away keeps reading naturally; pooled drivers
+// (core::RunContext under the campaign engine, the fuzzer, the model
+// checker) construct ExecutionStates directly and reset() them across runs.
 
 #pragma once
 

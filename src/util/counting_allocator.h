@@ -9,10 +9,12 @@
 // It is deliberately not part of the udring library — only audit binaries
 // opt in.
 //
-// Under sanitizers the replacement is compiled out (UDRING_COUNTING_
-// ALLOCATOR == 0) so ASan's own allocator interposition stays in charge;
-// audits should skip their count assertions in that configuration (the
-// macro is the gate) — allocation_count() then always reports 0.
+// Under ASan and TSan the replacement is compiled out (UDRING_COUNTING_
+// ALLOCATOR == 0) so the sanitizer's own allocator interposition stays in
+// charge (under TSan's -O2 build GCC's -Wmismatched-new-delete also misfires
+// on the inlined replacement pair, failing -Werror builds); audits should
+// skip their count assertions in that configuration (the macro is the
+// gate) — allocation_count() then always reports 0.
 
 #pragma once
 
@@ -21,10 +23,10 @@
 #include <cstdlib>
 #include <new>
 
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define UDRING_COUNTING_ALLOCATOR 0
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define UDRING_COUNTING_ALLOCATOR 0
 #else
 #define UDRING_COUNTING_ALLOCATOR 1

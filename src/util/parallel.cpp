@@ -58,10 +58,4 @@ std::size_t parallel_for_workers(
   return workers;
 }
 
-std::size_t parallel_for_index(std::size_t count, std::size_t workers,
-                               const std::function<void(std::size_t)>& fn) {
-  return parallel_for_workers(
-      count, workers, [&fn](std::size_t /*worker*/, std::size_t i) { fn(i); });
-}
-
 }  // namespace udring

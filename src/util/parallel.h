@@ -1,10 +1,11 @@
 // udring/util/parallel.h
 //
-// The repo's one sharding primitive. Campaigns, the schedule fuzzer and the
-// batch drivers all parallelize the same way: N independent index-owned
-// tasks, atomic work stealing, order-sensitive folding *after* the join —
-// which is what makes every sharded artifact byte-identical at any worker
-// count. Living in util/ (below core/), it is usable by every layer.
+// The repo's one sharding primitive. The campaign engine, the schedule
+// fuzzer and the model checker's shard phase all parallelize the same way:
+// N independent index-owned tasks, atomic work stealing, order-sensitive
+// folding *after* the join — which is what makes every sharded artifact
+// byte-identical at any worker count. Living in util/ (below core/), it is
+// usable by every layer.
 
 #pragma once
 
@@ -33,10 +34,5 @@ namespace udring {
 std::size_t parallel_for_workers(
     std::size_t count, std::size_t workers,
     const std::function<void(std::size_t, std::size_t)>& fn);
-
-/// Worker-oblivious form: calls fn(i) for every i in [0, count). Same
-/// contract as parallel_for_workers otherwise.
-std::size_t parallel_for_index(std::size_t count, std::size_t workers,
-                               const std::function<void(std::size_t)>& fn);
 
 }  // namespace udring

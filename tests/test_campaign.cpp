@@ -1,15 +1,21 @@
 // Tests for the exp/campaign engine: deterministic grid expansion, the
 // worker-count-invariance contract (same grid + seed ⇒ byte-identical
-// aggregated results at 1 vs 8 workers), failure propagation into the
-// campaign summary, and the ScenarioResult hot-struct contract (success
-// path carries no cold allocations — pinned with a counting allocator,
-// the same technique bench_huge_instance uses).
+// per-scenario and aggregated results at 1 vs 8 workers), failure
+// propagation into the campaign summary, and the ScenarioResult hot-struct
+// contract (success path carries no cold allocations — pinned with a
+// counting allocator, the same technique bench_huge_instance uses).
 
 #include "exp/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
 #include <string>
+#include <vector>
+
+#include "sim/checker.h"
 
 // Defines the global counting operator new for this test binary (one TU
 // only); measurement windows snapshot udring::allocation_count() around
@@ -19,6 +25,29 @@
 
 namespace udring::exp {
 namespace {
+
+/// Every ScenarioResult the engine produced, in expansion order, collected
+/// through the scenario sink (each call writes only its own index slot).
+struct Collected {
+  CampaignResult result;
+  std::vector<ScenarioResult> results;
+};
+
+Collected run_collecting(const CampaignGrid& grid, CampaignOptions options) {
+  Collected out;
+  out.results.resize(admitted_scenario_count(grid, options));
+  options.scenario_sink = [&out](const Scenario& s, const ScenarioResult& r) {
+    ScenarioResult& slot = out.results.at(s.index);
+    slot.success = r.success;
+    slot.total_moves = r.total_moves;
+    slot.makespan = r.makespan;
+    slot.max_memory_bits = r.max_memory_bits;
+    slot.actions = r.actions;
+    if (r.cold) slot.cold = std::make_unique<ScenarioResult::Cold>(*r.cold);
+  };
+  out.result = run_campaign_streaming(grid, options);
+  return out;
+}
 
 CampaignGrid small_grid() {
   CampaignGrid grid;
@@ -68,20 +97,29 @@ TEST(Campaign, ExpansionSkipsInfeasibleCombinations) {
 
 TEST(Campaign, ByteIdenticalResultsAtOneVersusEightWorkers) {
   const CampaignGrid grid = small_grid();
-  const CampaignResult serial = run_campaign(grid, {.workers = 1});
-  const CampaignResult parallel = run_campaign(grid, {.workers = 8});
+  const Collected serial_run = run_collecting(grid, {.workers = 1});
+  const Collected parallel_run = run_collecting(grid, {.workers = 8});
+  const CampaignResult& serial = serial_run.result;
+  const CampaignResult& parallel = parallel_run.result;
 
-  ASSERT_EQ(serial.results.size(), parallel.results.size());
+  // The sink saw every scenario exactly once, with the same outcome in the
+  // same slot at either worker count.
+  ASSERT_EQ(serial_run.results.size(), serial.scenario_count);
+  ASSERT_EQ(parallel_run.results.size(), serial_run.results.size());
   EXPECT_EQ(serial.workers_used, 1u);
   EXPECT_EQ(parallel.workers_used, 8u);
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    const ScenarioResult& a = serial.results[i];
-    const ScenarioResult& b = parallel.results[i];
+  for (std::size_t i = 0; i < serial_run.results.size(); ++i) {
+    const ScenarioResult& a = serial_run.results[i];
+    const ScenarioResult& b = parallel_run.results[i];
+    ASSERT_GT(a.actions, 0u) << "scenario " << i << " never reached the sink";
     ASSERT_EQ(a.success, b.success) << "scenario " << i;
     ASSERT_EQ(a.total_moves, b.total_moves) << "scenario " << i;
     ASSERT_EQ(a.makespan, b.makespan) << "scenario " << i;
     ASSERT_EQ(a.max_memory_bits, b.max_memory_bits) << "scenario " << i;
     ASSERT_EQ(a.actions, b.actions) << "scenario " << i;
+    ASSERT_EQ(a.failure(), b.failure()) << "scenario " << i;
+    ASSERT_TRUE(std::ranges::equal(a.final_positions(), b.final_positions()))
+        << "scenario " << i;
   }
   EXPECT_EQ(serial.digest(), parallel.digest());
 
@@ -122,8 +160,8 @@ TEST(Campaign, InstancesArePairedAcrossAlgorithmsAndSchedulers) {
 
 TEST(Campaign, RepeatedRunsAreIdentical) {
   const CampaignGrid grid = small_grid();
-  EXPECT_EQ(run_campaign(grid, {.workers = 3}).digest(),
-            run_campaign(grid, {.workers = 5}).digest());
+  EXPECT_EQ(run_campaign_streaming(grid, {.workers = 3}).digest(),
+            run_campaign_streaming(grid, {.workers = 5}).digest());
 }
 
 TEST(Campaign, RoundRobinDigestAcrossMaskWordsIsPinned) {
@@ -137,7 +175,7 @@ TEST(Campaign, RoundRobinDigestAcrossMaskWordsIsPinned) {
   grid.schedulers = {sim::SchedulerKind::RoundRobin};
   grid.instances = {{512, 65}, {640, 130}};
   grid.seeds = 2;
-  const CampaignResult result = run_campaign(grid, {.workers = 1});
+  const CampaignResult result = run_campaign_streaming(grid, {.workers = 1});
   ASSERT_TRUE(result.all_ok());
   EXPECT_EQ(result.scenario_count, 8u);
   EXPECT_EQ(result.digest(), 0x7f803383588eb989ULL)
@@ -145,7 +183,8 @@ TEST(Campaign, RoundRobinDigestAcrossMaskWordsIsPinned) {
 }
 
 TEST(Campaign, AllScenariosSucceedOnPaperAlgorithms) {
-  const CampaignResult result = run_campaign(small_grid(), {.workers = 4});
+  const CampaignResult result =
+      run_campaign_streaming(small_grid(), {.workers = 4});
   EXPECT_TRUE(result.all_ok()) << result.summary();
   EXPECT_EQ(result.failures, 0u);
   for (const auto& [key, stats] : result.cells) {
@@ -159,9 +198,10 @@ TEST(Campaign, FailingScenariosSurfaceInSummary) {
   // An action budget of 1 cannot complete any run: every scenario must be
   // reported as a failure, not silently averaged away.
   grid.sim_options.max_actions = 1;
-  const CampaignResult result = run_campaign(grid, {.workers = 4});
+  const CampaignResult result = run_campaign_streaming(grid, {.workers = 4});
   EXPECT_FALSE(result.all_ok());
-  EXPECT_EQ(result.failures, result.scenarios.size());
+  EXPECT_EQ(result.failures, result.scenario_count);
+  EXPECT_EQ(result.scenario_count, expansion_size(grid));
   ASSERT_FALSE(result.failure_samples.empty());
   EXPECT_NE(result.failure_samples.front().find("action limit"),
             std::string::npos);
@@ -182,29 +222,32 @@ TEST(Campaign, ExceptionsAreContainedAsFailures) {
   grid.agent_counts = {8};
   grid.symmetries = {4};
   grid.seeds = 2;
-  const CampaignResult result = run_campaign(grid, {.workers = 2});
-  ASSERT_EQ(result.scenarios.size(), 2u);
+  const CampaignResult result = run_campaign_streaming(grid, {.workers = 2});
+  ASSERT_EQ(result.scenario_count, 2u);
   EXPECT_EQ(result.failures, 2u);
   ASSERT_FALSE(result.failure_samples.empty());
   EXPECT_NE(result.failure_samples.front().find("exception:"),
             std::string::npos);
 }
 
-TEST(Campaign, FinalPositionsRecordedOnRequest) {
+TEST(Campaign, SinkSeesFinalPositions) {
   CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull};
   grid.node_counts = {16};
   grid.agent_counts = {4};
   grid.seeds = 1;
-  const CampaignResult without = run_campaign(grid, {.workers = 1});
-  ASSERT_EQ(without.results.size(), 1u);
-  EXPECT_TRUE(without.results[0].final_positions().empty());
-  EXPECT_EQ(without.results[0].cold, nullptr);  // success path stays cold-free
-
-  const CampaignResult with = run_campaign(
-      grid, {.workers = 1, .record_final_positions = true});
-  ASSERT_EQ(with.results.size(), 1u);
-  EXPECT_EQ(with.results[0].final_positions().size(), 4u);
+  const Collected run = run_collecting(grid, {.workers = 1});
+  ASSERT_EQ(run.results.size(), 1u);
+  ASSERT_TRUE(run.results[0].success);
+  EXPECT_TRUE(run.results[0].failure().empty());
+  const std::span<const std::size_t> positions =
+      run.results[0].final_positions();
+  ASSERT_EQ(positions.size(), 4u);
+  // Uniform deployment of 4 agents on 16 nodes: every gap is exactly 4.
+  for (const std::size_t gap : sim::ring_gaps(
+           std::vector<std::size_t>(positions.begin(), positions.end()), 16)) {
+    EXPECT_EQ(gap, 4u);
+  }
 }
 
 TEST(Campaign, MeasureCellMatchesExplicitCampaign) {
@@ -215,12 +258,13 @@ TEST(Campaign, MeasureCellMatchesExplicitCampaign) {
   grid.node_counts = {32};
   grid.agent_counts = {4};
   grid.seeds = 5;
-  const Averages via_campaign = run_campaign(grid).averages(
+  const Averages via_campaign = run_campaign_streaming(grid).averages(
       CellKey{core::Algorithm::KnownKFull, ConfigFamily::RandomAny,
               sim::SchedulerKind::Synchronous, 32, 4, 1});
   EXPECT_EQ(direct.runs, via_campaign.runs);
   EXPECT_EQ(direct.moves, via_campaign.moves);
   EXPECT_EQ(direct.makespan, via_campaign.makespan);
+  EXPECT_EQ(direct.memory_bits, via_campaign.memory_bits);
   EXPECT_EQ(direct.success_rate, via_campaign.success_rate);
 }
 
@@ -237,8 +281,8 @@ TEST(Campaign, MeasureCellThrowsOnInfeasibleCell) {
 }
 
 TEST(Campaign, ScenarioResultHotStructStaysSmall) {
-  // The trim contract: five measures + one cold pointer. Growing this
-  // struct grows every materialized sweep by scenarios × delta bytes.
+  // The trim contract: five measures + one cold pointer. Every scenario a
+  // worker runs builds one; new fields belong in Cold.
   static_assert(sizeof(ScenarioResult) <= 6 * sizeof(void*),
                 "ScenarioResult hot struct grew; move new fields to Cold");
   ScenarioResult ok;
@@ -291,7 +335,7 @@ TEST(Campaign, CellLookupMissReturnsNull) {
   grid.algorithms = {core::Algorithm::KnownKFull};
   grid.node_counts = {16};
   grid.agent_counts = {4};
-  const CampaignResult result = run_campaign(grid);
+  const CampaignResult result = run_campaign_streaming(grid);
   EXPECT_NE(result.cell(CellKey{core::Algorithm::KnownKFull,
                                 ConfigFamily::RandomAny,
                                 sim::SchedulerKind::Synchronous, 16, 4, 1}),
@@ -368,7 +412,7 @@ TEST(Campaign, CellStatsMergeChecksSumsAtTheUint64Boundary) {
 }
 
 TEST(Campaign, AveragesReportSketchQuantiles) {
-  const CampaignResult result = run_campaign(small_grid());
+  const CampaignResult result = run_campaign_streaming(small_grid());
   for (const auto& [key, stats] : result.cells) {
     const Averages avg = stats.averages();
     ASSERT_GT(avg.runs, 0u);

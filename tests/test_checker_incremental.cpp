@@ -90,8 +90,8 @@ TEST(IncrementalChecker, EquivalentUnderNonFifoFaultQueueJumping) {
     core::RunSpec spec;
     spec.node_count = gen::kLogmemStressNodes;
     spec.homes = gen::logmem_stress_homes();
-    spec.sim_options.fault_non_fifo_links = true;
-    spec.sim_options.fault_non_fifo_min_phase =
+    spec.sim_options.faults.non_fifo = true;
+    spec.sim_options.faults.non_fifo_min_phase =
         core::KnownKLogMemAgent::kDeployment;
     auto sim = core::make_simulator(core::Algorithm::KnownKLogMemStrict, spec);
     sim::RandomScheduler scheduler(rng());
@@ -230,8 +230,8 @@ TEST(IncrementalChecker, FaultedFuzzReportIsOracleModeInvariant) {
   // reason prefix unchanged.
   explore::FuzzOptions options;
   options.algorithm = core::Algorithm::KnownKLogMemStrict;
-  options.fault_non_fifo = true;
-  options.fault_min_phase = core::KnownKLogMemAgent::kDeployment;
+  options.faults.non_fifo = true;
+  options.faults.non_fifo_min_phase = core::KnownKLogMemAgent::kDeployment;
   options.fixed_nodes = gen::kLogmemStressNodes;
   options.fixed_homes = gen::logmem_stress_homes();
   options.schedulers = {explore::ExploreSchedulerKind::LinkDelay};

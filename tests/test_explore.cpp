@@ -4,9 +4,9 @@
 // The centerpiece is the seeded-bug experiment the PR's acceptance criterion
 // asks for: KnownKLogMemStrict follows Algorithm 3 literally and its
 // correctness leans on the FIFO non-overtaking property (known_k_logmem.h).
-// With the test-only non-FIFO fault injected (SimOptions::fault_non_fifo_
-// links), the fuzzer must find a violating schedule within a smoke-sized
-// budget and the shrinker must reduce it to a small replayable trace — while
+// With the test-only non-FIFO fault injected (sim::FaultPlan::non_fifo),
+// the fuzzer must find a violating schedule within a smoke-sized budget and
+// the shrinker must reduce it to a small replayable trace — while
 // the hardened default variant survives the identical adversary, which is
 // exactly the FIFO-dependence ablation the algorithm's documentation claims.
 
@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "config/generators.h"
 #include "core/known_k_logmem.h"
@@ -28,6 +30,19 @@
 namespace udring::explore {
 namespace {
 
+/// One fault-free recording of a ring instance.
+ScheduleTrace record_ring(core::Algorithm algorithm, std::size_t n,
+                          std::vector<std::size_t> homes,
+                          ExploreSchedulerKind kind, std::uint64_t seed) {
+  RecordRequest request;
+  request.algorithm = algorithm;
+  request.node_count = n;
+  request.homes = std::move(homes);
+  request.kind = kind;
+  request.seed = seed;
+  return record_trace(request);
+}
+
 // The seeded-bug harness: point the fuzzer at the Algorithm-3 deployment
 // stress instance (two base nodes, asymmetric segments — see
 // gen::logmem_stress_homes) with the non-FIFO fault windowed to the
@@ -38,8 +53,8 @@ namespace {
 FuzzOptions strict_fifo_bug_options() {
   FuzzOptions options;
   options.algorithm = core::Algorithm::KnownKLogMemStrict;
-  options.fault_non_fifo = true;
-  options.fault_min_phase = core::KnownKLogMemAgent::kDeployment;
+  options.faults.non_fifo = true;
+  options.faults.non_fifo_min_phase = core::KnownKLogMemAgent::kDeployment;
   options.fixed_nodes = gen::kLogmemStressNodes;
   options.fixed_homes = gen::logmem_stress_homes();
   options.schedulers = {ExploreSchedulerKind::LinkDelay,
@@ -84,7 +99,7 @@ TEST(Adversaries, EveryKindSolvesThePaperAlgorithms) {
     for (const core::Algorithm algorithm :
          {core::Algorithm::KnownKFull, core::Algorithm::KnownKLogMem,
           core::Algorithm::KnownKLogMemStrict, core::Algorithm::UnknownRelaxed}) {
-      const ScheduleTrace trace = record_trace(
+      const ScheduleTrace trace = record_ring(
           algorithm, 20,
           [] {
             Rng rng(5);
@@ -172,7 +187,7 @@ TEST(NonFifoFault, UnwindowedFaultBreaksSelectionForEveryVariant) {
   // misbehave, which is what forces the phase-windowed injection when
   // seeding a *deployment* bug.
   FuzzOptions options = strict_fifo_bug_options();
-  options.fault_min_phase = 0;  // unwindowed
+  options.faults.non_fifo_min_phase = 0;  // unwindowed
   options.fixed_homes.clear();  // random instances; the effect is generic
   options.fixed_nodes = 0;
   options.min_nodes = 8;
@@ -193,7 +208,7 @@ TEST(NonFifoFault, FaultDisabledMeansNoOvertaking) {
   // Without the fault flag the same fuzz pool finds nothing: the strict
   // variant is correct on a FIFO substrate (the paper's model).
   FuzzOptions options = strict_fifo_bug_options();
-  options.fault_non_fifo = false;
+  options.faults.non_fifo = false;
   const FuzzReport report = run_fuzz(options);
   EXPECT_EQ(report.failures, 0u)
       << (report.failure_samples.empty()
@@ -266,8 +281,8 @@ TEST(Shrinker, ConvergesToSmallReplayableTraceForSeededBug) {
 TEST(Shrinker, RejectsPassingTrace) {
   Rng rng(3);
   const auto homes = exp::draw_homes(exp::ConfigFamily::RandomAny, 12, 3, 1, rng);
-  const ScheduleTrace ok = record_trace(core::Algorithm::KnownKFull, 12, homes,
-                                        ExploreSchedulerKind::RoundRobin, 1);
+  const ScheduleTrace ok = record_ring(core::Algorithm::KnownKFull, 12, homes,
+                                       ExploreSchedulerKind::RoundRobin, 1);
   ASSERT_EQ(ok.note, "ok");
   EXPECT_THROW((void)shrink_trace(ok), std::invalid_argument);
 }

@@ -228,8 +228,8 @@ TEST(ConfigDigest, NoCollisionUnderNonFifoLinksOrCrashAndRewire) {
     spec.node_count = 8;
     spec.homes = {0, 1, 3, 6};
     spec.sim_options.record_events = false;
-    spec.sim_options.fault_non_fifo_links = true;
-    spec.sim_options.fault_non_fifo_min_phase = 1;
+    spec.sim_options.faults.non_fifo = true;
+    spec.sim_options.faults.non_fifo_min_phase = 1;
     const sim::Instance instance =
         core::make_instance(core::Algorithm::KnownKLogMemStrict, spec);
     EXPECT_GT(expect_digest_separates_reachable_configurations(
@@ -485,8 +485,9 @@ TEST(ReportDigest, PinnedForEveryAlgorithmAcrossWalkModes) {
 [[nodiscard]] CheckRequest stress_fault_request(core::Algorithm algorithm) {
   CheckRequest request = ring_request(algorithm, gen::kLogmemStressNodes,
                                       gen::logmem_stress_homes());
-  request.fault_non_fifo = true;
-  request.fault_min_phase = 1;  // deployment-phase window (see SimOptions)
+  request.faults.non_fifo = true;
+  // Deployment-phase window (see sim::FaultPlan::non_fifo_min_phase).
+  request.faults.non_fifo_min_phase = 1;
   return request;
 }
 
@@ -774,8 +775,8 @@ TEST(GridIntegration, CellVerdictMatchesDirectCheck) {
   grid.algorithms = {core::Algorithm::KnownKLogMemStrict};
   grid.instances = {{gen::kLogmemStressNodes, 6}};
   grid.seeds = 2;
-  grid.sim_options.fault_non_fifo_links = true;
-  grid.sim_options.fault_non_fifo_min_phase = 1;
+  grid.sim_options.faults.non_fifo = true;
+  grid.sim_options.faults.non_fifo_min_phase = 1;
   McOptions options;
   options.budget_actions = 100000;
   const GridReport report = check_grid(grid, options);
@@ -785,8 +786,7 @@ TEST(GridIntegration, CellVerdictMatchesDirectCheck) {
     request.algorithm = cell.algorithm;
     request.node_count = cell.node_count;
     request.homes = cell.homes;
-    request.fault_non_fifo = true;
-    request.fault_min_phase = 1;
+    request.faults = grid.sim_options.faults;
     const ModelCheckReport direct = check(request, options);
     EXPECT_EQ(direct.verdict, cell.report.verdict);
     EXPECT_EQ(direct.failure_reason, cell.report.failure_reason);
@@ -794,6 +794,57 @@ TEST(GridIntegration, CellVerdictMatchesDirectCheck) {
   }
   EXPECT_EQ(report.violations == 0 && report.budget_exhausted == 0,
             report.all_verified());
+}
+
+TEST(GridIntegration, FaultAxisPlanReplacesTheGridPlan) {
+  // A campaign grid's fault axis: the crash cell must be checked under its
+  // own plan (the campaign engine runs it there and scores it 0% ok), not
+  // reported verified under the grid-wide fault-free plan.
+  exp::CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull};
+  grid.node_counts = {6};
+  grid.agent_counts = {2};
+  grid.seeds = 1;
+  sim::FaultPlan crash;
+  crash.crashes = {{0, 0}};
+  grid.fault_plans = {{}, crash};
+  const GridReport report = check_grid(grid);
+  ASSERT_EQ(report.cells.size(), 2u);
+  EXPECT_TRUE(report.cells[0].fault.empty());
+  EXPECT_TRUE(report.cells[0].report.ok && report.cells[0].report.complete);
+  EXPECT_EQ(report.cells[0].report.verdict, "verified");
+  EXPECT_EQ(report.cells[1].homes, report.cells[0].homes);  // paired
+  EXPECT_EQ(report.cells[1].fault, crash);
+  EXPECT_FALSE(report.cells[1].report.ok);
+  EXPECT_EQ(report.cells[1].report.verdict, "violation");
+  EXPECT_EQ(report.violations, 1u);
+  EXPECT_FALSE(report.all_verified());
+
+  // The counterexample carries the cell's plan and replays stand-alone.
+  ASSERT_TRUE(report.cells[1].report.counterexample.has_value());
+  const explore::ScheduleTrace& trace = *report.cells[1].report.counterexample;
+  EXPECT_EQ(trace.faults, crash);
+  const explore::ScheduleTrace reparsed =
+      explore::ScheduleTrace::parse(trace.to_text());
+  const explore::ReplayOutcome replayed = explore::replay_trace(reparsed);
+  EXPECT_TRUE(replayed.failed);
+  EXPECT_EQ(replayed.digest, trace.expected_digest);
+
+  // The cell equals a direct check of its homes under its plan.
+  CheckRequest request = ring_request(core::Algorithm::KnownKFull, 6,
+                                      report.cells[1].homes);
+  request.faults = crash;
+  const ModelCheckReport direct = check(request);
+  EXPECT_EQ(direct.digest(), report.cells[1].report.digest());
+  EXPECT_EQ(direct.failure_reason, report.cells[1].report.failure_reason);
+
+  // The fault column appears only because a cell carries a plan.
+  const std::string summary = report.summary();
+  EXPECT_NE(summary.find("fault"), std::string::npos);
+  EXPECT_NE(summary.find("crash:0@0"), std::string::npos);
+  EXPECT_NE(summary.find("none"), std::string::npos);
+  grid.fault_plans = {{}};
+  EXPECT_EQ(check_grid(grid).summary().find("fault"), std::string::npos);
 }
 
 }  // namespace

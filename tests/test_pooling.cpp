@@ -1,12 +1,12 @@
 // Pooled-reuse regression suite for the Instance × ExecutionState split.
 //
 // The contract under test: running an instance through *pooled* machinery —
-// a reused ExecutionState arena, a cached/reseeded scheduler, a RunContext,
-// run_batch, run_many — is byte-identical (event-log digest, metrics,
-// final positions) to running it through freshly constructed objects. A
-// scheduler or RNG that carries state across ExecutionState::reset() makes
-// reruns correlated; BurstScheduler had exactly that bug (its RNG survived
-// reset()), pinned here so it cannot return.
+// a reused ExecutionState arena, a cached/reseeded scheduler, a RunContext —
+// is byte-identical (event-log digest, metrics, final positions) to running
+// it through freshly constructed objects. A scheduler or RNG that carries
+// state across ExecutionState::reset() makes reruns correlated;
+// BurstScheduler had exactly that bug (its RNG survived reset()), pinned
+// here so it cannot return.
 
 #include <gtest/gtest.h>
 
@@ -183,59 +183,6 @@ TEST(ExecutionStatePooling, DefaultConstructedStateIsUnboundUntilReset) {
   EXPECT_TRUE(state.bound());
   EXPECT_EQ(state.agent_count(), 2u);
   EXPECT_EQ(state.enabled().size(), 2u);
-}
-
-// ---- batch drivers ----------------------------------------------------------
-
-TEST(RunBatch, MatchesIndividualRuns) {
-  const auto factory = core::make_program_factory(core::Algorithm::KnownKFull, 2);
-  const auto factory3 =
-      core::make_program_factory(core::Algorithm::KnownKFull, 3);
-  sim::SimOptions options;
-  options.record_events = true;
-  const sim::Instance a(12, {0, 5}, factory, options);
-  const sim::Instance b(15, {1, 6, 11}, factory3, options);
-  const sim::Instance c(7, {2, 4}, factory, options);
-  const std::vector<const sim::Instance*> batch = {&a, &b, &c};
-
-  sim::RoundRobinScheduler scheduler;
-  sim::ExecutionState state;
-  std::vector<std::uint64_t> digests;
-  std::vector<std::vector<sim::NodeId>> positions;
-  const std::size_t executed = sim::run_batch(
-      state, batch, [&](std::size_t) -> sim::Scheduler& { return scheduler; },
-      [&](std::size_t, const sim::ExecutionState& finished,
-          const sim::RunResult& result) {
-        EXPECT_TRUE(result.quiescent());
-        digests.push_back(finished.log().digest());
-        positions.push_back(finished.staying_nodes());
-      });
-  ASSERT_EQ(executed, 3u);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    sim::ExecutionState fresh;
-    fresh.reset(*batch[i]);
-    sim::RoundRobinScheduler fresh_scheduler;
-    (void)fresh.run(fresh_scheduler);
-    EXPECT_EQ(digests[i], fresh.log().digest()) << "batch item " << i;
-    EXPECT_EQ(positions[i], fresh.staying_nodes()) << "batch item " << i;
-  }
-}
-
-TEST(RunMany, MatchesRunAlgorithmPerSpec) {
-  std::vector<core::RunSpec> specs;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    specs.push_back(make_spec(10 + 2 * static_cast<std::size_t>(seed), 3,
-                              sim::SchedulerKind::RoundRobin, seed));
-  }
-  const std::vector<core::RunReport> pooled =
-      core::run_many(core::Algorithm::KnownKFull, specs, 2);
-  ASSERT_EQ(pooled.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const core::RunReport fresh =
-        core::run_algorithm(core::Algorithm::KnownKFull, specs[i]);
-    expect_reports_equal(pooled[i], fresh);
-  }
 }
 
 // ---- pooled mc explorer walks -----------------------------------------------

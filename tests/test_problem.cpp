@@ -354,10 +354,11 @@ TEST(CampaignProblemAxis, DefaultAutoAxisReproducesTheHistoricalExpansion) {
   grid.node_counts = {8, 12};
   grid.agent_counts = {2};
   grid.seeds = 2;
-  const exp::CampaignResult implicit = exp::run_campaign(grid);
+  const exp::CampaignResult implicit = exp::run_campaign_streaming(grid);
   exp::CampaignGrid explicit_auto = grid;
   explicit_auto.problems = {core::ProblemSpec{}};
-  const exp::CampaignResult explicit_result = exp::run_campaign(explicit_auto);
+  const exp::CampaignResult explicit_result =
+      exp::run_campaign_streaming(explicit_auto);
   EXPECT_EQ(implicit.digest(), explicit_result.digest());
   EXPECT_EQ(implicit.summary(), explicit_result.summary());
   // All-Auto campaigns render the historical table layout (no problem
@@ -380,7 +381,7 @@ TEST(CampaignProblemAxis, ProblemCellsArePairedOnTheSameInstances) {
     EXPECT_EQ(exp::scenario_homes(grid, scenarios[rep]),
               exp::scenario_homes(grid, scenarios[2 + rep]));
   }
-  const exp::CampaignResult result = exp::run_campaign(grid);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
   // A correct deployer satisfies both goals on these instances.
   EXPECT_EQ(result.failures, 0u) << result.summary();
   // An explicit problem axis makes the column appear.
@@ -395,7 +396,7 @@ TEST(CampaignProblemAxis, MismatchedProblemIsReportedNotFatal) {
   grid.node_counts = {6};
   grid.agent_counts = {2};
   grid.seeds = 3;
-  const exp::CampaignResult result = exp::run_campaign(grid);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
   EXPECT_EQ(result.scenario_count, 3u);
   EXPECT_GT(result.failures, 0u);
   ASSERT_FALSE(result.failure_samples.empty());

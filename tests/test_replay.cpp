@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/runner.h"
@@ -27,6 +28,19 @@
 
 namespace udring::explore {
 namespace {
+
+/// One fault-free recording of a ring instance.
+ScheduleTrace record_ring(core::Algorithm algorithm, std::size_t n,
+                          std::vector<std::size_t> homes,
+                          ExploreSchedulerKind kind, std::uint64_t seed) {
+  RecordRequest request;
+  request.algorithm = algorithm;
+  request.node_count = n;
+  request.homes = std::move(homes);
+  request.kind = kind;
+  request.seed = seed;
+  return record_trace(request);
+}
 
 std::vector<std::size_t> draw_instance_homes(std::size_t n, std::size_t k,
                                              std::uint64_t seed) {
@@ -44,7 +58,7 @@ TEST_P(RoundTrip, RecordThenReplayReproducesDigest) {
         core::Algorithm::UnknownRelaxed}) {
     const auto homes = draw_instance_homes(18, 5, 11);
     const ScheduleTrace trace =
-        record_trace(algorithm, 18, homes, GetParam(), /*seed=*/42);
+        record_ring(algorithm, 18, homes, GetParam(), /*seed=*/42);
     EXPECT_EQ(trace.note, "ok") << core::to_string(algorithm) << " under "
                                 << to_string(GetParam()) << ": " << trace.note;
     EXPECT_FALSE(trace.choices.empty());
@@ -60,9 +74,9 @@ TEST_P(RoundTrip, RecordThenReplayReproducesDigest) {
 TEST_P(RoundTrip, RecordingIsDeterministicPerSeed) {
   const auto homes = draw_instance_homes(16, 4, 3);
   const ScheduleTrace a =
-      record_trace(core::Algorithm::KnownKFull, 16, homes, GetParam(), 7);
+      record_ring(core::Algorithm::KnownKFull, 16, homes, GetParam(), 7);
   const ScheduleTrace b =
-      record_trace(core::Algorithm::KnownKFull, 16, homes, GetParam(), 7);
+      record_ring(core::Algorithm::KnownKFull, 16, homes, GetParam(), 7);
   EXPECT_EQ(a.choices, b.choices);
   EXPECT_EQ(a.expected_digest, b.expected_digest);
 }
@@ -70,7 +84,7 @@ TEST_P(RoundTrip, RecordingIsDeterministicPerSeed) {
 TEST_P(RoundTrip, TraceSurvivesTextSerialization) {
   const auto homes = draw_instance_homes(14, 4, 5);
   const ScheduleTrace trace =
-      record_trace(core::Algorithm::KnownKFull, 14, homes, GetParam(), 9);
+      record_ring(core::Algorithm::KnownKFull, 14, homes, GetParam(), 9);
   const ScheduleTrace reparsed = ScheduleTrace::parse(trace.to_text());
   EXPECT_EQ(reparsed.algorithm, trace.algorithm);
   EXPECT_EQ(reparsed.node_count, trace.node_count);
@@ -78,7 +92,7 @@ TEST_P(RoundTrip, TraceSurvivesTextSerialization) {
   EXPECT_EQ(reparsed.choices, trace.choices);
   EXPECT_EQ(reparsed.expected_digest, trace.expected_digest);
   EXPECT_EQ(reparsed.generator, trace.generator);
-  EXPECT_EQ(reparsed.fault_non_fifo, trace.fault_non_fifo);
+  EXPECT_EQ(reparsed.faults, trace.faults);
 
   const ReplayOutcome replayed = replay_trace(reparsed);
   EXPECT_EQ(replayed.digest, trace.expected_digest);
@@ -287,6 +301,40 @@ TEST(TraceFormat, RejectsMalformedInput) {
                    "udring-trace v1\nalgorithm known-k-full\nnodes 8\nhomes 0 "
                    "2\nchoices 1 2\nchoices 3\ndigest 1\nend\n"),
                std::invalid_argument);
+
+  // Signs and out-of-range values: `>>` into an unsigned field accepts a
+  // leading '-' and wraps it — max-actions -1 became 2^64-1, choices -1
+  // replayed choice 4294967295, negative fault times never fired, and
+  // nodes -16 got past the parser. Every numeric token must be a plain
+  // unsigned decimal that fits its field.
+  const auto trace_with = [](const std::string& key, const std::string& value) {
+    const std::vector<std::pair<std::string, std::string>> lines = {
+        {"algorithm", "known-k-full"}, {"nodes", "8"},   {"homes", "0 2"},
+        {"seed", "1"},                 {"choices", "0 1"}, {"digest", "1"}};
+    std::string text = "udring-trace v1\n";
+    bool replaced = false;
+    for (const auto& [line_key, line_value] : lines) {
+      replaced = replaced || line_key == key;
+      text += line_key + " " + (line_key == key ? value : line_value) + "\n";
+    }
+    if (!replaced) text += key + " " + value + "\n";
+    return text + "end\n";
+  };
+  EXPECT_NO_THROW((void)ScheduleTrace::parse(trace_with("max-actions", "9")));
+  const std::vector<std::pair<std::string, std::string>> bad_numbers = {
+      {"max-actions", "-1"},    {"choices", "0 -1"},
+      {"choices", "4294967296"}, {"fault-crashes", "0@-1"},
+      {"fault-rewires", "-3"},  {"fault-drops", "1@-2"},
+      {"seed", "-1"},           {"digest", "-1"},
+      {"nodes", "-16"},         {"homes", "0 -2"},
+      {"gather-g", "-1"},       {"fault-min-phase", "-1"},
+      {"fault-non-fifo", "-1"}, {"fault-non-fifo-window", "+5"},
+      {"max-actions", "18446744073709551616"}};
+  for (const auto& [key, value] : bad_numbers) {
+    EXPECT_THROW((void)ScheduleTrace::parse(trace_with(key, value)),
+                 std::invalid_argument)
+        << key << ' ' << value;
+  }
 }
 
 }  // namespace

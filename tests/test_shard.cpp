@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -24,6 +25,7 @@
 #include "exp/campaign.h"
 #include "util/io.h"
 #include "util/quantile_sketch.h"
+#include "util/rng.h"
 
 namespace udring::exp {
 namespace {
@@ -312,15 +314,53 @@ TEST(ShardMerge, SaturatedSumsFailLoudly) {
 
 // ---- fingerprint ------------------------------------------------------------
 
+/// fold64 over every byte of `bytes`, starting from 0.
+std::uint64_t fold_bytes(const std::string& bytes) {
+  std::uint64_t state = 0;
+  for (const unsigned char byte : bytes) fold64(state, byte);
+  return state;
+}
+
 TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
   const CampaignGrid grid = small_grid();
   const CampaignOptions options;
   const std::uint64_t base = grid_fingerprint(grid, options);
+  // Pinned values: shard files written by earlier builds must keep merging
+  // with new ones, so neither the fingerprint nor a shard byte may move.
+  EXPECT_EQ(base, 0xf3a24814a358f6faULL) << std::hex << base;
+  CampaignGrid non_fifo = grid;
+  non_fifo.sim_options.faults.non_fifo = true;
+  non_fifo.sim_options.faults.non_fifo_min_phase = 1;
+  EXPECT_EQ(grid_fingerprint(non_fifo, options), 0xc95940139110e680ULL)
+      << std::hex << grid_fingerprint(non_fifo, options);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const std::string bytes =
+        encode_shard(run_campaign_shard(grid, {.workers = workers}, 0, 1));
+    EXPECT_EQ(bytes.size(), 3872u) << "workers=" << workers;
+    EXPECT_EQ(fold_bytes(bytes), 0x4f80d3494c500df1ULL)
+        << "workers=" << workers << std::hex << " " << fold_bytes(bytes);
+    const std::string faulty =
+        encode_shard(run_campaign_shard(non_fifo, {.workers = workers}, 0, 1));
+    EXPECT_EQ(faulty.size(), 3942u) << "workers=" << workers;
+    EXPECT_EQ(fold_bytes(faulty), 0xd48d984eea0a0950ULL)
+        << "workers=" << workers << std::hex << " " << fold_bytes(faulty);
+  }
+  // A scenario sink only watches: the shard beside it is byte-identical.
+  std::atomic<std::size_t> sunk{0};
+  CampaignOptions watched;
+  watched.workers = 4;
+  watched.scenario_sink = [&sunk](const Scenario&, const ScenarioResult&) {
+    sunk.fetch_add(1, std::memory_order_relaxed);
+  };
+  EXPECT_EQ(fold_bytes(encode_shard(run_campaign_shard(grid, watched, 0, 1))),
+            0x4f80d3494c500df1ULL);
+  EXPECT_EQ(sunk.load(), expansion_size(grid));
 
   CampaignOptions threaded = options;
   threaded.workers = 7;
   threaded.checkpoint_every_scenarios = 5;
   threaded.checkpoint_path = "somewhere.bin";
+  threaded.scenario_sink = [](const Scenario&, const ScenarioResult&) {};
   EXPECT_EQ(grid_fingerprint(grid, threaded), base)
       << "execution knobs must not change the fingerprint";
 

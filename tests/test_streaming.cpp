@@ -1,16 +1,20 @@
-// Tests for the streaming aggregation path of the campaign engine: the
-// streaming fold must be THE SAME computation as the materialized one —
-// identical digest(), cells, failure samples and summary on any shared grid
-// at any worker count — while holding O(cells + workers) state, and the
-// memory budget must skip whole cells deterministically (reported, and
-// independent of the worker count so the digest contract survives a binding
-// budget).
+// Tests for the campaign engine's fold and its scenario sink: an index-order
+// fold of the per-scenario stream the sink sees — written here, outside the
+// engine, as the reference — must equal the engine's per-worker folds
+// (cells, digest(), failure samples, summary) at any worker count; attaching
+// a sink must not change a single digest byte; and the memory budget must
+// skip whole cells deterministically (reported, and independent of the
+// worker count so the digest contract survives a binding budget).
 
 #include "exp/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace udring::exp {
 namespace {
@@ -36,22 +40,91 @@ std::string strip_workers(std::string text, std::size_t workers) {
   return text;
 }
 
-TEST(StreamingCampaign, MatchesMaterializedAtWorkerCounts) {
+/// One scenario as the sink saw it (ScenarioResult itself is move-only).
+struct Seen {
+  std::size_t times = 0;  ///< sink calls for this index; must end at 1
+  Scenario scenario;
+  bool success = false;
+  std::size_t total_moves = 0;
+  std::uint64_t makespan = 0;
+  std::size_t max_memory_bits = 0;
+  std::size_t actions = 0;
+  std::string failure;
+};
+
+/// Runs the engine with a sink that records every scenario in its own
+/// index slot.
+CampaignResult run_with_sink(const CampaignGrid& grid, CampaignOptions options,
+                             std::vector<Seen>& stream) {
+  stream.assign(admitted_scenario_count(grid, options), Seen{});
+  options.scenario_sink = [&stream](const Scenario& s,
+                                    const ScenarioResult& r) {
+    Seen& slot = stream.at(s.index);
+    ++slot.times;
+    slot.scenario = s;
+    slot.success = r.success;
+    slot.total_moves = r.total_moves;
+    slot.makespan = r.makespan;
+    slot.max_memory_bits = r.max_memory_bits;
+    slot.actions = r.actions;
+    slot.failure = r.failure();
+  };
+  return run_campaign_streaming(grid, options);
+}
+
+/// The reference fold: the sink's stream folded in index order into a
+/// CampaignResult, with the engine's per-scenario hash spelled out here
+/// (index, then the outcome, then a 0 where final positions never count).
+CampaignResult index_order_fold(const std::vector<Seen>& stream) {
+  CampaignResult reference;
+  reference.scenario_count = stream.size();
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Seen& seen = stream[i];
+    EXPECT_EQ(seen.times, 1u) << "scenario " << i << " sink calls";
+    EXPECT_EQ(seen.scenario.index, i);
+    const Scenario& s = seen.scenario;
+    CellStats& stats =
+        reference.cells[CellKey{s.algorithm, s.family, s.scheduler,
+                                s.node_count, s.agent_count, s.symmetry,
+                                s.problem, s.fault}];
+    ++stats.runs;
+    if (seen.success) ++stats.successes;
+    stats.moves_sum += seen.total_moves;
+    stats.makespan_sum += seen.makespan;
+    stats.memory_bits_sum += seen.max_memory_bits;
+    stats.actions_sum += seen.actions;
+    stats.moves_sketch.add(seen.total_moves);
+    stats.makespan_sketch.add(seen.makespan);
+    if (!seen.success) ++reference.failures;
+    std::uint64_t h = 0x5ce7a210ba5eedULL;
+    fold64(h, i);
+    fold64(h, seen.success ? 1 : 0);
+    fold64(h, seen.total_moves);
+    fold64(h, seen.makespan);
+    fold64(h, seen.max_memory_bits);
+    fold64(h, seen.actions);
+    fold64(h, 0);
+    reference.scenario_hash += h;
+  }
+  return reference;
+}
+
+TEST(StreamingCampaign, IndexOrderFoldOfTheSinkStreamEqualsTheEngine) {
   const CampaignGrid grid = shared_grid();
-  const CampaignResult reference = run_campaign(grid, {.workers = 1});
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4},
                                     std::size_t{0}}) {  // 0 = hardware
-    const CampaignResult streamed =
-        run_campaign_streaming(grid, {.workers = workers});
-    EXPECT_EQ(streamed.digest(), reference.digest()) << "workers=" << workers;
-    EXPECT_EQ(streamed.scenario_count, reference.scenario_count);
-    EXPECT_EQ(streamed.scenario_hash, reference.scenario_hash);
-    EXPECT_EQ(strip_workers(streamed.summary(), streamed.workers_used),
-              strip_workers(reference.summary(), 1))
-        << "workers=" << workers;
-    ASSERT_EQ(streamed.cells.size(), reference.cells.size());
+    std::vector<Seen> stream;
+    const CampaignResult engine =
+        run_with_sink(grid, {.workers = workers}, stream);
+    CampaignResult reference = index_order_fold(stream);
+    reference.workers_used = engine.workers_used;
+    EXPECT_EQ(engine.scenario_count, reference.scenario_count);
+    EXPECT_EQ(engine.scenario_hash, reference.scenario_hash);
+    EXPECT_EQ(engine.digest(), reference.digest()) << "workers=" << workers;
+    EXPECT_EQ(engine.summary(), reference.summary()) << "workers=" << workers;
+    ASSERT_EQ(engine.cells.size(), reference.cells.size());
     auto expected = reference.cells.begin();
-    for (const auto& [key, stats] : streamed.cells) {
+    for (const auto& [key, stats] : engine.cells) {
       EXPECT_EQ(key, expected->first);
       EXPECT_EQ(stats.runs, expected->second.runs);
       EXPECT_EQ(stats.successes, expected->second.successes);
@@ -59,44 +132,70 @@ TEST(StreamingCampaign, MatchesMaterializedAtWorkerCounts) {
       EXPECT_EQ(stats.makespan_sum, expected->second.makespan_sum);
       EXPECT_EQ(stats.memory_bits_sum, expected->second.memory_bits_sum);
       EXPECT_EQ(stats.actions_sum, expected->second.actions_sum);
+      EXPECT_EQ(stats.moves_sketch, expected->second.moves_sketch);
+      EXPECT_EQ(stats.makespan_sketch, expected->second.makespan_sketch);
       ++expected;
     }
   }
 }
 
-TEST(StreamingCampaign, HoldsNoPerScenarioState) {
-  const CampaignResult streamed = run_campaign_streaming(shared_grid());
-  EXPECT_TRUE(streamed.streamed);
-  EXPECT_TRUE(streamed.scenarios.empty());
-  EXPECT_TRUE(streamed.results.empty());
-  EXPECT_GT(streamed.scenario_count, 0u);
+TEST(StreamingCampaign, AttachingASinkChangesNoDigestByte) {
+  const CampaignGrid grid = shared_grid();
+  const CampaignResult plain = run_campaign_streaming(grid, {.workers = 1});
+  std::vector<Seen> stream;
+  const CampaignResult sunk = run_with_sink(grid, {.workers = 4}, stream);
+  EXPECT_EQ(sunk.digest(), plain.digest());
+  EXPECT_EQ(sunk.scenario_hash, plain.scenario_hash);
+  EXPECT_EQ(strip_workers(sunk.summary(), sunk.workers_used),
+            strip_workers(plain.summary(), 1));
 }
 
-TEST(StreamingCampaign, FailureSamplesIdenticalAcrossPathsAndWorkers) {
-  // An action budget of 1 fails every scenario: both paths must report the
-  // same lowest-index samples globally and per cell, at any worker count.
+TEST(StreamingCampaign, FailureSamplesAreTheLowestIndicesAtAnyWorkerCount) {
+  // An action budget of 1 fails every scenario: the global and per-cell
+  // samples must be the lowest-index failures of the sink's stream, at any
+  // worker count.
   CampaignGrid grid = shared_grid();
   grid.sim_options.max_actions = 1;
   CampaignOptions options;
   options.max_recorded_failures = 5;
   options.max_failures_per_cell = 2;
 
-  options.workers = 1;
-  const CampaignResult materialized = run_campaign(grid, options);
+  std::vector<std::string> reference_samples;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     options.workers = workers;
-    const CampaignResult streamed = run_campaign_streaming(grid, options);
-    EXPECT_EQ(streamed.failures, materialized.failures);
-    EXPECT_EQ(streamed.failure_samples, materialized.failure_samples);
-    ASSERT_EQ(streamed.cells.size(), materialized.cells.size());
-    for (const auto& [key, stats] : streamed.cells) {
-      const CellStats* expected = materialized.cell(key);
-      ASSERT_NE(expected, nullptr);
-      EXPECT_LE(stats.failure_samples.size(), options.max_failures_per_cell);
-      EXPECT_EQ(stats.failure_samples, expected->failure_samples);
+    std::vector<Seen> stream;
+    const CampaignResult result = run_with_sink(grid, options, stream);
+    EXPECT_EQ(result.failures, stream.size());
+    ASSERT_EQ(result.failure_samples.size(), 5u);
+    // Sample i describes scenario i (every scenario fails, so the lowest
+    // indices are 0..4) and ends with that scenario's own failure text.
+    for (std::size_t i = 0; i < result.failure_samples.size(); ++i) {
+      const std::string& sample = result.failure_samples[i];
+      const Scenario& s = stream[i].scenario;
+      EXPECT_EQ(sample.rfind(std::string(core::to_string(s.algorithm)), 0), 0u)
+          << sample;
+      EXPECT_NE(sample.find(" n=" + std::to_string(s.node_count) +
+                            " k=" + std::to_string(s.agent_count)),
+                std::string::npos)
+          << sample;
+      EXPECT_NE(sample.find(" rep=" + std::to_string(s.repetition) + ": " +
+                            stream[i].failure),
+                std::string::npos)
+          << sample;
+    }
+    for (const auto& [key, stats] : result.cells) {
+      ASSERT_EQ(stats.failure_samples.size(), options.max_failures_per_cell);
+      // The cell's lowest indices: its first two repetitions.
+      const std::size_t first = stats.failure_samples.front().first;
+      EXPECT_EQ(first % grid.seeds, 0u);
+      EXPECT_EQ(stats.failure_samples.back().first, first + 1);
+    }
+    if (reference_samples.empty()) {
+      reference_samples = result.failure_samples;
+    } else {
+      EXPECT_EQ(result.failure_samples, reference_samples);
     }
   }
-  EXPECT_EQ(materialized.failure_samples.size(), 5u);
 }
 
 TEST(StreamingCampaign, ExpansionHelpersAgreeWithExpand) {
@@ -161,26 +260,6 @@ TEST(StreamingCampaign, MemoryBudgetSkipsTrailingCellsDeterministically) {
   const CampaignResult full = run_campaign_streaming(grid, {.workers = 1});
   EXPECT_EQ(full.cells_skipped, 0u);
   EXPECT_EQ(full.summary().find("SKIPPED"), std::string::npos);
-}
-
-TEST(StreamingCampaign, MeasureCellUnchangedByStreamingPath) {
-  // measure_cell now rides the streaming path; its averages must still match
-  // an explicit materialized campaign of the same cell.
-  const Averages direct = measure_cell(core::Algorithm::KnownKFull,
-                                       ConfigFamily::RandomAny, 32, 4, 1, 5);
-  CampaignGrid grid;
-  grid.algorithms = {core::Algorithm::KnownKFull};
-  grid.node_counts = {32};
-  grid.agent_counts = {4};
-  grid.seeds = 5;
-  const Averages materialized = run_campaign(grid).averages(
-      CellKey{core::Algorithm::KnownKFull, ConfigFamily::RandomAny,
-              sim::SchedulerKind::Synchronous, 32, 4, 1});
-  EXPECT_EQ(direct.runs, materialized.runs);
-  EXPECT_EQ(direct.moves, materialized.moves);
-  EXPECT_EQ(direct.makespan, materialized.makespan);
-  EXPECT_EQ(direct.memory_bits, materialized.memory_bits);
-  EXPECT_EQ(direct.success_rate, materialized.success_rate);
 }
 
 }  // namespace

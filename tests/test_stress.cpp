@@ -26,8 +26,8 @@ TEST(Stress, LargeInstancesAllAlgorithms) {
                      Algorithm::UnknownRelaxed};
   grid.instances = {{600, 30}, {1000, 50}, {1500, 75}};
   grid.seeds = 1;
-  const exp::CampaignResult result = exp::run_campaign(grid);
-  ASSERT_EQ(result.scenarios.size(), 9u);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
+  ASSERT_EQ(result.scenario_count, 9u);
   EXPECT_TRUE(result.all_ok()) << result.summary();
 }
 
@@ -85,8 +85,8 @@ TEST(Stress, ManySeedsSmallRings) {
       grid.instances.end());
   grid.seeds = 4;
   grid.base_seed = 12345;
-  const exp::CampaignResult result = exp::run_campaign(grid);
-  EXPECT_GE(result.scenarios.size(), 1000u);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
+  EXPECT_GE(result.scenario_count, 1000u);
   EXPECT_TRUE(result.all_ok()) << result.summary();
 }
 
@@ -100,8 +100,8 @@ TEST(Stress, DeepSymmetrySweep) {
   grid.instances = {{n, k}};
   grid.symmetries = {2, 3, 4, 6, 8, 12, 24};
   grid.base_seed = 777;
-  const exp::CampaignResult result = exp::run_campaign(grid);
-  ASSERT_EQ(result.scenarios.size(), grid.symmetries.size());
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
+  ASSERT_EQ(result.scenario_count, grid.symmetries.size());
   EXPECT_TRUE(result.all_ok()) << result.summary();
   for (const std::size_t l : grid.symmetries) {
     const exp::Averages avg = result.averages(
@@ -119,7 +119,7 @@ TEST(Stress, WorstCasePackedAtScale) {
                      Algorithm::UnknownRelaxed};
   grid.families = {exp::ConfigFamily::Packed};
   grid.instances = {{n, k}};
-  const exp::CampaignResult result = exp::run_campaign(grid);
+  const exp::CampaignResult result = exp::run_campaign_streaming(grid);
   EXPECT_TRUE(result.all_ok()) << result.summary();
   for (const Algorithm algorithm : grid.algorithms) {
     const exp::Averages avg = result.averages(

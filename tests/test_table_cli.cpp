@@ -162,10 +162,12 @@ TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
   // allocation, "3x" checks homes {0,3}, an empty entry or an overflow
   // prints a bare "stoull"; and the instance draw clamps k > n to k = n.
   // An unknown flag (a typo, or a retired option) was silently ignored, so
-  // the run checked something other than was asked.
+  // the run checked something other than was asked; so was a non-FIFO phase
+  // window without --inject-non-fifo, which verified the fault-free model.
   for (const char* bad :
        {"--budget=-5", "--n=-1", "--homes=0,3x", "--homes=0,,3",
-        "--budget=99999999999999999999", "--n=4 --k=5", "--no-such-flag"}) {
+        "--budget=99999999999999999999", "--n=4 --k=5", "--no-such-flag",
+        "--fault-min-phase=1"}) {
     EXPECT_EQ(
         run_tool(UDRING_MC_BINARY, std::string("--algo=known-k-full ") + bad),
         2)
@@ -176,6 +178,8 @@ TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
 
 TEST(Cli, FuzzAndCampaignToolsRejectUnknownFlags) {
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --no-such-flag"), 2);
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --fault-min-phase=3"),
+            2);
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --workers=1"), 0);
   for (const char* bad : {"--no-such-flag", "--lanes=4"}) {
     EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,

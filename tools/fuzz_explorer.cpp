@@ -71,15 +71,14 @@ int record_mode(const std::string& path, core::Algorithm algorithm,
                 core::ProblemSpec problem, explore::FuzzTopology topology,
                 std::size_t n, std::size_t k,
                 explore::ExploreSchedulerKind kind, std::uint64_t seed,
-                bool fault, std::size_t fault_min_phase) {
+                const sim::FaultPlan& faults) {
   Rng rng(seed);
   explore::RecordRequest request;
   request.algorithm = algorithm;
   request.problem = problem;
   request.kind = kind;
   request.seed = seed;
-  request.fault_non_fifo = fault;
-  request.fault_min_phase = fault_min_phase;
+  request.faults = faults;
   // --nodes sizes the underlying network for tree/graph; the recorded
   // instance is its Euler-tour virtual ring, so the trace replays
   // stand-alone.
@@ -219,11 +218,12 @@ int main(int argc, char** argv) {
         "incremental oracle: full re-walk every N actions (0 = never)");
     options.max_recorded_failures =
         cli.get_size("max-failures", 8, "failing traces to keep and shrink");
-    options.fault_non_fifo = cli.get_flag(
+    options.faults.non_fifo = cli.get_flag(
         "inject-non-fifo", "TEST-ONLY: weaken the FIFO link guarantee");
-    options.fault_min_phase = cli.get_size(
+    options.faults.non_fifo_min_phase = cli.get_size(
         "fault-min-phase", 0,
-        "restrict the non-FIFO fault to actions at/after this phase tag");
+        "restrict the non-FIFO fault to actions at/after this phase tag "
+        "(needs --inject-non-fifo)");
     const std::string faults_spec =
         cli.get("faults",
                 "per-iteration fault budgets, comma list of crash=N and "
@@ -266,6 +266,12 @@ int main(int argc, char** argv) {
       return 0;
     }
     cli.reject_unknown_flags();
+    if (options.faults.non_fifo_min_phase != 0 && !options.faults.non_fifo) {
+      // A phase window narrows the non-FIFO fault; alone it injects nothing,
+      // and the run would fuzz the fault-free model instead.
+      std::cerr << "udring_fuzz: --fault-min-phase needs --inject-non-fifo\n";
+      return 2;
+    }
     if (!replay_path.empty()) return replay_mode(replay_path);
 
     options.algorithm = explore::algorithm_from_name(algorithm_name);
@@ -282,8 +288,7 @@ int main(int argc, char** argv) {
                          options.topology, n, k,
                          explore::explore_scheduler_from_name(
                              sched_name.empty() ? "round-robin" : sched_name),
-                         options.base_seed, options.fault_non_fifo,
-                         options.fault_min_phase);
+                         options.base_seed, options.faults);
     }
     if (!sched_name.empty()) {
       options.schedulers = {explore::explore_scheduler_from_name(sched_name)};

@@ -109,11 +109,13 @@ int main(int argc, char** argv) {
         "visited-store slots a walk with more than one worker reserves; "
         "the store cannot grow while workers race, so a closure that "
         "overfills it ends budget-exhausted (0 = auto, 2^22)");
-    const bool fault = cli.get_flag(
+    sim::FaultPlan faults;
+    faults.non_fifo = cli.get_flag(
         "inject-non-fifo", "TEST-ONLY: weaken the FIFO link guarantee");
-    const std::size_t fault_min_phase = cli.get_size(
+    faults.non_fifo_min_phase = cli.get_size(
         "fault-min-phase", 0,
-        "restrict the non-FIFO fault to actions at/after this phase tag");
+        "restrict the non-FIFO fault to actions at/after this phase tag "
+        "(needs --inject-non-fifo)");
     const std::string fault_budget_spec =
         cli.get("fault-budget",
                 "enumerate bounded fault plans on top of every schedule: "
@@ -143,6 +145,12 @@ int main(int argc, char** argv) {
     }
     cli.reject_unknown_flags();
 
+    if (faults.non_fifo_min_phase != 0 && !faults.non_fifo) {
+      // A phase window narrows the non-FIFO fault; alone it injects nothing,
+      // and the walk would "verify" an instance the caller meant to break.
+      std::cerr << "udring_mc: --fault-min-phase needs --inject-non-fifo\n";
+      return 2;
+    }
     if (homes_csv.empty() && k > n) {
       // The instance draw would quietly clamp k to n and verify an instance
       // the caller never asked for.
@@ -211,8 +219,7 @@ int main(int argc, char** argv) {
       grid.agent_counts = {k};
       grid.seeds = seeds;
       grid.base_seed = seed;
-      grid.sim_options.fault_non_fifo_links = fault;
-      grid.sim_options.fault_non_fifo_min_phase = fault_min_phase;
+      grid.sim_options.faults = faults;
       grid.sim_options.max_actions = max_actions;
       const mc::GridReport report = mc::check_grid(grid, options);
       std::cout << report.summary();
@@ -234,8 +241,7 @@ int main(int argc, char** argv) {
     mc::CheckRequest request;
     request.algorithm = algorithm;
     request.problem = problem;
-    request.fault_non_fifo = fault;
-    request.fault_min_phase = fault_min_phase;
+    request.faults = faults;
     request.max_actions = max_actions;
     if (!homes_csv.empty()) {
       if (topology != explore::FuzzTopology::Ring) {
@@ -260,7 +266,7 @@ int main(int argc, char** argv) {
     if (problem.kind != core::Problem::Auto) {
       std::cout << " problem=" << core::to_string(problem);
     }
-    std::cout << (fault ? " +non-fifo-fault" : "");
+    std::cout << (faults.non_fifo ? " +non-fifo-fault" : "");
     if (!fault_budget.empty()) {
       std::cout << " fault-budget=crash:" << fault_budget.crashes
                 << "+rewire:" << fault_budget.rewires << "@<="
