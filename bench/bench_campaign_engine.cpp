@@ -74,7 +74,7 @@ void print_report() {
     }
   }
   if (!digests_match) {
-    std::cout << "ERROR: a digest diverged from the serial run.\n";
+    std::cout << "ERROR: a digest differs from the serial run.\n";
     std::exit(2);
   }
   std::cout << "\nEvery row's digest matches the serial run: aggregation is\n"

@@ -6,7 +6,7 @@
 // carries events, so a default-constructed SimOptions (fault plan "off")
 // and an explicitly installed empty plan must time within noise of each
 // other AND produce byte-identical runs — the report section below checks
-// the equality and exits nonzero on any divergence, the timing rows are
+// the equality and exits nonzero on any mismatch, the timing rows are
 // guarded by scripts/bench_compare.py against the committed baseline.
 //
 //   bench_fault_overhead                       # report + timings

@@ -3,8 +3,8 @@
 // Reports, for a small verification grid, the closure walk's throughput
 // (states/s and actions/s) and dedup hit-rate, serial and frontier-sharded.
 // Both walks claim configurations in one visited store, so they expand the
-// same closure; sharding buys parallel wall-clock for a BFS prefix replay
-// per shard, and racing claims change only WHO expands a state, never the
+// same closure; sharding buys parallel wall-clock for one state copy per
+// shard root, and racing claims change only WHO expands a state, never the
 // counts. The google-benchmark timings land in the BENCH_mc.json CI
 // artifact like bench_campaign_engine's.
 //
@@ -120,7 +120,8 @@ void print_report() {
   std::cout << "\nBoth walks expand the same closure: the sharded walk's\n"
                "states and dedup counts equal the serial walk's at any\n"
                "worker count, since every count is a function of the claimed\n"
-               "closure. Sharding adds one prefix replay per shard.\n";
+               "closure. Each shard starts from a copy of its root's\n"
+               "state, so sharding re-executes no prefix.\n";
 }
 
 void register_timings() {

@@ -48,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -304,10 +303,6 @@ struct CampaignOptions {
   /// Scenarios per checkpoint block (watermark granularity). 0 with a
   /// checkpoint_path set = write only the final file (a complete shard).
   std::size_t checkpoint_every_scenarios = 0;
-  /// TEST/OPS HOOK: abort (throw CampaignAborted) after this many checkpoint
-  /// writes if scenarios remain — simulates a mid-sweep kill with the
-  /// on-disk state a real crash would leave. 0 = off.
-  std::size_t checkpoint_abort_after = 0;
   /// Per-scenario observer. When set, the engine calls it once for every
   /// scenario it runs, on that scenario's worker thread, just before the
   /// result is folded, and fills ScenarioResult::final_positions(). Calls
@@ -315,17 +310,10 @@ struct CampaignOptions {
   /// a sink writes only index-owned slots (Scenario::index) or guards its
   /// own state. Observation only — it changes neither digest() nor the
   /// grid fingerprint. Scenarios a resumed checkpoint already folded are
-  /// not run again, so the sink does not see them.
+  /// not run again, so the sink does not see them. An exception from the
+  /// sink stops the run and propagates to the caller; checkpoints already
+  /// written stay on disk, so a later run resumes from the last one.
   std::function<void(const Scenario&, const ScenarioResult&)> scenario_sink{};
-};
-
-/// Thrown by the checkpoint_abort_after test hook after the requested number
-/// of checkpoint writes. The checkpoint file on disk is exactly what a
-/// process killed at that watermark would leave behind.
-struct CampaignAborted : std::runtime_error {
-  explicit CampaignAborted(const std::string& what, std::size_t watermark_)
-      : std::runtime_error(what), watermark(watermark_) {}
-  std::size_t watermark = 0;  ///< scenarios folded into the file so far
 };
 
 /// Conservative per-cell byte estimate the streaming budget divides by:

@@ -441,15 +441,6 @@ ShardFile run_campaign_shard(const CampaignGrid& grid,
     if (durable) {
       write_shard_file(options.checkpoint_path, shard);
       ++checkpoint_writes;
-      if (options.checkpoint_abort_after != 0 &&
-          checkpoint_writes >= options.checkpoint_abort_after &&
-          watermark < end) {
-        throw CampaignAborted(
-            "campaign aborted by checkpoint_abort_after with " +
-                std::to_string(end - watermark) + " scenarios remaining " +
-                "(checkpoint '" + options.checkpoint_path + "' is durable)",
-            watermark - begin);
-      }
     }
   }
   if (durable && checkpoint_writes == 0) {

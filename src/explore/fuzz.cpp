@@ -301,14 +301,18 @@ FuzzIteration fuzz_iteration(const FuzzOptions& options,
     request.faults.normalize();
   }
 
-  ScheduleTrace trace = record_trace(request, reuse);
+  sim::ExecutionState local;
+  sim::ExecutionState& state = reuse != nullptr ? *reuse : local;
+  ScheduleTrace trace = record_trace(request, &state);
   FuzzIteration out;
-  out.actions = trace.choices.size();  // one pick per atomic action
+  // Counted by the state, not the trace: every applied rewiring adds a
+  // choice to the trace that is not an action.
+  out.actions = state.actions_executed();
   out.digest = trace.expected_digest;
   if (trace.note == "ok") return out;
   FuzzFailure failure;
   failure.reason = trace.note;
-  failure.at_action = trace.choices.size();
+  failure.at_action = out.actions;
   failure.iteration = iteration;
   failure.trace = std::move(trace);
   out.failure = std::move(failure);

@@ -39,43 +39,20 @@ std::size_t RecordingScheduler::pick_index(std::size_t bound) {
   return chosen;
 }
 
-void ReplayScheduler::reset(std::size_t /*agent_count*/) {
-  cursor_ = 0;
-  divergence_.clear();
-}
+void ReplayScheduler::reset(std::size_t /*agent_count*/) { cursor_ = 0; }
 
 sim::AgentId ReplayScheduler::pick(const std::vector<sim::AgentId>& enabled) {
   sorted_.assign(enabled.begin(), enabled.end());
   std::sort(sorted_.begin(), sorted_.end());
-  const bool exhausted = cursor_ >= choices_.size();
-  const std::uint32_t choice = exhausted ? 0 : choices_[cursor_];
-  if (mode_ == ReplayMode::Strict && divergence_.empty()) {
-    if (exhausted) {
-      divergence_ = "trace exhausted at pick " + std::to_string(cursor_);
-    } else if (choice >= sorted_.size()) {
-      divergence_ = "choice " + std::to_string(choice) + " out of range at pick " +
-                    std::to_string(cursor_) + " (enabled " +
-                    std::to_string(sorted_.size()) + ")";
-    }
-  }
+  const std::uint32_t choice =
+      cursor_ < choices_.size() ? choices_[cursor_] : 0;
   ++cursor_;
-  // Both modes proceed on the lenient fallback; Strict only *reports*, so a
-  // diverged run is still a complete schedule the caller can inspect.
   return sorted_[choice % sorted_.size()];
 }
 
 std::size_t ReplayScheduler::pick_index(std::size_t bound) {
-  const bool exhausted = cursor_ >= choices_.size();
-  const std::uint32_t choice = exhausted ? 0 : choices_[cursor_];
-  if (mode_ == ReplayMode::Strict && divergence_.empty()) {
-    if (exhausted) {
-      divergence_ = "trace exhausted at pick " + std::to_string(cursor_);
-    } else if (choice >= bound) {
-      divergence_ = "index " + std::to_string(choice) + " out of range at pick " +
-                    std::to_string(cursor_) + " (bound " +
-                    std::to_string(bound) + ")";
-    }
-  }
+  const std::uint32_t choice =
+      cursor_ < choices_.size() ? choices_[cursor_] : 0;
   ++cursor_;
   return choice % bound;
 }

@@ -55,32 +55,19 @@ class RecordingScheduler final : public sim::Scheduler {
   std::vector<sim::AgentId> sorted_;  // scratch, reused across picks
 };
 
-/// How ReplayScheduler treats picks its trace cannot answer exactly.
-///
-///  - Lenient (default, the historical behaviour): every entry is reduced
-///    modulo the current enabled count and an exhausted trace pads with
-///    index 0. Mutated traces stay meaningful — this is what makes the
-///    shrinker's candidates complete schedules — but a replay that silently
-///    wraps can mask real divergence from the recorded execution.
-///  - Strict: an out-of-range entry or an exhausted trace is *reported* via
-///    diverged()/divergence() (the run still proceeds on the lenient
-///    fallback so callers can observe the aftermath). The mc:: model checker
-///    replays every backtracked prefix in this mode: a prefix that recorded
-///    branch index b must find at least b+1 enabled agents on re-execution,
-///    or determinism itself is broken.
-enum class ReplayMode { Lenient, Strict };
-
+/// Replays a choice sequence leniently: every entry is reduced modulo the
+/// current enabled count and an exhausted trace pads with index 0, so a
+/// mutated trace (the shrinker's candidates) is still a complete schedule.
 class ReplayScheduler final : public sim::Scheduler {
  public:
-  explicit ReplayScheduler(std::vector<std::uint32_t> choices,
-                           ReplayMode mode = ReplayMode::Lenient)
-      : choices_(std::move(choices)), mode_(mode) {}
+  explicit ReplayScheduler(std::vector<std::uint32_t> choices)
+      : choices_(std::move(choices)) {}
 
   void reset(std::size_t agent_count) override;
   sim::AgentId pick(const std::vector<sim::AgentId>& enabled) override;
   /// Consumes the next trace entry as an auxiliary index (rewiring stride
   /// draws), mirroring RecordingScheduler::pick_index: entries reduce modulo
-  /// `bound`, an exhausted trace pads with 0, Strict reports both cases.
+  /// `bound` and an exhausted trace pads with 0.
   [[nodiscard]] std::size_t pick_index(std::size_t bound) override;
   [[nodiscard]] std::string_view name() const override { return "replay"; }
 
@@ -90,20 +77,9 @@ class ReplayScheduler final : public sim::Scheduler {
     return choices_;
   }
 
-  /// Strict mode only: true once a pick was out of range or the trace was
-  /// exhausted. Cleared by reset(). Always false in Lenient mode.
-  [[nodiscard]] bool diverged() const noexcept { return !divergence_.empty(); }
-
-  /// Human-readable description of the first divergence ("" when none).
-  [[nodiscard]] const std::string& divergence() const noexcept {
-    return divergence_;
-  }
-
  private:
   std::vector<std::uint32_t> choices_;
-  ReplayMode mode_ = ReplayMode::Lenient;
   std::size_t cursor_ = 0;
-  std::string divergence_;
   std::vector<sim::AgentId> sorted_;  // scratch, reused across picks
 };
 

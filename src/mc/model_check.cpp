@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "explore/fuzz.h"
-#include "explore/replay.h"
 #include "sim/checker.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -29,9 +28,13 @@ constexpr std::size_t kDefaultReserve = std::size_t{1} << 22;
 /// of a ~200-deep walk at ~25 states.
 constexpr std::size_t kSnapshotEvery = 8;
 
-/// A choice-tree node handed from the BFS frontier phase to a DFS shard:
-/// the schedule prefix that reaches it.
-using ShardRoot = std::vector<branch_index_t>;
+/// A choice-tree node handed from the BFS frontier phase to a DFS shard
+/// (or to the next BFS level): the schedule prefix that reaches it and a
+/// copy of the configuration there, which the walk starts from.
+struct ShardRoot {
+  std::vector<branch_index_t> path;
+  sim::ExecutionState state;
+};
 
 /// What every explorer of one check() shares: the visited store, the budget
 /// and the action counter it meters, and the stop flag a violation raises.
@@ -63,28 +66,24 @@ struct Walk {
 /// Explorers, which share only the Walk.
 class Explorer {
  public:
-  Explorer(const sim::Instance& instance, const sim::GoalOracle& oracle,
-           bool dedup, sim::ExecutionState& state, Walk& walk)
-      : instance_(instance),
-        oracle_(oracle),
-        dedup_(dedup),
-        cur_(state),
-        walk_(walk),
-        fault_mode_(instance.options().faults.has_events()) {}
+  Explorer(const sim::GoalOracle& oracle, bool dedup,
+           sim::ExecutionState& state, Walk& walk)
+      : oracle_(oracle), dedup_(dedup), cur_(state), walk_(walk) {}
 
   McStats stats;
   bool budget_stop = false;
   /// First violation in this explorer's deterministic walk order.
   std::optional<std::pair<std::vector<branch_index_t>, std::string>> violation;
 
-  /// Walks the whole subtree rooted at `prefix` by iterative DFS. The prefix
-  /// node must be an open interior node (the tree root, or a node the BFS
-  /// phase classified as open).
-  void dfs(const std::vector<branch_index_t>& prefix) {
+  /// Walks the whole subtree rooted at `root` by iterative DFS. The root
+  /// must be an open interior node (C_0, or a node the BFS phase classified
+  /// as open).
+  void dfs(const ShardRoot& root) {
     if (should_stop()) return;  // another shard already found a violation
-    path_ = prefix;
-    root_depth_ = prefix.size();
-    reposition();
+    path_ = root.path;
+    root_depth_ = root.path.size();
+    cur_ = root.state;
+    at_tip_ = true;
     std::vector<Frame> stack;
     push_frame(stack, make_frame());
 
@@ -96,18 +95,7 @@ class Explorer {
       }
       const branch_index_t b = f.next_branch++;
       if (!at_tip_) restore(stack);
-      const std::size_t prev_tokens = cur_.total_tokens();
-      path_.push_back(b);
-      if (f.rewire) {
-        // Rewire node: the branch is a candidate stride index, not an agent.
-        // Applying it consumes no simulator action — the configuration
-        // changes only in its live successor map — so the child classifies
-        // like any configuration (dedup folds the fault state).
-        cur_.apply_rewire(b);
-      } else {
-        step(f.agents[b]);
-      }
-      if (classify(prev_tokens) == NodeClass::Open) {
+      if (descend(f, b) == NodeClass::Open) {
         push_frame(stack, make_frame());
       } else {
         path_.pop_back();
@@ -117,33 +105,21 @@ class Explorer {
   }
 
   /// Expands every branch of every node of `level` one step, appending
-  /// surviving open children to `next` (the BFS frontier phase). Stops early
-  /// on violation or budget exhaustion.
+  /// surviving open children to `next` (the BFS frontier phase). Each branch
+  /// starts from a copy of its node's state. Stops early on violation or
+  /// budget exhaustion.
   void expand_level(const std::vector<ShardRoot>& level,
                     std::vector<ShardRoot>& next) {
     for (const ShardRoot& node : level) {
       if (violation || budget_stop) return;
-      path_ = node;
-      reposition();
-      save_snapshot(0);
-      sort_enabled();
-      // Stepping invalidates the tip, and each sibling restores the node's
-      // snapshot; copy the branch agents up front.
-      const std::vector<sim::AgentId> agents = sorted_;
-      ++stats.states_expanded;
-      const auto branch_count = static_cast<branch_index_t>(agents.size());
-      for (branch_index_t b = 0; b < branch_count; ++b) {
+      path_ = node.path;
+      cur_ = node.state;
+      const Frame f = make_frame();
+      for (branch_index_t b = 0; b < f.branches; ++b) {
         if (violation || budget_stop) return;
-        if (!at_tip_) {
-          cur_ = snapshots_[0];
-          at_tip_ = true;
-        }
-        const std::size_t prev_tokens = cur_.total_tokens();
-        path_.push_back(b);
-        step(agents[b]);
-        if (classify(prev_tokens) == NodeClass::Open) next.push_back(path_);
+        if (b > 0) cur_ = node.state;
+        if (descend(f, b) == NodeClass::Open) next.push_back({path_, cur_});
         path_.pop_back();
-        at_tip_ = false;
       }
     }
   }
@@ -167,7 +143,7 @@ class Explorer {
   [[nodiscard]] Frame make_frame() {
     ++stats.states_expanded;
     Frame f;
-    if (fault_mode_ && cur_.pending_rewire()) {
+    if (cur_.pending_rewire()) {
       // A pending rewiring is its own choice-tree level: branches are the
       // candidate stride indices.
       f.rewire = true;
@@ -187,35 +163,6 @@ class Explorer {
       path_.pop_back();
       at_tip_ = false;
     }
-  }
-
-  /// Re-executes path_ from C_0 through a Strict-mode ReplayScheduler: how
-  /// a walk reaches a bare prefix (a shard root, a BFS frontier node). A
-  /// prefix that no longer replays exactly means the simulator is not
-  /// deterministic in the pick sequence — a checker-invalidating bug,
-  /// reported loudly. Fault plans force one shard rooted at C_0 (mc::check),
-  /// so a replayed prefix never crosses a rewiring level.
-  void reposition() {
-    cur_.reset(instance_);
-    if (!path_.empty()) {
-      if (fault_mode_) {
-        throw std::logic_error("mc: prefix replay under a fault plan");
-      }
-      explore::ReplayScheduler replayer(path_, explore::ReplayMode::Strict);
-      replayer.reset(cur_.agent_count());
-      for (std::size_t i = 0; i < path_.size(); ++i) {
-        if (!cur_.step(replayer)) {
-          throw std::logic_error("mc: prefix replay hit quiescence early");
-        }
-      }
-      if (replayer.diverged()) {
-        throw std::logic_error("mc: strict prefix replay diverged: " +
-                               replayer.divergence());
-      }
-      ++stats.replays;
-      count_actions(path_.size());
-    }
-    at_tip_ = true;
   }
 
   /// Pushes a frame made for the configuration cur_ sits at, snapshotting
@@ -287,6 +234,23 @@ class Explorer {
   void sort_enabled() {
     sorted_.assign(cur_.enabled().begin(), cur_.enabled().end());
     std::sort(sorted_.begin(), sorted_.end());
+  }
+
+  /// Takes branch `b` of frame `f` from the configuration cur_ sits at:
+  /// records it on path_, applies it, and classifies the child.
+  [[nodiscard]] NodeClass descend(const Frame& f, branch_index_t b) {
+    const std::size_t prev_tokens = cur_.total_tokens();
+    path_.push_back(b);
+    if (f.rewire) {
+      // Rewire node: the branch is a candidate stride index, not an agent.
+      // Applying it consumes no simulator action — the configuration
+      // changes only in its live successor map — so the child classifies
+      // like any configuration (dedup folds the fault state).
+      cur_.apply_rewire(b);
+    } else {
+      step(f.agents[b]);
+    }
+    return classify(prev_tokens);
   }
 
   void step(sim::AgentId agent) {
@@ -361,18 +325,13 @@ class Explorer {
     walk_.stop.store(true, std::memory_order_relaxed);
   }
 
-  const sim::Instance& instance_;
   const sim::GoalOracle& oracle_;
   const bool dedup_;
   sim::ExecutionState& cur_;
   Walk& walk_;
-  /// True when the instance's fault plan has events: rewire choice levels
-  /// exist (and the walk is one shard rooted at C_0).
-  const bool fault_mode_ = false;
   std::vector<branch_index_t> path_;
   std::size_t root_depth_ = 0;  ///< path_ length at the DFS root frame
-  /// snapshots_[j] = configuration of DFS stack frame j * kSnapshotEvery
-  /// (slot 0 doubles as the BFS phase's per-node snapshot).
+  /// snapshots_[j] = configuration of DFS stack frame j * kSnapshotEvery.
   std::vector<sim::ExecutionState> snapshots_;
   std::vector<sim::AgentId> sorted_;  // scratch, reused across nodes
   bool at_tip_ = false;
@@ -459,8 +418,10 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
   const std::size_t reserve = LockFreeVisitedSet::slot_count(
       options.shared_visited_capacity != 0 ? options.shared_visited_capacity
                                            : kDefaultReserve);
-  // Rewiring choice levels exist only in the DFS walk, so fault plans with
-  // events skip the BFS frontier phase and walk as one shard rooted at C_0.
+  // Fault plans with events skip the BFS frontier phase and walk as one
+  // shard rooted at C_0. check_with_faults walks hundreds of tiny plans,
+  // and sharding one at more than one worker would make it pay the
+  // multi-worker reserve (32 MiB zeroed by default) before its first claim.
   // Dedup stays sound because config_digest folds the live fault state.
   const std::size_t frontier_target =
       request.faults.has_events() ? 1 : std::max<std::size_t>(
@@ -479,10 +440,10 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
   ModelCheckReport report;
 
   // ---- frontier phase (serial, deterministic) -------------------------------
-  core::RunContext root_context;
-  Explorer root(instance, *oracle, options.dedup_states, root_context.state(),
-                walk);
-  std::vector<ShardRoot> level = {{}};
+  sim::ExecutionState root_state;
+  Explorer root(*oracle, options.dedup_states, root_state, walk);
+  std::vector<ShardRoot> level(1);
+  level.front().state.reset(instance);  // the tree root, C_0
   bool resolved_in_bfs = false;
   if (frontier_target > 1) {
     std::vector<ShardRoot> next;
@@ -521,15 +482,10 @@ ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
           violation;
     };
     std::vector<ShardOutcome> outcomes(shards.size());
-    std::vector<std::unique_ptr<core::RunContext>> contexts;
-    contexts.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<core::RunContext>());
-    }
+    std::vector<sim::ExecutionState> states(workers);
     parallel_for_workers(
         shards.size(), workers, [&](std::size_t worker, std::size_t i) {
-          Explorer shard(instance, *oracle, options.dedup_states,
-                         contexts[worker]->state(), walk);
+          Explorer shard(*oracle, options.dedup_states, states[worker], walk);
           shard.dfs(shards[i]);
           outcomes[i] = {shard.stats, shard.budget_stop,
                          std::move(shard.violation)};

@@ -24,11 +24,10 @@
 // backtrack, instead of re-executing the whole prefix. After every restore
 // the node is checked against its frame (the sorted enabled set must equal
 // the recorded one; a rewiring node must still be pending) and any mismatch
-// is a determinism bug (std::logic_error). Only a walk that starts from a
-// bare prefix — a frontier shard's root, a BFS frontier node — replays from
-// C_0, through explore::ReplayScheduler in Strict mode, which treats any
-// out-of-range/exhausted pick as the same bug; McStats::replays counts those
-// replays, so a serial walk reports 0.
+// is a determinism bug (std::logic_error). Every configuration the walk
+// expands is reached by copying a state it already holds: the serial walk
+// starts from C_0, and a BFS frontier node or a shard root carries the
+// state its parent's branch stepped into. Nothing is re-executed from C_0.
 //
 // ## The closure
 //
@@ -60,12 +59,13 @@
 // ## Parallel mode
 //
 // Parallel mode is frontier-sharded: a serial BFS expands the tree until a
-// level has at least `frontier_target` open nodes (one replay per node, its
-// siblings restored from the node's snapshot), each frontier node (its
-// choice prefix) becomes one shard, and shards run DFS walks across
-// util::parallel_for_workers with one pooled core::RunContext per worker.
-// The budget meters one action counter across the whole walk, and a
-// violation anywhere stops every shard.
+// level has at least `frontier_target` open nodes (every branch of a node
+// steps from a copy of the node's state), each frontier node (its choice
+// prefix and its configuration) becomes one shard, and shards run DFS walks
+// across util::parallel_for_workers with one pooled ExecutionState per
+// worker. A level holds one state copy per open node. The budget meters one
+// action counter across the whole walk, and a violation anywhere stops
+// every shard.
 //
 // Determinism survives the racing claims because every reported number is
 // a function of the closure itself, not of who claimed what: each reachable
@@ -136,8 +136,10 @@ struct CheckRequest {
   /// the candidate strides instead of agents, so counterexample traces
   /// carry the adversary's rewiring choices in `choices` and replay through
   /// the ordinary pick_index path. Plans with events walk as one shard
-  /// rooted at C_0; dedup stays sound because config_digest folds the live
-  /// fault state.
+  /// rooted at C_0 whatever `frontier_target` says: check_with_faults walks
+  /// many tiny plans, and sharding one at more than one worker would make
+  /// it pay the multi-worker reserve. Dedup stays sound because
+  /// config_digest folds the live fault state.
   sim::FaultPlan faults;
   /// Per-schedule action cap; 0 = the simulator's auto limit. Hitting it on
   /// any branch is a violation (livelock or broken algorithm), like the
@@ -162,8 +164,8 @@ struct McOptions {
   /// worker count.
   std::size_t shared_visited_capacity = 0;
   /// Budget on executed simulator actions over the whole walk — every
-  /// action it executes: tree edges, snapshot-restore re-steps and shard-root
-  /// replays (0 = unlimited). Exceeding it yields `complete = false`. With
+  /// action it executes: tree edges and snapshot-restore re-steps
+  /// (0 = unlimited). Exceeding it yields `complete = false`. With
   /// snapshot restores the closure spends ~11–12 actions per expanded state
   /// (every enabled branch of every configuration; the unpruned n=8 tree
   /// ~2).
@@ -184,8 +186,8 @@ struct McStats {
   std::size_t states_deduped = 0;   ///< subtrees cut by the visited-state hash
   std::size_t sleep_pruned = 0;     ///< always 0 (no sleep sets); kept in digest()
   std::size_t dpor_pruned = 0;      ///< always 0 (no DPOR); kept in digest()
-  std::size_t replays = 0;          ///< prefix re-executions from C_0 (shard roots, BFS nodes)
-  std::size_t total_actions = 0;    ///< simulator actions executed, restore re-steps and replays included
+  std::size_t replays = 0;          ///< always 0 (nothing re-executes from C_0); kept in digest()
+  std::size_t total_actions = 0;    ///< simulator actions executed, restore re-steps included
   std::size_t max_depth = 0;        ///< deepest schedule prefix reached
   std::size_t shards = 0;           ///< DFS shards executed (0 = BFS resolved all)
 };

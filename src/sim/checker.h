@@ -160,18 +160,17 @@ class IncrementalInvariantChecker {
 ///
 ///   * check_goal   — is this quiescent configuration a correct outcome?
 ///   * check_action — did the last atomic action preserve the reachable-
-///                    configuration model invariants? The default forwards
-///                    to check_model_invariants (or, when the caller passes
+///                    configuration model invariants? It forwards to
+///                    check_model_invariants (or, when the caller passes
 ///                    its pooled IncrementalInvariantChecker, to its
-///                    O(dirty) per-action form); problem-specific oracles
-///                    may override it to add per-action safety conditions.
+///                    O(dirty) per-action form) for every problem.
 ///
 /// Oracles are immutable after construction and safe to share across the
-/// model checker's worker shards. Concrete oracles for the three problem
-/// kinds live below (deployment, partial gathering, dispersion);
-/// unsolvability-aware wrappers that must inspect agent programs live in
-/// core::make_goal_oracle, which is how drivers obtain the right oracle for
-/// an (algorithm, ProblemSpec) pair.
+/// model checker's worker shards. The deployment and dispersion oracles
+/// live below; the gathering-family oracle, which must inspect agent
+/// programs for an unsolvability verdict, lives in core::make_goal_oracle,
+/// which is how drivers obtain the right oracle for an (algorithm,
+/// ProblemSpec) pair.
 class GoalOracle {
  public:
   virtual ~GoalOracle() = default;
@@ -185,7 +184,7 @@ class GoalOracle {
   /// Per-action invariant hook; called by drivers after every atomic
   /// action. `incremental` is the caller's pooled checker (nullptr = run
   /// the full O(n + k) sweep).
-  [[nodiscard]] virtual CheckResult check_action(
+  [[nodiscard]] CheckResult check_action(
       const Simulator& sim, std::size_t min_expected_tokens,
       IncrementalInvariantChecker* incremental = nullptr) const;
 };
@@ -205,24 +204,6 @@ class UniformDeploymentOracle final : public GoalOracle {
 
  private:
   bool require_termination_;
-};
-
-/// g-partial gathering as a pure configuration predicate (no
-/// unsolvability escape hatch — see check_partial_gathering).
-class PartialGatheringOracle final : public GoalOracle {
- public:
-  explicit PartialGatheringOracle(std::size_t g) noexcept : g_(g) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "g-partial-gathering";
-  }
-  [[nodiscard]] CheckResult check_goal(const Simulator& sim) const override {
-    return check_partial_gathering(sim, g_);
-  }
-  [[nodiscard]] std::size_t g() const noexcept { return g_; }
-
- private:
-  std::size_t g_;
 };
 
 /// Dispersion: exactly one settled agent per occupied node.

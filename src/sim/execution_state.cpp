@@ -102,8 +102,9 @@ void ExecutionState::reset(const Instance& instance) {
   if (has_fault_events_) apply_due_faults();
 }
 
-template <bool Logging, bool Fault>
-RunResult ExecutionState::run_impl(Scheduler& scheduler) {
+RunResult ExecutionState::run(Scheduler& scheduler) {
+  scheduler.attach(*this);
+  scheduler.reset(agents_.size());
   RunResult result;
   while (!enabled_.empty()) {
     if (action_counter_ >= options_.max_actions) {
@@ -118,24 +119,11 @@ RunResult ExecutionState::run_impl(Scheduler& scheduler) {
       apply_rewire(scheduler.pick_index(rewire_candidates_));
       continue;
     }
-    execute_action_impl<Logging, Fault>(scheduler.pick(enabled_));
+    execute_action(scheduler.pick(enabled_));
   }
   result.outcome = RunResult::Outcome::Quiescent;
   result.actions = action_counter_;
   return result;
-}
-
-RunResult ExecutionState::run(Scheduler& scheduler) {
-  scheduler.attach(*this);
-  scheduler.reset(agents_.size());
-  // Mode dispatch once per run; the loop then executes with both mode
-  // branches resolved at compile time.
-  if (log_.enabled()) {
-    return options_.faults.non_fifo ? run_impl<true, true>(scheduler)
-                                    : run_impl<true, false>(scheduler);
-  }
-  return options_.faults.non_fifo ? run_impl<false, true>(scheduler)
-                                  : run_impl<false, false>(scheduler);
 }
 
 bool ExecutionState::step(Scheduler& scheduler) {
@@ -369,20 +357,6 @@ void ExecutionState::apply_rewire(std::size_t candidate_index) {
 // ---- action engine ----------------------------------------------------------
 
 void ExecutionState::execute_action(AgentId id) {
-  // Per-action mode dispatch for callers outside a mode-specialized loop
-  // (step/step_agent): two predictable branches, then the same
-  // single action body run_impl executes.
-  if (log_.enabled()) {
-    options_.faults.non_fifo ? execute_action_impl<true, true>(id)
-                             : execute_action_impl<true, false>(id);
-  } else {
-    options_.faults.non_fifo ? execute_action_impl<false, true>(id)
-                             : execute_action_impl<false, false>(id);
-  }
-}
-
-template <bool Logging, bool Fault>
-void ExecutionState::execute_action_impl(AgentId id) {
   AgentCell& c = agents_[id];
   ++action_counter_;
   // Footprint bookkeeping for incremental oracles: this action can only
@@ -393,9 +367,10 @@ void ExecutionState::execute_action_impl(AgentId id) {
   last_acting_agent_ = id;
   last_action_nodes_[0] = c.node;
   last_action_node_count_ = 1;
-  // Compile-time: the (default-off) logging mode is a template parameter,
-  // so the hot instantiation carries no record sites at all.
-  constexpr bool logging = Logging;
+  // Read once per action: the default-off logging and non-FIFO modes then
+  // cost one predictable branch per site.
+  const bool logging = log_.enabled();
+  const bool non_fifo = options_.faults.non_fifo;
 
   const bool arrival = (c.status == AgentStatus::InTransit);
   std::uint64_t ts = c.last_ts;
@@ -403,14 +378,14 @@ void ExecutionState::execute_action_impl(AgentId id) {
     auto& queue = queues_[c.node];
     if (!queue.empty() && queue.front() == id) {
       queue.pop_front();
-    } else if (Fault && queue.remove(id)) {
+    } else if (non_fifo && queue.remove(id)) {
       // Fault injection: the agent jumped the queue (see SimOptions).
     } else {
       throw std::logic_error(
           "ExecutionState: scheduled a non-head in-transit agent");
     }
     ts = std::max(ts, queue_arrival_ts_[c.node]);
-    if (!queue.empty()) refresh_enabled_impl<Fault>(queue.front());
+    if (!queue.empty()) refresh_enabled(queue.front());
   } else if (!c.mailbox.empty()) {
     ts = std::max(ts, c.wake_ts);
   }
@@ -418,7 +393,7 @@ void ExecutionState::execute_action_impl(AgentId id) {
   c.last_ts = ts;
   if (arrival) {
     queue_arrival_ts_[c.node] = ts;
-    if constexpr (logging) {
+    if (logging) {
       log_.record({action_counter_, EventKind::Arrive, id, c.node, ts, 0});
     }
   }
@@ -445,7 +420,7 @@ void ExecutionState::execute_action_impl(AgentId id) {
   switch (request) {
     case Request::Move: {
       if (c.in_staying_set) remove_from_staying(id);
-      if constexpr (logging) {
+      if (logging) {
         log_.record({action_counter_, EventKind::Depart, id, c.node, ts, 0});
       }
       const NodeId dest = live_next(c.node);
@@ -462,21 +437,21 @@ void ExecutionState::execute_action_impl(AgentId id) {
     case Request::Stay:
       c.status = AgentStatus::Staying;
       if (!c.in_staying_set) add_to_staying(id);
-      if constexpr (logging) {
+      if (logging) {
         log_.record({action_counter_, EventKind::StayPut, id, c.node, ts, 0});
       }
       break;
     case Request::WaitMessage:
       c.status = AgentStatus::Waiting;
       if (!c.in_staying_set) add_to_staying(id);
-      if constexpr (logging) {
+      if (logging) {
         log_.record({action_counter_, EventKind::EnterWait, id, c.node, ts, 0});
       }
       break;
     case Request::Suspend:
       c.status = AgentStatus::Suspended;
       if (!c.in_staying_set) add_to_staying(id);
-      if constexpr (logging) {
+      if (logging) {
         log_.record(
             {action_counter_, EventKind::EnterSuspend, id, c.node, ts, 0});
       }
@@ -484,7 +459,7 @@ void ExecutionState::execute_action_impl(AgentId id) {
     case Request::Done:
       c.status = AgentStatus::Halted;
       if (!c.in_staying_set) add_to_staying(id);
-      if constexpr (logging) {
+      if (logging) {
         log_.record({action_counter_, EventKind::Halt, id, c.node, ts, 0});
       }
       break;
@@ -492,13 +467,13 @@ void ExecutionState::execute_action_impl(AgentId id) {
       throw std::logic_error("ExecutionState: agent yielded no request");
   }
 
-  refresh_enabled_impl<Fault>(id);
-  if constexpr (Fault) {
+  refresh_enabled(id);
+  if (non_fifo) {
     // Overtaking eligibility depends on whether queue *predecessors* have
     // acted, which any action can change; the cheap full sweep is fine on
     // this test-only path.
     for (AgentId other = 0; other < agents_.size(); ++other) {
-      refresh_enabled_impl<Fault>(other);
+      refresh_enabled(other);
     }
   }
   // Event faults keyed to the new action count fire now — after the
@@ -507,20 +482,13 @@ void ExecutionState::execute_action_impl(AgentId id) {
 }
 
 bool ExecutionState::should_be_enabled(AgentId id) const {
-  return options_.faults.non_fifo ? should_be_enabled_impl<true>(id)
-                                  : should_be_enabled_impl<false>(id);
-}
-
-template <bool Fault>
-bool ExecutionState::should_be_enabled_impl(AgentId id) const {
   const AgentCell& c = cell(id);
   switch (c.status) {
     case AgentStatus::InTransit: {
       const auto& queue = queues_[c.node];
       if (queue.empty()) return false;
       if (queue.front() == id) return true;
-      if constexpr (!Fault) return false;
-      if (!options_.faults.non_fifo) return false;  // unreachable guard
+      if (!options_.faults.non_fifo) return false;
       // Fault injection: enabled from any position, but never overtaking an
       // agent that has not yet had its first action (the initial occupant of
       // its home buffer) — that would break the home-node-first rule, which
@@ -557,13 +525,7 @@ bool ExecutionState::should_be_enabled_impl(AgentId id) const {
 }
 
 void ExecutionState::refresh_enabled(AgentId id) {
-  options_.faults.non_fifo ? refresh_enabled_impl<true>(id)
-                           : refresh_enabled_impl<false>(id);
-}
-
-template <bool Fault>
-void ExecutionState::refresh_enabled_impl(AgentId id) {
-  const bool want = should_be_enabled_impl<Fault>(id);
+  const bool want = should_be_enabled(id);
   const std::size_t pos = enabled_pos_[id];
   const std::uint64_t bit = std::uint64_t{1} << (id % 64);
   if (want && pos == kNotEnabled) {

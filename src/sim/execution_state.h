@@ -387,20 +387,10 @@ class ExecutionState {
   /// so fault-free digests fold no fault words at all.
   void fold_fault_state(std::uint64_t& state) const noexcept;
 
-  // The action engine is one templated body specialized on the two run-mode
-  // flags (event logging on? non-FIFO fault injection on?): the campaign hot
-  // path runs the <false, false> instantiation with both mode branches
-  // compiled out, while the dispatchers below keep the single-definition
-  // semantics — all four modes execute the same code, selected per action
-  // by two perfectly-predicted branches.
+  // The action engine: one body for every mode, branching at run time on
+  // the two mode flags (event logging on? non-FIFO fault injection on?).
   void execute_action(AgentId id);
-  template <bool Logging, bool Fault>
-  void execute_action_impl(AgentId id);
-  template <bool Logging, bool Fault>
-  RunResult run_impl(Scheduler& scheduler);
   void refresh_enabled(AgentId id);
-  template <bool Fault>
-  void refresh_enabled_impl(AgentId id);
   void add_to_staying(AgentId id);
   void remove_from_staying(AgentId id);
   /// Fires every fault event due at the current action counter (crash-stop
@@ -410,8 +400,6 @@ class ExecutionState {
   void apply_due_faults();
   void apply_crash(AgentId id);
   [[nodiscard]] bool should_be_enabled(AgentId id) const;
-  template <bool Fault>
-  [[nodiscard]] bool should_be_enabled_impl(AgentId id) const;
 
   // AgentContext hooks (the acting agent's perceptions and actions).
   [[nodiscard]] std::size_t tokens_at_agent(AgentId id) const;

@@ -127,7 +127,7 @@ struct FaultPlan {
   /// True when the plan carries *event* faults — anything the execution
   /// loop's fault cursor must watch (crashes, rewirings, drops, dups).
   /// The non-FIFO window is not an event: it is a standing relaxation of
-  /// the enabling rule, handled by the execution loop's Fault template path.
+  /// the enabling rule, which the action body tests on `non_fifo` itself.
   [[nodiscard]] bool has_events() const noexcept {
     return !crashes.empty() || !rewire_at.empty() || drop_count > 0 ||
            dup_count > 0;

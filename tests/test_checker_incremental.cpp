@@ -53,7 +53,7 @@ void assert_equivalent_along_run(sim::Simulator& sim, sim::Scheduler& scheduler,
     const sim::CheckResult full = sim::check_model_invariants(sim, min_tokens);
     const sim::CheckResult fast = incremental.check_after_action(sim, min_tokens);
     ASSERT_EQ(full.ok, fast.ok)
-        << "verdicts diverged at action " << sim.actions_executed()
+        << "verdicts differ at action " << sim.actions_executed()
         << ": full='" << full.reason << "' incremental='" << fast.reason << "'";
     ASSERT_EQ(full.reason, fast.reason);
     min_tokens = sim.total_tokens();

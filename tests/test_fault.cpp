@@ -262,6 +262,28 @@ TEST(FaultyReplayDeterminism, FuzzDigestIsWorkerCountInvariant) {
   }
 }
 
+TEST(FaultyReplayDeterminism, ActionCountsExcludeRewiringChoices) {
+  // An applied rewiring adds a pick_index choice to the trace but executes
+  // no action, so a fuzz iteration counts the actions its state executed,
+  // and a failure's at_action is the action count its trace replays in.
+  const explore::FuzzOptions options = faulty_fuzz_options();
+  sim::ExecutionState state;
+  std::size_t rewires = 0;
+  for (std::uint64_t i = 0; i < options.iterations; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    const explore::FuzzIteration iteration =
+        explore::fuzz_iteration(options, i, &state);
+    EXPECT_EQ(iteration.actions, state.actions_executed());
+    rewires += state.rewires_applied();
+    if (!iteration.failure) continue;
+    const explore::FuzzFailure& failure = *iteration.failure;
+    EXPECT_EQ(failure.at_action, explore::replay_trace(failure.trace).actions);
+    EXPECT_EQ(failure.at_action + state.rewires_applied(),
+              failure.trace.choices.size());
+  }
+  EXPECT_GT(rewires, 0u) << "the options must apply rewirings";
+}
+
 TEST(FaultyReplayDeterminism, EveryFaultySampleSurvivesTextRoundTrip) {
   const explore::FuzzReport report = explore::run_fuzz(faulty_fuzz_options());
   ASSERT_FALSE(report.failure_samples.empty())

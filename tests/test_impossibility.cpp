@@ -81,7 +81,7 @@ TEST(Impossibility, Lemma1LocalConfigurationsMatchForQnRounds) {
     const auto large_locals = local_configs(large.snapshot());
     for (std::size_t j = static_cast<std::size_t>(t); j < qn + kBaseNodes; ++j) {
       ASSERT_EQ(large_locals[j], small_locals[j % kBaseNodes])
-          << "local configurations diverged at round " << t << ", node " << j;
+          << "local configurations differ at round " << t << ", node " << j;
     }
   }
 }
@@ -111,7 +111,7 @@ TEST(Impossibility, StrawmanTerminatesPrematurelyOnTheLargeRing) {
   // counts as their base-ring counterparts.
   for (sim::AgentId id = 0; id < kBaseHomes.size(); ++id) {
     EXPECT_EQ(large.metrics().agent(id).moves, reference.metrics().agent(id).moves)
-        << "agent " << id << " diverged from its base-ring twin";
+        << "agent " << id << " departed from its base-ring twin";
   }
 }
 

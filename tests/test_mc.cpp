@@ -442,21 +442,21 @@ TEST(ReportDigest, PinnedForEveryAlgorithmAcrossWalkModes) {
   // gather all of them).
   const std::map<core::Algorithm, Pin> pins = {
       {core::Algorithm::KnownKFull,
-       {0x5b014fa3c9a28f4e, 0x30f3945f41483424}},
+       {0x5b014fa3c9a28f4e, 0x00dfd97e542ea498}},
       {core::Algorithm::KnownNFull,
-       {0x5b014fa3c9a28f4e, 0x30f3945f41483424}},
+       {0x5b014fa3c9a28f4e, 0x00dfd97e542ea498}},
       {core::Algorithm::KnownKLogMem,
-       {0xe1a1bfcc765a28b7, 0x980dea76d553282e}},
+       {0xe1a1bfcc765a28b7, 0xe10e8455318d2b8f}},
       {core::Algorithm::KnownKLogMemStrict,
-       {0xe1a1bfcc765a28b7, 0x980dea76d553282e}},
+       {0xe1a1bfcc765a28b7, 0xe10e8455318d2b8f}},
       {core::Algorithm::UnknownRelaxed,
-       {0x9200105d4e1d36e2, 0xc4f1c8af782604d4}},
+       {0x9200105d4e1d36e2, 0xcfa69c92bc51b83c}},
       {core::Algorithm::Rendezvous,
-       {0xd850390aa9086b58, 0xabda668abca85ab7}},
+       {0xd850390aa9086b58, 0xce8cca5b81a0d36a}},
       {core::Algorithm::GatherRing,
-       {0xd850390aa9086b58, 0xabda668abca85ab7}},
+       {0xd850390aa9086b58, 0xce8cca5b81a0d36a}},
       {core::Algorithm::DisperseRing,
-       {0x03db4f750ed69426, 0x80789d39aa5dad74}},
+       {0x03db4f750ed69426, 0x4ba9cdeb9b054211}},
   };
   McOptions sharded;
   sharded.frontier_target = 6;
@@ -600,20 +600,41 @@ TEST(OneStore, VerdictAndCountsIdenticalAtAnyWorkerCount) {
   EXPECT_TRUE(sharded.complete);
   EXPECT_GT(sharded.stats.states_deduped, 0u);
   EXPECT_GT(sharded.stats.shards, 1u);
+  EXPECT_EQ(sharded.stats.replays, 0u) << "shard roots are copied states";
   for (const std::size_t workers : {2u, 4u}) {
     McOptions racing = options;
     racing.workers = workers;
     expect_same_report(sharded, check(request, racing),
                        "worker count changed the sharded report");
   }
-  // The serial walk claims the same closure: only the replays, the actions
-  // they spend and the shard count differ.
+  // The serial walk claims the same closure: only the shard count and the
+  // actions (restore re-steps fall at other depths) differ.
   const ModelCheckReport serial = check(request);
   EXPECT_EQ(serial.verdict, sharded.verdict);
   EXPECT_EQ(serial.stats.schedules, sharded.stats.schedules);
   EXPECT_EQ(serial.stats.states_expanded, sharded.stats.states_expanded);
   EXPECT_EQ(serial.stats.states_deduped, sharded.stats.states_deduped);
   EXPECT_EQ(serial.stats.max_depth, sharded.stats.max_depth);
+}
+
+TEST(OneStore, FaultPlansWalkAsOneShard) {
+  // A plan with fault events ignores frontier_target: it walks as one shard
+  // rooted at C_0, so at any worker count its report is the frontier-1
+  // report.
+  CheckRequest request = ring_request(core::Algorithm::KnownKFull, 6, {0, 3});
+  request.faults.crashes = {{1, 4}};
+  request.faults.rewire_at = {2};
+  request.faults.normalize();
+  const ModelCheckReport serial = check(request);
+  EXPECT_EQ(serial.stats.shards, 1u);
+  for (const std::size_t workers : {1u, 4u}) {
+    McOptions options;
+    options.frontier_target = 8;
+    options.workers = workers;
+    const ModelCheckReport report = check(request, options);
+    EXPECT_EQ(report.stats.shards, 1u) << workers << " workers";
+    expect_same_report(serial, report, "a fault plan was sharded");
+  }
 }
 
 TEST(OneStore, ViolationFallsBackToTheDeterministicWalk) {

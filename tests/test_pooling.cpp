@@ -77,7 +77,7 @@ TEST_P(PooledRunSweep, BackToBackPooledRunsMatchFreshRuns) {
     EXPECT_EQ(ctx.state().log().digest(), fresh_digest)
         << core::to_string(algorithm) << " under "
         << sim::to_string(GetParam())
-        << ": pooled rerun diverged from a fresh run";
+        << ": pooled rerun differs from a fresh run";
   }
 }
 
@@ -257,7 +257,7 @@ TEST_P(PooledReseedSweep, PooledSchedulerMatchesFreshPerScenario) {
     EXPECT_EQ(pooled_result.actions, fresh_result.actions);
     EXPECT_EQ(pooled_state.log().digest(), fresh_state.log().digest())
         << explore::to_string(GetParam()) << " n=" << spec.node_count
-        << ": pooled reseed diverged from a fresh scheduler";
+        << ": pooled reseed differs from a fresh scheduler";
     EXPECT_EQ(pooled_state.staying_nodes(), fresh_state.staying_nodes());
     EXPECT_EQ(pooled_state.metrics().total_moves(),
               fresh_state.metrics().total_moves());

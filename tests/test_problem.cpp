@@ -156,7 +156,10 @@ TEST(GoalPredicates, PartialGatheringAcceptsAndPinsNearMissReason) {
   EXPECT_FALSE(miss.ok);
   EXPECT_EQ(miss.reason,
             "node 0 hosts 2 agent(s); g-partial gathering requires at least 3");
-  EXPECT_FALSE(sim::PartialGatheringOracle(3).check_goal(*sim).ok);
+  EXPECT_FALSE(core::make_goal_oracle(core::Algorithm::GatherRing,
+                                      {core::Problem::Gather, 3})
+                   ->check_goal(*sim)
+                   .ok);
 }
 
 TEST(GoalPredicates, DispersionAcceptsAndPinsNearMissReason) {

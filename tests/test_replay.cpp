@@ -203,7 +203,7 @@ TEST(ScheduleCorpus, EveryTraceReplaysToItsRecordedDigest) {
     const ScheduleTrace trace = ScheduleTrace::parse(buffer.str());
     const ReplayOutcome outcome = replay_trace(trace);
     EXPECT_EQ(outcome.digest, trace.expected_digest)
-        << "replay diverged from the recorded execution";
+        << "replay departed from the recorded execution";
     EXPECT_EQ(outcome.failed, trace.note != "ok")
         << "outcome drifted: " << outcome.reason;
   }
@@ -219,49 +219,16 @@ TEST(ReplayScheduler, PadsExhaustedTraceWithFallback) {
   EXPECT_EQ(scheduler.pick(enabled), 5u);  // sorted {1,5,9}[1]
   EXPECT_EQ(scheduler.pick(enabled), 1u);  // exhausted -> index 0
   EXPECT_EQ(scheduler.consumed(), 3u);
-  // Lenient mode is the shrinker's contract: padding and wrapping stay
-  // silent, so a mutated trace is always a complete schedule.
-  EXPECT_FALSE(scheduler.diverged());
-  EXPECT_EQ(scheduler.divergence(), "");
+  // reset() rewinds to the first choice, per the pooled-reuse contract.
+  scheduler.reset(3);
+  EXPECT_EQ(scheduler.consumed(), 0u);
+  EXPECT_EQ(scheduler.pick(enabled), 9u);
 }
 
 TEST(ReplayScheduler, ReducesChoicesModuloEnabledCount) {
   ReplayScheduler scheduler({7});
   scheduler.reset(2);
   EXPECT_EQ(scheduler.pick({4, 2}), 4u);  // sorted {2,4}[7 % 2 = 1]
-  EXPECT_FALSE(scheduler.diverged());
-}
-
-TEST(ReplayScheduler, StrictModeReportsExhaustedTrace) {
-  // The model checker's backtrack contract: the same picks as Lenient (the
-  // run proceeds on the fallback so the aftermath is observable), but the
-  // exhaustion is reported instead of silently masked.
-  ReplayScheduler scheduler({2}, ReplayMode::Strict);
-  scheduler.reset(3);
-  const std::vector<sim::AgentId> enabled = {5, 1, 9};
-  EXPECT_EQ(scheduler.pick(enabled), 9u);
-  EXPECT_FALSE(scheduler.diverged());
-  EXPECT_EQ(scheduler.pick(enabled), 1u);  // exhausted -> fallback 0
-  EXPECT_TRUE(scheduler.diverged());
-  EXPECT_EQ(scheduler.divergence(), "trace exhausted at pick 1");
-}
-
-TEST(ReplayScheduler, StrictModeReportsOutOfRangeChoice) {
-  ReplayScheduler scheduler({1, 7, 5}, ReplayMode::Strict);
-  scheduler.reset(2);
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);  // in range: sorted {2,4}[1]
-  EXPECT_FALSE(scheduler.diverged());
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);  // 7 wraps to 1, and is reported
-  EXPECT_TRUE(scheduler.diverged());
-  EXPECT_EQ(scheduler.divergence(),
-            "choice 7 out of range at pick 1 (enabled 2)");
-  // Only the FIRST divergence is kept (5 out of range too); the run goes on.
-  EXPECT_EQ(scheduler.pick({4, 2}), 4u);
-  EXPECT_EQ(scheduler.divergence(),
-            "choice 7 out of range at pick 1 (enabled 2)");
-  // reset() restores a clean slate, per the pooled-reuse contract.
-  scheduler.reset(2);
-  EXPECT_FALSE(scheduler.diverged());
 }
 
 TEST(TraceFormat, RejectsMalformedInput) {

@@ -7,8 +7,8 @@
 //  - N shards merged == the single uninterrupted run, byte for byte
 //    (digest AND summary), at worker counts {1, 4};
 //  - kill-and-resume at ANY checkpoint watermark reproduces the
-//    uninterrupted digest (the checkpoint_abort_after hook simulates the
-//    kill with exactly the on-disk state a real one leaves);
+//    uninterrupted digest (a scenario sink that throws simulates the kill
+//    with exactly the on-disk state a real one leaves);
 //  - merges reject what they must: overlapping ranges, gaps, foreign
 //    fingerprints, saturated sums.
 
@@ -18,7 +18,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -380,6 +382,19 @@ TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
 
 // ---- checkpoint / crash-resume ----------------------------------------------
 
+/// Thrown by kill_at's sink: stands in for a process killed mid-block.
+struct SimulatedKill {};
+
+/// A scenario sink that "kills" the run at the first scenario at or past
+/// `watermark`. The block holding that scenario is never folded, so the
+/// checkpoint on disk is the one a process killed there would leave.
+[[nodiscard]] std::function<void(const Scenario&, const ScenarioResult&)>
+kill_at(std::size_t watermark) {
+  return [watermark](const Scenario& scenario, const ScenarioResult&) {
+    if (scenario.index >= watermark) throw SimulatedKill{};
+  };
+}
+
 TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedDigest) {
   const CampaignGrid grid = small_grid();
   const CampaignResult reference = run_campaign_streaming(grid, {.workers = 2});
@@ -397,20 +412,17 @@ TEST(Checkpoint, KillAndResumeReproducesTheUninterruptedDigest) {
     options.workers = 2;
     options.checkpoint_path = path;
     options.checkpoint_every_scenarios = 4;
-    options.checkpoint_abort_after = abort_after;
-    try {
-      static_cast<void>(run_campaign_streaming(grid, options));
-      FAIL() << "abort hook must fire (abort_after=" << abort_after << ")";
-    } catch (const CampaignAborted& aborted) {
-      EXPECT_EQ(aborted.watermark, abort_after * 4);
-    }
+    options.scenario_sink = kill_at(abort_after * 4);
+    EXPECT_THROW(static_cast<void>(run_campaign_streaming(grid, options)),
+                 SimulatedKill)
+        << "abort_after=" << abort_after;
     // The file on disk is a valid partial shard at the watermark.
     const ShardFile partial = load_shard_file(path);
     EXPECT_EQ(partial.range_end, abort_after * 4);
 
-    // Resume: same grid, same options, hook off. Must complete from the
+    // Resume: same grid, same options, no kill. Must complete from the
     // watermark and land on the uninterrupted bytes.
-    options.checkpoint_abort_after = 0;
+    options.scenario_sink = nullptr;
     const CampaignResult resumed = run_campaign_streaming(grid, options);
     EXPECT_EQ(resumed.digest(), reference.digest())
         << "abort_after=" << abort_after;
@@ -432,13 +444,18 @@ TEST(Checkpoint, RepeatedKillsAcrossOneSweepStillConverge) {
   options.workers = 1;
   options.checkpoint_path = path;
   options.checkpoint_every_scenarios = 7;
-  options.checkpoint_abort_after = 1;
   CampaignResult final_result;
   for (std::size_t attempt = 0; attempt < 1000; ++attempt) {
+    // Kill one block past the watermark this attempt resumes from.
+    std::size_t watermark = 0;
+    if (const std::optional<std::string> bytes = read_binary_file(path)) {
+      watermark = static_cast<std::size_t>(decode_shard(*bytes).range_end);
+    }
+    options.scenario_sink = kill_at(watermark + 7);
     try {
       final_result = run_campaign_streaming(grid, options);
       break;
-    } catch (const CampaignAborted&) {
+    } catch (const SimulatedKill&) {
       continue;  // next attempt resumes from the file
     }
   }
