@@ -1,13 +1,10 @@
 // bench_streaming_campaign — the huge-n / streaming-aggregation artifact.
 //
-// Three sections, each one claim of the streaming story:
+// Two sections, each one claim of the streaming story:
 //  1. Huge-n cells: grids at n ∈ {10^5, 10^6} swept through the campaign
 //     engine (the per-worker ExecutionState arena is the only n-sized
 //     state).
-//  2. Scenario scale: a 10^6-scenario grid streamed under a fixed memory
-//     budget — accumulator bytes stay O(cells) where a per-scenario result
-//     vector would hold ~10^8 bytes.
-//  3. Checked-fuzz oracle: fuzzer steps/s at n = 4096 under the full
+//  2. Checked-fuzz oracle: fuzzer steps/s at n = 4096 under the full
 //     per-action invariant checker vs the incremental one; the acceptance
 //     number is a ≥2× speedup.
 //
@@ -74,48 +71,7 @@ void report_huge_n() {
                "n-sized memory is the single pooled ExecutionState arena.\n\n";
 }
 
-// ---- 2. scenario scale under a budget ---------------------------------------
-
-void report_scenario_scale() {
-  print_section(std::cout, "10^6-scenario stream under a memory budget");
-  exp::CampaignGrid grid;
-  grid.algorithms = {core::Algorithm::KnownKFull};
-  grid.schedulers = {sim::SchedulerKind::RoundRobin};
-  grid.node_counts = {16};
-  grid.agent_counts = {2};
-  grid.seeds = smoke() ? 10'000 : 1'000'000;
-
-  exp::CampaignOptions options;
-  options.memory_budget_bytes = 1 << 20;  // 1 MiB of accumulator — plenty
-  const auto start = std::chrono::steady_clock::now();
-  const exp::CampaignResult result = exp::run_campaign_streaming(grid, options);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-
-  const std::size_t accumulator_bytes =
-      result.cells.size() *
-      exp::streaming_cell_footprint_bytes(options) *
-      (result.workers_used + 1);
-  const std::size_t per_scenario_bytes =
-      result.scenario_count *
-      (sizeof(exp::ScenarioResult) + sizeof(exp::Scenario));
-  Table table({"scenarios", "wall ms", "scenarios/s", "cells",
-               "accumulator bytes", "per-scenario storage", "ok"});
-  table.add_row({Table::num(result.scenario_count), Table::num(ms, 0),
-                 Table::num(1000.0 * static_cast<double>(result.scenario_count) / ms, 0),
-                 Table::num(result.cells.size()),
-                 Table::num(accumulator_bytes),
-                 Table::num(per_scenario_bytes),
-                 result.all_ok() && result.cells_skipped == 0 ? "yes" : "NO"});
-  std::cout << table;
-  std::cout << "the stream held O(cells + workers) aggregation state — "
-            << accumulator_bytes << " bytes vs the "
-            << per_scenario_bytes
-            << " a per-scenario result vector would pin.\n\n";
-}
-
-// ---- 3. checked-fuzz oracle at n = 4096 -------------------------------------
+// ---- 2. checked-fuzz oracle at n = 4096 -------------------------------------
 
 [[nodiscard]] explore::FuzzOptions oracle_options(explore::OracleMode oracle,
                                                  std::size_t n) {
@@ -159,10 +115,9 @@ void report_oracle() {
 }
 
 void print_report() {
-  std::cout << "Streaming campaign engine: bounded-memory aggregation + "
-               "O(dirty) incremental oracle.\n\n";
+  std::cout << "Streaming campaign engine: huge-n sweeps + O(dirty) "
+               "incremental oracle.\n\n";
   report_huge_n();
-  report_scenario_scale();
   report_oracle();
 }
 

@@ -480,8 +480,10 @@ std::uint64_t CampaignResult::digest() const {
     fold64(state, stats.actions_sum);
   }
   fold64(state, failures);
-  fold64(state, cells_skipped);
-  fold64(state, scenarios_skipped);
+  // Two zeros where the retired memory budget's skip counts sat, so
+  // digests keep their values.
+  fold64(state, 0);
+  fold64(state, 0);
   return state;
 }
 
@@ -543,88 +545,27 @@ std::string CampaignResult::summary() const {
   text << "scenarios: " << scenario_count << "  failures: " << failures
        << "  workers: " << workers_used << "  digest: " << std::hex << digest()
        << std::dec << '\n';
-  if (cells_skipped != 0) {
-    text << "SKIPPED " << cells_skipped << " cell(s) / " << scenarios_skipped
-         << " scenario(s) over the memory budget";
-    for (const CellKey& key : skipped_cell_samples) {
-      text << "\n  skipped " << core::to_string(key.algorithm) << ' '
-           << to_string(key.family) << ' ' << sim::to_string(key.scheduler)
-           << " n=" << key.node_count << " k=" << key.agent_count
-           << " l=" << key.symmetry;
-      if (key.problem.kind != core::Problem::Auto) {
-        text << " problem=" << core::to_string(key.problem);
-      }
-      if (!key.fault.empty()) text << " fault=" << key.fault.label();
-    }
-    text << '\n';
-  }
   for (const std::string& sample : failure_samples) {
     text << "  FAIL " << sample << '\n';
   }
   return text.str();
 }
 
-std::size_t streaming_cell_footprint_bytes(
-    const CampaignOptions& options) noexcept {
-  // A map node (key + stats + tree overhead) plus an allowance per sampled
-  // failure string (description + heap block). Deliberately generous: the
-  // budget exists to keep a sweep from exhausting the host, not to
-  // byte-count the allocator.
-  constexpr std::size_t kNodeBytes =
-      sizeof(CellKey) + sizeof(CellStats) + 64;  // red-black node overhead
-  constexpr std::size_t kSampleBytes = 160;
-  // The two quantile sketches store sparse (bucket, count) entries on the
-  // heap. A cell's sketches hold at most one entry per distinct measured
-  // value, and the sub-bucketed log universe collapses large values, so a
-  // flat allowance sized for a few hundred distinct buckets per cell covers
-  // realistic sweeps with the same generosity as the rest of the estimate.
-  constexpr std::size_t kSketchBytes = 2048;
-  return kNodeBytes + kSketchBytes +
-         options.max_failures_per_cell * kSampleBytes;
-}
-
 AdmittedExpansion admit_cells(const CampaignGrid& grid,
-                              const CampaignOptions& options) {
-  // Budget enforcement happens before any scenario runs, on the compact
-  // expansion: cells are admitted in expansion order until one aggregation
-  // store would exceed the budget, the rest are skipped and reported. The
-  // admitted set depends only on (grid, options) — never on the worker
-  // count, nor on shard or checkpoint boundaries — so the digest contract
-  // survives a binding budget under any partition of the work.
-  AdmittedExpansion out;
-  out.cells = expand_cells(grid);
-  std::size_t admitted = out.cells.size();
-  if (options.memory_budget_bytes != 0) {
-    admitted = std::min(
-        admitted,
-        options.memory_budget_bytes / streaming_cell_footprint_bytes(options));
-  }
-  out.cells_skipped = out.cells.size() - admitted;
-  out.scenarios_skipped = out.cells_skipped * grid.seeds;
-  for (std::size_t c = admitted;
-       c < out.cells.size() && out.skipped_cell_samples.size() < 8; ++c) {
-    out.skipped_cell_samples.push_back(out.cells[c]);
-  }
-  out.cells.resize(admitted);
-  return out;
-}
-
-std::size_t admitted_scenario_count(const CampaignGrid& grid,
-                                    const CampaignOptions& options) {
-  return admit_cells(grid, options).cells.size() * grid.seeds;
+                              const CampaignOptions& /*options*/) {
+  return {expand_cells(grid)};
 }
 
 std::size_t run_campaign_range(const CampaignGrid& grid,
                                const CampaignOptions& options,
                                std::size_t begin, std::size_t end,
                                CampaignAccumulator& into) {
-  const AdmittedExpansion admitted = admit_cells(grid, options);
-  const std::vector<CellKey>& cells = admitted.cells;
+  const std::vector<CellKey> cells = expand_cells(grid);
   const std::size_t total = cells.size() * grid.seeds;
   if (begin > end || end > total) {
     std::ostringstream what;
     what << "run_campaign_range: range [" << begin << ", " << end
-         << ") outside the admitted expansion of " << total << " scenarios";
+         << ") outside the expansion of " << total << " scenarios";
     throw std::invalid_argument(what.str());
   }
   if (begin == end) return 0;

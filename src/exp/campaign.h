@@ -34,11 +34,10 @@
 // finishes and the accumulators merge after the join, so a 10^6-scenario
 // sweep runs in O(cells + workers) memory — no per-scenario storage, no
 // materialized expansion (scenarios are recomputed from their index on the
-// fly), and an optional memory budget that drops whole cells (reported,
-// never silent) instead of exhausting the host. A caller that needs each
-// scenario's own outcome (fig2's per-instance final positions, per-scenario
-// tests) attaches CampaignOptions::scenario_sink, which sees every
-// ScenarioResult just before it is folded.
+// fly). A caller that needs each scenario's own outcome (fig2's
+// per-instance final positions, per-scenario tests) attaches
+// CampaignOptions::scenario_sink, which sees every ScenarioResult just
+// before it is folded.
 
 #pragma once
 
@@ -281,14 +280,6 @@ struct CampaignOptions {
   std::size_t max_recorded_failures = 16;
   /// Failure strings kept per cell (CellStats::failure_samples).
   std::size_t max_failures_per_cell = 4;
-  /// Byte budget for ONE aggregation store (each worker holds one during
-  /// the run, the merged result is one more).
-  /// When cells × streaming_cell_footprint_bytes() exceeds it, trailing
-  /// cells of the expansion are skipped — their scenarios never run — and
-  /// reported in cells_skipped / skipped_cell_samples. 0 = unlimited.
-  /// Deliberately independent of the worker count so the digest contract
-  /// holds even when the budget binds.
-  std::size_t memory_budget_bytes = 0;
   /// Checkpoint/resume. When non-empty, the run folds scenarios in
   /// watermark blocks and atomically replaces this file (a
   /// versioned exp::ShardFile, write-temp + rename) after each block, so a
@@ -316,23 +307,12 @@ struct CampaignOptions {
   std::function<void(const Scenario&, const ScenarioResult&)> scenario_sink{};
 };
 
-/// Conservative per-cell byte estimate the streaming budget divides by:
-/// map-node + CellStats + sampled-failure-string allowance.
-[[nodiscard]] std::size_t streaming_cell_footprint_bytes(
-    const CampaignOptions& options) noexcept;
-
 struct CampaignResult {
   std::map<CellKey, CellStats> cells;    ///< deterministic iteration order
   std::size_t scenario_count = 0;        ///< scenarios run
   std::size_t failures = 0;
   std::vector<std::string> failure_samples;  ///< lowest-index N failures
   std::size_t workers_used = 0;
-  /// Memory-budget bookkeeping: cells dropped to respect
-  /// memory_budget_bytes (their scenarios were never run), plus the first
-  /// few dropped keys for the report.
-  std::size_t cells_skipped = 0;
-  std::size_t scenarios_skipped = 0;
-  std::vector<CellKey> skipped_cell_samples;
   /// Commutative (wrapping) sum of per-scenario outcome hashes — the
   /// scenario half of digest(), folded as each scenario finishes so the
   /// engine never needs the results it discarded.
@@ -340,7 +320,7 @@ struct CampaignResult {
 
   [[nodiscard]] bool all_ok() const noexcept { return failures == 0; }
 
-  /// Cell lookup; null when the cell is not in the grid (or fully skipped).
+  /// Cell lookup; null when the cell is not in the grid.
   [[nodiscard]] const CellStats* cell(const CellKey& key) const;
 
   /// Convenience: the averages of a cell, zeroed when absent.
@@ -402,41 +382,26 @@ void merge_accumulators(CampaignAccumulator& into, CampaignAccumulator&& from,
                         std::size_t max_failures_per_cell,
                         std::size_t max_recorded_failures);
 
-/// Runs scenarios [begin, end) of the grid's budget-admitted expansion
-/// (exactly the set run_campaign_streaming would run — a binding
-/// memory_budget_bytes truncates the cell list identically here) and folds
-/// them into `into` through the same per-worker-accumulator machinery,
-/// honoring workers. This is the primitive the checkpoint loop
-/// and the multi-process shard driver (exp::run_campaign_shard) are built
-/// on: run_campaign_streaming(grid, o) == fold of run_campaign_range over
-/// any partition of [0, admitted scenario count). Throws
-/// std::invalid_argument when end exceeds the admitted scenario count.
-/// Returns the worker count used.
+/// Runs scenarios [begin, end) of the grid's expansion and folds them into
+/// `into` through the same per-worker-accumulator machinery, honoring
+/// workers. This is the primitive the checkpoint loop and the
+/// multi-process shard driver (exp::run_campaign_shard) are built on:
+/// run_campaign_streaming(grid, o) == fold of run_campaign_range over any
+/// partition of [0, expansion_size(grid)). Throws std::invalid_argument
+/// when end exceeds expansion_size(grid). Returns the worker count used.
 std::size_t run_campaign_range(const CampaignGrid& grid,
                                const CampaignOptions& options,
                                std::size_t begin, std::size_t end,
                                CampaignAccumulator& into);
 
-/// The budget-admitted prefix of expand_cells(grid) plus the skip
-/// bookkeeping for the dropped tail — the expansion the streaming engine,
-/// the checkpoint loop and every shard of a multi-process sweep all iterate
-/// (a function of (grid, options) only, never of workers — that is what
-/// keeps the digest contract alive when the budget binds).
+/// expand_cells(grid), wrapped. Every cell is admitted: the struct and
+/// admit_cells stay only because perfbench's workload setup calls them.
 struct AdmittedExpansion {
-  std::vector<CellKey> cells;  ///< admitted prefix, expansion order
-  std::size_t cells_skipped = 0;
-  std::size_t scenarios_skipped = 0;
-  std::vector<CellKey> skipped_cell_samples;  ///< first ≤ 8 dropped keys
+  std::vector<CellKey> cells;  ///< expand_cells(grid)
 };
 
 [[nodiscard]] AdmittedExpansion admit_cells(const CampaignGrid& grid,
                                             const CampaignOptions& options);
-
-/// Number of scenarios the engine will actually run under these
-/// options: expansion_size(grid) minus scenarios of cells skipped by a
-/// binding memory_budget_bytes.
-[[nodiscard]] std::size_t admitted_scenario_count(const CampaignGrid& grid,
-                                                  const CampaignOptions& options);
 
 /// The home configuration scenario `s` of `grid` runs on — the substream
 /// contract makes it recomputable outside the engine, so reports can relate

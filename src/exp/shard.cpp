@@ -1,6 +1,8 @@
 #include "exp/shard.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -39,6 +41,30 @@ void fold_cell_key(std::uint64_t& state, const CellKey& key) {
                            ": " + what);
 }
 
+// Words the version-2 layout keeps where retired fields sat, so shard bytes
+// stay what they were: the memory budget's skip bookkeeping in the header,
+// and FaultPlan's old link-fault settings in every cell key. The encoder
+// writes zeros; the decoder rejects anything else by name.
+constexpr std::array<const char*, 3> kRetiredHeaderWords = {
+    "cells_skipped", "scenarios_skipped", "skipped_cell_samples count"};
+constexpr std::array<const char*, 5> kRetiredCellKeyWords = {
+    "non_fifo_until_action", "drop_count", "drop_from_action", "dup_count",
+    "dup_from_action"};
+
+void write_retired(BinaryWriter& out, std::span<const char* const> words) {
+  for (std::size_t i = 0; i < words.size(); ++i) out.u64(0);
+}
+
+void read_retired(BinaryReader& in, const std::string& context,
+                  const char* where, std::span<const char* const> words) {
+  for (const char* word : words) {
+    if (in.u64() != 0) {
+      fail(context, std::string("retired ") + where + " word '" + word +
+                        "' is nonzero");
+    }
+  }
+}
+
 // ---- encoding -------------------------------------------------------------
 
 void encode_cell_key(BinaryWriter& out, const CellKey& key) {
@@ -58,11 +84,7 @@ void encode_cell_key(BinaryWriter& out, const CellKey& key) {
   }
   out.u8(plan.non_fifo ? 1 : 0);
   out.u64(plan.non_fifo_min_phase);
-  out.u64(plan.non_fifo_until_action);
-  out.u64(plan.drop_count);
-  out.u64(plan.drop_from_action);
-  out.u64(plan.dup_count);
-  out.u64(plan.dup_from_action);
+  write_retired(out, kRetiredCellKeyWords);
   out.u64(plan.rewire_at.size());
   for (const std::size_t at : plan.rewire_at) out.u64(at);
 }
@@ -145,11 +167,7 @@ CellKey decode_cell_key(BinaryReader& in, const std::string& context) {
   if (non_fifo > 1) fail(context, "bad fault non-FIFO flag");
   plan.non_fifo = non_fifo != 0;
   plan.non_fifo_min_phase = static_cast<std::size_t>(in.u64());
-  plan.non_fifo_until_action = static_cast<std::size_t>(in.u64());
-  plan.drop_count = static_cast<std::size_t>(in.u64());
-  plan.drop_from_action = static_cast<std::size_t>(in.u64());
-  plan.dup_count = static_cast<std::size_t>(in.u64());
-  plan.dup_from_action = static_cast<std::size_t>(in.u64());
+  read_retired(in, context, "cell-key", kRetiredCellKeyWords);
   const std::size_t rewire_count =
       checked_count(in, context, in.u64(), 8, "rewire point");
   plan.rewire_at.reserve(rewire_count);
@@ -227,17 +245,18 @@ CellStats decode_cell_stats(BinaryReader& in, const std::string& context) {
 std::uint64_t grid_fingerprint(const CampaignGrid& grid,
                                const CampaignOptions& options) {
   // Everything a merge must agree on, nothing a merge may ignore: the
-  // admitted expansion already folds the whole grid (axes, feasibility
-  // skips, a binding memory budget), and the scenarios themselves are a pure
-  // function of (cell, repetition, base_seed, sim options). Workers and
-  // checkpoint cadence are deliberately absent — they choose how the sweep
-  // runs, never what it computes.
-  const AdmittedExpansion admitted = admit_cells(grid, options);
+  // cell expansion already folds the whole grid (axes, feasibility skips),
+  // and the scenarios themselves are a pure function of (cell, repetition,
+  // base_seed, sim options). Workers and checkpoint cadence are
+  // deliberately absent — they choose how the sweep runs, never what it
+  // computes.
+  const std::vector<CellKey> cells = expand_cells(grid);
   std::uint64_t state = kFingerprintSalt;
-  fold64(state, admitted.cells.size());
-  for (const CellKey& key : admitted.cells) fold_cell_key(state, key);
-  fold64(state, admitted.cells_skipped);
-  fold64(state, admitted.scenarios_skipped);
+  fold64(state, cells.size());
+  for (const CellKey& key : cells) fold_cell_key(state, key);
+  // Zeros where the retired memory budget's skip counts sat.
+  fold64(state, 0);
+  fold64(state, 0);
   fold64(state, grid.seeds);
   fold64(state, grid.base_seed);
   fold64(state, grid.sim_options.record_events ? 1 : 0);
@@ -254,7 +273,7 @@ std::uint64_t grid_fingerprint(const CampaignGrid& grid,
   }
   fold64(state, options.max_recorded_failures);
   fold64(state, options.max_failures_per_cell);
-  fold64(state, options.memory_budget_bytes);
+  fold64(state, 0);  // the retired memory budget
   return state;
 }
 
@@ -268,12 +287,7 @@ std::string encode_shard(const ShardFile& shard) {
   out.u64(shard.range_end);
   out.u64(shard.max_failures_per_cell);
   out.u64(shard.max_recorded_failures);
-  out.u64(shard.cells_skipped);
-  out.u64(shard.scenarios_skipped);
-  out.u64(shard.skipped_cell_samples.size());
-  for (const CellKey& key : shard.skipped_cell_samples) {
-    encode_cell_key(out, key);
-  }
+  write_retired(out, kRetiredHeaderWords);
   out.u64(shard.aggregate.scenario_hash);
   out.u64(shard.aggregate.failures);
   encode_samples(out, shard.aggregate.failure_samples);
@@ -311,20 +325,13 @@ ShardFile decode_shard(std::string_view bytes, const std::string& context) {
   shard.range_end = in.u64();
   shard.max_failures_per_cell = in.u64();
   shard.max_recorded_failures = in.u64();
-  shard.cells_skipped = in.u64();
-  shard.scenarios_skipped = in.u64();
+  read_retired(in, context, "header", kRetiredHeaderWords);
   if (shard.range_begin > shard.range_end ||
       shard.range_end > shard.scenario_total) {
     fail(context, "scenario range [" + std::to_string(shard.range_begin) +
                       ", " + std::to_string(shard.range_end) +
                       ") is inconsistent with a total of " +
                       std::to_string(shard.scenario_total));
-  }
-  const std::size_t skipped =
-      checked_count(in, context, in.u64(), 28, "skipped-cell sample");
-  shard.skipped_cell_samples.reserve(skipped);
-  for (std::size_t i = 0; i < skipped; ++i) {
-    shard.skipped_cell_samples.push_back(decode_cell_key(in, context));
   }
   shard.aggregate.scenario_hash = in.u64();
   shard.aggregate.failures = static_cast<std::size_t>(in.u64());
@@ -377,8 +384,7 @@ ShardFile run_campaign_shard(const CampaignGrid& grid,
         "run_campaign_shard: shard index " + std::to_string(shard_index) +
         " out of range for " + std::to_string(shard_count) + " shards");
   }
-  const AdmittedExpansion admitted = admit_cells(grid, options);
-  const std::size_t total = admitted.cells.size() * grid.seeds;
+  const std::size_t total = expansion_size(grid);
   // [i·S/N, (i+1)·S/N): the standard exact tiling — every scenario lands in
   // exactly one shard, sizes differ by at most one scenario.
   const std::size_t begin = shard_index * total / shard_count;
@@ -391,9 +397,6 @@ ShardFile run_campaign_shard(const CampaignGrid& grid,
   shard.range_end = begin;  // advances with the watermark
   shard.max_failures_per_cell = options.max_failures_per_cell;
   shard.max_recorded_failures = options.max_recorded_failures;
-  shard.cells_skipped = admitted.cells_skipped;
-  shard.scenarios_skipped = admitted.scenarios_skipped;
-  shard.skipped_cell_samples = admitted.skipped_cell_samples;
 
   std::size_t watermark = begin;
   const bool durable = !options.checkpoint_path.empty();
@@ -513,9 +516,6 @@ CampaignResult merge_shards(std::vector<ShardFile> shards, bool allow_partial) {
 
   CampaignResult result;
   result.scenario_count = static_cast<std::size_t>(covered);
-  result.cells_skipped = static_cast<std::size_t>(first.cells_skipped);
-  result.scenarios_skipped = static_cast<std::size_t>(first.scenarios_skipped);
-  result.skipped_cell_samples = shards.front().skipped_cell_samples;
   result.cells = std::move(merged.cells);
   result.scenario_hash = merged.scenario_hash;
   result.failures = merged.failures;

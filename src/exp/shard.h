@@ -11,19 +11,16 @@
 //
 //   - a grid FINGERPRINT: a digest of the grid's full cell expansion, the
 //     seed/repetition plan, the sim options, and every CampaignOption that
-//     affects results (sample caps, memory budget). Two shard files merge
-//     only if their fingerprints match — merging sweeps of different grids
-//     (or the same grid under different caps) would silently mix
-//     incomparable numbers.
-//   - the covered SCENARIO RANGE [range_begin, range_end) of the admitted
-//     expansion, so the merger can reject overlapping ranges (a
-//     double-submitted shard would double-count every run and failure
-//     sample) and detect gaps.
-//   - skip bookkeeping (cells dropped by a binding memory budget), which is
-//     a function of (grid, options) and therefore identical across shards.
+//     affects results (the sample caps). Two shard files merge only if
+//     their fingerprints match — merging sweeps of different grids (or the
+//     same grid under different caps) would silently mix incomparable
+//     numbers.
+//   - the covered SCENARIO RANGE [range_begin, range_end) of the expansion,
+//     so the merger can reject overlapping ranges (a double-submitted shard
+//     would double-count every run and failure sample) and detect gaps.
 //
 // Determinism contract, end to end: run_campaign_streaming(grid, o) ==
-// merge of run_campaign_shard over ANY contiguous partition of the admitted
+// merge of run_campaign_shard over ANY contiguous partition of the
 // expansion == resume-from-any-checkpoint — byte for byte, pinned against
 // CampaignResult::digest(). The argument is the same one the in-process
 // engine already makes: every fold (integer sums, quantile-sketch bucket
@@ -35,6 +32,9 @@
 //
 // All integers little-endian fixed-width (util/binio.h); files written
 // atomically (write-temp + rename) so a reader never observes a torn file.
+// The layout keeps zero words where retired fields sat (three in the
+// header, five in every cell key), so version-2 files stay byte-identical;
+// decode_shard rejects a nonzero one by name.
 
 #pragma once
 
@@ -57,7 +57,7 @@ struct ShardFile {
 
   /// Digest of grid expansion + result-affecting options (grid_fingerprint).
   std::uint64_t fingerprint = 0;
-  /// Scenario count of the full admitted expansion this shard is a slice of.
+  /// Scenario count of the full expansion this shard is a slice of.
   std::uint64_t scenario_total = 0;
   /// Covered contiguous range [range_begin, range_end) of that expansion.
   std::uint64_t range_begin = 0;
@@ -67,18 +67,13 @@ struct ShardFile {
   /// without re-deriving options).
   std::uint64_t max_failures_per_cell = 0;
   std::uint64_t max_recorded_failures = 0;
-  /// Memory-budget skip bookkeeping — a function of (grid, options), so
-  /// identical in every shard of a sweep (the fingerprint guarantees it).
-  std::uint64_t cells_skipped = 0;
-  std::uint64_t scenarios_skipped = 0;
-  std::vector<CellKey> skipped_cell_samples;
   /// The folded scenarios of [range_begin, range_end).
   CampaignAccumulator aggregate;
 };
 
 /// Fingerprint of everything that must match for two partial folds to be
-/// mergeable: the admitted cell expansion (every CellKey, in order), seeds,
-/// base_seed, the sim options, the sample caps and the memory budget.
+/// mergeable: the cell expansion (every CellKey, in order), seeds,
+/// base_seed, the sim options and the sample caps.
 /// Deliberately excludes workers, checkpoint options and the scenario sink
 /// — they change how a shard runs or who watches it, never what it
 /// computes.
@@ -92,7 +87,8 @@ struct ShardFile {
 /// path) in error messages. Throws std::runtime_error on a bad magic,
 /// unsupported version, truncation, trailing bytes, or any structurally
 /// invalid field (unknown enum value, unsorted/duplicate cells, inconsistent
-/// sketch state, range_begin > range_end, range beyond scenario_total).
+/// sketch state, range_begin > range_end, range beyond scenario_total, a
+/// nonzero retired word).
 [[nodiscard]] ShardFile decode_shard(std::string_view bytes,
                                      const std::string& context = {});
 
@@ -106,7 +102,7 @@ void write_shard_file(const std::string& path, const ShardFile& shard);
 [[nodiscard]] ShardFile load_shard_file(const std::string& path);
 
 /// Runs contiguous slice `shard_index` of `shard_count` equal slices of the
-/// grid's admitted expansion ([i·S/N, (i+1)·S/N) — the slices tile the
+/// grid's expansion ([i·S/N, (i+1)·S/N) — the slices tile the
 /// expansion exactly) and returns the folded shard. Honors
 /// options.checkpoint_path / checkpoint_every_scenarios for durable
 /// per-shard progress: the checkpoint file is this shard's own ShardFile at

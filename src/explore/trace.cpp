@@ -3,7 +3,6 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -57,7 +56,7 @@ void parse_list(std::istringstream& line, const std::string& key,
   }
 }
 
-/// Parses one "A@B" token (crash agent@action, drop/dup count@from-action).
+/// Parses one "A@B" token (crash agent@action).
 /// Both halves must be fully numeric — a mangled token is a parse error.
 [[nodiscard]] std::pair<std::size_t, std::size_t> parse_at_pair(
     const std::string& token, const std::string& key) {
@@ -69,18 +68,6 @@ void parse_list(std::istringstream& line, const std::string& key,
     if (first && second) return {*first, *second};
   }
   malformed("bad token '" + token + "' in '" + key + "' (want A@B)");
-}
-
-/// The single "A@B" token of a drop/dup key.
-[[nodiscard]] std::pair<std::size_t, std::size_t> parse_at_scalar(
-    std::istringstream& line, const std::string& key) {
-  std::string token;
-  line >> token;
-  const auto pair = parse_at_pair(token, key);
-  std::string rest;
-  if (line >> rest) malformed("trailing '" + rest + "' after '" + key + "'");
-  if (pair.first == 0) malformed("zero count in '" + key + "'");
-  return pair;
 }
 
 }  // namespace
@@ -139,17 +126,6 @@ std::string ScheduleTrace::to_text() const {
         out << ' ' << crash.agent << '@' << crash.at_action;
       }
       out << '\n';
-    }
-    if (canonical.drop_count != 0) {
-      out << "fault-drops " << canonical.drop_count << '@'
-          << canonical.drop_from_action << '\n';
-    }
-    if (canonical.dup_count != 0) {
-      out << "fault-dups " << canonical.dup_count << '@'
-          << canonical.dup_from_action << '\n';
-    }
-    if (canonical.non_fifo_until_action != 0) {
-      out << "fault-non-fifo-window " << canonical.non_fifo_until_action << '\n';
     }
     if (!canonical.rewire_at.empty()) {
       out << "fault-rewires";
@@ -230,15 +206,6 @@ ScheduleTrace ScheduleTrace::parse(std::string_view text) {
         trace.faults.crashes.push_back(sim::CrashFault{agent, at_action});
       }
       if (trace.faults.crashes.empty()) malformed("empty '" + key + "' list");
-    } else if (key == "fault-drops") {
-      std::tie(trace.faults.drop_count, trace.faults.drop_from_action) =
-          parse_at_scalar(fields, key);
-    } else if (key == "fault-dups") {
-      std::tie(trace.faults.dup_count, trace.faults.dup_from_action) =
-          parse_at_scalar(fields, key);
-    } else if (key == "fault-non-fifo-window") {
-      trace.faults.non_fifo_until_action =
-          parse_scalar<std::size_t>(fields, key);
     } else if (key == "fault-rewires") {
       parse_list(fields, key, trace.faults.rewire_at);
       if (trace.faults.rewire_at.empty()) malformed("empty '" + key + "' list");

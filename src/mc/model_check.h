@@ -130,8 +130,8 @@ struct CheckRequest {
   std::vector<std::size_t> homes;
   sim::Topology topology;
   /// Fault schedule (sim/fault.h) every checked schedule runs under: the
-  /// test-only non-FIFO relaxation, crash-stop faults, message
-  /// drop/duplication, dynamic-ring rewiring points. Rewiring points add
+  /// test-only non-FIFO relaxation, crash-stop faults and dynamic-ring
+  /// rewiring points. Rewiring points add
   /// *choice-tree levels*: at a pending rewiring the node's branches are
   /// the candidate strides instead of agents, so counterexample traces
   /// carry the adversary's rewiring choices in `choices` and replay through

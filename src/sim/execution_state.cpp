@@ -54,8 +54,6 @@ void ExecutionState::reset(const Instance& instance) {
   rewires_applied_ = 0;
   rewire_candidates_ =
       plan.has_rewires() ? sim::rewire_candidate_count(n) : 0;
-  drops_remaining_ = plan.drop_count;
-  dups_remaining_ = plan.dup_count;
 
   tokens_.assign(n, 0);
   queue_arrival_ts_.assign(n, 0);
@@ -300,8 +298,6 @@ void ExecutionState::fold_fault_state(std::uint64_t& state) const noexcept {
   fold64(state, pending_rewire_ ? 1 : 0);
   fold64(state, live_stride_);
   fold64(state, rewires_applied_);
-  fold64(state, drops_remaining_);
-  fold64(state, dups_remaining_);
 }
 
 // ---- fault events (sim/fault.h) ---------------------------------------------
@@ -497,12 +493,6 @@ bool ExecutionState::should_be_enabled(AgentId id) const {
       if (metrics_.agent(id).phase < options_.faults.non_fifo_min_phase) {
         return false;
       }
-      // Generalized window (FaultPlan): overtaking closes again once the
-      // action counter leaves [0, until). 0 = open-ended (legacy).
-      if (options_.faults.non_fifo_until_action != 0 &&
-          action_counter_ >= options_.faults.non_fifo_until_action) {
-        return false;
-      }
       for (const AgentId member : queue) {
         if (member == id) return true;
         if (metrics_.agent(member).actions == 0 ||
@@ -579,38 +569,6 @@ void ExecutionState::agent_release_token(AgentId id) {
 void ExecutionState::agent_broadcast(AgentId id, Message message) {
   const AgentCell& sender = cell(id);
   const bool logging = log_.enabled();
-  // Link faults (sim/fault.h): bounded broadcast drops and duplications.
-  // Both budgets tick only on broadcasts with at least one deliverable
-  // receiver — an unobservable drop must not burn the budget, or commuting
-  // schedules would disagree on the remaining count for no semantic reason.
-  std::size_t copies = 1;
-  if (has_fault_events_ && (drops_remaining_ > 0 || dups_remaining_ > 0)) {
-    bool deliverable = false;
-    for (const AgentId other : staying_[sender.node]) {
-      if (other == id) continue;
-      const AgentStatus s = cell(other).status;
-      if (s != AgentStatus::Halted && s != AgentStatus::Crashed) {
-        deliverable = true;
-        break;
-      }
-    }
-    if (deliverable) {
-      if (drops_remaining_ > 0 &&
-          action_counter_ >= options_.faults.drop_from_action) {
-        --drops_remaining_;
-        if (logging) {
-          log_.record({action_counter_, EventKind::Broadcast, id, sender.node,
-                       sender.last_ts, 0});
-        }
-        return;  // the whole broadcast vanishes
-      }
-      if (dups_remaining_ > 0 &&
-          action_counter_ >= options_.faults.dup_from_action) {
-        --dups_remaining_;
-        copies = 2;  // at-least-once delivery: every receiver sees it twice
-      }
-    }
-  }
   std::size_t receivers = 0;
   for (const AgentId other : staying_[sender.node]) {
     if (other == id) continue;
@@ -619,9 +577,7 @@ void ExecutionState::agent_broadcast(AgentId id, Message message) {
         rc.status == AgentStatus::Crashed) {
       continue;  // Definition 1 halts; crash-stop corpses receive nothing
     }
-    for (std::size_t copy = 0; copy < copies; ++copy) {
-      rc.mailbox.push_back(message);
-    }
+    rc.mailbox.push_back(message);
     rc.wake_ts = std::max(rc.wake_ts, sender.last_ts);
     const bool was_enabled = enabled_pos_[other] != kNotEnabled;
     refresh_enabled(other);

@@ -382,7 +382,7 @@ class ExecutionState {
   [[nodiscard]] const AgentCell& cell(AgentId id) const { return agents_[id]; }
 
   /// Folds the *live* fault state (current stride, pending/consumed
-  /// rewires, crash cursor, remaining drop/dup budgets) into config_digest()'s
+  /// rewires, crash cursor) into config_digest()'s
   /// `state` — but only when the instance's FaultPlan carries fault events,
   /// so fault-free digests fold no fault words at all.
   void fold_fault_state(std::uint64_t& state) const noexcept;
@@ -430,15 +430,13 @@ class ExecutionState {
   AgentId last_acting_agent_ = kNoAgentActing;
 
   // Live fault state (reset() derives it all from options_.faults).
-  bool has_fault_events_ = false;   // plan has crashes/rewires/drops/dups
+  bool has_fault_events_ = false;   // plan has crashes or rewires
   std::size_t crash_cursor_ = 0;    // next unfired entry of faults.crashes
   std::size_t rewire_cursor_ = 0;   // next unreached entry of faults.rewire_at
   bool pending_rewire_ = false;
   std::size_t live_stride_ = 0;     // 0 = topology successor
   std::size_t rewires_applied_ = 0;
   std::size_t rewire_candidates_ = 0;  // φ(n), cached at reset
-  std::size_t drops_remaining_ = 0;
-  std::size_t dups_remaining_ = 0;
 
   static constexpr std::size_t kNotEnabled = static_cast<std::size_t>(-1);
 };

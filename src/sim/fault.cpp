@@ -62,18 +62,7 @@ std::string FaultPlan::label() const {
     if (non_fifo_min_phase > 0) {
       part += ":p" + std::to_string(non_fifo_min_phase);
     }
-    if (non_fifo_until_action > 0) {
-      part += "<" + std::to_string(non_fifo_until_action);
-    }
     append(part);
-  }
-  if (drop_count > 0) {
-    append("drop:" + std::to_string(drop_count) + "@" +
-           std::to_string(drop_from_action));
-  }
-  if (dup_count > 0) {
-    append("dup:" + std::to_string(dup_count) + "@" +
-           std::to_string(dup_from_action));
   }
   if (!rewire_at.empty()) {
     std::string part = "rewire:";
@@ -95,11 +84,10 @@ void FaultPlan::fold_into(std::uint64_t& state) const {
   }
   fold64(state, non_fifo ? 1 : 0);
   fold64(state, non_fifo_min_phase);
-  fold64(state, non_fifo_until_action);
-  fold64(state, drop_count);
-  fold64(state, drop_from_action);
-  fold64(state, dup_count);
-  fold64(state, dup_from_action);
+  // Five zeros where retired link-fault settings sat (a non-FIFO action
+  // bound, broadcast drop and dup budgets): digests and fingerprints keep
+  // their values.
+  for (int retired = 0; retired < 5; ++retired) fold64(state, 0);
   fold64(state, rewire_at.size());
   for (const std::size_t at : rewire_at) fold64(state, at);
 }

@@ -6,8 +6,9 @@
 // robustness line asks for: how do the algorithms *fail and degrade* when the
 // substrate misbehaves? A FaultPlan is part of SimOptions — immutable per
 // Instance, like everything else in the spec half of a run — and describes
-// three fault classes, all keyed to the global atomic-action counter so the
-// exact same faults fire at the exact same points of any replayed schedule:
+// three fault classes. The two event classes are keyed to the global
+// atomic-action counter, so the exact same faults fire at the exact same
+// points of any replayed schedule:
 //
 //  - Crash-stop faults: agent `a` dies when the action counter reaches
 //    `at_action` (0 = dead on arrival, before its first action). Its state
@@ -15,12 +16,6 @@
 //    queue (and, under FIFO, blocks everyone behind it forever), a crashed
 //    staying agent remains a visible corpse in p_i. Crashed agents are never
 //    enabled, never receive broadcasts, and never act again.
-//
-//  - Link faults: a test-only non-FIFO overtaking window (phase-gated, plus
-//    an optional action-count upper bound), bounded broadcast *drops* (the
-//    next `drop_count` deliverable broadcasts at/after `drop_from_action`
-//    vanish) and bounded broadcast *duplications* (delivered twice — the
-//    classic at-least-once substrate).
 //
 //  - Dynamic-ring rewiring (1-interval connectivity): at each action index
 //    in `rewire_at` the successor map is scheduled to change; the *choice*
@@ -34,12 +29,16 @@
 //    candidate set at any rewire point is the ascending list of coprime
 //    strides; candidate index i ↦ rewire_candidate_stride(n, i).
 //
+//  - A test-only non-FIFO link relaxation, gated by the agents' phase tags
+//    rather than by the action counter (see `non_fifo` below). Links never
+//    lose or duplicate a message: the paper's broadcast is reliable.
+//
 // Soundness note for the model checker: every piece of live fault state
-// (current stride, pending/consumed rewires, remaining drop/dup budgets) is
-// folded into ExecutionState::config_digest() whenever the plan carries
-// fault events, so two configurations that agree on (S, T, M, P, Q) but
-// differ in what the adversary may still do can never dedup together. Empty
-// plans fold nothing, keeping every pre-fault digest byte-identical.
+// (crash and rewire cursors, pending rewire, current stride) is folded into
+// ExecutionState::config_digest() whenever the plan carries fault events,
+// so two configurations that agree on (S, T, M, P, Q) but differ in what
+// the adversary may still do can never dedup together. Empty plans fold
+// nothing, keeping every pre-fault digest byte-identical.
 //
 // This header is included by sim/instance.h; it must not include it back.
 
@@ -93,21 +92,6 @@ struct FaultPlan {
   /// non-overtaking, for every variant) stay sound. 0 = the fault is live
   /// from the first action. Has no effect unless `non_fifo` is set.
   std::size_t non_fifo_min_phase = 0;
-  /// Upper bound of the overtaking window: overtaking is permitted only
-  /// while the action counter is < this value. 0 = unbounded.
-  std::size_t non_fifo_until_action = 0;
-
-  /// Broadcast drops: the next `drop_count` broadcasts with at least one
-  /// deliverable receiver, executed at action counter ≥ `drop_from_action`,
-  /// are silently discarded (no receiver sees them).
-  std::size_t drop_count = 0;
-  std::size_t drop_from_action = 0;
-
-  /// Broadcast duplications: the next `dup_count` deliverable broadcasts at
-  /// action counter ≥ `dup_from_action` are delivered twice to every
-  /// receiver (at-least-once delivery).
-  std::size_t dup_count = 0;
-  std::size_t dup_from_action = 0;
 
   /// Dynamic-ring rewiring points: when the action counter reaches each
   /// listed value a rewiring becomes *pending*, and the scheduler resolves
@@ -120,17 +104,15 @@ struct FaultPlan {
   /// True when the plan injects nothing at all (the default — the fault-free
   /// paper model).
   [[nodiscard]] bool empty() const noexcept {
-    return !non_fifo && non_fifo_min_phase == 0 && non_fifo_until_action == 0 &&
-           !has_events();
+    return !non_fifo && non_fifo_min_phase == 0 && !has_events();
   }
 
   /// True when the plan carries *event* faults — anything the execution
-  /// loop's fault cursor must watch (crashes, rewirings, drops, dups).
+  /// loop's fault cursor must watch (crashes, rewirings).
   /// The non-FIFO window is not an event: it is a standing relaxation of
   /// the enabling rule, which the action body tests on `non_fifo` itself.
   [[nodiscard]] bool has_events() const noexcept {
-    return !crashes.empty() || !rewire_at.empty() || drop_count > 0 ||
-           dup_count > 0;
+    return !crashes.empty() || !rewire_at.empty();
   }
 
   [[nodiscard]] bool has_crashes() const noexcept { return !crashes.empty(); }
@@ -148,7 +130,7 @@ struct FaultPlan {
   void validate(std::size_t node_count, std::size_t agent_count) const;
 
   /// Canonical compact label for campaign axes and report tables:
-  /// "" for an empty plan, else e.g. "crash:1@4+rewire:2+drop:1@0".
+  /// "" for an empty plan, else e.g. "crash:1@4+nonfifo:p1+rewire:2".
   [[nodiscard]] std::string label() const;
 
   /// Folds the plan itself (not live execution state) into a digest —

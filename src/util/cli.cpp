@@ -119,13 +119,17 @@ bool Cli::get_flag(const std::string& name, const std::string& help) {
   return it != values_.end() && it->second != "false" && it->second != "0";
 }
 
-void Cli::reject_unknown_flags() const {
-  for (const std::string& flag : flags_) {
+void Cli::reject_bad_flags() const {
+  for (auto it = flags_.begin(); it != flags_.end(); ++it) {
+    const std::string& flag = *it;
     const bool known =
         std::any_of(registered_.begin(), registered_.end(),
                     [&](const auto& entry) { return entry[0] == flag; });
     if (!known) {
       throw std::invalid_argument("--" + flag + ": unknown flag (see --help)");
+    }
+    if (std::find(flags_.begin(), it, flag) != it) {
+      throw std::invalid_argument("--" + flag + ": flag given more than once");
     }
   }
 }

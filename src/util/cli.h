@@ -51,11 +51,16 @@ class Cli {
                                       const std::string& help);
   [[nodiscard]] bool get_flag(const std::string& name, const std::string& help);
 
+  /// True if `--name` appeared on the command line, with or without a value.
+  [[nodiscard]] bool has(const std::string& name) const {
+    return values_.contains(name);
+  }
+
   /// Throws std::invalid_argument naming the first flag, in command-line
-  /// order, that no get* call registered. Call it once every flag is
-  /// registered, so a misspelt or retired flag is a usage error instead of
-  /// a silently different run.
-  void reject_unknown_flags() const;
+  /// order, that no get* call registered or that was given more than once.
+  /// Call it once every flag is registered, so a misspelt, retired or
+  /// repeated flag is a usage error instead of a silently different run.
+  void reject_bad_flags() const;
 
   /// True if --help was passed; callers should print_help() and exit.
   [[nodiscard]] bool wants_help() const noexcept { return help_requested_; }

@@ -35,7 +35,7 @@ struct Collected {
 
 Collected run_collecting(const CampaignGrid& grid, CampaignOptions options) {
   Collected out;
-  out.results.resize(admitted_scenario_count(grid, options));
+  out.results.resize(expansion_size(grid));
   options.scenario_sink = [&out](const Scenario& s, const ScenarioResult& r) {
     ScenarioResult& slot = out.results.at(s.index);
     slot.success = r.success;

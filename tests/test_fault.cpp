@@ -88,17 +88,14 @@ TEST(FaultPlan, ValidateRejectsMalformedPlans) {
 TEST(FaultPlan, LabelListsEventsInCanonicalOrder) {
   sim::FaultPlan plan;
   plan.crashes = {{1, 4}};
-  plan.drop_count = 1;
+  plan.non_fifo = true;
   plan.rewire_at = {2, 5};
-  EXPECT_EQ(plan.label(), "crash:1@4+drop:1@0+rewire:2,5");
+  EXPECT_EQ(plan.label(), "crash:1@4+nonfifo+rewire:2,5");
 
   sim::FaultPlan window;
   window.non_fifo = true;
   window.non_fifo_min_phase = 2;
-  window.non_fifo_until_action = 9;
-  window.dup_count = 3;
-  window.dup_from_action = 1;
-  EXPECT_EQ(window.label(), "nonfifo:p2<9+dup:3@1");
+  EXPECT_EQ(window.label(), "nonfifo:p2");
 }
 
 TEST(FaultPlan, FoldIntoSeparatesDistinctPlans) {
@@ -198,10 +195,8 @@ TEST(CanonicalEmission, FaultKeysEmitIdenticallyFromAnyInsertionPath) {
   sim::FaultPlan plan;
   plan.non_fifo = true;
   plan.non_fifo_min_phase = 1;
-  plan.non_fifo_until_action = 6;
   plan.crashes = {{1, 5}, {0, 2}};  // deliberately unsorted
   plan.rewire_at = {9, 3};
-  plan.drop_count = 1;
 
   // Path 1: the whole plan at once.
   explore::ScheduleTrace via_plan = base;
@@ -210,9 +205,7 @@ TEST(CanonicalEmission, FaultKeysEmitIdenticallyFromAnyInsertionPath) {
   // Path 2: field by field in another order, lists left unsorted.
   explore::ScheduleTrace via_fields = base;
   via_fields.faults.rewire_at = {9, 3};
-  via_fields.faults.drop_count = 1;
   via_fields.faults.crashes = {{1, 5}, {0, 2}};
-  via_fields.faults.non_fifo_until_action = 6;
   via_fields.faults.non_fifo_min_phase = 1;
   via_fields.faults.non_fifo = true;
 

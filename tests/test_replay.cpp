@@ -291,16 +291,36 @@ TEST(TraceFormat, RejectsMalformedInput) {
   const std::vector<std::pair<std::string, std::string>> bad_numbers = {
       {"max-actions", "-1"},    {"choices", "0 -1"},
       {"choices", "4294967296"}, {"fault-crashes", "0@-1"},
-      {"fault-rewires", "-3"},  {"fault-drops", "1@-2"},
+      {"fault-rewires", "-3"},  {"fault-crashes", "-1@0"},
       {"seed", "-1"},           {"digest", "-1"},
       {"nodes", "-16"},         {"homes", "0 -2"},
       {"gather-g", "-1"},       {"fault-min-phase", "-1"},
-      {"fault-non-fifo", "-1"}, {"fault-non-fifo-window", "+5"},
+      {"fault-non-fifo", "-1"}, {"fault-rewires", "+5"},
       {"max-actions", "18446744073709551616"}};
   for (const auto& [key, value] : bad_numbers) {
     EXPECT_THROW((void)ScheduleTrace::parse(trace_with(key, value)),
                  std::invalid_argument)
         << key << ' ' << value;
+  }
+}
+
+TEST(TraceFormat, RetiredLinkFaultKeysAreUnknown) {
+  // Links never lose or duplicate a message and the non-FIFO relaxation has
+  // no action bound, so these keys name nothing a replay could honour.
+  for (const std::string line :
+       {"fault-drops 1@0", "fault-dups 1@0", "fault-non-fifo-window 5"}) {
+    const std::string text =
+        "udring-trace v1\nalgorithm known-k-full\nnodes 8\nhomes 0 2\n" +
+        line + "\nchoices 0\ndigest 1\nend\n";
+    const std::string key = line.substr(0, line.find(' '));
+    try {
+      (void)ScheduleTrace::parse(text);
+      ADD_FAILURE() << "parsed: " << line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown key '" + key + "'"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

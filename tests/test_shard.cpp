@@ -184,6 +184,48 @@ TEST(ShardFile, DecodeRejectsCorruptBytes) {
                std::runtime_error);
 }
 
+TEST(ShardFile, DecodeRejectsNonzeroRetiredWords) {
+  const std::string bytes =
+      encode_shard(run_campaign_shard(small_grid(), {.workers = 1}, 0, 1));
+  const ShardFile shard = decode_shard(bytes);
+  // The offsets below assume no failure samples and a crash-free first key.
+  ASSERT_TRUE(shard.aggregate.failure_samples.empty());
+  ASSERT_TRUE(shard.aggregate.cells.begin()->first.fault.crashes.empty());
+  const auto expect_named = [&bytes](std::size_t offset,
+                                     const std::string& word) {
+    std::string bad = bytes;
+    ASSERT_EQ(bad.at(offset), '\0') << word;
+    bad[offset] = 1;
+    try {
+      (void)decode_shard(bad, "retired");
+      ADD_FAILURE() << "accepted a nonzero " << word;
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("word '" + word + "' is nonzero"),
+                std::string::npos)
+          << message;
+    }
+  };
+  // Header: magic and version (4 bytes each), six u64 fields, then the
+  // three retired words.
+  constexpr std::size_t kHeaderRetired = 8 + 6 * 8;
+  expect_named(kHeaderRetired, "cells_skipped");
+  expect_named(kHeaderRetired + 8, "scenarios_skipped");
+  expect_named(kHeaderRetired + 16, "skipped_cell_samples count");
+  // The first cell key follows the scenario hash, the failure count, the
+  // empty sample list and the cell count. Its retired words come after
+  // three enum bytes, n, k, l, the problem (1 + 8 bytes), the empty crash
+  // list, the non-FIFO flag and its phase.
+  constexpr std::size_t kFirstKey = kHeaderRetired + 3 * 8 + 4 * 8;
+  constexpr std::size_t kKeyRetired = kFirstKey + 3 + 3 * 8 + 9 + 8 + 9;
+  const char* const words[] = {"non_fifo_until_action", "drop_count",
+                               "drop_from_action", "dup_count",
+                               "dup_from_action"};
+  for (std::size_t i = 0; i < 5; ++i) {
+    expect_named(kKeyRetired + 8 * i, words[i]);
+  }
+}
+
 TEST(ShardFile, WriteAndLoadFile) {
   const std::string path = temp_path("shard_io.bin");
   const ShardFile shard =
@@ -380,6 +422,41 @@ TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
       << "sample caps change merged bytes, so they are in the fingerprint";
 }
 
+TEST(GridFingerprint, FaultAxisLayoutsArePinned) {
+  // A fault axis of {none, crash 1@3, rewire {4}, non-FIFO from phase 1}:
+  // every plan folds into the fingerprint, the digest and the shard's cell
+  // keys, so those layouts are pinned here as well.
+  CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull,
+                     core::Algorithm::KnownKLogMem};
+  grid.schedulers = {sim::SchedulerKind::RoundRobin,
+                     sim::SchedulerKind::Random};
+  grid.node_counts = {12, 16};
+  grid.agent_counts = {3};
+  grid.seeds = 2;
+  grid.base_seed = 5;
+  sim::FaultPlan crash;
+  crash.crashes = {{1, 3}};
+  sim::FaultPlan rewire;
+  rewire.rewire_at = {4};
+  sim::FaultPlan non_fifo;
+  non_fifo.non_fifo = true;
+  non_fifo.non_fifo_min_phase = 1;
+  grid.fault_plans = {{}, crash, rewire, non_fifo};
+
+  const std::uint64_t fingerprint = grid_fingerprint(grid, {});
+  EXPECT_EQ(fingerprint, 0x23822f54c7850ea6ULL) << std::hex << fingerprint;
+  const CampaignResult result = run_campaign_streaming(grid, {.workers = 2});
+  EXPECT_EQ(result.cells.size(), 32u);
+  EXPECT_EQ(result.digest(), 0x3440d2d69dd45b87ULL)
+      << std::hex << result.digest();
+  const std::string bytes =
+      encode_shard(run_campaign_shard(grid, {.workers = 2}, 0, 1));
+  EXPECT_EQ(bytes.size(), 13868u);
+  EXPECT_EQ(fold_bytes(bytes), 0x3929b57793da72daULL)
+      << std::hex << fold_bytes(bytes);
+}
+
 // ---- checkpoint / crash-resume ----------------------------------------------
 
 /// Thrown by kill_at's sink: stands in for a process killed mid-block.
@@ -515,7 +592,7 @@ TEST(Checkpoint, CorruptCheckpointFailsTheResumeLoudly) {
 TEST(CampaignRange, PartitionFoldsMatchTheWhole) {
   const CampaignGrid grid = small_grid();
   const CampaignOptions options{.workers = 2};
-  const std::size_t total = admitted_scenario_count(grid, options);
+  const std::size_t total = expansion_size(grid);
   CampaignAccumulator whole;
   static_cast<void>(run_campaign_range(grid, options, 0, total, whole));
   // An uneven 3-way partition, folded out of order.
@@ -532,7 +609,7 @@ TEST(CampaignRange, PartitionFoldsMatchTheWhole) {
 
 TEST(CampaignRange, OutOfRangeThrows) {
   const CampaignGrid grid = small_grid();
-  const std::size_t total = admitted_scenario_count(grid, {});
+  const std::size_t total = expansion_size(grid);
   CampaignAccumulator acc;
   EXPECT_THROW(
       static_cast<void>(run_campaign_range(grid, {}, 0, total + 1, acc)),

@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -140,14 +141,28 @@ TEST(Cli, RejectsUnregisteredFlagsInCommandLineOrder) {
   Cli cli(5, argv);
   (void)cli.get_size("n", 6, "ring size");
   const auto reject = [&] {
-    cli.reject_unknown_flags();
+    cli.reject_bad_flags();
     return 0;
   };
   expect_rejected(reject, "--no-such-flag", "unknown flag");
   (void)cli.get_flag("no-such-flag", "registered late");
   expect_rejected(reject, "--lanes", "unknown flag");
   (void)cli.get_size("lanes", 0, "registered late");
-  EXPECT_NO_THROW(cli.reject_unknown_flags());  // positionals are not flags
+  EXPECT_NO_THROW(cli.reject_bad_flags());  // positionals are not flags
+}
+
+TEST(Cli, RejectsRepeatedFlags) {
+  // Last-wins parsing ran a different instance than the first value named.
+  const char* argv[] = {"prog", "--n=8", "--verbose", "--n=6"};
+  Cli cli(4, argv);
+  EXPECT_EQ(cli.get_size("n", 6, "ring size"), 6u);
+  EXPECT_TRUE(cli.get_flag("verbose", "chatty"));
+  expect_rejected(
+      [&] {
+        cli.reject_bad_flags();
+        return 0;
+      },
+      "--n", "given more than once");
 }
 
 /// Exit status of `<binary> <args>`, output discarded.
@@ -163,31 +178,74 @@ TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
   // prints a bare "stoull"; and the instance draw clamps k > n to k = n.
   // An unknown flag (a typo, or a retired option) was silently ignored, so
   // the run checked something other than was asked; so was a non-FIFO phase
-  // window without --inject-non-fifo, which verified the fault-free model.
+  // window without --inject-non-fifo, which verified the fault-free model,
+  // a repeated flag (the last value won) and a --k the --homes overrode.
   for (const char* bad :
        {"--budget=-5", "--n=-1", "--homes=0,3x", "--homes=0,,3",
         "--budget=99999999999999999999", "--n=4 --k=5", "--no-such-flag",
-        "--fault-min-phase=1"}) {
+        "--fault-min-phase=1", "--n=8 --n=6 --k=2 --homes=0,3",
+        "--n=8 --k=3 --homes=0,4"}) {
     EXPECT_EQ(
         run_tool(UDRING_MC_BINARY, std::string("--algo=known-k-full ") + bad),
         2)
         << bad;
   }
   EXPECT_EQ(run_tool(UDRING_MC_BINARY, "--algo=known-k-full --n=6 --k=2"), 0);
+  EXPECT_EQ(run_tool(UDRING_MC_BINARY,
+                     "--algo=known-k-full --n=8 --k=2 --homes=0,4"),
+            0);
 }
 
 TEST(Cli, FuzzAndCampaignToolsRejectUnknownFlags) {
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --no-such-flag"), 2);
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --fault-min-phase=3"),
             2);
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --iterations=2"), 2);
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --workers=1"), 0);
-  for (const char* bad : {"--no-such-flag", "--lanes=4"}) {
+  for (const char* bad : {"--no-such-flag", "--lanes=4", "--grid=engine"}) {
     EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
                        std::string("--grid=smoke --workers=1 ") + bad),
               2)
         << bad;
   }
   EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY, "--grid=smoke --workers=1"), 0);
+}
+
+TEST(Cli, CampaignToolRejectsFlagsItsModeIgnores) {
+  const std::string shard = testing::TempDir() + "/cli_shard.bin";
+  const std::string other = testing::TempDir() + "/cli_other.bin";
+  std::remove(shard.c_str());
+  ASSERT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                     "--grid=smoke --workers=1 --shard=0/1 --out=" + shard),
+            0);
+  // --merge reads only its shard files: every run flag would be ignored.
+  for (const char* flag :
+       {"--grid=smoke", "--shard=0/2", "--out=x.bin", "--checkpoint=x.bin",
+        "--checkpoint-every=4", "--seeds=3", "--base-seed=9", "--workers=1"}) {
+    EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                       "--merge " + std::string(flag) + " " + shard),
+              2)
+        << flag;
+  }
+  EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                     "--merge --allow-partial --summary " + shard),
+            0);
+  // A shard's checkpoint is its --out, and a shard prints no table.
+  const std::string shard_run =
+      "--grid=smoke --workers=1 --shard=0/2 --out=" + other;
+  EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                     shard_run + " --checkpoint=" + other + ".ckpt"),
+            2);
+  EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY, shard_run + " --summary"), 2);
+  for (const char* bad : {"--allow-partial", "--out=x.bin"}) {
+    EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                       std::string("--grid=smoke --workers=1 ") + bad),
+              2)
+        << bad;
+  }
+  for (const std::string& path : {shard, other, other + ".ckpt"}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Cli, HelpFlagDetected) {

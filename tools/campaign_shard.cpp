@@ -113,7 +113,30 @@ int run(int argc, char** argv) {
                    "processes and merge their shard files byte-identically.");
     return 0;
   }
-  cli.reject_unknown_flags();
+  cli.reject_bad_flags();
+  // A flag the chosen mode would ignore or override is a usage error: the
+  // run would silently differ from the one asked for.
+  const auto reject_with = [&cli](const char* flag, const std::string& mode) {
+    if (cli.has(flag)) {
+      throw std::invalid_argument("--" + std::string(flag) +
+                                  " cannot be combined with " + mode);
+    }
+  };
+  if (merge) {
+    for (const char* flag : {"grid", "shard", "out", "checkpoint",
+                             "checkpoint-every", "seeds", "base-seed",
+                             "workers"}) {
+      reject_with(flag, "--merge");
+    }
+  } else if (cli.has("allow-partial")) {
+    throw std::invalid_argument("--allow-partial needs --merge");
+  } else if (!shard_spec.empty()) {
+    // The shard's checkpoint is its --out file; it prints no table.
+    reject_with("checkpoint", "--shard");
+    reject_with("summary", "--shard");
+  } else if (cli.has("out")) {
+    throw std::invalid_argument("--out needs --shard");
+  }
 
   if (merge) {
     if (cli.positional().empty()) {

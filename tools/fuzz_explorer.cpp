@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
           "replay executions");
       return 0;
     }
-    cli.reject_unknown_flags();
+    cli.reject_bad_flags();
     if (options.faults.non_fifo_min_phase != 0 && !options.faults.non_fifo) {
       // A phase window narrows the non-FIFO fault; alone it injects nothing,
       // and the run would fuzz the fault-free model instead.

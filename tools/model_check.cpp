@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
           "proves the goal, or emits a replayable counterexample");
       return 0;
     }
-    cli.reject_unknown_flags();
+    cli.reject_bad_flags();
 
     if (faults.non_fifo_min_phase != 0 && !faults.non_fifo) {
       // A phase window narrows the non-FIFO fault; alone it injects nothing,
@@ -252,6 +252,13 @@ int main(int argc, char** argv) {
       }
       request.node_count = n;
       request.homes = parse_unsigned_list(homes_csv, "--homes");
+      if (cli.has("k") && k != request.homes.size()) {
+        // The homes fix k; an explicit --k that disagrees names an instance
+        // the walk would not check.
+        std::cerr << "udring_mc: --k=" << k << " disagrees with the "
+                  << request.homes.size() << " --homes given\n";
+        return 2;
+      }
     } else {
       explore::DrawnInstance drawn = explore::draw_instance(topology, n, k, rng);
       request.node_count = drawn.node_count;
