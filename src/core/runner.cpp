@@ -63,18 +63,6 @@ sim::ProgramFactory make_program_factory(Algorithm algorithm, std::size_t k,
 sim::Instance make_instance(Algorithm algorithm, const RunSpec& spec) {
   // A non-empty topology supersedes node_count; KnownNFull's knowledge of n
   // is the *virtual* ring size either way (that is the ring the agents walk).
-  //
-  // Walk order is required here: the goal oracles (check_positions_uniform's
-  // gap arithmetic) and the schedule-trace replay contract both assume
-  // virtual position order == walk order. Topology::closed_walk's explicit
-  // successor permutations execute fine at the sim layer (build an
-  // sim::Instance directly), but running one through the algorithm drivers
-  // would silently mis-judge uniformity — reject it loudly instead.
-  if (!spec.topology.empty() && !spec.topology.is_ring_order()) {
-    throw std::invalid_argument(
-        "make_instance: algorithm drivers require a ring-order topology "
-        "(implicit successor); explicit closed walks run via sim::Instance");
-  }
   sim::Topology topology =
       spec.topology.empty() ? sim::Topology::ring(spec.node_count)
                             : spec.topology;

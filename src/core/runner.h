@@ -59,7 +59,7 @@ struct RunSpec {
   std::vector<std::size_t> homes;  ///< distinct home nodes; k = homes.size()
   /// The structure to execute on. Empty (default) = the plain unidirectional
   /// ring of `node_count` nodes. Non-empty = run natively on this topology
-  /// (Euler-tour tree ring, Eulerian graph circuit, explicit closed walk);
+  /// (Euler-tour tree ring, Eulerian graph circuit);
   /// it supersedes node_count and `homes` are virtual positions on it.
   sim::Topology topology;
   sim::SchedulerKind scheduler = sim::SchedulerKind::RoundRobin;

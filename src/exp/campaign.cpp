@@ -75,19 +75,6 @@ namespace {
   return family == ConfigFamily::Periodic;
 }
 
-/// The fault-axis analogue of feasible(): a plan that names a crash agent
-/// ≥ k, or rewires a ring too small to have a coprime stride, is skipped at
-/// that grid point instead of recorded as an exception failure.
-[[nodiscard]] bool fault_feasible(const sim::FaultPlan& plan, std::size_t n,
-                                  std::size_t k) {
-  try {
-    plan.validate(n, k);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-}
-
 /// Substream index for a scenario's randomness. Covers the *instance*
 /// coordinates (family, n, k, l, repetition) but deliberately not the
 /// algorithm or scheduler: every algorithm × scheduler cell of a grid is
@@ -116,9 +103,6 @@ namespace {
   spec.seed = rng();  // scheduler randomness, independent of the homes draw
   spec.scheduler = scenario.scheduler;
   spec.sim_options = grid.sim_options;
-  // The fault axis replaces (not merges with) any grid-wide baseline plan:
-  // each cell's label must describe exactly what its runs execute under.
-  if (!scenario.fault.empty()) spec.sim_options.faults = scenario.fault;
   spec.problem = scenario.problem;
   return spec;
 }
@@ -134,7 +118,6 @@ namespace {
   if (s.problem.kind != core::Problem::Auto) {
     text << " problem=" << core::to_string(s.problem);
   }
-  if (!s.fault.empty()) text << " fault=" << s.fault.label();
   return text.str();
 }
 
@@ -213,19 +196,18 @@ void fold_into_cell(CellStats& stats, const ScenarioResult& r) {
 /// the description string at most once — and only when one of the bounded
 /// buffers will actually keep it.
 void sample_failure(CellStats& stats, SampleBuffer& global, const Scenario& s,
-                    const ScenarioResult& r, const CampaignOptions& options) {
+                    const ScenarioResult& r) {
   const bool cell_wants =
-      wants_index(stats.failure_samples, options.max_failures_per_cell, s.index);
-  const bool global_wants =
-      wants_index(global, options.max_recorded_failures, s.index);
+      wants_index(stats.failure_samples, kMaxFailuresPerCell, s.index);
+  const bool global_wants = wants_index(global, kMaxRecordedFailures, s.index);
   if (!cell_wants && !global_wants) return;
   std::string description = describe(s) + ": " + std::string(r.failure());
   if (cell_wants) {
-    insert_bounded(stats.failure_samples, options.max_failures_per_cell,
-                   s.index, description);
+    insert_bounded(stats.failure_samples, kMaxFailuresPerCell, s.index,
+                   description);
   }
   if (global_wants) {
-    insert_bounded(global, options.max_recorded_failures, s.index,
+    insert_bounded(global, kMaxRecordedFailures, s.index,
                    std::move(description));
   }
 }
@@ -299,30 +281,20 @@ std::vector<CellKey> expand_cells(const CampaignGrid& grid) {
       }
     }
   }
-  // The fault axis in canonical form: an empty axis means the single
-  // fault-free plan, and every plan is normalized here so cell keys (and
-  // hence digests and merge ordering) never depend on how the caller spelled
-  // an equivalent plan.
-  std::vector<sim::FaultPlan> fault_plans = grid.fault_plans;
-  if (fault_plans.empty()) fault_plans.push_back({});
-  for (sim::FaultPlan& plan : fault_plans) plan.normalize();
   std::vector<CellKey> cells;
   for (const core::Algorithm algorithm : grid.algorithms) {
     for (const core::ProblemSpec& problem : grid.problems) {
-      for (const sim::FaultPlan& fault : fault_plans) {
-        for (const ConfigFamily family : grid.families) {
-          for (const sim::SchedulerKind scheduler : grid.schedulers) {
-            for (const auto& [n, k] : points) {
-              bool first_symmetry = true;
-              for (const std::size_t l : grid.symmetries) {
-                const std::size_t effective_l = uses_symmetry(family) ? l : 1;
-                if (!uses_symmetry(family) && !first_symmetry) continue;
-                first_symmetry = false;
-                if (!feasible(family, n, k, effective_l)) continue;
-                if (!fault_feasible(fault, n, k)) continue;
-                cells.push_back(CellKey{algorithm, family, scheduler, n, k,
-                                        effective_l, problem, fault});
-              }
+      for (const ConfigFamily family : grid.families) {
+        for (const sim::SchedulerKind scheduler : grid.schedulers) {
+          for (const auto& [n, k] : points) {
+            bool first_symmetry = true;
+            for (const std::size_t l : grid.symmetries) {
+              const std::size_t effective_l = uses_symmetry(family) ? l : 1;
+              if (!uses_symmetry(family) && !first_symmetry) continue;
+              first_symmetry = false;
+              if (!feasible(family, n, k, effective_l)) continue;
+              cells.push_back(CellKey{algorithm, family, scheduler, n, k,
+                                      effective_l, problem});
             }
           }
         }
@@ -349,7 +321,6 @@ Scenario scenario_at(const std::vector<CellKey>& cells, std::size_t seeds,
   s.symmetry = cell.symmetry;
   s.repetition = index % seeds;
   s.problem = cell.problem;
-  s.fault = cell.fault;
   return s;
 }
 
@@ -397,8 +368,7 @@ void merge_sum(std::uint64_t& into, std::uint64_t from, const char* field) {
 }
 }  // namespace
 
-void merge_cell_stats(CellStats& into, CellStats&& from,
-                      std::size_t max_failures_per_cell) {
+void merge_cell_stats(CellStats& into, CellStats&& from) {
   std::uint64_t runs = into.runs;
   merge_sum(runs, from.runs, "runs");
   into.runs = static_cast<std::size_t>(runs);
@@ -412,23 +382,21 @@ void merge_cell_stats(CellStats& into, CellStats&& from,
   into.moves_sketch.merge(from.moves_sketch);
   into.makespan_sketch.merge(from.makespan_sketch);
   for (auto& [index, text] : from.failure_samples) {
-    insert_bounded(into.failure_samples, max_failures_per_cell, index,
+    insert_bounded(into.failure_samples, kMaxFailuresPerCell, index,
                    std::move(text));
   }
 }
 
-void merge_accumulators(CampaignAccumulator& into, CampaignAccumulator&& from,
-                        std::size_t max_failures_per_cell,
-                        std::size_t max_recorded_failures) {
+void merge_accumulators(CampaignAccumulator& into, CampaignAccumulator&& from) {
   into.scenario_hash += from.scenario_hash;  // wrapping by design
   std::uint64_t failures = into.failures;
   merge_sum(failures, from.failures, "failures");
   into.failures = static_cast<std::size_t>(failures);
   for (auto& [key, stats] : from.cells) {
-    merge_cell_stats(into.cells[key], std::move(stats), max_failures_per_cell);
+    merge_cell_stats(into.cells[key], std::move(stats));
   }
   for (auto& [index, text] : from.failure_samples) {
-    insert_bounded(into.failure_samples, max_recorded_failures, index,
+    insert_bounded(into.failure_samples, kMaxRecordedFailures, index,
                    std::move(text));
   }
 }
@@ -469,9 +437,6 @@ std::uint64_t CampaignResult::digest() const {
       fold64(state, static_cast<std::uint64_t>(key.problem.kind));
       fold64(state, key.problem.gather_g);
     }
-    // Same contract for the fault axis: empty plans fold nothing, so
-    // fault-free campaigns keep their pre-fault digest bytes.
-    if (!key.fault.empty()) key.fault.fold_into(state);
     fold64(state, stats.runs);
     fold64(state, stats.successes);
     fold64(state, stats.moves_sum);
@@ -501,19 +466,15 @@ namespace {
 }  // namespace
 
 Table CampaignResult::summary_table() const {
-  // The "problem" and "fault" columns appear only when some cell carries an
-  // explicit problem / a non-empty fault plan, so all-Auto fault-free
-  // campaigns render their historical layout.
-  bool show_problem = false;
-  bool show_fault = false;
-  for (const auto& [key, stats] : cells) {
-    if (key.problem.kind != core::Problem::Auto) show_problem = true;
-    if (!key.fault.empty()) show_fault = true;
-  }
+  // The "problem" column appears only when some cell carries an explicit
+  // problem, so all-Auto campaigns render their historical layout.
+  const bool show_problem =
+      std::any_of(cells.begin(), cells.end(), [](const auto& cell) {
+        return cell.first.problem.kind != core::Problem::Auto;
+      });
   std::vector<std::string> headers = {
       "algorithm", "family", "scheduler", "n", "k", "l", "runs", "ok",
       "moves", "moves p50/90/99", "time", "time p50/90/99", "mem bits"};
-  if (show_fault) headers.insert(headers.begin() + 1, "fault");
   if (show_problem) headers.insert(headers.begin() + 1, "problem");
   Table table(std::move(headers));
   for (const auto& [key, stats] : cells) {
@@ -529,10 +490,6 @@ Table CampaignResult::summary_table() const {
         Table::num(avg.makespan, 1),
         quantile_triple(avg.makespan_p50, avg.makespan_p90, avg.makespan_p99),
         Table::num(avg.memory_bits, 1)};
-    if (show_fault) {
-      row.insert(row.begin() + 1,
-                 key.fault.empty() ? "none" : key.fault.label());
-    }
     if (show_problem) row.insert(row.begin() + 1, core::to_string(key.problem));
     table.add_row(std::move(row));
   }
@@ -593,7 +550,7 @@ std::size_t run_campaign_range(const CampaignGrid& grid,
     fold_into_cell(stats, r);
     if (!r.success) {
       ++acc.failures;
-      sample_failure(stats, acc.failure_samples, s, r, options);
+      sample_failure(stats, acc.failure_samples, s, r);
     }
   };
 
@@ -619,8 +576,7 @@ std::size_t run_campaign_range(const CampaignGrid& grid,
   // — and an index-order fold of the same results — lands on the same
   // bytes.
   for (CampaignAccumulator& acc : accumulators) {
-    merge_accumulators(into, std::move(acc), options.max_failures_per_cell,
-                       options.max_recorded_failures);
+    merge_accumulators(into, std::move(acc));
   }
   return used;
 }

@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "core/runner.h"
-#include "sim/fault.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "util/quantile_sketch.h"
@@ -91,12 +90,6 @@ struct Scenario {
   /// Goal the run is judged against (core::make_goal_oracle); Auto = the
   /// algorithm's natural problem.
   core::ProblemSpec problem;
-  /// Fault profile the run executes under (sim::FaultPlan; empty = the
-  /// fault-free paper model). Like the problem axis it does NOT enter the
-  /// scenario substream key, so every fault cell of an (n, k, l, rep) point
-  /// replays the same drawn configuration — degradation columns are paired
-  /// faulty-vs-clean comparisons.
-  sim::FaultPlan fault;
 };
 
 /// Declarative scenario grid: the cross product of all vectors, repeated
@@ -107,6 +100,11 @@ struct Scenario {
 /// (n, k) points come either from node_counts × agent_counts, or — when the
 /// sweep pairs k to n (k = n/8 and friends) — from explicit `instances`,
 /// which takes precedence when non-empty.
+///
+/// Every scenario runs under the one fault plan sim_options.faults (empty =
+/// the fault-free paper model). The plan does not enter the scenario
+/// substream key, so a paired faulty-vs-clean table is one grid per plan at
+/// the same base_seed: both measure the same drawn configurations.
 struct CampaignGrid {
   std::vector<core::Algorithm> algorithms;
   /// Problem axis: each algorithm is judged against each listed goal
@@ -116,14 +114,6 @@ struct CampaignGrid {
   /// substream key, so all problem cells of an (n, k, l, rep) point see the
   /// same drawn configuration — cross-problem comparisons are paired.
   std::vector<core::ProblemSpec> problems = {{}};
-  /// Fault axis: every scenario runs under each listed sim::FaultPlan (the
-  /// default single empty entry = the fault-free paper model, which
-  /// reproduces the historical expansion and digest bytes exactly). A
-  /// non-empty plan replaces sim_options.faults for its cells; crucially the
-  /// axis is excluded from the scenario substream key, so each fault profile
-  /// is measured on identical drawn configurations and the per-profile
-  /// success-rate / moves / p99-makespan deltas are paired comparisons.
-  std::vector<sim::FaultPlan> fault_plans = {{}};
   std::vector<ConfigFamily> families = {ConfigFamily::RandomAny};
   std::vector<sim::SchedulerKind> schedulers = {sim::SchedulerKind::Synchronous};
   std::vector<std::size_t> node_counts;
@@ -136,7 +126,7 @@ struct CampaignGrid {
 };
 
 /// The grid's deterministic expansion (loop order: algorithm, problem,
-/// fault, family, scheduler, n, k, l, repetition), with infeasible
+/// family, scheduler, n, k, l, repetition), with infeasible
 /// combinations skipped. Scenario i of the returned vector has index == i.
 [[nodiscard]] std::vector<Scenario> expand(const CampaignGrid& grid);
 
@@ -155,10 +145,6 @@ struct CellKey {
   /// predates the field and is positionally aggregate-initialized at many
   /// call sites — extend this struct only at the end.
   core::ProblemSpec problem = {};
-  /// The grid's fault axis (same extend-only-at-the-end rule; empty plan =
-  /// the fault-free historical cell, which keeps default-initialized keys
-  /// and digests byte-identical to the pre-fault layout).
-  sim::FaultPlan fault = {};
 
   auto operator<=>(const CellKey&) const = default;
 };
@@ -231,8 +217,14 @@ struct Averages {
 };
 
 /// Lowest-index-N failure samples: (scenario index, description), ascending
-/// by index, maintained by bounded insertion (see CampaignOptions caps).
+/// by index, maintained by bounded insertion under the caps below.
 using FailureSamples = std::vector<std::pair<std::size_t, std::string>>;
+
+/// Failing scenarios a campaign describes verbatim
+/// (CampaignResult::failure_samples).
+inline constexpr std::size_t kMaxRecordedFailures = 16;
+/// Failure strings kept per cell (CellStats::failure_samples).
+inline constexpr std::size_t kMaxFailuresPerCell = 4;
 
 /// The per-cell accumulator the engine folds ScenarioResults into. Sums are
 /// exact integers deliberately: integer addition is associative, so
@@ -252,7 +244,7 @@ struct CellStats {
   std::uint64_t makespan_sum = 0;
   std::uint64_t memory_bits_sum = 0;
   std::uint64_t actions_sum = 0;
-  /// The cell's lowest-index failing scenarios, ≤ max_failures_per_cell of
+  /// The cell's lowest-index failing scenarios, ≤ kMaxFailuresPerCell of
   /// them, ascending (scenario index, description) — failure *sampling*, so
   /// a cell that fails 10^5 times costs M strings, not 10^5.
   FailureSamples failure_samples;
@@ -269,17 +261,12 @@ struct CellStats {
 /// Merges `from` into `into` with CHECKED sums: any wrapping of runs/
 /// successes or a measure sum throws std::overflow_error naming the field —
 /// a merged cross-machine sweep that big must fail loudly, not report
-/// garbage averages. `max_failures_per_cell` bounds the merged sample list.
-void merge_cell_stats(CellStats& into, CellStats&& from,
-                      std::size_t max_failures_per_cell);
+/// garbage averages. kMaxFailuresPerCell bounds the merged sample list.
+void merge_cell_stats(CellStats& into, CellStats&& from);
 
 struct CampaignOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (min 1).
   std::size_t workers = 0;
-  /// How many failing scenarios to describe verbatim in the summary.
-  std::size_t max_recorded_failures = 16;
-  /// Failure strings kept per cell (CellStats::failure_samples).
-  std::size_t max_failures_per_cell = 4;
   /// Checkpoint/resume. When non-empty, the run folds scenarios in
   /// watermark blocks and atomically replaces this file (a
   /// versioned exp::ShardFile, write-temp + rename) after each block, so a
@@ -376,11 +363,10 @@ struct CampaignAccumulator {
 
 /// Merges `from` into `into`. Cell sums are CHECKED (std::overflow_error on
 /// saturation, see merge_cell_stats); the scenario hash wraps by design;
-/// sample buffers merge by lowest index under the given caps. Commutative
-/// across any partition of a scenario set into accumulators.
-void merge_accumulators(CampaignAccumulator& into, CampaignAccumulator&& from,
-                        std::size_t max_failures_per_cell,
-                        std::size_t max_recorded_failures);
+/// sample buffers merge by lowest index under kMaxFailuresPerCell and
+/// kMaxRecordedFailures. Commutative across any partition of a scenario set
+/// into accumulators.
+void merge_accumulators(CampaignAccumulator& into, CampaignAccumulator&& from);
 
 /// Runs scenarios [begin, end) of the grid's expansion and folds them into
 /// `into` through the same per-worker-accumulator machinery, honoring

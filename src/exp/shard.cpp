@@ -1,8 +1,6 @@
 #include "exp/shard.h"
 
 #include <algorithm>
-#include <array>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -29,40 +27,28 @@ void fold_cell_key(std::uint64_t& state, const CellKey& key) {
   fold64(state, key.symmetry);
   fold64(state, static_cast<std::uint64_t>(key.problem.kind));
   fold64(state, key.problem.gather_g);
-  // Folded only when non-empty so fault-free sweeps keep their pre-fault
-  // fingerprints (a v1 checkpoint of such a sweep stays resumable in spirit;
-  // the file format itself is gated by kVersion regardless).
-  if (!key.fault.empty()) key.fault.fold_into(state);
+}
+
+/// Domain salt for the checksum trailer.
+constexpr std::uint64_t kChecksumSalt = 0xc5ec5a11d5a4d003ULL;
+
+/// The trailer of a shard image: fold64 over the payload's little-endian
+/// words, its tail bytes and its length. fold64 is injective in the word
+/// and in the state, so a change confined to one word (any single-bit flip)
+/// always changes the checksum.
+std::uint64_t checksum(std::string_view payload) {
+  std::uint64_t state = kChecksumSalt;
+  BinaryReader in(payload);
+  while (in.remaining() >= 8) fold64(state, in.u64());
+  while (!in.at_end()) fold64(state, in.u8());
+  fold64(state, payload.size());
+  return state;
 }
 
 [[noreturn]] void fail(const std::string& context, const std::string& what) {
   throw std::runtime_error((context.empty() ? std::string("shard")
                                             : "shard '" + context + "'") +
                            ": " + what);
-}
-
-// Words the version-2 layout keeps where retired fields sat, so shard bytes
-// stay what they were: the memory budget's skip bookkeeping in the header,
-// and FaultPlan's old link-fault settings in every cell key. The encoder
-// writes zeros; the decoder rejects anything else by name.
-constexpr std::array<const char*, 3> kRetiredHeaderWords = {
-    "cells_skipped", "scenarios_skipped", "skipped_cell_samples count"};
-constexpr std::array<const char*, 5> kRetiredCellKeyWords = {
-    "non_fifo_until_action", "drop_count", "drop_from_action", "dup_count",
-    "dup_from_action"};
-
-void write_retired(BinaryWriter& out, std::span<const char* const> words) {
-  for (std::size_t i = 0; i < words.size(); ++i) out.u64(0);
-}
-
-void read_retired(BinaryReader& in, const std::string& context,
-                  const char* where, std::span<const char* const> words) {
-  for (const char* word : words) {
-    if (in.u64() != 0) {
-      fail(context, std::string("retired ") + where + " word '" + word +
-                        "' is nonzero");
-    }
-  }
 }
 
 // ---- encoding -------------------------------------------------------------
@@ -76,17 +62,6 @@ void encode_cell_key(BinaryWriter& out, const CellKey& key) {
   out.u64(key.symmetry);
   out.u8(static_cast<std::uint8_t>(key.problem.kind));
   out.u64(key.problem.gather_g);
-  const sim::FaultPlan& plan = key.fault;
-  out.u64(plan.crashes.size());
-  for (const sim::CrashFault& crash : plan.crashes) {
-    out.u64(crash.agent);
-    out.u64(crash.at_action);
-  }
-  out.u8(plan.non_fifo ? 1 : 0);
-  out.u64(plan.non_fifo_min_phase);
-  write_retired(out, kRetiredCellKeyWords);
-  out.u64(plan.rewire_at.size());
-  for (const std::size_t at : plan.rewire_at) out.u64(at);
 }
 
 void encode_sketch(BinaryWriter& out, const QuantileSketch& sketch) {
@@ -153,35 +128,6 @@ CellKey decode_cell_key(BinaryReader& in, const std::string& context) {
   if (problem >= kProblemCount) fail(context, "unknown problem value");
   key.problem.kind = static_cast<core::Problem>(problem);
   key.problem.gather_g = static_cast<std::size_t>(in.u64());
-  sim::FaultPlan& plan = key.fault;
-  const std::size_t crash_count =
-      checked_count(in, context, in.u64(), 16, "crash fault");
-  plan.crashes.reserve(crash_count);
-  for (std::size_t i = 0; i < crash_count; ++i) {
-    sim::CrashFault crash;
-    crash.agent = static_cast<sim::AgentId>(in.u64());
-    crash.at_action = static_cast<std::size_t>(in.u64());
-    plan.crashes.push_back(crash);
-  }
-  const std::uint8_t non_fifo = in.u8();
-  if (non_fifo > 1) fail(context, "bad fault non-FIFO flag");
-  plan.non_fifo = non_fifo != 0;
-  plan.non_fifo_min_phase = static_cast<std::size_t>(in.u64());
-  read_retired(in, context, "cell-key", kRetiredCellKeyWords);
-  const std::size_t rewire_count =
-      checked_count(in, context, in.u64(), 8, "rewire point");
-  plan.rewire_at.reserve(rewire_count);
-  for (std::size_t i = 0; i < rewire_count; ++i) {
-    plan.rewire_at.push_back(static_cast<std::size_t>(in.u64()));
-  }
-  // Cell keys store plans in the canonical form expand_cells writes; a plan
-  // validate() rejects (or a non-normalized one) cannot have come from this
-  // encoder.
-  try {
-    plan.validate(key.node_count, key.agent_count);
-  } catch (const std::invalid_argument& error) {
-    fail(context, std::string("invalid cell fault plan: ") + error.what());
-  }
   return key;
 }
 
@@ -242,38 +188,20 @@ CellStats decode_cell_stats(BinaryReader& in, const std::string& context) {
 
 }  // namespace
 
-std::uint64_t grid_fingerprint(const CampaignGrid& grid,
-                               const CampaignOptions& options) {
+std::uint64_t grid_fingerprint(const CampaignGrid& grid) {
   // Everything a merge must agree on, nothing a merge may ignore: the
   // cell expansion already folds the whole grid (axes, feasibility skips),
   // and the scenarios themselves are a pure function of (cell, repetition,
-  // base_seed, sim options). Workers and checkpoint cadence are
-  // deliberately absent — they choose how the sweep runs, never what it
-  // computes.
+  // base_seed, sim options).
   const std::vector<CellKey> cells = expand_cells(grid);
   std::uint64_t state = kFingerprintSalt;
   fold64(state, cells.size());
   for (const CellKey& key : cells) fold_cell_key(state, key);
-  // Zeros where the retired memory budget's skip counts sat.
-  fold64(state, 0);
-  fold64(state, 0);
   fold64(state, grid.seeds);
   fold64(state, grid.base_seed);
   fold64(state, grid.sim_options.record_events ? 1 : 0);
   fold64(state, grid.sim_options.max_actions);
-  // Two zeros where the fingerprint layout once folded a second copy of the
-  // non-FIFO knobs; the grid-wide plan below carries them now.
-  fold64(state, 0);
-  fold64(state, 0);
-  // Folded only when non-empty so fault-free fingerprints keep their
-  // historical values. (The per-cell fault-axis plans are already inside
-  // fold_cell_key.)
-  if (!grid.sim_options.faults.empty()) {
-    grid.sim_options.faults.fold_into(state);
-  }
-  fold64(state, options.max_recorded_failures);
-  fold64(state, options.max_failures_per_cell);
-  fold64(state, 0);  // the retired memory budget
+  grid.sim_options.faults.fold_into(state);
   return state;
 }
 
@@ -285,9 +213,6 @@ std::string encode_shard(const ShardFile& shard) {
   out.u64(shard.scenario_total);
   out.u64(shard.range_begin);
   out.u64(shard.range_end);
-  out.u64(shard.max_failures_per_cell);
-  out.u64(shard.max_recorded_failures);
-  write_retired(out, kRetiredHeaderWords);
   out.u64(shard.aggregate.scenario_hash);
   out.u64(shard.aggregate.failures);
   encode_samples(out, shard.aggregate.failure_samples);
@@ -304,28 +229,35 @@ std::string encode_shard(const ShardFile& shard) {
     encode_sketch(out, stats.moves_sketch);
     encode_sketch(out, stats.makespan_sketch);
   }
+  out.u64(checksum(out.bytes()));
   return out.take();
 }
 
 ShardFile decode_shard(std::string_view bytes, const std::string& context) {
-  BinaryReader in(bytes, context);
-  if (in.u32() != ShardFile::kMagic) {
+  BinaryReader header(bytes, context);
+  // The "UDS" prefix alone identifies a shard file, so a file of another
+  // version fails by its version number; the checksum covers the digit.
+  constexpr std::uint32_t kPrefixMask = 0x00ffffffu;
+  if ((header.u32() & kPrefixMask) != (ShardFile::kMagic & kPrefixMask)) {
     fail(context, "bad magic (not a shard file)");
   }
-  const std::uint32_t version = in.u32();
+  const std::uint32_t version = header.u32();
   if (version != ShardFile::kVersion) {
     fail(context, "unsupported shard version " + std::to_string(version) +
                       " (this build reads version " +
                       std::to_string(ShardFile::kVersion) + ")");
   }
+  if (header.remaining() < 8) fail(context, "truncated before the checksum");
+  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
+  if (BinaryReader(bytes.substr(payload.size())).u64() != checksum(payload)) {
+    fail(context, "checksum mismatch");
+  }
+  BinaryReader in(payload.substr(8), context);
   ShardFile shard;
   shard.fingerprint = in.u64();
   shard.scenario_total = in.u64();
   shard.range_begin = in.u64();
   shard.range_end = in.u64();
-  shard.max_failures_per_cell = in.u64();
-  shard.max_recorded_failures = in.u64();
-  read_retired(in, context, "header", kRetiredHeaderWords);
   if (shard.range_begin > shard.range_end ||
       shard.range_end > shard.scenario_total) {
     fail(context, "scenario range [" + std::to_string(shard.range_begin) +
@@ -391,18 +323,16 @@ ShardFile run_campaign_shard(const CampaignGrid& grid,
   const std::size_t end = (shard_index + 1) * total / shard_count;
 
   ShardFile shard;
-  shard.fingerprint = grid_fingerprint(grid, options);
+  shard.fingerprint = grid_fingerprint(grid);
   shard.scenario_total = total;
   shard.range_begin = begin;
   shard.range_end = begin;  // advances with the watermark
-  shard.max_failures_per_cell = options.max_failures_per_cell;
-  shard.max_recorded_failures = options.max_recorded_failures;
 
   std::size_t watermark = begin;
   const bool durable = !options.checkpoint_path.empty();
   if (durable) {
-    // Resume: an existing checkpoint must be OUR checkpoint — same grid and
-    // options (fingerprint), same shard slice — or resuming would silently
+    // Resume: an existing checkpoint must be OUR checkpoint — same grid
+    // (fingerprint), same shard slice — or resuming would silently
     // fold someone else's scenarios into this sweep.
     if (const std::optional<std::string> bytes =
             read_binary_file(options.checkpoint_path)) {
@@ -410,7 +340,7 @@ ShardFile run_campaign_shard(const CampaignGrid& grid,
       if (saved.fingerprint != shard.fingerprint) {
         throw std::runtime_error(
             "shard: checkpoint '" + options.checkpoint_path +
-            "' belongs to a different grid/options (fingerprint mismatch); "
+            "' belongs to a different grid (fingerprint mismatch); "
             "delete it or point the resume at the original sweep");
       }
       if (saved.scenario_total != total || saved.range_begin != begin ||
@@ -469,15 +399,12 @@ CampaignResult merge_shards(std::vector<ShardFile> shards, bool allow_partial) {
     if (shard.fingerprint != first.fingerprint) {
       throw std::runtime_error(
           "merge_shards: fingerprint mismatch — the shards come from "
-          "different grids or different result-affecting options and cannot "
-          "be merged");
+          "different grids and cannot be merged");
     }
-    if (shard.scenario_total != first.scenario_total ||
-        shard.max_failures_per_cell != first.max_failures_per_cell ||
-        shard.max_recorded_failures != first.max_recorded_failures) {
+    if (shard.scenario_total != first.scenario_total) {
       throw std::runtime_error(
-          "merge_shards: shard headers disagree on scenario total or sample "
-          "caps despite matching fingerprints (corrupt shard set)");
+          "merge_shards: shard headers disagree on the scenario total "
+          "despite matching fingerprints (corrupt shard set)");
     }
   }
   std::uint64_t covered = 0;
@@ -509,9 +436,7 @@ CampaignResult merge_shards(std::vector<ShardFile> shards, bool allow_partial) {
     // Ascending range order (the sort above): the folds are commutative so
     // any order would do, but a deterministic one keeps even hypothetical
     // order-sensitive future fields reproducible.
-    merge_accumulators(merged, std::move(shard.aggregate),
-                       static_cast<std::size_t>(first.max_failures_per_cell),
-                       static_cast<std::size_t>(first.max_recorded_failures));
+    merge_accumulators(merged, std::move(shard.aggregate));
   }
 
   CampaignResult result;

@@ -10,11 +10,9 @@
 // to merge it safely:
 //
 //   - a grid FINGERPRINT: a digest of the grid's full cell expansion, the
-//     seed/repetition plan, the sim options, and every CampaignOption that
-//     affects results (the sample caps). Two shard files merge only if
-//     their fingerprints match — merging sweeps of different grids (or the
-//     same grid under different caps) would silently mix incomparable
-//     numbers.
+//     seed/repetition plan and the sim options (fault plan included). Two
+//     shard files merge only if their fingerprints match — merging sweeps
+//     of different grids would silently mix incomparable numbers.
 //   - the covered SCENARIO RANGE [range_begin, range_end) of the expansion,
 //     so the merger can reject overlapping ranges (a double-submitted shard
 //     would double-count every run and failure sample) and detect gaps.
@@ -32,9 +30,9 @@
 //
 // All integers little-endian fixed-width (util/binio.h); files written
 // atomically (write-temp + rename) so a reader never observes a torn file.
-// The layout keeps zero words where retired fields sat (three in the
-// header, five in every cell key), so version-2 files stay byte-identical;
-// decode_shard rejects a nonzero one by name.
+// A 64-bit checksum of every byte before it ends the file; decode_shard
+// checks it before decoding any field, so a flipped bit fails the merge or
+// the resume by name instead of folding into a plausible-looking table.
 
 #pragma once
 
@@ -50,45 +48,40 @@ namespace udring::exp {
 
 /// One serialized partial campaign: header + provenance + aggregate.
 struct ShardFile {
-  /// "UDS2" little-endian; bumped in lockstep with kVersion on layout change.
-  /// v2: cell keys carry the fault-axis plan (sim::FaultPlan).
-  static constexpr std::uint32_t kMagic = 0x32534455u;
-  static constexpr std::uint32_t kVersion = 2;
+  /// "UDS" and the version digit, little-endian; the digit is bumped in
+  /// lockstep with kVersion on layout change. v3: no cell-key fault plans
+  /// or sample caps, and a checksum trailer.
+  static constexpr std::uint32_t kMagic = 0x33534455u;
+  static constexpr std::uint32_t kVersion = 3;
 
-  /// Digest of grid expansion + result-affecting options (grid_fingerprint).
+  /// Digest of the grid's expansion and sim options (grid_fingerprint).
   std::uint64_t fingerprint = 0;
   /// Scenario count of the full expansion this shard is a slice of.
   std::uint64_t scenario_total = 0;
   /// Covered contiguous range [range_begin, range_end) of that expansion.
   std::uint64_t range_begin = 0;
   std::uint64_t range_end = 0;
-  /// The sample caps the aggregate was folded under (also inside the
-  /// fingerprint; stored plainly so merge_shards can bound its own folds
-  /// without re-deriving options).
-  std::uint64_t max_failures_per_cell = 0;
-  std::uint64_t max_recorded_failures = 0;
   /// The folded scenarios of [range_begin, range_end).
   CampaignAccumulator aggregate;
 };
 
 /// Fingerprint of everything that must match for two partial folds to be
 /// mergeable: the cell expansion (every CellKey, in order), seeds,
-/// base_seed, the sim options and the sample caps.
-/// Deliberately excludes workers, checkpoint options and the scenario sink
-/// — they change how a shard runs or who watches it, never what it
-/// computes.
-[[nodiscard]] std::uint64_t grid_fingerprint(const CampaignGrid& grid,
-                                             const CampaignOptions& options);
+/// base_seed and the sim options. CampaignOptions stay out — workers,
+/// checkpoints and the scenario sink change how a shard runs or who watches
+/// it, never what it computes.
+[[nodiscard]] std::uint64_t grid_fingerprint(const CampaignGrid& grid);
 
 /// Serializes to the versioned binary layout.
 [[nodiscard]] std::string encode_shard(const ShardFile& shard);
 
 /// Parses and validates a shard image. `context` names the source (file
-/// path) in error messages. Throws std::runtime_error on a bad magic,
-/// unsupported version, truncation, trailing bytes, or any structurally
-/// invalid field (unknown enum value, unsorted/duplicate cells, inconsistent
-/// sketch state, range_begin > range_end, range beyond scenario_total, a
-/// nonzero retired word).
+/// path) in error messages. Throws std::runtime_error on a bad magic, an
+/// unsupported version (an older file names its version), a checksum
+/// mismatch ("checksum mismatch", checked before any field is decoded),
+/// truncation, trailing bytes, or any structurally invalid field (unknown
+/// enum value, unsorted/duplicate cells, inconsistent sketch state,
+/// range_begin > range_end, range beyond scenario_total).
 [[nodiscard]] ShardFile decode_shard(std::string_view bytes,
                                      const std::string& context = {});
 
@@ -117,7 +110,7 @@ void write_shard_file(const std::string& path, const ShardFile& shard);
 /// Folds shard files into the final CampaignResult (digest/cells/failure
 /// samples byte-identical to the single-process run when the shards tile
 /// the expansion). Validation, all fail-loud:
-///   - at least one shard; all fingerprints, totals and caps identical
+///   - at least one shard; all fingerprints and totals identical
 ///   - ranges must not overlap — an overlapping pair (double-submitted
 ///     shard) would double-count runs and failure samples, so it is an
 ///     error naming both ranges, never a quiet merge

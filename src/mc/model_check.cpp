@@ -642,7 +642,6 @@ GridReport check_grid(const exp::CampaignGrid& grid, const McOptions& options) {
     cell.symmetry = s.symmetry;
     cell.repetition = s.repetition;
     cell.problem = s.problem;
-    cell.fault = s.fault;
     cell.homes = exp::scenario_homes(collapsed, s);
 
     CheckRequest request;
@@ -650,10 +649,7 @@ GridReport check_grid(const exp::CampaignGrid& grid, const McOptions& options) {
     request.problem = s.problem;
     request.node_count = s.node_count;
     request.homes = cell.homes;
-    // The campaign's rule (make_scenario_spec): a non-empty cell plan
-    // replaces the grid-wide plan, so the cell is checked under exactly the
-    // faults its sampled runs execute under.
-    request.faults = s.fault.empty() ? grid.sim_options.faults : s.fault;
+    request.faults = grid.sim_options.faults;
     request.max_actions = grid.sim_options.max_actions;
     cell.report = check(request, options);
 
@@ -683,8 +679,6 @@ std::uint64_t GridReport::digest() const {
       fold64(state, static_cast<std::uint64_t>(cell.problem.kind));
       fold64(state, cell.problem.gather_g);
     }
-    // Same contract for the fault axis: fault-free grids keep their digest.
-    if (!cell.fault.empty()) cell.fault.fold_into(state);
     fold64(state, cell.report.digest());
   }
   fold64(state, violations);
@@ -693,20 +687,15 @@ std::uint64_t GridReport::digest() const {
 }
 
 Table GridReport::summary_table() const {
-  // The "problem" and "fault" columns appear only when some cell names an
-  // explicit problem / a non-empty fault plan, so all-Auto fault-free grids
-  // render their historical layout.
+  // The "problem" column appears only when some cell names an explicit
+  // problem, so all-Auto grids render their historical layout.
   const bool show_problem =
       std::any_of(cells.begin(), cells.end(), [](const GridCell& cell) {
         return cell.problem.kind != core::Problem::Auto;
       });
-  const bool show_fault =
-      std::any_of(cells.begin(), cells.end(),
-                  [](const GridCell& cell) { return !cell.fault.empty(); });
   std::vector<std::string> headers = {
       "algorithm", "family", "n",       "k",       "l",      "rep",
       "schedules", "states", "deduped", "actions", "verdict"};
-  if (show_fault) headers.insert(headers.begin() + 1, "fault");
   if (show_problem) headers.insert(headers.begin() + 1, "problem");
   Table table(std::move(headers));
   for (const GridCell& cell : cells) {
@@ -721,10 +710,6 @@ Table GridReport::summary_table() const {
         cell.report.complete && cell.report.ok
             ? "verified over all schedules"
             : (cell.report.ok ? "budget" : "VIOLATION")};
-    if (show_fault) {
-      row.insert(row.begin() + 1,
-                 cell.fault.empty() ? "none" : cell.fault.label());
-    }
     if (show_problem) row.insert(row.begin() + 1, core::to_string(cell.problem));
     table.add_row(std::move(row));
   }
@@ -739,9 +724,8 @@ std::string GridReport::summary() const {
   for (const GridCell& cell : cells) {
     if (cell.report.ok) continue;
     out << "  VIOLATION " << core::to_string(cell.algorithm) << " n="
-        << cell.node_count << " k=" << cell.agent_count;
-    if (!cell.fault.empty()) out << " fault=" << cell.fault.label();
-    out << ": " << cell.report.failure_reason << '\n';
+        << cell.node_count << " k=" << cell.agent_count << ": "
+        << cell.report.failure_reason << '\n';
   }
   return out.str();
 }

@@ -260,10 +260,6 @@ struct GridCell {
   /// Goal the cell was verified against (the grid's problem axis). Kept
   /// after the older fields: GridCell may be aggregate-initialized.
   core::ProblemSpec problem;
-  /// The cell's fault-axis plan (exp::CampaignGrid::fault_plans; empty =
-  /// the cell ran under grid.sim_options.faults, like a campaign cell).
-  /// Same extend-only-at-the-end rule as `problem`.
-  sim::FaultPlan fault;
 };
 
 struct GridReport {
@@ -289,9 +285,9 @@ struct GridReport {
 /// samples (exp::scenario_homes), so "verified over all schedules" becomes
 /// a grid cell alongside fuzzed/measured cells. The scheduler axis is
 /// collapsed (the checker quantifies over every scheduler by construction);
-/// grid.sim_options supplies the action cap and the fault plan, which a
-/// cell's non-empty fault-axis plan replaces — the campaign's rule. Cells
-/// run in expansion order; `options` applies per cell.
+/// grid.sim_options supplies the action cap and the fault plan every cell
+/// is checked under. Cells run in expansion order; `options` applies per
+/// cell.
 [[nodiscard]] GridReport check_grid(const exp::CampaignGrid& grid,
                                     const McOptions& options = {});
 

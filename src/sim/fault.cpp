@@ -47,34 +47,6 @@ void FaultPlan::validate(std::size_t node_count,
   }
 }
 
-std::string FaultPlan::label() const {
-  std::string out;
-  const auto append = [&out](const std::string& part) {
-    if (!out.empty()) out += '+';
-    out += part;
-  };
-  for (const CrashFault& crash : crashes) {
-    append("crash:" + std::to_string(crash.agent) + "@" +
-           std::to_string(crash.at_action));
-  }
-  if (non_fifo) {
-    std::string part = "nonfifo";
-    if (non_fifo_min_phase > 0) {
-      part += ":p" + std::to_string(non_fifo_min_phase);
-    }
-    append(part);
-  }
-  if (!rewire_at.empty()) {
-    std::string part = "rewire:";
-    for (std::size_t i = 0; i < rewire_at.size(); ++i) {
-      if (i > 0) part += ',';
-      part += std::to_string(rewire_at[i]);
-    }
-    append(part);
-  }
-  return out;
-}
-
 void FaultPlan::fold_into(std::uint64_t& state) const {
   state ^= 0xfa17ab1ed5eed000ULL;  // "fault-plan" domain
   fold64(state, crashes.size());
@@ -84,10 +56,6 @@ void FaultPlan::fold_into(std::uint64_t& state) const {
   }
   fold64(state, non_fifo ? 1 : 0);
   fold64(state, non_fifo_min_phase);
-  // Five zeros where retired link-fault settings sat (a non-FIFO action
-  // bound, broadcast drop and dup budgets): digests and fingerprints keep
-  // their values.
-  for (int retired = 0; retired < 5; ++retired) fold64(state, 0);
   fold64(state, rewire_at.size());
   for (const std::size_t at : rewire_at) fold64(state, at);
 }

@@ -23,11 +23,10 @@
 //    scheduling (Scheduler::pick_index), so it is recorded into
 //    ScheduleTrace::choices and replays byte-identically. Replacement
 //    cycles are stride rings: successor(v) = (v + d) mod n with
-//    gcd(d, n) = 1, which is a single Hamiltonian cycle *by construction* —
-//    the revalidation Topology::closed_walk performs for explicit walks is
-//    an arithmetic identity here, so rewiring never strands an agent. The
-//    candidate set at any rewire point is the ascending list of coprime
-//    strides; candidate index i ↦ rewire_candidate_stride(n, i).
+//    gcd(d, n) = 1, which is a single Hamiltonian cycle *by construction*,
+//    so rewiring never strands an agent. The candidate set at any rewire
+//    point is the ascending list of coprime strides; candidate index
+//    i ↦ rewire_candidate_stride(n, i).
 //
 //  - A test-only non-FIFO link relaxation, gated by the agents' phase tags
 //    rather than by the action counter (see `non_fifo` below). Links never
@@ -46,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.h"
@@ -59,9 +57,7 @@ struct CrashFault {
   AgentId agent = 0;
   std::size_t at_action = 0;
 
-  // Ordering (and ==) so plans can sit inside ordered aggregation keys
-  // (exp::CellKey's defaulted <=>); lexicographic member order.
-  friend auto operator<=>(const CrashFault&, const CrashFault&) = default;
+  friend bool operator==(const CrashFault&, const CrashFault&) = default;
 };
 
 struct FaultPlan {
@@ -129,15 +125,12 @@ struct FaultPlan {
   /// (no coprime stride exists to rewire to).
   void validate(std::size_t node_count, std::size_t agent_count) const;
 
-  /// Canonical compact label for campaign axes and report tables:
-  /// "" for an empty plan, else e.g. "crash:1@4+nonfifo:p1+rewire:2".
-  [[nodiscard]] std::string label() const;
-
   /// Folds the plan itself (not live execution state) into a digest —
-  /// campaign/report digests use this so distinct plans never collide.
+  /// exp::grid_fingerprint uses this so sweeps under distinct plans never
+  /// merge.
   void fold_into(std::uint64_t& state) const;
 
-  friend auto operator<=>(const FaultPlan&, const FaultPlan&) = default;
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
 // ---- rewiring candidate geometry --------------------------------------------
@@ -147,8 +140,7 @@ struct FaultPlan {
 // exactly the single-Hamiltonian-cycle condition, so 1-interval connectivity
 // holds by construction. The candidate list is the ascending sequence of
 // coprime strides in [1, n); its index is what flows through the choice
-// stream. (For the implicit ring, candidate 0 — stride 1 — is the original
-// ring; for explicit closed walks every candidate is a genuine rewiring.)
+// stream. (Candidate 0 — stride 1 — is the original ring.)
 
 /// Number of rewiring candidates on an n-node walk: φ(n) for n ≥ 2, 0 for
 /// n ≤ 1 (a 0/1-node walk cannot be rewired).

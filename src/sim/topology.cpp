@@ -36,55 +36,6 @@ Topology Topology::virtual_ring(std::size_t size, std::vector<NodeId> labels,
   return t;
 }
 
-Topology Topology::closed_walk(std::vector<NodeId> successor,
-                               std::vector<NodeId> labels, std::string name) {
-  const std::size_t size = successor.size();
-  if (size == 0) {
-    throw std::invalid_argument("Topology: a closed walk needs at least one node");
-  }
-  if (!labels.empty() && labels.size() != size) {
-    throw std::invalid_argument("Topology: labels must cover every virtual node");
-  }
-  // The successor map must be one cycle through all nodes: follow it from 0
-  // and require that it returns to 0 after exactly `size` distinct steps.
-  std::vector<bool> seen(size, false);
-  NodeId current = 0;
-  for (std::size_t step = 0; step < size; ++step) {
-    if (current >= size) {
-      throw std::invalid_argument("Topology: successor out of range");
-    }
-    if (seen[current]) {
-      throw std::invalid_argument(
-          "Topology: successor map is not a single covering cycle");
-    }
-    seen[current] = true;
-    current = successor[current];
-  }
-  if (current != 0) {
-    throw std::invalid_argument(
-        "Topology: successor map is not a single covering cycle");
-  }
-  Topology t;
-  t.size_ = size;
-  t.successor_ = std::move(successor);
-  t.labels_ = std::move(labels);
-  t.name_ = std::move(name);
-  return t;
-}
-
-std::size_t Topology::distance(NodeId from, NodeId to) const noexcept {
-  if (successor_.empty()) {
-    return to >= from ? to - from : size_ - from + to;
-  }
-  std::size_t steps = 0;
-  NodeId current = from;
-  while (current != to && steps < size_) {
-    current = successor_[current];
-    ++steps;
-  }
-  return steps;
-}
-
 std::size_t Topology::underlying_node_count() const noexcept {
   if (labels_.empty()) return size_;
   return *std::max_element(labels_.begin(), labels_.end()) + 1;

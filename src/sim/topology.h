@@ -19,12 +19,12 @@
 //             adjacency) crossed by the move v → next(v). Lets reports and
 //             patrol examples narrate virtual moves as physical edges.
 //
-// Representation: the common case (ring, Euler tour, Eulerian circuit in
-// walk order) uses the *implicit* successor v+1 mod size — no table, no
-// memory, branch-predictable in the hot loop. An explicit successor
-// permutation is supported for exotic walks (rotated/permuted rings,
-// future dynamic topologies); it must be a single cycle covering every
-// node, which closed_walk() validates.
+// Representation: every walk (ring, Euler tour, Eulerian circuit) is laid
+// out in walk order, so the successor is the implicit v+1 mod size — no
+// table, no memory, branch-predictable in the hot loop. The goal oracles
+// and the schedule-trace replay contract rely on that order (virtual
+// position order == walk order). Dynamic-ring rewiring (sim/fault.h)
+// changes the live successor inside ExecutionState, not here.
 
 #pragma once
 
@@ -56,29 +56,18 @@ class Topology {
                                              std::vector<std::size_t> ports = {},
                                              std::string name = "virtual-ring");
 
-  /// An explicit closed walk: `successor[v]` is the node after v. The
-  /// successor map must be a permutation forming a single cycle that covers
-  /// every node (throws std::invalid_argument otherwise — a multi-cycle or
-  /// non-surjective map would strand agents).
-  [[nodiscard]] static Topology closed_walk(std::vector<NodeId> successor,
-                                            std::vector<NodeId> labels = {},
-                                            std::string name = "closed-walk");
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// The forward neighbour of `v` — the only direction agents can move.
   [[nodiscard]] NodeId next(NodeId v) const noexcept {
-    return successor_.empty() ? (v + 1 == size_ ? 0 : v + 1) : successor_[v];
+    return v + 1 == size_ ? 0 : v + 1;
   }
 
   /// Forward walk distance from `from` to `to`: the number of next() steps.
-  /// O(1) for the implicit ring, O(size) for an explicit walk.
-  [[nodiscard]] std::size_t distance(NodeId from, NodeId to) const noexcept;
-
-  /// True when the successor is the implicit v+1 mod size ring order (all
-  /// current embeddings; lets consumers use modular arithmetic directly).
-  [[nodiscard]] bool is_ring_order() const noexcept { return successor_.empty(); }
+  [[nodiscard]] std::size_t distance(NodeId from, NodeId to) const noexcept {
+    return to >= from ? to - from : size_ - from + to;
+  }
 
   // ---- embedding views ------------------------------------------------------
 
@@ -113,7 +102,6 @@ class Topology {
 
  private:
   std::size_t size_ = 0;
-  std::vector<NodeId> successor_;      // empty = implicit v+1 mod size
   std::vector<NodeId> labels_;         // empty = identity
   std::vector<std::size_t> ports_;     // empty = no port view
   std::string name_ = "ring";

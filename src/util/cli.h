@@ -56,6 +56,11 @@ class Cli {
     return values_.contains(name);
   }
 
+  /// Flag names (without "--") in command-line order.
+  [[nodiscard]] const std::vector<std::string>& flags() const noexcept {
+    return flags_;
+  }
+
   /// Throws std::invalid_argument naming the first flag, in command-line
   /// order, that no get* call registered or that was given more than once.
   /// Call it once every flag is registered, so a misspelt, retired or

@@ -370,8 +370,7 @@ TEST(Campaign, AccumulatorMergeNeverDuplicatesAScenarioIndex) {
   b.cells[CellKey{core::Algorithm::KnownKFull, ConfigFamily::RandomAny,
                   sim::SchedulerKind::RoundRobin, 16, 4, 1}]
       .failure_samples = {{3, "scenario 3 failed"}, {7, "scenario 7 failed"}};
-  merge_accumulators(a, std::move(b), /*max_failures_per_cell=*/4,
-                     /*max_recorded_failures=*/16);
+  merge_accumulators(a, std::move(b));
   const FailureSamples expected = {{3, "scenario 3 failed"},
                                    {7, "scenario 7 failed"}};
   EXPECT_EQ(a.failure_samples, expected);
@@ -387,15 +386,13 @@ TEST(Campaign, CellStatsMergeChecksSumsAtTheUint64Boundary) {
   at_boundary.moves_sum = kMax - 10;
   CellStats add_ten;
   add_ten.moves_sum = 10;
-  merge_cell_stats(at_boundary, std::move(add_ten),
-                   /*max_failures_per_cell=*/4);
+  merge_cell_stats(at_boundary, std::move(add_ten));
   EXPECT_EQ(at_boundary.moves_sum, kMax);  // == 2^64 - 1: still exact
 
   CellStats one_more;
   one_more.moves_sum = 1;
   try {
-    merge_cell_stats(at_boundary, std::move(one_more),
-                     /*max_failures_per_cell=*/4);
+    merge_cell_stats(at_boundary, std::move(one_more));
     FAIL() << "wrapping merge must throw";
   } catch (const std::overflow_error& error) {
     EXPECT_NE(std::string(error.what()).find("moves_sum"), std::string::npos)
@@ -406,8 +403,7 @@ TEST(Campaign, CellStatsMergeChecksSumsAtTheUint64Boundary) {
   actions_wrap_a.actions_sum = kMax;
   CellStats actions_wrap_b;
   actions_wrap_b.actions_sum = 1;
-  EXPECT_THROW(merge_cell_stats(actions_wrap_a, std::move(actions_wrap_b),
-                                /*max_failures_per_cell=*/4),
+  EXPECT_THROW(merge_cell_stats(actions_wrap_a, std::move(actions_wrap_b)),
                std::overflow_error);
 }
 

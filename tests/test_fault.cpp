@@ -1,6 +1,6 @@
 // The structured fault-injection layer (sim/fault.h), end to end.
 //
-//  - FaultPlan mechanics: normalize/validate/label/fold, and the stride-ring
+//  - FaultPlan mechanics: normalize/validate/fold, and the stride-ring
 //    rewiring candidate geometry (φ(n) candidates, ascending coprime strides,
 //    the single-cycle revalidation predicate).
 //  - The legacy SimOptions non-FIFO bool pair and the structured plan are the
@@ -43,7 +43,6 @@ TEST(FaultPlan, EmptyPlanInjectsNothing) {
   EXPECT_FALSE(plan.has_events());
   EXPECT_FALSE(plan.has_crashes());
   EXPECT_FALSE(plan.has_rewires());
-  EXPECT_EQ(plan.label(), "");
 }
 
 TEST(FaultPlan, NormalizeSortsIntoCanonicalFormIdempotently) {
@@ -83,19 +82,6 @@ TEST(FaultPlan, ValidateRejectsMalformedPlans) {
   sim::FaultPlan tiny_ring;
   tiny_ring.rewire_at = {1};
   EXPECT_THROW(tiny_ring.validate(1, 1), std::invalid_argument);
-}
-
-TEST(FaultPlan, LabelListsEventsInCanonicalOrder) {
-  sim::FaultPlan plan;
-  plan.crashes = {{1, 4}};
-  plan.non_fifo = true;
-  plan.rewire_at = {2, 5};
-  EXPECT_EQ(plan.label(), "crash:1@4+nonfifo+rewire:2,5");
-
-  sim::FaultPlan window;
-  window.non_fifo = true;
-  window.non_fifo_min_phase = 2;
-  EXPECT_EQ(window.label(), "nonfifo:p2");
 }
 
 TEST(FaultPlan, FoldIntoSeparatesDistinctPlans) {

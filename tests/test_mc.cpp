@@ -817,33 +817,36 @@ TEST(GridIntegration, CellVerdictMatchesDirectCheck) {
             report.all_verified());
 }
 
-TEST(GridIntegration, FaultAxisPlanReplacesTheGridPlan) {
-  // A campaign grid's fault axis: the crash cell must be checked under its
-  // own plan (the campaign engine runs it there and scores it 0% ok), not
-  // reported verified under the grid-wide fault-free plan.
-  exp::CampaignGrid grid;
-  grid.algorithms = {core::Algorithm::KnownKFull};
-  grid.node_counts = {6};
-  grid.agent_counts = {2};
-  grid.seeds = 1;
+TEST(GridIntegration, EveryCellIsCheckedUnderTheGridPlan) {
+  // A grid runs under its one fault plan: the crash grid's cell must be
+  // checked under it (the campaign engine runs it there and scores it 0%
+  // ok), not reported verified. The clean grid at the same base_seed is
+  // its paired table: it checks the same drawn instance.
+  exp::CampaignGrid clean;
+  clean.algorithms = {core::Algorithm::KnownKFull};
+  clean.node_counts = {6};
+  clean.agent_counts = {2};
+  clean.seeds = 1;
   sim::FaultPlan crash;
   crash.crashes = {{0, 0}};
-  grid.fault_plans = {{}, crash};
-  const GridReport report = check_grid(grid);
-  ASSERT_EQ(report.cells.size(), 2u);
-  EXPECT_TRUE(report.cells[0].fault.empty());
-  EXPECT_TRUE(report.cells[0].report.ok && report.cells[0].report.complete);
-  EXPECT_EQ(report.cells[0].report.verdict, "verified");
-  EXPECT_EQ(report.cells[1].homes, report.cells[0].homes);  // paired
-  EXPECT_EQ(report.cells[1].fault, crash);
-  EXPECT_FALSE(report.cells[1].report.ok);
-  EXPECT_EQ(report.cells[1].report.verdict, "violation");
+  exp::CampaignGrid faulty = clean;
+  faulty.sim_options.faults = crash;
+  const GridReport clean_report = check_grid(clean);
+  const GridReport report = check_grid(faulty);
+  ASSERT_EQ(clean_report.cells.size(), 1u);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_TRUE(clean_report.all_verified());
+  EXPECT_EQ(clean_report.cells[0].report.verdict, "verified");
+  const GridCell& cell = report.cells[0];
+  EXPECT_EQ(cell.homes, clean_report.cells[0].homes);  // paired
+  EXPECT_FALSE(cell.report.ok);
+  EXPECT_EQ(cell.report.verdict, "violation");
   EXPECT_EQ(report.violations, 1u);
   EXPECT_FALSE(report.all_verified());
 
-  // The counterexample carries the cell's plan and replays stand-alone.
-  ASSERT_TRUE(report.cells[1].report.counterexample.has_value());
-  const explore::ScheduleTrace& trace = *report.cells[1].report.counterexample;
+  // The counterexample carries the grid's plan and replays stand-alone.
+  ASSERT_TRUE(cell.report.counterexample.has_value());
+  const explore::ScheduleTrace& trace = *cell.report.counterexample;
   EXPECT_EQ(trace.faults, crash);
   const explore::ScheduleTrace reparsed =
       explore::ScheduleTrace::parse(trace.to_text());
@@ -851,21 +854,13 @@ TEST(GridIntegration, FaultAxisPlanReplacesTheGridPlan) {
   EXPECT_TRUE(replayed.failed);
   EXPECT_EQ(replayed.digest, trace.expected_digest);
 
-  // The cell equals a direct check of its homes under its plan.
-  CheckRequest request = ring_request(core::Algorithm::KnownKFull, 6,
-                                      report.cells[1].homes);
+  // The cell equals a direct check of its homes under the plan.
+  CheckRequest request =
+      ring_request(core::Algorithm::KnownKFull, 6, cell.homes);
   request.faults = crash;
   const ModelCheckReport direct = check(request);
-  EXPECT_EQ(direct.digest(), report.cells[1].report.digest());
-  EXPECT_EQ(direct.failure_reason, report.cells[1].report.failure_reason);
-
-  // The fault column appears only because a cell carries a plan.
-  const std::string summary = report.summary();
-  EXPECT_NE(summary.find("fault"), std::string::npos);
-  EXPECT_NE(summary.find("crash:0@0"), std::string::npos);
-  EXPECT_NE(summary.find("none"), std::string::npos);
-  grid.fault_plans = {{}};
-  EXPECT_EQ(check_grid(grid).summary().find("fault"), std::string::npos);
+  EXPECT_EQ(direct.digest(), cell.report.digest());
+  EXPECT_EQ(direct.failure_reason, cell.report.failure_reason);
 }
 
 }  // namespace

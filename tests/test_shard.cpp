@@ -3,7 +3,8 @@
 //
 // The claims pinned here extend the engine's determinism contract across
 // process and crash boundaries:
-//  - load(encode(shard)) is the identity, and corrupt bytes fail loudly;
+//  - load(encode(shard)) is the identity, and corrupt bytes fail loudly:
+//    the checksum trailer rejects every single-bit flip;
 //  - N shards merged == the single uninterrupted run, byte for byte
 //    (digest AND summary), at worker counts {1, 4};
 //  - kill-and-resume at ANY checkpoint watermark reproduces the
@@ -21,7 +22,9 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/campaign.h"
@@ -184,46 +187,47 @@ TEST(ShardFile, DecodeRejectsCorruptBytes) {
                std::runtime_error);
 }
 
-TEST(ShardFile, DecodeRejectsNonzeroRetiredWords) {
+TEST(ShardFile, ChecksumRejectsEverySingleBitFlip) {
   const std::string bytes =
       encode_shard(run_campaign_shard(small_grid(), {.workers = 1}, 0, 1));
-  const ShardFile shard = decode_shard(bytes);
-  // The offsets below assume no failure samples and a crash-free first key.
-  ASSERT_TRUE(shard.aggregate.failure_samples.empty());
-  ASSERT_TRUE(shard.aggregate.cells.begin()->first.fault.crashes.empty());
-  const auto expect_named = [&bytes](std::size_t offset,
-                                     const std::string& word) {
-    std::string bad = bytes;
-    ASSERT_EQ(bad.at(offset), '\0') << word;
-    bad[offset] = 1;
-    try {
-      (void)decode_shard(bad, "retired");
-      ADD_FAILURE() << "accepted a nonzero " << word;
-    } catch (const std::runtime_error& error) {
-      const std::string message = error.what();
-      EXPECT_NE(message.find("word '" + word + "' is nonzero"),
-                std::string::npos)
-          << message;
+  std::size_t by_checksum = 0;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      try {
+        (void)decode_shard(flipped, "flipped.bin");
+        ADD_FAILURE() << "accepted a flip of bit " << bit << " of byte " << at;
+      } catch (const std::runtime_error& error) {
+        if (std::string(error.what()) ==
+            "shard 'flipped.bin': checksum mismatch") {
+          ++by_checksum;
+        }
+      }
     }
-  };
-  // Header: magic and version (4 bytes each), six u64 fields, then the
-  // three retired words.
-  constexpr std::size_t kHeaderRetired = 8 + 6 * 8;
-  expect_named(kHeaderRetired, "cells_skipped");
-  expect_named(kHeaderRetired + 8, "scenarios_skipped");
-  expect_named(kHeaderRetired + 16, "skipped_cell_samples count");
-  // The first cell key follows the scenario hash, the failure count, the
-  // empty sample list and the cell count. Its retired words come after
-  // three enum bytes, n, k, l, the problem (1 + 8 bytes), the empty crash
-  // list, the non-FIFO flag and its phase.
-  constexpr std::size_t kFirstKey = kHeaderRetired + 3 * 8 + 4 * 8;
-  constexpr std::size_t kKeyRetired = kFirstKey + 3 + 3 * 8 + 9 + 8 + 9;
-  const char* const words[] = {"non_fifo_until_action", "drop_count",
-                               "drop_from_action", "dup_count",
-                               "dup_from_action"};
-  for (std::size_t i = 0; i < 5; ++i) {
-    expect_named(kKeyRetired + 8 * i, words[i]);
   }
+  // The "UDS" prefix (3 bytes) and the version word (4 bytes) fail by name
+  // before the checksum is read; every other flip fails the checksum.
+  EXPECT_EQ(by_checksum, (bytes.size() - 7) * 8);
+}
+
+TEST(ShardFile, DecodeRejectsAVersion2FileByVersion) {
+  // A version-2 file starts with magic "UDS2" and version word 2.
+  std::string bytes =
+      encode_shard(run_campaign_shard(small_grid(), {.workers = 1}, 0, 1));
+  bytes.replace(0, 8, std::string("UDS2\x02\0\0\0", 8));
+  const std::string path = temp_path("version2.bin");
+  ASSERT_TRUE(write_binary_file_atomic(path, bytes));
+  try {
+    (void)load_shard_file(path);
+    ADD_FAILURE() << "accepted a version-2 file";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "shard '" + path +
+                  "': unsupported shard version 2 (this build reads "
+                  "version 3)");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardFile, WriteAndLoadFile) {
@@ -261,15 +265,15 @@ TEST(ShardMerge, ThreeShardsMergeToTheWholeAcrossWorkers) {
 }
 
 TEST(ShardMerge, FailureSamplesSelectLowestIndicesAcrossShards) {
-  // Fail every scenario; the merged global samples must be the lowest
-  // scenario indices of the WHOLE sweep regardless of which shard ran them.
+  // Fail every scenario, every cell more often than kMaxFailuresPerCell;
+  // the merged samples must be the lowest scenario indices of the WHOLE
+  // sweep regardless of which shard ran them.
   CampaignGrid grid = small_grid();
   grid.sim_options.max_actions = 1;
-  CampaignOptions options;
-  options.workers = 2;
-  options.max_recorded_failures = 5;
-  options.max_failures_per_cell = 2;
+  grid.seeds = kMaxFailuresPerCell + 2;
+  const CampaignOptions options{.workers = 2};
   const CampaignResult reference = run_campaign_streaming(grid, options);
+  ASSERT_EQ(reference.failure_samples.size(), kMaxRecordedFailures);
   std::vector<ShardFile> shards;
   for (std::size_t i = 0; i < 4; ++i) {
     shards.push_back(run_campaign_shard(grid, options, i, 4));
@@ -278,6 +282,11 @@ TEST(ShardMerge, FailureSamplesSelectLowestIndicesAcrossShards) {
   EXPECT_EQ(merged.failures, reference.failures);
   EXPECT_EQ(merged.failure_samples, reference.failure_samples);
   EXPECT_EQ(merged.digest(), reference.digest());
+  ASSERT_EQ(merged.cells.size(), reference.cells.size());
+  for (const auto& [key, stats] : merged.cells) {
+    ASSERT_GT(stats.runs - stats.successes, kMaxFailuresPerCell);
+    EXPECT_EQ(stats.failure_samples, reference.cells.at(key).failure_samples);
+  }
 }
 
 TEST(ShardMerge, RejectsOverlappingRanges) {
@@ -367,26 +376,26 @@ std::uint64_t fold_bytes(const std::string& bytes) {
 
 TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
   const CampaignGrid grid = small_grid();
-  const CampaignOptions options;
-  const std::uint64_t base = grid_fingerprint(grid, options);
-  // Pinned values: shard files written by earlier builds must keep merging
-  // with new ones, so neither the fingerprint nor a shard byte may move.
-  EXPECT_EQ(base, 0xf3a24814a358f6faULL) << std::hex << base;
+  const std::uint64_t base = grid_fingerprint(grid);
+  // Pinned values: shard files written by earlier builds of this format
+  // version must keep merging with new ones, so neither the fingerprint nor
+  // a shard byte may move.
+  EXPECT_EQ(base, 0xc7262acec7d05f8eULL) << std::hex << base;
   CampaignGrid non_fifo = grid;
   non_fifo.sim_options.faults.non_fifo = true;
   non_fifo.sim_options.faults.non_fifo_min_phase = 1;
-  EXPECT_EQ(grid_fingerprint(non_fifo, options), 0xc95940139110e680ULL)
-      << std::hex << grid_fingerprint(non_fifo, options);
+  EXPECT_EQ(grid_fingerprint(non_fifo), 0x12f8486d07d1b5dcULL)
+      << std::hex << grid_fingerprint(non_fifo);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     const std::string bytes =
         encode_shard(run_campaign_shard(grid, {.workers = workers}, 0, 1));
-    EXPECT_EQ(bytes.size(), 3872u) << "workers=" << workers;
-    EXPECT_EQ(fold_bytes(bytes), 0x4f80d3494c500df1ULL)
+    EXPECT_EQ(bytes.size(), 2800u) << "workers=" << workers;
+    EXPECT_EQ(fold_bytes(bytes), 0x473c12d30894e72bULL)
         << "workers=" << workers << std::hex << " " << fold_bytes(bytes);
     const std::string faulty =
         encode_shard(run_campaign_shard(non_fifo, {.workers = workers}, 0, 1));
-    EXPECT_EQ(faulty.size(), 3942u) << "workers=" << workers;
-    EXPECT_EQ(fold_bytes(faulty), 0xd48d984eea0a0950ULL)
+    EXPECT_EQ(faulty.size(), 2870u) << "workers=" << workers;
+    EXPECT_EQ(fold_bytes(faulty), 0xa00648c5510b3497ULL)
         << "workers=" << workers << std::hex << " " << fold_bytes(faulty);
   }
   // A scenario sink only watches: the shard beside it is byte-identical.
@@ -397,35 +406,22 @@ TEST(GridFingerprint, CoversResultsNotExecutionKnobs) {
     sunk.fetch_add(1, std::memory_order_relaxed);
   };
   EXPECT_EQ(fold_bytes(encode_shard(run_campaign_shard(grid, watched, 0, 1))),
-            0x4f80d3494c500df1ULL);
+            0x473c12d30894e72bULL);
   EXPECT_EQ(sunk.load(), expansion_size(grid));
-
-  CampaignOptions threaded = options;
-  threaded.workers = 7;
-  threaded.checkpoint_every_scenarios = 5;
-  threaded.checkpoint_path = "somewhere.bin";
-  threaded.scenario_sink = [](const Scenario&, const ScenarioResult&) {};
-  EXPECT_EQ(grid_fingerprint(grid, threaded), base)
-      << "execution knobs must not change the fingerprint";
 
   CampaignGrid reseeded = grid;
   reseeded.base_seed = 999;
-  EXPECT_NE(grid_fingerprint(reseeded, options), base);
+  EXPECT_NE(grid_fingerprint(reseeded), base);
 
   CampaignGrid regridded = grid;
   regridded.node_counts.push_back(32);
-  EXPECT_NE(grid_fingerprint(regridded, options), base);
-
-  CampaignOptions recapped = options;
-  recapped.max_failures_per_cell += 1;
-  EXPECT_NE(grid_fingerprint(grid, recapped), base)
-      << "sample caps change merged bytes, so they are in the fingerprint";
+  EXPECT_NE(grid_fingerprint(regridded), base);
 }
 
-TEST(GridFingerprint, FaultAxisLayoutsArePinned) {
-  // A fault axis of {none, crash 1@3, rewire {4}, non-FIFO from phase 1}:
-  // every plan folds into the fingerprint, the digest and the shard's cell
-  // keys, so those layouts are pinned here as well.
+TEST(GridFingerprint, OneGridPerFaultPlanKeepsItsDigest) {
+  // A paired faulty-vs-clean table is one grid per plan at the same
+  // base_seed, each plan set as the grid's sim_options.faults. Each digest
+  // is pinned, and the fingerprints keep the four sweeps from merging.
   CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull,
                      core::Algorithm::KnownKLogMem};
@@ -442,19 +438,20 @@ TEST(GridFingerprint, FaultAxisLayoutsArePinned) {
   sim::FaultPlan non_fifo;
   non_fifo.non_fifo = true;
   non_fifo.non_fifo_min_phase = 1;
-  grid.fault_plans = {{}, crash, rewire, non_fifo};
-
-  const std::uint64_t fingerprint = grid_fingerprint(grid, {});
-  EXPECT_EQ(fingerprint, 0x23822f54c7850ea6ULL) << std::hex << fingerprint;
-  const CampaignResult result = run_campaign_streaming(grid, {.workers = 2});
-  EXPECT_EQ(result.cells.size(), 32u);
-  EXPECT_EQ(result.digest(), 0x3440d2d69dd45b87ULL)
-      << std::hex << result.digest();
-  const std::string bytes =
-      encode_shard(run_campaign_shard(grid, {.workers = 2}, 0, 1));
-  EXPECT_EQ(bytes.size(), 13868u);
-  EXPECT_EQ(fold_bytes(bytes), 0x3929b57793da72daULL)
-      << std::hex << fold_bytes(bytes);
+  const std::pair<sim::FaultPlan, std::uint64_t> pinned[] = {
+      {{}, 0xcfa5f77c1674b411ULL},
+      {crash, 0x69c01fffb5158af1ULL},
+      {rewire, 0x39e4eb3b53051164ULL},
+      {non_fifo, 0xe6fa583fded10fd2ULL}};
+  std::set<std::uint64_t> fingerprints;
+  for (const auto& [plan, digest] : pinned) {
+    grid.sim_options.faults = plan;
+    const CampaignResult result = run_campaign_streaming(grid, {.workers = 2});
+    EXPECT_EQ(result.cells.size(), 8u);
+    EXPECT_EQ(result.digest(), digest) << std::hex << result.digest();
+    fingerprints.insert(grid_fingerprint(grid));
+  }
+  EXPECT_EQ(fingerprints.size(), 4u);
 }
 
 // ---- checkpoint / crash-resume ----------------------------------------------

@@ -84,7 +84,7 @@ CampaignResult index_order_fold(const std::vector<Seen>& stream) {
     CellStats& stats =
         reference.cells[CellKey{s.algorithm, s.family, s.scheduler,
                                 s.node_count, s.agent_count, s.symmetry,
-                                s.problem, s.fault}];
+                                s.problem}];
     ++stats.runs;
     if (seen.success) ++stats.successes;
     stats.moves_sum += seen.total_moves;
@@ -149,24 +149,24 @@ TEST(StreamingCampaign, AttachingASinkChangesNoDigestByte) {
 }
 
 TEST(StreamingCampaign, FailureSamplesAreTheLowestIndicesAtAnyWorkerCount) {
-  // An action budget of 1 fails every scenario: the global and per-cell
-  // samples must be the lowest-index failures of the sink's stream, at any
-  // worker count.
+  // An action budget of 1 fails every scenario, and two more repetitions
+  // than kMaxFailuresPerCell fail every cell past its cap: the global and
+  // per-cell samples must be the lowest-index failures of the sink's
+  // stream, at any worker count.
   CampaignGrid grid = shared_grid();
   grid.sim_options.max_actions = 1;
-  CampaignOptions options;
-  options.max_recorded_failures = 5;
-  options.max_failures_per_cell = 2;
+  grid.seeds = kMaxFailuresPerCell + 2;
+  ASSERT_GT(expansion_size(grid), kMaxRecordedFailures);
 
   std::vector<std::string> reference_samples;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    options.workers = workers;
     std::vector<Seen> stream;
-    const CampaignResult result = run_with_sink(grid, options, stream);
+    const CampaignResult result =
+        run_with_sink(grid, {.workers = workers}, stream);
     EXPECT_EQ(result.failures, stream.size());
-    ASSERT_EQ(result.failure_samples.size(), 5u);
+    ASSERT_EQ(result.failure_samples.size(), kMaxRecordedFailures);
     // Sample i describes scenario i (every scenario fails, so the lowest
-    // indices are 0..4) and ends with that scenario's own failure text.
+    // indices are 0..15) and ends with that scenario's own failure text.
     for (std::size_t i = 0; i < result.failure_samples.size(); ++i) {
       const std::string& sample = result.failure_samples[i];
       const Scenario& s = stream[i].scenario;
@@ -182,11 +182,13 @@ TEST(StreamingCampaign, FailureSamplesAreTheLowestIndicesAtAnyWorkerCount) {
           << sample;
     }
     for (const auto& [key, stats] : result.cells) {
-      ASSERT_EQ(stats.failure_samples.size(), options.max_failures_per_cell);
-      // The cell's lowest indices: its first two repetitions.
+      ASSERT_GT(stats.runs - stats.successes, kMaxFailuresPerCell);
+      ASSERT_EQ(stats.failure_samples.size(), kMaxFailuresPerCell);
+      // The cell's lowest indices: its first four repetitions.
       const std::size_t first = stats.failure_samples.front().first;
       EXPECT_EQ(first % grid.seeds, 0u);
-      EXPECT_EQ(stats.failure_samples.back().first, first + 1);
+      EXPECT_EQ(stats.failure_samples.back().first,
+                first + kMaxFailuresPerCell - 1);
     }
     if (reference_samples.empty()) {
       reference_samples = result.failure_samples;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -209,6 +210,86 @@ TEST(Cli, FuzzAndCampaignToolsRejectUnknownFlags) {
         << bad;
   }
   EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY, "--grid=smoke --workers=1"), 0);
+}
+
+TEST(Cli, FuzzRecordRunsTheNamedHomes) {
+  // --record drew its instance from --nodes/--agents and ignored --homes:
+  // this command wrote "homes 2 8".
+  const std::string trace = testing::TempDir() + "/cli_record_homes.trace";
+  std::remove(trace.c_str());
+  const std::string record =
+      "--record=" + trace + " --homes=0,5 --nodes=10 --agents=2 --seed=3";
+  ASSERT_EQ(run_tool(UDRING_FUZZ_BINARY, record), 0);
+  std::ifstream in(trace);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\nnodes 10\n"), std::string::npos) << text.str();
+  EXPECT_NE(text.str().find("\nhomes 0 5\n"), std::string::npos) << text.str();
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--replay=" + trace), 0);
+  // --homes names ring nodes and fixes k.
+  for (const char* bad : {" --homes=0,5 --topology=tree",
+                          " --homes=0,5 --agents=3"}) {
+    EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--record=" + trace + bad), 2)
+        << bad;
+  }
+  std::remove(trace.c_str());
+}
+
+TEST(Cli, ModelCheckAndFuzzToolsRejectFlagsTheirModeIgnores) {
+  // Each of these ran and exited 0, ignoring the flag its mode never reads.
+  for (const char* bad :
+       {"--seeds=5", "--fault-max-action=4", "--gather-g=3",
+        "--problem=deploy --gather-g=3"}) {
+    EXPECT_EQ(run_tool(UDRING_MC_BINARY,
+                       std::string("--algo=known-k-full --n=6 --k=2 ") + bad),
+              2)
+        << bad;
+  }
+  EXPECT_EQ(run_tool(UDRING_MC_BINARY,
+                     "--algo=known-k-full --n=6 --k=2 --grid --seeds=2"),
+            0);
+  // A verdict (a rewiring breaks this instance), not a usage error.
+  EXPECT_EQ(run_tool(UDRING_MC_BINARY,
+                     "--algo=known-k-full --n=6 --k=2 --homes=0,3 "
+                     "--fault-budget=rewire=1 --fault-max-action=2"),
+            1);
+
+  const std::string trace = testing::TempDir() + "/cli_modes.trace";
+  std::remove(trace.c_str());
+  ASSERT_EQ(run_tool(UDRING_FUZZ_BINARY, "--record=" + trace), 0);
+  // A replay rebuilds its run from the trace alone.
+  for (const char* bad : {"--iterations=5", "--seed=3", "--nodes=10",
+                          "--algorithm=known-k-full", "--out=x"}) {
+    EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY,
+                       "--replay=" + trace + " " + std::string(bad)),
+              2)
+        << bad;
+  }
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--replay=" + trace), 0);
+  // --record runs one instance: the fuzz budget, size ranges, workers,
+  // oracle, failure cap, fault budgets and artifact directory go unread.
+  const std::string fresh = testing::TempDir() + "/cli_modes_fresh.trace";
+  for (const char* bad :
+       {"--iterations=5", "--min-nodes=8", "--max-nodes=12", "--min-agents=2",
+        "--max-agents=3", "--workers=1", "--oracle=incremental",
+        "--oracle-full-every=4", "--max-failures=2", "--faults=crash=1",
+        "--out=x"}) {
+    EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY,
+                       "--record=" + fresh + " " + std::string(bad)),
+              2)
+        << bad;
+  }
+  // Fuzz mode draws each instance from the size ranges, or runs --homes.
+  for (const char* bad : {"--agents=3", "--nodes=12", "--gather-g=3",
+                          "--problem=deploy --gather-g=3"}) {
+    EXPECT_EQ(
+        run_tool(UDRING_FUZZ_BINARY, std::string("--iterations=1 ") + bad), 2)
+        << bad;
+  }
+  EXPECT_EQ(
+      run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --nodes=12 --homes=0,6"),
+      0);
+  for (const std::string& path : {trace, fresh}) std::remove(path.c_str());
 }
 
 TEST(Cli, CampaignToolRejectsFlagsItsModeIgnores) {

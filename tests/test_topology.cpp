@@ -1,5 +1,5 @@
-// Unit tests for sim/topology.h: ring arithmetic, explicit closed walks,
-// and the embedding views (labels/ports) the native topology path rides on.
+// Unit tests for sim/topology.h: ring arithmetic and the embedding views
+// (labels/ports) the native topology path rides on.
 // The embed-level edge cases (single-node tree, path tree, Eulerian
 // multigraph) and the native-vs-copy-embedding cross-checks live further
 // down, next to the builders they exercise.
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <numeric>
 #include <set>
 
 #include "core/runner.h"
@@ -27,14 +26,12 @@ namespace {
 TEST(Topology, RejectsEmpty) {
   EXPECT_THROW((void)Topology::ring(0), std::invalid_argument);
   EXPECT_THROW((void)Topology::virtual_ring(0, {}), std::invalid_argument);
-  EXPECT_THROW((void)Topology::closed_walk({}), std::invalid_argument);
   EXPECT_TRUE(Topology{}.empty());
 }
 
 TEST(Topology, RingNextWrapsAround) {
   const Topology ring = Topology::ring(5);
   EXPECT_EQ(ring.size(), 5u);
-  EXPECT_TRUE(ring.is_ring_order());
   EXPECT_EQ(ring.next(0), 1u);
   EXPECT_EQ(ring.next(3), 4u);
   EXPECT_EQ(ring.next(4), 0u);
@@ -79,7 +76,6 @@ TEST(Topology, VirtualRingCarriesEmbeddingViews) {
   const Topology tour =
       Topology::virtual_ring(4, {0, 1, 2, 1}, {0, 1, 0, 0}, "euler-tree");
   EXPECT_EQ(tour.size(), 4u);
-  EXPECT_TRUE(tour.is_ring_order());
   EXPECT_TRUE(tour.has_labels());
   EXPECT_TRUE(tour.has_ports());
   EXPECT_EQ(tour.label(3), 1u);
@@ -92,42 +88,6 @@ TEST(Topology, VirtualRingRejectsShortViews) {
   EXPECT_THROW((void)Topology::virtual_ring(4, {0, 1}), std::invalid_argument);
   EXPECT_THROW((void)Topology::virtual_ring(4, {0, 1, 2, 1}, {0}),
                std::invalid_argument);
-}
-
-TEST(Topology, ClosedWalkFollowsExplicitSuccessors) {
-  // A rotated 4-ring: 0 → 2 → 1 → 3 → 0.
-  const Topology walk = Topology::closed_walk({2, 3, 1, 0});
-  EXPECT_EQ(walk.size(), 4u);
-  EXPECT_FALSE(walk.is_ring_order());
-  EXPECT_EQ(walk.next(0), 2u);
-  EXPECT_EQ(walk.next(2), 1u);
-  EXPECT_EQ(walk.next(1), 3u);
-  EXPECT_EQ(walk.next(3), 0u);
-  EXPECT_EQ(walk.distance(0, 3), 3u);
-  EXPECT_EQ(walk.distance(3, 0), 1u);
-}
-
-TEST(Topology, ClosedWalkRejectsNonCycles) {
-  // Two 2-cycles instead of one 4-cycle.
-  EXPECT_THROW((void)Topology::closed_walk({1, 0, 3, 2}), std::invalid_argument);
-  // Out-of-range successor.
-  EXPECT_THROW((void)Topology::closed_walk({1, 2, 9}), std::invalid_argument);
-  // Not a permutation (two nodes map to 0; node 2 unreachable).
-  EXPECT_THROW((void)Topology::closed_walk({0, 0, 1}), std::invalid_argument);
-  // Identity walk on one node is the valid degenerate case.
-  EXPECT_NO_THROW((void)Topology::closed_walk({0}));
-}
-
-TEST(Topology, ImplicitAndExplicitRingOrderAgree) {
-  const Topology implicit = Topology::ring(7);
-  std::vector<NodeId> successor(7);
-  std::iota(successor.begin(), successor.end(), 1);
-  successor.back() = 0;
-  const Topology explicit_walk = Topology::closed_walk(std::move(successor));
-  for (NodeId v = 0; v < 7; ++v) {
-    EXPECT_EQ(implicit.next(v), explicit_walk.next(v));
-    EXPECT_EQ(implicit.distance(0, v), explicit_walk.distance(0, v));
-  }
 }
 
 // ---- embed builders ---------------------------------------------------------
@@ -219,19 +179,6 @@ TEST(EmbedTopology, DeploymentOnEulerianMultigraphIsUniform) {
     EXPECT_EQ(report.final_labels[i],
               spec.topology.label(report.final_positions[i]));
   }
-}
-
-TEST(EmbedTopology, AlgorithmDriversRejectExplicitClosedWalks) {
-  // The goal oracles and trace replay assume walk order == position order;
-  // make_instance must refuse an explicit successor permutation rather than
-  // silently mis-judging uniformity (closed walks still run at the sim
-  // layer via sim::Instance directly).
-  core::RunSpec spec;
-  spec.topology = Topology::closed_walk({2, 0, 1});
-  spec.node_count = 3;
-  spec.homes = {0};
-  EXPECT_THROW((void)core::run_algorithm(core::Algorithm::KnownKFull, spec),
-               std::invalid_argument);
 }
 
 TEST(EmbedTopology, DrawVirtualHomesAreDistinctFirstPositions) {

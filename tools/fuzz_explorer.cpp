@@ -9,7 +9,11 @@
 //   udring_fuzz --record=trace.txt --algorithm=known-k-full --nodes=16
 //               --agents=4 --sched=fifo-stress --seed=7
 //   udring_fuzz --record=trace.txt --topology=graph --nodes=12 --agents=3
+//   udring_fuzz --record=trace.txt --nodes=10 --homes=0,5
 //   udring_fuzz --replay=trace.txt
+//
+// Each mode takes only the flags it reads; any other flag is a usage error
+// (exit 2), as is an unknown or repeated flag.
 //
 // Fuzz mode exits 1 when a failure is found; each failure is shrunk to a
 // minimal trace and written under --out so CI can upload it as an artifact
@@ -67,25 +71,31 @@ int replay_mode(const std::string& path) {
   return 0;
 }
 
-int record_mode(const std::string& path, core::Algorithm algorithm,
-                core::ProblemSpec problem, explore::FuzzTopology topology,
+/// Records one run of the instance `options` names — its fixed ring homes,
+/// or else an instance drawn at (n, k) from the seed.
+int record_mode(const std::string& path, const explore::FuzzOptions& options,
                 std::size_t n, std::size_t k,
-                explore::ExploreSchedulerKind kind, std::uint64_t seed,
-                const sim::FaultPlan& faults) {
-  Rng rng(seed);
+                explore::ExploreSchedulerKind kind) {
   explore::RecordRequest request;
-  request.algorithm = algorithm;
-  request.problem = problem;
+  request.algorithm = options.algorithm;
+  request.problem = options.problem;
   request.kind = kind;
-  request.seed = seed;
-  request.faults = faults;
-  // --nodes sizes the underlying network for tree/graph; the recorded
-  // instance is its Euler-tour virtual ring, so the trace replays
-  // stand-alone.
-  explore::DrawnInstance drawn = explore::draw_instance(topology, n, k, rng);
-  request.node_count = drawn.node_count;
-  request.homes = std::move(drawn.homes);
-  request.topology = std::move(drawn.topology);
+  request.seed = options.base_seed;
+  request.faults = options.faults;
+  if (!options.fixed_homes.empty()) {
+    request.node_count = options.fixed_nodes;
+    request.homes = options.fixed_homes;
+  } else {
+    // --nodes sizes the underlying network for tree/graph; the recorded
+    // instance is its Euler-tour virtual ring, so the trace replays
+    // stand-alone.
+    Rng rng(options.base_seed);
+    explore::DrawnInstance drawn =
+        explore::draw_instance(options.topology, n, k, rng);
+    request.node_count = drawn.node_count;
+    request.homes = std::move(drawn.homes);
+    request.topology = std::move(drawn.topology);
+  }
   const explore::ScheduleTrace trace = explore::record_trace(request);
   if (!write_text_file(path, trace.to_text())) {
     std::cerr << "udring_fuzz: cannot write " << path << '\n';
@@ -177,7 +187,8 @@ int main(int argc, char** argv) {
                 "ring")
             .value_or("ring");
     const std::size_t n = cli.get_size(
-        "nodes", 16, "ring size (or underlying network size) for --record");
+        "nodes", 16,
+        "ring size (or underlying network size) for --record or --homes");
     const std::size_t k = cli.get_size("agents", 4, "agent count for --record");
     // A malformed or zero budget must not silently turn the CI fuzz gate
     // into a no-op pass; fall back to the default and say so.
@@ -248,8 +259,8 @@ int main(int argc, char** argv) {
     }
     const std::string homes_csv =
         cli.get("homes",
-                "comma-separated home nodes: fuzz this fixed instance "
-                "(with --nodes) instead of drawing sizes",
+                "comma-separated home nodes: fuzz or record this fixed ring "
+                "instance (with --nodes) instead of drawing one",
                 "")
             .value_or("");
     if (!homes_csv.empty()) {
@@ -272,23 +283,62 @@ int main(int argc, char** argv) {
       std::cerr << "udring_fuzz: --fault-min-phase needs --inject-non-fifo\n";
       return 2;
     }
-    if (!replay_path.empty()) return replay_mode(replay_path);
+    // A flag the chosen mode would ignore is a usage error: the run would
+    // silently differ from the one asked for.
+    const auto reject_with = [&cli](const std::string& flag,
+                                    const std::string& mode) {
+      if (cli.has(flag)) {
+        throw std::invalid_argument("--" + flag + " cannot be combined with " +
+                                    mode);
+      }
+    };
+    if (!replay_path.empty()) {
+      // A replay rebuilds its run from the trace alone.
+      for (const std::string& flag : cli.flags()) {
+        if (flag != "replay") reject_with(flag, "--replay");
+      }
+      return replay_mode(replay_path);
+    }
 
     options.algorithm = explore::algorithm_from_name(algorithm_name);
     options.problem.kind = core::problem_from_name(problem_name);
     if (options.problem.kind == core::Problem::Gather) {
       options.problem.gather_g = gather_g;
+    } else if (cli.has("gather-g")) {
+      throw std::invalid_argument("--gather-g needs --problem=gather");
     } else if (options.problem.kind != core::Problem::Auto) {
       options.problem.gather_g = 0;  // the parameter belongs to gather only
     }
     options.topology = explore::fuzz_topology_from_name(topology_name);
     options.oracle = explore::oracle_mode_from_name(oracle_name);
     if (!record_path.empty()) {
-      return record_mode(record_path, options.algorithm, options.problem,
-                         options.topology, n, k,
+      for (const char* flag :
+           {"iterations", "min-nodes", "max-nodes", "min-agents", "max-agents",
+            "workers", "oracle", "oracle-full-every", "max-failures", "faults",
+            "out"}) {
+        reject_with(flag, "--record");
+      }
+      if (!homes_csv.empty()) {
+        // Fixed homes name ring nodes and fix k.
+        if (options.topology != explore::FuzzTopology::Ring) {
+          throw std::invalid_argument("--homes only supports --topology=ring");
+        }
+        if (cli.has("agents") && k != options.fixed_homes.size()) {
+          throw std::invalid_argument(
+              "--agents=" + std::to_string(k) + " disagrees with the " +
+              std::to_string(options.fixed_homes.size()) + " --homes given");
+        }
+      }
+      return record_mode(record_path, options, n, k,
                          explore::explore_scheduler_from_name(
-                             sched_name.empty() ? "round-robin" : sched_name),
-                         options.base_seed, options.faults);
+                             sched_name.empty() ? "round-robin" : sched_name));
+    }
+    // Fuzz mode draws each instance from the size ranges, or runs --homes.
+    if (cli.has("agents")) {
+      throw std::invalid_argument("--agents needs --record");
+    }
+    if (homes_csv.empty() && cli.has("nodes")) {
+      throw std::invalid_argument("--nodes needs --homes or --record");
     }
     if (!sched_name.empty()) {
       options.schedulers = {explore::explore_scheduler_from_name(sched_name)};

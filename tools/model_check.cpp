@@ -151,6 +151,15 @@ int main(int argc, char** argv) {
       std::cerr << "udring_mc: --fault-min-phase needs --inject-non-fifo\n";
       return 2;
     }
+    // Flags only another mode reads: the walk would silently ignore them.
+    if (cli.has("seeds") && !grid_mode) {
+      std::cerr << "udring_mc: --seeds needs --grid\n";
+      return 2;
+    }
+    if (cli.has("fault-max-action") && fault_budget_spec.empty()) {
+      std::cerr << "udring_mc: --fault-max-action needs --fault-budget\n";
+      return 2;
+    }
     if (homes_csv.empty() && k > n) {
       // The instance draw would quietly clamp k to n and verify an instance
       // the caller never asked for.
@@ -187,6 +196,9 @@ int main(int argc, char** argv) {
     problem.kind = core::problem_from_name(problem_name);
     if (problem.kind == core::Problem::Gather) {
       problem.gather_g = gather_g;
+    } else if (cli.has("gather-g")) {
+      std::cerr << "udring_mc: --gather-g needs --problem=gather\n";
+      return 2;
     } else if (problem.kind != core::Problem::Auto) {
       problem.gather_g = 0;  // the parameter belongs to gather only
     }
