@@ -6,8 +6,7 @@
 // carries events, so a default-constructed SimOptions (fault plan "off")
 // and an explicitly installed empty plan must time within noise of each
 // other AND produce byte-identical runs — the report section below checks
-// the equality and exits nonzero on any mismatch, the timing rows are
-// guarded by scripts/bench_compare.py against the committed baseline.
+// the equality and exits nonzero on any mismatch.
 //
 //   bench_fault_overhead                       # report + timings
 //   bench_fault_overhead --benchmark_filter=none   # digest A/B only

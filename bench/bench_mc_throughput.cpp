@@ -5,8 +5,7 @@
 // Both walks claim configurations in one visited store, so they expand the
 // same closure; sharding buys parallel wall-clock for one state copy per
 // shard root, and racing claims change only WHO expands a state, never the
-// counts. The google-benchmark timings land in the BENCH_mc.json CI
-// artifact like bench_campaign_engine's.
+// counts.
 //
 // Set UDRING_MC_SMOKE=1 for the tiny CI grid.
 
@@ -131,8 +130,6 @@ void register_timings() {
     bool dedup;
     std::size_t frontier, workers;
   };
-  // bench_compare matches rows by name, so a renamed row reads as one
-  // removed and one added.
   static constexpr TimingCase kCases[] = {
       {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, 1, 1},
       {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, 8, 8},

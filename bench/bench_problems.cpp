@@ -16,10 +16,7 @@
 //     report digest match between the serial walk and a frontier-sharded
 //     parallel walk.
 //
-// Set UDRING_PROBLEMS_SMOKE=1 for the CI-sized version. The
-// google-benchmark timings land in BENCH_problems.json via the bench-smoke
-// CI job and are diffed against the committed baseline by
-// scripts/bench_compare.py.
+// Set UDRING_PROBLEMS_SMOKE=1 for the CI-sized version.
 
 #include <cstdlib>
 #include <string>
@@ -192,7 +189,7 @@ void print_report() {
   report_exhaustive();
 }
 
-// ---- google-benchmark timings (the BENCH_problems.json trajectory) ----------
+// ---- google-benchmark timings -----------------------------------------------
 
 void register_timings() {
   register_timing("deploy/known_k_full/n=64/k=8", core::Algorithm::KnownKFull,

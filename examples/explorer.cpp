@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "config/generators.h"
 #include "core/runner.h"
@@ -99,6 +100,12 @@ int main(int argc, char** argv) {
   if (cli.wants_help()) {
     cli.print_help("udring explorer: any algorithm × configuration × scheduler");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   Rng rng(seed);

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "config/generators.h"
 #include "core/premature_halt.h"
@@ -30,6 +31,12 @@ int main(int argc, char** argv) {
   if (cli.wants_help()) {
     cli.print_help("Theorem 5 demonstration: no termination detection without k or n");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   const std::size_t n = 12;

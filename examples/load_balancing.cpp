@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "config/generators.h"
@@ -50,6 +51,12 @@ int main(int argc, char** argv) {
     cli.print_help(
         "replica placement via uniform deployment (agents know neither k nor n)");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   Rng rng(seed);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "config/generators.h"
@@ -59,6 +60,12 @@ int main(int argc, char** argv) {
   if (cli.wants_help()) {
     cli.print_help("patrol-service staleness before/after uniform deployment");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   Rng rng(seed);

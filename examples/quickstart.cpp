@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "config/generators.h"
 #include "core/runner.h"
@@ -40,6 +41,12 @@ int main(int argc, char** argv) {
   if (cli.wants_help()) {
     cli.print_help("uniform deployment quickstart (Algorithm 1, known k)");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   Rng rng(seed);

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "config/generators.h"
 #include "core/runner.h"
@@ -27,6 +28,12 @@ int main(int argc, char** argv) {
   if (cli.wants_help()) {
     cli.print_help("relaxed uniform deployment cost as a function of symmetry degree");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   std::cout << "symmetry_adaptive: relaxed algorithm on n=" << n << ", k=" << k

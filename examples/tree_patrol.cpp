@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <set>
+#include <stdexcept>
 
 #include "embed/tree_deploy.h"
 #include "sim/checker.h"
@@ -44,6 +45,12 @@ int main(int argc, char** argv) {
   if (cli.wants_help()) {
     cli.print_help("uniform deployment on trees via the Euler-tour embedding (§5)");
     return EXIT_SUCCESS;
+  }
+  try {
+    cli.reject_bad_flags();  // a misspelt or repeated flag is a usage error
+  } catch (const std::invalid_argument& error) {
+    std::cerr << argv[0] << ": " << error.what() << '\n';
+    return 2;
   }
 
   Rng rng(seed);

@@ -432,7 +432,7 @@ std::uint64_t CampaignResult::digest() const {
     fold64(state, key.agent_count);
     fold64(state, key.symmetry);
     // Folded only for an explicit problem: the default Auto axis reproduces
-    // the pre-problem digest bytes (BENCH_campaign.json et al. stay pinned).
+    // the pre-problem digest bytes, which the engine-grid digest pins.
     if (key.problem.kind != core::Problem::Auto) {
       fold64(state, static_cast<std::uint64_t>(key.problem.kind));
       fold64(state, key.problem.gather_g);

@@ -1,14 +1,16 @@
 // udring/util/cli.h
 //
-// A tiny command-line flag parser for the example binaries. Supports the
-// unambiguous forms `--name=value`, boolean `--name`, and `--help`; anything
-// else is positional. Examples stay dependency-free while still being
-// configurable (ring size, agent count, scheduler, seed). Numeric values are
-// strict: parse_unsigned rejects what std::stoull would quietly accept.
+// A tiny command-line flag parser for the tools and example binaries.
+// Supports the unambiguous forms `--name=value`, boolean `--name`, and
+// `--help`; anything else is positional. Numeric values are strict:
+// parse_unsigned rejects what std::stoull would quietly accept.
+//
+// A program with modes (udring_fuzz: replay | record | fuzz) names them in
+// the constructor, and each flag names the modes that read it, so the one
+// reject_bad_flags(mode) call rejects every given flag the run never reads.
 
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -35,42 +37,52 @@ namespace udring {
 /// Parsed command line. Construct from main()'s argc/argv, then query flags.
 class Cli {
  public:
-  Cli(int argc, const char* const* argv);
+  /// Mode names. A flag's `modes` are those that read it; empty = all.
+  using Modes = std::vector<std::string>;
+
+  /// `modes` names the program's modes; empty for a program without any.
+  Cli(int argc, const char* const* argv, Modes modes = {});
 
   /// Registers a flag for --help output and returns its value if present.
   [[nodiscard]] std::optional<std::string> get(const std::string& name,
                                                const std::string& help,
-                                               const std::string& fallback = "");
+                                               const std::string& fallback = "",
+                                               const Modes& modes = {});
 
   /// Typed accessors with defaults. Values go through parse_unsigned, so a
   /// malformed, negative or overflowing number throws std::invalid_argument
   /// naming the flag.
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback,
-                                     const std::string& help);
+                                     const std::string& help,
+                                     const Modes& modes = {});
   [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t fallback,
-                                      const std::string& help);
-  [[nodiscard]] bool get_flag(const std::string& name, const std::string& help);
+                                      const std::string& help,
+                                      const Modes& modes = {});
+  [[nodiscard]] bool get_flag(const std::string& name, const std::string& help,
+                              const Modes& modes = {});
 
   /// True if `--name` appeared on the command line, with or without a value.
   [[nodiscard]] bool has(const std::string& name) const {
     return values_.contains(name);
   }
 
-  /// Flag names (without "--") in command-line order.
-  [[nodiscard]] const std::vector<std::string>& flags() const noexcept {
-    return flags_;
-  }
+  /// Declares that the registered flag `name` is read only when `read`
+  /// holds, a condition on other flags' values that `when` spells out
+  /// ("with --problem=gather"). A later call replaces the condition.
+  void read_only_if(const std::string& name, bool read, std::string when);
 
   /// Throws std::invalid_argument naming the first flag, in command-line
-  /// order, that no get* call registered or that was given more than once.
-  /// Call it once every flag is registered, so a misspelt, retired or
-  /// repeated flag is a usage error instead of a silently different run.
-  void reject_bad_flags() const;
+  /// order, that no get* call registered, that was given more than once,
+  /// that `mode` does not read, or that read_only_if says goes unread. Call
+  /// it once every flag is registered, so a misspelt, retired, repeated or
+  /// ignored flag is a usage error instead of a silently different run.
+  void reject_bad_flags(std::string_view mode = {}) const;
 
   /// True if --help was passed; callers should print_help() and exit.
   [[nodiscard]] bool wants_help() const noexcept { return help_requested_; }
 
-  /// Prints a usage block listing every flag registered via get* calls.
+  /// Prints a usage block listing every flag registered via get* calls and
+  /// the modes that read it.
   void print_help(const std::string& program_description) const;
 
   /// Positional (non-flag) arguments in order.
@@ -79,16 +91,25 @@ class Cli {
   }
 
  private:
+  struct Flag {
+    std::string name, help, fallback;  // fallback = default shown in --help
+    Modes modes;
+    std::optional<std::string> unread_unless;  // `when` of a false read_only_if
+  };
+
   std::string program_;
+  Modes modes_;
   std::map<std::string, std::string> values_;
-  std::vector<std::string> flags_;  // flag names in command-line order
+  std::vector<std::string> given_;  // flag names in command-line order
   std::vector<std::string> positional_;
-  // name -> (help text, default shown in --help)
-  mutable std::vector<std::array<std::string, 3>> registered_;
+  std::vector<Flag> registered_;
   bool help_requested_ = false;
 
-  void register_flag(const std::string& name, const std::string& help,
-                     const std::string& fallback) const;
+  /// Registers the flag (once) and returns its value; nullptr if not given.
+  const std::string* register_flag(const std::string& name,
+                                   const std::string& help,
+                                   const std::string& fallback,
+                                   const Modes& modes);
 };
 
 }  // namespace udring

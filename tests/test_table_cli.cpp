@@ -137,30 +137,48 @@ TEST(Cli, UnsignedListsRejectEmptyAndMalformedEntries) {
 }
 
 TEST(Cli, RejectsUnregisteredFlagsInCommandLineOrder) {
-  const char* argv[] = {"prog", "--n=8", "--no-such-flag", "--lanes=4",
-                        "pos1"};
-  Cli cli(5, argv);
-  (void)cli.get_size("n", 6, "ring size");
-  const auto reject = [&] {
-    cli.reject_bad_flags();
-    return 0;
+  // One pass in command-line order: a flag no get* registered, one the
+  // selected mode does not read, and one whose read condition is false.
+  const char* argv[] = {"prog",      "--n=8", "--no-such-flag", "--lanes=4",
+                        "--out=x", "--g=3", "pos1"};
+  Cli cli(7, argv, {"run", "merge"});
+  (void)cli.get_size("n", 6, "ring size");  // read in every mode
+  (void)cli.get("out", "shard file", "", {"run"});
+  (void)cli.get_size("g", 2, "group size");
+  cli.read_only_if("g", false, "with --problem=gather");
+  const auto reject = [&](const char* mode) {
+    return [&cli, mode] {
+      cli.reject_bad_flags(mode);
+      return 0;
+    };
   };
-  expect_rejected(reject, "--no-such-flag", "unknown flag");
+  expect_rejected(reject("run"), "--no-such-flag", "unknown flag");
   (void)cli.get_flag("no-such-flag", "registered late");
-  expect_rejected(reject, "--lanes", "unknown flag");
-  (void)cli.get_size("lanes", 0, "registered late");
-  EXPECT_NO_THROW(cli.reject_bad_flags());  // positionals are not flags
+  expect_rejected(reject("run"), "--lanes", "unknown flag");
+  (void)cli.get_size("lanes", 0, "registered late", {"run", "merge"});
+  // --n (no modes) and --lanes (both modes) pass in merge mode; --out not.
+  expect_rejected(reject("merge"), "--out", "not read in merge mode");
+  expect_rejected(reject("run"), "--g", "read only with --problem=gather");
+  cli.read_only_if("g", true, "with --problem=gather");
+  EXPECT_NO_THROW(cli.reject_bad_flags("run"));  // positionals are not flags
+  // Mode names are the program's own: a typo is a programming error.
+  EXPECT_THROW(cli.reject_bad_flags("shard"), std::logic_error);
+  EXPECT_THROW(cli.reject_bad_flags(), std::logic_error);
+  EXPECT_THROW((void)cli.get_flag("summary", "table", {"shard"}),
+               std::logic_error);
 }
 
 TEST(Cli, RejectsRepeatedFlags) {
   // Last-wins parsing ran a different instance than the first value named.
-  const char* argv[] = {"prog", "--n=8", "--verbose", "--n=6"};
-  Cli cli(4, argv);
+  const char* argv[] = {"prog", "--n=8", "--verbose", "--n=6", "--out=x"};
+  Cli cli(5, argv, {"run", "merge"});
   EXPECT_EQ(cli.get_size("n", 6, "ring size"), 6u);
   EXPECT_TRUE(cli.get_flag("verbose", "chatty"));
+  (void)cli.get("out", "shard file", "", {"run"});
+  // The repeat comes first on the command line, so it is the one named.
   expect_rejected(
       [&] {
-        cli.reject_bad_flags();
+        cli.reject_bad_flags("merge");
         return 0;
       },
       "--n", "given more than once");
@@ -236,18 +254,30 @@ TEST(Cli, FuzzRecordRunsTheNamedHomes) {
 }
 
 TEST(Cli, ModelCheckAndFuzzToolsRejectFlagsTheirModeIgnores) {
-  // Each of these ran and exited 0, ignoring the flag its mode never reads.
+  // Each of these ran and exited 0, ignoring the flag its mode never reads:
+  // --homes replaces the instance draw --seed feeds, grid cells are rings,
+  // and only a dedup walk sharded over more than one worker reserves the
+  // visited store.
   for (const char* bad :
        {"--seeds=5", "--fault-max-action=4", "--gather-g=3",
-        "--problem=deploy --gather-g=3"}) {
+        "--problem=deploy --gather-g=3", "--homes=0,3 --seed=5",
+        "--grid --topology=ring",
+        "--shared-visited-capacity=16",
+        "--frontier=4 --workers=1 --shared-visited-capacity=16",
+        "--no-dedup --frontier=4 --workers=2 --shared-visited-capacity=16"}) {
     EXPECT_EQ(run_tool(UDRING_MC_BINARY,
                        std::string("--algo=known-k-full --n=6 --k=2 ") + bad),
               2)
         << bad;
   }
-  EXPECT_EQ(run_tool(UDRING_MC_BINARY,
-                     "--algo=known-k-full --n=6 --k=2 --grid --seeds=2"),
-            0);
+  for (const char* good :
+       {"--grid --seeds=2", "--grid --seed=5",
+        "--frontier=4 --workers=2 --shared-visited-capacity=4096"}) {
+    EXPECT_EQ(run_tool(UDRING_MC_BINARY,
+                       std::string("--algo=known-k-full --n=6 --k=2 ") + good),
+              0)
+        << good;
+  }
   // A verdict (a rewiring breaks this instance), not a usage error.
   EXPECT_EQ(run_tool(UDRING_MC_BINARY,
                      "--algo=known-k-full --n=6 --k=2 --homes=0,3 "
@@ -279,16 +309,25 @@ TEST(Cli, ModelCheckAndFuzzToolsRejectFlagsTheirModeIgnores) {
               2)
         << bad;
   }
-  // Fuzz mode draws each instance from the size ranges, or runs --homes.
-  for (const char* bad : {"--agents=3", "--nodes=12", "--gather-g=3",
-                          "--problem=deploy --gather-g=3"}) {
+  // Fuzz mode draws each instance from the size ranges, or runs --homes;
+  // only the incremental oracle re-walks periodically.
+  for (const char* bad :
+       {"--agents=3", "--nodes=12", "--gather-g=3",
+        "--problem=deploy --gather-g=3",
+        "--homes=0,5 --nodes=10 --min-nodes=8",
+        "--homes=0,5 --nodes=10 --max-nodes=12",
+        "--homes=0,5 --nodes=10 --min-agents=2",
+        "--homes=0,5 --nodes=10 --max-agents=3", "--oracle-full-every=7"}) {
     EXPECT_EQ(
         run_tool(UDRING_FUZZ_BINARY, std::string("--iterations=1 ") + bad), 2)
         << bad;
   }
-  EXPECT_EQ(
-      run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --nodes=12 --homes=0,6"),
-      0);
+  for (const char* good : {"--nodes=12 --homes=0,6", "--homes=0,5 --nodes=10",
+                           "--oracle=incremental --oracle-full-every=7"}) {
+    EXPECT_EQ(
+        run_tool(UDRING_FUZZ_BINARY, std::string("--iterations=1 ") + good), 0)
+        << good;
+  }
   for (const std::string& path : {trace, fresh}) std::remove(path.c_str());
 }
 
@@ -318,12 +357,19 @@ TEST(Cli, CampaignToolRejectsFlagsItsModeIgnores) {
                      shard_run + " --checkpoint=" + other + ".ckpt"),
             2);
   EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY, shard_run + " --summary"), 2);
-  for (const char* bad : {"--allow-partial", "--out=x.bin"}) {
+  // Without a checkpoint file, --checkpoint-every would only cut the same
+  // folds into blocks.
+  for (const char* bad :
+       {"--allow-partial", "--out=x.bin", "--checkpoint-every=4"}) {
     EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
                        std::string("--grid=smoke --workers=1 ") + bad),
               2)
         << bad;
   }
+  EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
+                     "--grid=smoke --workers=1 --checkpoint-every=4 "
+                     "--checkpoint=" + other + ".ckpt"),
+            0);
   for (const std::string& path : {shard, other, other + ".ckpt"}) {
     std::remove(path.c_str());
   }
@@ -331,14 +377,21 @@ TEST(Cli, CampaignToolRejectsFlagsItsModeIgnores) {
 
 TEST(Cli, HelpFlagDetected) {
   const char* argv[] = {"prog", "--help"};
-  Cli cli(2, argv);
+  Cli cli(2, argv, {"run", "merge"});
   EXPECT_TRUE(cli.wants_help());
   testing::internal::CaptureStdout();
   (void)cli.get_size("n", 1, "ring size");
+  (void)cli.get_flag("allow-partial", "fold a partial shard set", {"merge"});
   cli.print_help("test program");
   const std::string help = testing::internal::GetCapturedStdout();
   EXPECT_NE(help.find("--n"), std::string::npos);
   EXPECT_NE(help.find("ring size"), std::string::npos);
+  // The modes, and each flag read in only some of them with its list.
+  EXPECT_NE(help.find("Modes: run, merge."), std::string::npos) << help;
+  EXPECT_NE(help.find("--allow-partial (default: false) [modes: merge]\n"),
+            std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--n (default: 1)\n"), std::string::npos) << help;
 }
 
 }  // namespace

@@ -16,6 +16,10 @@
 // single-process run (the reference for digest comparisons) is the default
 // mode, and honors --checkpoint/--checkpoint-every the same way.
 //
+// The modes are run (the default), shard and merge; each flag names the
+// modes that read it (see --help), and any other given flag is a usage
+// error.
+//
 // Exit codes: 0 = success, 1 = campaign/merge failure (fingerprint mismatch,
 // overlapping shards, corrupt file, IO), 2 = usage error.
 
@@ -23,6 +27,7 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,69 +84,55 @@ void print_result(const exp::CampaignResult& result, bool summary) {
 }
 
 int run(int argc, char** argv) {
-  Cli cli(argc, argv);
+  Cli cli(argc, argv, {"run", "shard", "merge"});
+  const Cli::Modes sweep = {"run", "shard"};  // the modes that run the grid
   const std::string grid_name =
       *cli.get("grid", "grid preset: engine (1568 scenarios) or smoke",
-               "engine");
+               "engine", sweep);
   // Cli::get returns nullopt for an absent flag with an empty fallback.
   const std::string shard_spec =
-      cli.get("shard", "run only slice i of N equal slices (i/N)")
+      cli.get("shard", "run only slice i of N equal slices (i/N)", "",
+              {"shard"})
           .value_or("");
   const std::string out_path =
-      cli.get("out", "shard-file path for --shard (doubles as checkpoint)")
+      cli.get("out", "shard-file path for --shard (doubles as checkpoint)", "",
+              {"shard"})
           .value_or("");
   const std::string checkpoint_path =
-      cli.get("checkpoint", "checkpoint file for a whole-grid run")
+      cli.get("checkpoint", "checkpoint file for a whole-grid run", "", {"run"})
           .value_or("");
   const std::size_t checkpoint_every = cli.get_size(
       "checkpoint-every", 0,
-      "scenarios per checkpoint write (0 = only the final file)");
+      "scenarios per checkpoint write (0 = only the final file)", sweep);
   const std::size_t seeds =
-      cli.get_size("seeds", 0, "override the preset's seeds per cell");
+      cli.get_size("seeds", 0, "override the preset's seeds per cell", sweep);
   const std::uint64_t base_seed =
-      cli.get_u64("base-seed", 0, "override the preset's base seed");
+      cli.get_u64("base-seed", 0, "override the preset's base seed", sweep);
   const std::size_t workers =
-      cli.get_size("workers", 0, "worker threads (0 = hardware)");
+      cli.get_size("workers", 0, "worker threads (0 = hardware)", sweep);
   const bool merge =
       cli.get_flag("merge", "merge the positional shard files instead");
   const bool allow_partial = cli.get_flag(
-      "allow-partial", "merge even when the shards do not tile the sweep");
-  const bool summary =
-      cli.get_flag("summary", "print the per-cell table, not just the digest");
+      "allow-partial", "merge even when the shards do not tile the sweep",
+      {"merge"});
+  const bool summary = cli.get_flag(
+      "summary", "print the per-cell table, not just the digest",
+      {"run", "merge"});
   if (cli.wants_help()) {
     cli.print_help("Sharded campaign driver: run grid slices as separate "
                    "processes and merge their shard files byte-identically.");
     return 0;
   }
-  cli.reject_bad_flags();
-  // A flag the chosen mode would ignore or override is a usage error: the
-  // run would silently differ from the one asked for.
-  const auto reject_with = [&cli](const char* flag, const std::string& mode) {
-    if (cli.has(flag)) {
-      throw std::invalid_argument("--" + std::string(flag) +
-                                  " cannot be combined with " + mode);
-    }
-  };
-  if (merge) {
-    for (const char* flag : {"grid", "shard", "out", "checkpoint",
-                             "checkpoint-every", "seeds", "base-seed",
-                             "workers"}) {
-      reject_with(flag, "--merge");
-    }
-  } else if (cli.has("allow-partial")) {
-    throw std::invalid_argument("--allow-partial needs --merge");
-  } else if (!shard_spec.empty()) {
-    // The shard's checkpoint is its --out file; it prints no table.
-    reject_with("checkpoint", "--shard");
-    reject_with("summary", "--shard");
-  } else if (cli.has("out")) {
-    throw std::invalid_argument("--out needs --shard");
-  }
+  const std::string mode = merge ? "merge" : cli.has("shard") ? "shard" : "run";
+  // Without a checkpoint file the blocks only partition the same folds.
+  cli.read_only_if("checkpoint-every",
+                   mode == "shard" || !checkpoint_path.empty(),
+                   "with --shard or --checkpoint");
+  cli.reject_bad_flags(mode);
 
-  if (merge) {
+  if (mode == "merge") {
     if (cli.positional().empty()) {
-      std::cerr << "udring_campaign: --merge needs shard file paths\n";
-      return 2;
+      throw std::invalid_argument("--merge needs shard file paths");
     }
     std::vector<exp::ShardFile> shards;
     shards.reserve(cli.positional().size());
@@ -161,10 +152,9 @@ int run(int argc, char** argv) {
   options.workers = workers;
   options.checkpoint_every_scenarios = checkpoint_every;
 
-  if (!shard_spec.empty()) {
+  if (mode == "shard") {
     if (out_path.empty()) {
-      std::cerr << "udring_campaign: --shard needs --out=<shard file>\n";
-      return 2;
+      throw std::invalid_argument("--shard needs --out=<shard file>");
     }
     const auto [index, count] = parse_shard_spec(shard_spec);
     options.checkpoint_path = out_path;

@@ -2,7 +2,7 @@
 //
 // The schedule explorer's command-line face: fuzz, record, replay.
 //
-//   udring_fuzz                              # fuzz (budget from UDRING_FUZZ_BUDGET)
+//   udring_fuzz                              # fuzz 200 iterations
 //   udring_fuzz --algorithm=known-k-logmem-strict --inject-non-fifo
 //               --iterations=500 --out=fuzz-artifacts
 //   udring_fuzz --topology=tree --iterations=300     # fuzz on Euler-tour rings
@@ -12,8 +12,9 @@
 //   udring_fuzz --record=trace.txt --nodes=10 --homes=0,5
 //   udring_fuzz --replay=trace.txt
 //
-// Each mode takes only the flags it reads; any other flag is a usage error
-// (exit 2), as is an unknown or repeated flag.
+// The modes are replay, record and fuzz; each flag names the modes that
+// read it (see --help), and any other given flag is a usage error (exit 2),
+// as is an unknown or repeated flag.
 //
 // Fuzz mode exits 1 when a failure is found; each failure is shrunk to a
 // minimal trace and written under --out so CI can upload it as an artifact
@@ -23,12 +24,10 @@
 // identically exits 0) — so corpus files double as self-verifying
 // regression inputs.
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,6 +35,7 @@
 
 #include "explore/fuzz.h"
 #include "explore/shrink.h"
+#include "tool_flags.h"
 #include "util/cli.h"
 #include "util/io.h"
 
@@ -43,17 +43,10 @@ namespace {
 
 using namespace udring;
 
-[[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 int replay_mode(const std::string& path) {
-  const explore::ScheduleTrace trace =
-      explore::ScheduleTrace::parse(read_file(path));
+  const std::optional<std::string> text = read_binary_file(path);
+  if (!text) throw std::runtime_error("cannot open " + path);
+  const explore::ScheduleTrace trace = explore::ScheduleTrace::parse(*text);
   const explore::ReplayOutcome outcome = explore::replay_trace(trace);
   std::cout << "replayed " << path << ": " << outcome.actions << " actions, digest "
             << outcome.digest << (outcome.failed ? " FAILED: " + outcome.reason
@@ -98,8 +91,7 @@ int record_mode(const std::string& path, const explore::FuzzOptions& options,
   }
   const explore::ScheduleTrace trace = explore::record_trace(request);
   if (!write_text_file(path, trace.to_text())) {
-    std::cerr << "udring_fuzz: cannot write " << path << '\n';
-    return 2;
+    throw std::runtime_error("cannot write " + path);
   }
   std::cout << "recorded " << path << ": " << trace.choices.size()
             << " choices, digest " << trace.expected_digest << ", outcome "
@@ -156,119 +148,79 @@ int fuzz_mode(const explore::FuzzOptions& options, const std::string& out_dir) {
 
 int main(int argc, char** argv) {
   try {
-    Cli cli(argc, argv);
+    Cli cli(argc, argv, {"replay", "record", "fuzz"});
+    const Cli::Modes run = {"record", "fuzz"};  // both run the algorithm
+    explore::FuzzOptions options;
     const std::string replay_path =
-        cli.get("replay", "replay a trace file and verify its digest").value_or("");
+        cli.get("replay", "replay a trace file and verify its digest", "",
+                {"replay"})
+            .value_or("");
     const std::string record_path =
-        cli.get("record", "record one run to this trace file").value_or("");
-    const std::string algorithm_name =
-        cli.get("algorithm", "algorithm under test", "known-k-full")
-            .value_or("known-k-full");
-    const std::string problem_name =
-        cli.get("problem",
-                "goal oracle the runs are judged against: "
-                "auto|deploy|gather|disperse (auto = the algorithm's natural "
-                "problem)",
-                "auto")
-            .value_or("auto");
-    const std::size_t gather_g =
-        cli.get_size("gather-g", 2,
-                     "group size g for --problem=gather (0 = total gathering)");
+        cli.get("record", "record one run to this trace file", "", {"record"})
+            .value_or("");
+    options.algorithm = explore::algorithm_from_name(
+        *cli.get("algorithm", "algorithm under test", "known-k-full", run));
+    options.problem = tools::problem_flags(cli, run);
     const std::string sched_name =
         cli.get("sched",
                 "scheduler for --record; fuzz pool restriction otherwise "
                 "(empty = all kinds)",
-                "")
+                "", run)
             .value_or("");
-    const std::string topology_name =
-        cli.get("topology",
-                "instance topology: ring|tree|graph (tree/graph fuzz and "
-                "record on the Euler-tour virtual ring of a random network)",
-                "ring")
-            .value_or("ring");
+    options.topology = explore::fuzz_topology_from_name(
+        *cli.get("topology",
+                 "instance topology: ring|tree|graph (tree/graph fuzz and "
+                 "record on the Euler-tour virtual ring of a random network)",
+                 "ring", run));
     const std::size_t n = cli.get_size(
         "nodes", 16,
-        "ring size (or underlying network size) for --record or --homes");
-    const std::size_t k = cli.get_size("agents", 4, "agent count for --record");
-    // A malformed or zero budget must not silently turn the CI fuzz gate
-    // into a no-op pass; fall back to the default and say so.
-    std::size_t default_budget = 200;
-    if (const char* budget_env = std::getenv("UDRING_FUZZ_BUDGET")) {
-      std::uint64_t parsed = 0;
-      try {
-        parsed = parse_unsigned(budget_env, "UDRING_FUZZ_BUDGET");
-      } catch (const std::invalid_argument&) {
-        // Reported below like a zero budget.
-      }
-      if (parsed > 0 && std::in_range<std::size_t>(parsed)) {
-        default_budget = static_cast<std::size_t>(parsed);
-      } else {
-        std::cerr << "udring_fuzz: ignoring invalid UDRING_FUZZ_BUDGET='"
-                  << budget_env << "', using " << default_budget << '\n';
-      }
-    }
-    explore::FuzzOptions options;
+        "ring size (or underlying network size) for --record or --homes", run);
+    const std::size_t k =
+        cli.get_size("agents", 4, "agent count for --record", {"record"});
     options.iterations =
-        cli.get_size("iterations", default_budget,
-                     "fuzz budget (default: $UDRING_FUZZ_BUDGET or 200)");
-    options.base_seed = cli.get_u64("seed", 1, "base seed");
-    options.min_nodes = cli.get_size("min-nodes", 8, "minimum ring size");
-    options.max_nodes = cli.get_size("max-nodes", 24, "maximum ring size");
-    options.min_agents = cli.get_size("min-agents", 2, "minimum agent count");
-    options.max_agents = cli.get_size("max-agents", 6, "maximum agent count");
-    options.workers = cli.get_size("workers", 0, "worker threads (0 = all cores)");
-    const std::string oracle_name =
-        cli.get("oracle",
-                "per-action invariant oracle: full (re-walk every node each "
-                "action) | incremental (O(dirty) footprint revalidation + "
-                "periodic full re-walk; use for --min-nodes >> 100)",
-                "full")
-            .value_or("full");
+        cli.get_size("iterations", 200, "fuzz budget", {"fuzz"});
+    options.base_seed = cli.get_u64("seed", 1, "base seed", run);
+    options.min_nodes =
+        cli.get_size("min-nodes", 8, "minimum ring size", {"fuzz"});
+    options.max_nodes =
+        cli.get_size("max-nodes", 24, "maximum ring size", {"fuzz"});
+    options.min_agents =
+        cli.get_size("min-agents", 2, "minimum agent count", {"fuzz"});
+    options.max_agents =
+        cli.get_size("max-agents", 6, "maximum agent count", {"fuzz"});
+    options.workers =
+        cli.get_size("workers", 0, "worker threads (0 = all cores)", {"fuzz"});
+    options.oracle = explore::oracle_mode_from_name(
+        *cli.get("oracle",
+                 "per-action invariant oracle: full (re-walk every node each "
+                 "action) | incremental (O(dirty) footprint revalidation + "
+                 "periodic full re-walk; use for --min-nodes >> 100)",
+                 "full", {"fuzz"}));
     options.oracle_full_check_every = cli.get_size(
         "oracle-full-every", 1024,
-        "incremental oracle: full re-walk every N actions (0 = never)");
-    options.max_recorded_failures =
-        cli.get_size("max-failures", 8, "failing traces to keep and shrink");
-    options.faults.non_fifo = cli.get_flag(
-        "inject-non-fifo", "TEST-ONLY: weaken the FIFO link guarantee");
-    options.faults.non_fifo_min_phase = cli.get_size(
-        "fault-min-phase", 0,
-        "restrict the non-FIFO fault to actions at/after this phase tag "
-        "(needs --inject-non-fifo)");
-    const std::string faults_spec =
+        "incremental oracle: full re-walk every N actions (0 = never)",
+        {"fuzz"});
+    options.max_recorded_failures = cli.get_size(
+        "max-failures", 8, "failing traces to keep and shrink", {"fuzz"});
+    options.faults = tools::non_fifo_flags(cli, run);
+    const mc::FaultBudget budget = tools::parse_fault_budget(
         cli.get("faults",
                 "per-iteration fault budgets, comma list of crash=N and "
                 "rewire=N (e.g. --faults=crash=1,rewire=2); drawn faults land "
                 "in each trace and replay byte-identically",
-                "")
-            .value_or("");
-    if (!faults_spec.empty()) {
-      std::istringstream list(faults_spec);
-      for (std::string item; std::getline(list, item, ',');) {
-        const std::size_t eq = item.find('=');
-        const std::string key = item.substr(0, eq);
-        if (eq == std::string::npos || (key != "crash" && key != "rewire")) {
-          throw std::invalid_argument("--faults: bad token '" + item +
-                                      "' (want crash=N or rewire=N)");
-        }
-        (key == "crash" ? options.fault_crash_budget
-                        : options.fault_rewire_budget) =
-            static_cast<std::size_t>(
-                parse_unsigned(item.substr(eq + 1), "--faults"));
-      }
-    }
-    const std::string homes_csv =
+                "", {"fuzz"})
+            .value_or(""),
+        "--faults");
+    options.fault_crash_budget = budget.crashes;
+    options.fault_rewire_budget = budget.rewires;
+    const std::optional<std::string> homes_csv =
         cli.get("homes",
                 "comma-separated home nodes: fuzz or record this fixed ring "
                 "instance (with --nodes) instead of drawing one",
-                "")
-            .value_or("");
-    if (!homes_csv.empty()) {
-      options.fixed_nodes = n;
-      options.fixed_homes = parse_unsigned_list(homes_csv, "--homes");
-    }
+                "", run);
     const std::string out_dir =
-        cli.get("out", "directory for shrunk failing traces", "").value_or("");
+        cli.get("out", "directory for shrunk failing traces", "", {"fuzz"})
+            .value_or("");
 
     if (cli.wants_help()) {
       cli.print_help(
@@ -276,69 +228,31 @@ int main(int argc, char** argv) {
           "replay executions");
       return 0;
     }
-    cli.reject_bad_flags();
-    if (options.faults.non_fifo_min_phase != 0 && !options.faults.non_fifo) {
-      // A phase window narrows the non-FIFO fault; alone it injects nothing,
-      // and the run would fuzz the fault-free model instead.
-      std::cerr << "udring_fuzz: --fault-min-phase needs --inject-non-fifo\n";
-      return 2;
+    const std::string mode = cli.has("replay")   ? "replay"
+                             : cli.has("record") ? "record"
+                                                 : "fuzz";
+    // Fuzz mode draws each instance from the size ranges; --homes fixes it.
+    cli.read_only_if("nodes", mode == "record" || homes_csv.has_value(),
+                     "with --homes or --record");
+    for (const char* range :
+         {"min-nodes", "max-nodes", "min-agents", "max-agents"}) {
+      cli.read_only_if(range, !homes_csv, "without --homes");
     }
-    // A flag the chosen mode would ignore is a usage error: the run would
-    // silently differ from the one asked for.
-    const auto reject_with = [&cli](const std::string& flag,
-                                    const std::string& mode) {
-      if (cli.has(flag)) {
-        throw std::invalid_argument("--" + flag + " cannot be combined with " +
-                                    mode);
-      }
-    };
-    if (!replay_path.empty()) {
-      // A replay rebuilds its run from the trace alone.
-      for (const std::string& flag : cli.flags()) {
-        if (flag != "replay") reject_with(flag, "--replay");
-      }
-      return replay_mode(replay_path);
-    }
+    cli.read_only_if("oracle-full-every",
+                     options.oracle == explore::OracleMode::Incremental,
+                     "with --oracle=incremental");
+    cli.reject_bad_flags(mode);
+    if (mode == "replay") return replay_mode(replay_path);
 
-    options.algorithm = explore::algorithm_from_name(algorithm_name);
-    options.problem.kind = core::problem_from_name(problem_name);
-    if (options.problem.kind == core::Problem::Gather) {
-      options.problem.gather_g = gather_g;
-    } else if (cli.has("gather-g")) {
-      throw std::invalid_argument("--gather-g needs --problem=gather");
-    } else if (options.problem.kind != core::Problem::Auto) {
-      options.problem.gather_g = 0;  // the parameter belongs to gather only
+    if (homes_csv) {
+      options.fixed_nodes = n;
+      options.fixed_homes = tools::fixed_ring_homes(
+          cli, *homes_csv, options.topology, "agents", k);
     }
-    options.topology = explore::fuzz_topology_from_name(topology_name);
-    options.oracle = explore::oracle_mode_from_name(oracle_name);
-    if (!record_path.empty()) {
-      for (const char* flag :
-           {"iterations", "min-nodes", "max-nodes", "min-agents", "max-agents",
-            "workers", "oracle", "oracle-full-every", "max-failures", "faults",
-            "out"}) {
-        reject_with(flag, "--record");
-      }
-      if (!homes_csv.empty()) {
-        // Fixed homes name ring nodes and fix k.
-        if (options.topology != explore::FuzzTopology::Ring) {
-          throw std::invalid_argument("--homes only supports --topology=ring");
-        }
-        if (cli.has("agents") && k != options.fixed_homes.size()) {
-          throw std::invalid_argument(
-              "--agents=" + std::to_string(k) + " disagrees with the " +
-              std::to_string(options.fixed_homes.size()) + " --homes given");
-        }
-      }
+    if (mode == "record") {
       return record_mode(record_path, options, n, k,
                          explore::explore_scheduler_from_name(
                              sched_name.empty() ? "round-robin" : sched_name));
-    }
-    // Fuzz mode draws each instance from the size ranges, or runs --homes.
-    if (cli.has("agents")) {
-      throw std::invalid_argument("--agents needs --record");
-    }
-    if (homes_csv.empty() && cli.has("nodes")) {
-      throw std::invalid_argument("--nodes needs --homes or --record");
     }
     if (!sched_name.empty()) {
       options.schedulers = {explore::explore_scheduler_from_name(sched_name)};
