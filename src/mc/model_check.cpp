@@ -25,7 +25,10 @@ constexpr std::size_t kDefaultReserve = std::size_t{1} << 22;
 /// The DFS snapshots the configuration of every kSnapshotEvery-th stack
 /// frame; a backtrack copies the nearest snapshotted ancestor and re-steps
 /// at most kSnapshotEvery - 1 recorded branches. 8 keeps the snapshot stack
-/// of a ~200-deep walk at ~25 states.
+/// of a ~200-deep walk at ~25 states. Re-steps count in McStats::
+/// total_actions, so the interval is part of every pinned action count; 4
+/// walks the benchmark's mc instances a little faster now that a copy is
+/// cheap, but moving it re-pins those counts (see ROADMAP).
 constexpr std::size_t kSnapshotEvery = 8;
 
 /// A choice-tree node handed from the BFS frontier phase to a DFS shard
@@ -84,19 +87,20 @@ class Explorer {
     root_depth_ = root.path.size();
     cur_ = root.state;
     at_tip_ = true;
-    std::vector<Frame> stack;
-    push_frame(stack, make_frame());
+    depth_ = 0;
+    open_root_frame();
+    save_snapshot(0);
 
-    while (!stack.empty() && !violation && !budget_stop && !should_stop()) {
-      Frame& f = stack.back();
+    while (depth_ > 0 && !violation && !budget_stop && !should_stop()) {
+      Frame& f = frames_[depth_ - 1];
       if (f.next_branch == f.branches) {
-        pop_frame(stack);
+        pop_frame();
         continue;
       }
       const branch_index_t b = f.next_branch++;
-      if (!at_tip_) restore(stack);
+      if (!at_tip_) restore();
       if (descend(f, b) == NodeClass::Open) {
-        push_frame(stack, make_frame());
+        push_frame();
       } else {
         path_.pop_back();
         at_tip_ = false;
@@ -114,7 +118,9 @@ class Explorer {
       if (violation || budget_stop) return;
       path_ = node.path;
       cur_ = node.state;
-      const Frame f = make_frame();
+      depth_ = 0;
+      open_root_frame();
+      const Frame& f = frames_.front();
       for (branch_index_t b = 0; b < f.branches; ++b) {
         if (violation || budget_stop) return;
         if (b > 0) cur_ = node.state;
@@ -125,8 +131,14 @@ class Explorer {
   }
 
  private:
+  /// One choice-tree node on the walk's path. Frames live in frames_ for the
+  /// whole walk and are refilled in place, so expanding a node allocates
+  /// only where the walk first reaches its depth or a larger enabled set.
   struct Frame {
     std::vector<sim::AgentId> agents;  ///< sorted enabled set at this node
+    /// config_digest() components of this node (kept only under dedup): a
+    /// child's digest is this frame's, updated by the one action between.
+    sim::DigestComponents digest;
     branch_index_t branches = 0;       ///< agents, or rewiring candidates
     branch_index_t next_branch = 0;    ///< next branch to explore
     bool rewire = false;               ///< branches = rewiring candidate strides
@@ -140,38 +152,49 @@ class Explorer {
     return walk_.stop.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] Frame make_frame() {
+  /// Fills frames_[depth_] for the configuration cur_ sits at and pushes it.
+  /// Keeps one more slot than the live frames: child_digest() writes a
+  /// child's digest there before the child is known to be open.
+  void open_frame() {
     ++stats.states_expanded;
-    Frame f;
-    if (cur_.pending_rewire()) {
+    if (frames_.size() < depth_ + 2) frames_.resize(depth_ + 2);
+    Frame& f = frames_[depth_++];
+    f.next_branch = 0;
+    f.rewire = cur_.pending_rewire();
+    if (f.rewire) {
       // A pending rewiring is its own choice-tree level: branches are the
       // candidate stride indices.
-      f.rewire = true;
+      f.agents.clear();
       f.branches = static_cast<branch_index_t>(cur_.rewire_candidate_count());
-      return f;
+      return;
     }
-    sort_enabled();
-    f.agents = sorted_;
+    sort_enabled(f.agents);
     f.branches = static_cast<branch_index_t>(f.agents.size());
-    return f;
+  }
+
+  /// Opens the frame of a walk's first node, hashing its digest components
+  /// from scratch (every later frame inherits them from its parent).
+  void open_root_frame() {
+    open_frame();
+    if (dedup_) frames_.front().digest.rebuild(cur_);
+  }
+
+  /// Opens the frame of the open child descend() left cur_ at (its digest
+  /// is already in place), snapshotting that configuration when the frame's
+  /// stack index is a multiple of kSnapshotEvery.
+  void push_frame() {
+    open_frame();
+    const std::size_t top = depth_ - 1;
+    if (top % kSnapshotEvery == 0) save_snapshot(top / kSnapshotEvery);
   }
 
   /// Pops the exhausted top frame and leaves the parent off its tip.
-  void pop_frame(std::vector<Frame>& stack) {
-    stack.pop_back();
-    if (!stack.empty()) {
+  void pop_frame() {
+    --depth_;
+    if (depth_ > 0) {
       path_.pop_back();
       at_tip_ = false;
     }
-  }
-
-  /// Pushes a frame made for the configuration cur_ sits at, snapshotting
-  /// that configuration when the frame's stack index is a multiple of
-  /// kSnapshotEvery.
-  void push_frame(std::vector<Frame>& stack, Frame frame) {
-    stack.push_back(std::move(frame));
-    const std::size_t top = stack.size() - 1;
-    if (top % kSnapshotEvery == 0) save_snapshot(top / kSnapshotEvery);
   }
 
   /// Copies cur_ into snapshot `slot` (reusing the slot's arena).
@@ -183,17 +206,18 @@ class Explorer {
     }
   }
 
-  /// Moves cur_ back to the configuration of stack.back() after a descent
+  /// Moves cur_ back to the configuration of the top frame after a descent
   /// left it at a child: copies the nearest snapshotted ancestor frame, then
   /// re-steps the branches path_ recorded below it, and checks the restored
-  /// node against its frame (the determinism check).
-  void restore(const std::vector<Frame>& stack) {
-    const std::size_t top = stack.size() - 1;
+  /// node against its frame (the determinism check). The frame keeps the
+  /// node's digest components, so nothing is re-hashed.
+  void restore() {
+    const std::size_t top = depth_ - 1;
     const std::size_t base = top - top % kSnapshotEvery;
     cur_ = snapshots_[base / kSnapshotEvery];
     std::size_t actions = 0;
     for (std::size_t i = base; i < top; ++i) {
-      const Frame& f = stack[i];
+      const Frame& f = frames_[i];
       const branch_index_t b = path_[root_depth_ + i];
       if (f.rewire) {
         cur_.apply_rewire(b);
@@ -208,7 +232,7 @@ class Explorer {
     }
     count_actions(actions);
     at_tip_ = true;
-    const Frame& f = stack.back();
+    const Frame& f = frames_[top];
     if (f.rewire) {
       if (!cur_.pending_rewire()) {
         throw std::logic_error(
@@ -217,7 +241,7 @@ class Explorer {
       }
       return;
     }
-    sort_enabled();
+    sort_enabled(sorted_);
     if (sorted_ != f.agents) {
       throw std::logic_error(
           "mc: enabled set changed on snapshot restore (determinism bug)");
@@ -231,13 +255,15 @@ class Explorer {
     }
   }
 
-  void sort_enabled() {
-    sorted_.assign(cur_.enabled().begin(), cur_.enabled().end());
-    std::sort(sorted_.begin(), sorted_.end());
+  /// Sets `agents` to cur_'s enabled set in ascending id order: the branch
+  /// order of the choice tree.
+  void sort_enabled(std::vector<sim::AgentId>& agents) const {
+    agents.assign(cur_.enabled().begin(), cur_.enabled().end());
+    std::sort(agents.begin(), agents.end());
   }
 
-  /// Takes branch `b` of frame `f` from the configuration cur_ sits at:
-  /// records it on path_, applies it, and classifies the child.
+  /// Takes branch `b` of the top frame `f` from the configuration cur_ sits
+  /// at: records it on path_, applies it, and classifies the child.
   [[nodiscard]] NodeClass descend(const Frame& f, branch_index_t b) {
     const std::size_t prev_tokens = cur_.total_tokens();
     path_.push_back(b);
@@ -250,7 +276,7 @@ class Explorer {
     } else {
       step(f.agents[b]);
     }
-    return classify(prev_tokens);
+    return classify(f, prev_tokens);
   }
 
   void step(sim::AgentId agent) {
@@ -261,11 +287,13 @@ class Explorer {
     stats.max_depth = std::max(stats.max_depth, path_.size());
   }
 
-  /// Classifies the configuration just stepped into. Everything but an
-  /// interior node is a leaf — quiescent schedule, violation, action limit,
-  /// budget stop, or a dedup hit. Mirrors the fuzzer's drive_checked
-  /// verdicts exactly, so a counterexample replays to the same failure.
-  [[nodiscard]] NodeClass classify(std::size_t prev_tokens) {
+  /// Classifies the configuration just stepped into from `parent`'s.
+  /// Everything but an interior node is a leaf — quiescent schedule,
+  /// violation, action limit, budget stop, or a dedup hit. Mirrors the
+  /// fuzzer's drive_checked verdicts exactly, so a counterexample replays to
+  /// the same failure.
+  [[nodiscard]] NodeClass classify(const Frame& parent,
+                                   std::size_t prev_tokens) {
     const sim::CheckResult invariants = oracle_.check_action(cur_, prev_tokens);
     if (!invariants) {
       violation = {path_, "invariant: " + invariants.reason};
@@ -293,7 +321,7 @@ class Explorer {
       return NodeClass::Leaf;
     }
     if (!dedup_) return NodeClass::Open;
-    switch (claim(cur_.config_digest())) {
+    switch (claim(child_digest(parent))) {
       case LockFreeVisitedSet::Insert::Claimed:
         return NodeClass::Open;
       case LockFreeVisitedSet::Insert::Present:
@@ -304,6 +332,23 @@ class Explorer {
         return NodeClass::Leaf;
     }
     return NodeClass::Leaf;  // unreachable: the switch covers every answer
+  }
+
+  /// config_digest() of the child cur_ sits at, from `parent`'s components
+  /// and the one step between: written to the child's frame slot, which the
+  /// child keeps if it turns out open.
+  [[nodiscard]] std::uint64_t child_digest(const Frame& parent) {
+    sim::DigestComponents& child = frames_[depth_].digest;
+    child = parent.digest;
+    if (!parent.rewire) child.update(cur_);
+    const std::uint64_t digest = child.digest(cur_);
+#ifndef NDEBUG
+    if (digest != cur_.config_digest()) {
+      throw std::logic_error(
+          "mc: footprint-updated digest differs from config_digest()");
+    }
+#endif
+    return digest;
   }
 
   /// Claims `key` in the walk's store. A single owner keeps the load at most
@@ -331,9 +376,12 @@ class Explorer {
   Walk& walk_;
   std::vector<branch_index_t> path_;
   std::size_t root_depth_ = 0;  ///< path_ length at the DFS root frame
+  /// frames_[0, depth_) is the walk's stack; frames_[depth_] the child slot.
+  std::vector<Frame> frames_;
+  std::size_t depth_ = 0;
   /// snapshots_[j] = configuration of DFS stack frame j * kSnapshotEvery.
   std::vector<sim::ExecutionState> snapshots_;
-  std::vector<sim::AgentId> sorted_;  // scratch, reused across nodes
+  std::vector<sim::AgentId> sorted_;  // restore's scratch, reused
   bool at_tip_ = false;
 };
 

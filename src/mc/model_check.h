@@ -21,7 +21,10 @@
 // configuration, and advancing to a sibling copies the nearest snapshotted
 // ancestor back into the working state and re-steps the (at most 7)
 // recorded branches below it — about one state copy plus a few actions per
-// backtrack, instead of re-executing the whole prefix. After every restore
+// backtrack, instead of re-executing the whole prefix. Each frame also
+// keeps its configuration's config_digest() components
+// (sim::DigestComponents), so a restore re-hashes nothing and a descent
+// re-hashes only what its one action changed. After every restore
 // the node is checked against its frame (the sorted enabled set must equal
 // the recorded one; a rewiring node must still be pending) and any mismatch
 // is a determinism bug (std::logic_error). Every configuration the walk

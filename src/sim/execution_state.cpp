@@ -57,19 +57,7 @@ void ExecutionState::reset(const Instance& instance) {
 
   tokens_.assign(n, 0);
   queue_arrival_ts_.assign(n, 0);
-  // Shrinking keeps the front queues' buffers; growing default-constructs
-  // the new tail. Either way existing capacity survives.
-  queues_.resize(n);
-  staying_.resize(n);
-  for (auto& queue : queues_) queue.clear();
-  for (auto& set : staying_) set.clear();
-  // Hot-path allocation hygiene: queues and staying sets can never exceed k
-  // entries; a small up-front reservation makes steady-state actions
-  // allocation-free on typical (k ≪ n) instances. Reserving is a no-op once
-  // the pooled buffers have grown to it.
-  const std::size_t reserve_per_node = std::min<std::size_t>(k, 8);
-  for (auto& queue : queues_) queue.reserve(reserve_per_node);
-  for (auto& set : staying_) set.reserve(reserve_per_node);
+  nodes_.assign(n, NodeLists{});
 
   enabled_.clear();
   enabled_.reserve(k);
@@ -86,11 +74,12 @@ void ExecutionState::reset(const Instance& instance) {
     c.status = AgentStatus::InTransit;
     c.node = instance.homes()[id];  // destination: the home node's buffer
     c.in_staying_set = false;
+    c.stay_prev = c.stay_next = kNoAgent;
     c.mailbox.clear();
     c.inbox.clear();
     c.wake_ts = 0;
     c.last_ts = 0;
-    queues_[c.node].push_back(id);
+    push_to_queue(id);
   }
   for (AgentId id = 0; id < k; ++id) {
     refresh_enabled(id);
@@ -177,8 +166,9 @@ Snapshot ExecutionState::snapshot() const {
     a.state_hash = c.program->state_hash();
     snap.agents.push_back(a);
   }
-  snap.queues.reserve(queues_.size());
-  for (const auto& queue : queues_) {
+  snap.queues.reserve(nodes_.size());
+  for (NodeId node = 0; node < nodes_.size(); ++node) {
+    const AgentList queue = link_queue(node);
     snap.queues.emplace_back(queue.begin(), queue.end());
   }
   return snap;
@@ -227,67 +217,83 @@ void fold_message(std::uint64_t& state, const Message& message) {
 
 }  // namespace
 
-std::uint64_t ExecutionState::config_digest() const {
-  // Independent chains, each under its own domain salt, so their folds
-  // overlap instead of forming one serial dependency chain.
-  std::uint64_t token_chain = 0x70ce5d16e5700000ULL;  // "tokens" domain
-  std::uint64_t queue_chain = 0x0e0ed16e57000000ULL;  // "queues" domain
-  std::array<std::uint64_t, 4> agent_chains = {
-      0xa9e47d16e5700000ULL, 0xa9e47d16e5700001ULL, 0xa9e47d16e5700002ULL,
-      0xa9e47d16e5700003ULL};  // "agents" domain, one salt per chain
+std::uint64_t ExecutionState::agent_digest(AgentId id) const {
+  const AgentCell& c = agents_[id];
+  const AgentMetrics& m = metrics_.agent(id);
+  std::uint64_t word = 0xa9e47d16e5700000ULL;  // "agents" domain
+  fold64(word, id);
+  fold64(word, static_cast<std::uint64_t>(c.status));
+  fold64(word, c.node);
+  // Phase and action count are behavioural under the non-FIFO fault
+  // (should_be_enabled reads both); including them unconditionally keeps
+  // one digest definition for every mode, and commuting schedules agree on
+  // per-agent counts, so dedup effectiveness is unaffected.
+  fold64(word, m.phase);
+  fold64(word, m.actions);
+  fold64(word, c.program->state_hash());
+  fold64(word, c.mailbox.size());
+  for (const Message& message : c.mailbox) fold_message(word, message);
+  return word;
+}
 
-  // T: occupied nodes only, each entry led by its node index.
-  std::uint64_t token_entries = 0;
-  for (NodeId node = 0; node < tokens_.size(); ++node) {
-    if (tokens_[node] == 0) continue;
-    fold64(token_chain, node);
-    fold64(token_chain, tokens_[node]);
-    ++token_entries;
+std::uint64_t ExecutionState::node_digest(NodeId node) const {
+  const NodeLists& lists = nodes_[node];
+  if (tokens_[node] == 0 && lists.queue_size == 0) return 0;  // unoccupied
+  std::uint64_t word = 0x0e0ed16e57000000ULL;  // "nodes" domain
+  fold64(word, node);
+  fold64(word, tokens_[node]);
+  fold64(word, lists.queue_size);
+  // FIFO order is state.
+  for (AgentId id = lists.queue_head; id != kNoAgent;
+       id = cell(id).queue_next) {
+    fold64(word, id);
   }
-  // Q: non-empty link queues only, each led by its node index and length
-  // (FIFO order is state).
-  std::uint64_t queue_entries = 0;
-  for (NodeId node = 0; node < queues_.size(); ++node) {
-    const LinkQueue& queue = queues_[node];
-    if (queue.empty()) continue;
-    fold64(queue_chain, node);
-    fold64(queue_chain, queue.size());
-    for (const AgentId member : queue) fold64(queue_chain, member);
-    ++queue_entries;
-  }
-  // S, M: every agent, in id order within its chain.
-  for (AgentId id = 0; id < agents_.size(); ++id) {
-    std::uint64_t& chain = agent_chains[id % agent_chains.size()];
-    const AgentCell& c = agents_[id];
-    fold64(chain, static_cast<std::uint64_t>(c.status));
-    fold64(chain, c.node);
-    // Phase and action count are behavioural under the non-FIFO fault
-    // (should_be_enabled reads both); including them unconditionally keeps
-    // one digest definition for every mode, and commuting schedules agree
-    // on per-agent counts, so dedup effectiveness is unaffected.
-    fold64(chain, metrics_.agent(id).phase);
-    fold64(chain, metrics_.agent(id).actions);
-    fold64(chain, c.program->state_hash());
-    fold64(chain, c.mailbox.size());
-    for (const Message& message : c.mailbox) fold_message(chain, message);
-  }
+  return word;
+}
 
+std::uint64_t ExecutionState::digest_of_sum(std::uint64_t component_sum) const {
   std::uint64_t state = 0xc0f1Dd16e5700000ULL;  // "config-digest" domain
   fold64(state, tokens_.size());
   fold64(state, agents_.size());
-  // Each sparse section is led by its entry count, so the joined encoding
-  // stays injective.
-  fold64(state, token_entries);
-  fold64(state, token_chain);
-  fold64(state, queue_entries);
-  fold64(state, queue_chain);
-  for (const std::uint64_t chain : agent_chains) fold64(state, chain);
+  fold64(state, component_sum);
   // P (staying membership) is fully determined by status + node above.
   // Live fault state (no-op for event-free plans): what the adversary may
   // still do is part of the configuration, or mc dedup would merge states
   // with different futures.
   fold_fault_state(state);
   return state;
+}
+
+std::uint64_t ExecutionState::config_digest() const {
+  std::uint64_t sum = 0;
+  for (AgentId id = 0; id < agents_.size(); ++id) sum += agent_digest(id);
+  for (NodeId node = 0; node < nodes_.size(); ++node) sum += node_digest(node);
+  return digest_of_sum(sum);
+}
+
+void DigestComponents::rebuild(const ExecutionState& state) {
+  const std::size_t k = state.agent_count();
+  words_.assign(k + state.node_count(), 0);
+  sum_ = 0;
+  for (AgentId id = 0; id < k; ++id) set(id, state.agent_digest(id));
+  for (NodeId node = 0; node < state.node_count(); ++node) {
+    set(k + node, state.node_digest(node));
+  }
+}
+
+void DigestComponents::update(const ExecutionState& state) {
+  const std::size_t k = state.agent_count();
+  const std::span<const NodeId> nodes = state.last_action_nodes();
+  const AgentId actor = state.last_acting_agent();
+  if (!state.options_.faults.crashes.empty()) {
+    for (AgentId id = 0; id < k; ++id) set(id, state.agent_digest(id));
+  } else {
+    set(actor, state.agent_digest(actor));
+    for (const AgentId receiver : state.staying_set(nodes.front())) {
+      if (receiver != actor) set(receiver, state.agent_digest(receiver));
+    }
+  }
+  for (const NodeId node : nodes) set(k + node, state.node_digest(node));
 }
 
 void ExecutionState::fold_fault_state(std::uint64_t& state) const noexcept {
@@ -371,17 +377,15 @@ void ExecutionState::execute_action(AgentId id) {
   const bool arrival = (c.status == AgentStatus::InTransit);
   std::uint64_t ts = c.last_ts;
   if (arrival) {
-    auto& queue = queues_[c.node];
-    if (!queue.empty() && queue.front() == id) {
-      queue.pop_front();
-    } else if (non_fifo && queue.remove(id)) {
-      // Fault injection: the agent jumped the queue (see SimOptions).
-    } else {
+    const NodeLists& lists = nodes_[c.node];
+    // Only the head arrives, unless the non-FIFO fault lets the agent jump
+    // the queue (see SimOptions).
+    if ((lists.queue_head != id && !non_fifo) || !remove_from_queue(id)) {
       throw std::logic_error(
           "ExecutionState: scheduled a non-head in-transit agent");
     }
     ts = std::max(ts, queue_arrival_ts_[c.node]);
-    if (!queue.empty()) refresh_enabled(queue.front());
+    if (lists.queue_size != 0) refresh_enabled(lists.queue_head);
   } else if (!c.mailbox.empty()) {
     ts = std::max(ts, c.wake_ts);
   }
@@ -422,7 +426,7 @@ void ExecutionState::execute_action(AgentId id) {
       const NodeId dest = live_next(c.node);
       c.status = AgentStatus::InTransit;
       c.node = dest;
-      queues_[dest].push_back(id);
+      push_to_queue(id);
       if (dest != last_action_nodes_[0]) {
         last_action_nodes_[1] = dest;
         last_action_node_count_ = 2;
@@ -481,9 +485,7 @@ bool ExecutionState::should_be_enabled(AgentId id) const {
   const AgentCell& c = cell(id);
   switch (c.status) {
     case AgentStatus::InTransit: {
-      const auto& queue = queues_[c.node];
-      if (queue.empty()) return false;
-      if (queue.front() == id) return true;
+      if (nodes_[c.node].queue_head == id) return true;
       if (!options_.faults.non_fifo) return false;
       // Fault injection: enabled from any position, but never overtaking an
       // agent that has not yet had its first action (the initial occupant of
@@ -493,7 +495,7 @@ bool ExecutionState::should_be_enabled(AgentId id) const {
       if (metrics_.agent(id).phase < options_.faults.non_fifo_min_phase) {
         return false;
       }
-      for (const AgentId member : queue) {
+      for (const AgentId member : link_queue(c.node)) {
         if (member == id) return true;
         if (metrics_.agent(member).actions == 0 ||
             metrics_.agent(member).phase < options_.faults.non_fifo_min_phase) {
@@ -532,16 +534,68 @@ void ExecutionState::refresh_enabled(AgentId id) {
   }
 }
 
+void ExecutionState::push_to_queue(AgentId id) {
+  AgentCell& c = cell(id);
+  NodeLists& lists = nodes_[c.node];
+  c.queue_next = kNoAgent;
+  if (lists.queue_size == 0) {
+    lists.queue_head = id;
+  } else {
+    cell(lists.queue_tail).queue_next = id;
+  }
+  lists.queue_tail = id;
+  ++lists.queue_size;
+}
+
+bool ExecutionState::remove_from_queue(AgentId id) {
+  AgentCell& c = cell(id);
+  NodeLists& lists = nodes_[c.node];
+  AgentId prev = kNoAgent;
+  for (AgentId at = lists.queue_head; at != id; at = cell(at).queue_next) {
+    if (at == kNoAgent) return false;
+    prev = at;
+  }
+  if (prev == kNoAgent) {
+    lists.queue_head = c.queue_next;
+  } else {
+    cell(prev).queue_next = c.queue_next;
+  }
+  if (lists.queue_tail == id) lists.queue_tail = prev;
+  c.queue_next = kNoAgent;
+  --lists.queue_size;
+  return true;
+}
+
 void ExecutionState::add_to_staying(AgentId id) {
   AgentCell& c = cell(id);
-  staying_[c.node].push_back(id);
+  NodeLists& lists = nodes_[c.node];
+  c.stay_prev = lists.stay_tail;
+  c.stay_next = kNoAgent;
+  if (lists.stay_size == 0) {
+    lists.stay_head = id;
+  } else {
+    cell(lists.stay_tail).stay_next = id;
+  }
+  lists.stay_tail = id;
+  ++lists.stay_size;
   c.in_staying_set = true;
 }
 
 void ExecutionState::remove_from_staying(AgentId id) {
   AgentCell& c = cell(id);
-  auto& set = staying_[c.node];
-  set.erase(std::remove(set.begin(), set.end(), id), set.end());
+  NodeLists& lists = nodes_[c.node];
+  if (c.stay_prev == kNoAgent) {
+    lists.stay_head = c.stay_next;
+  } else {
+    cell(c.stay_prev).stay_next = c.stay_next;
+  }
+  if (c.stay_next == kNoAgent) {
+    lists.stay_tail = c.stay_prev;
+  } else {
+    cell(c.stay_next).stay_prev = c.stay_prev;
+  }
+  c.stay_prev = c.stay_next = kNoAgent;
+  --lists.stay_size;
   c.in_staying_set = false;
 }
 
@@ -553,7 +607,7 @@ std::size_t ExecutionState::tokens_at_agent(AgentId id) const {
 
 std::size_t ExecutionState::others_staying_at_agent(AgentId id) const {
   const AgentCell& c = cell(id);
-  const std::size_t here = staying_[c.node].size();
+  const std::size_t here = nodes_[c.node].stay_size;
   return c.in_staying_set ? here - 1 : here;
 }
 
@@ -570,7 +624,7 @@ void ExecutionState::agent_broadcast(AgentId id, Message message) {
   const AgentCell& sender = cell(id);
   const bool logging = log_.enabled();
   std::size_t receivers = 0;
-  for (const AgentId other : staying_[sender.node]) {
+  for (const AgentId other : staying_set(sender.node)) {
     if (other == id) continue;
     AgentCell& rc = cell(other);
     if (rc.status == AgentStatus::Halted ||

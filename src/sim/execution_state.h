@@ -10,8 +10,9 @@
 //                                       included)
 //   T  node states = token counts      (tokens_)
 //   M  undelivered message sequences   (per-agent mailboxes)
-//   P  staying sets p_i                (staying_[i])
-//   Q  FIFO link queues q_i            (queues_[i]: agents in transit to v_i)
+//   P  staying sets p_i                (intrusive lists, see below)
+//   Q  FIFO link queues q_i            (intrusive lists: agents in transit
+//                                       to v_i)
 //
 // and advances it one *atomic action* at a time under a pluggable fair
 // Scheduler. An atomic action (§2.1) is: arrive (if in transit) → receive
@@ -30,13 +31,22 @@
 //    agents in transit are invisible and cannot be passed except by queueing
 //    behind them.
 //
+// Per-node lists: each link queue q_i and staying set p_i is an intrusive
+// index list. A node holds the head, tail and length of both; an agent's
+// cell holds its next link within its queue and its prev/next links within
+// its staying set. So the whole of P and Q lives in two flat arrays (one
+// entry per node, one per agent), with no per-node heap buffer. Queues are
+// FIFO (a non-FIFO jump unlinks from the middle); staying sets keep
+// insertion order with stable removal, which fixes the order broadcast
+// receivers are refreshed in and so the enabled set's insertion order.
+//
 // Pooling: reset(const Instance&) rebinds the state to a (possibly
-// different) instance while *reusing every arena allocation* — link-queue
-// buffers, staying sets, mailboxes, metrics arrays, the enabled set, the
-// event log. A campaign that runs thousands of instances through one
-// per-worker ExecutionState performs O(k) allocations per run (the agent
-// programs, which are inherently per-run) instead of O(n): the steady-state
-// action loop allocates nothing.
+// different) instance while *reusing every arena allocation* — the node and
+// agent arrays, mailboxes, metrics arrays, the enabled set, the event log.
+// A campaign that runs thousands of instances through one per-worker
+// ExecutionState performs O(k) allocations per run (the agent programs,
+// which are inherently per-run) instead of O(n): the steady-state action
+// loop allocates nothing.
 //
 // Enabled set: kept in two forms that every enabledness change updates
 // together. enabled() is the id vector in insertion order with swap-remove;
@@ -53,17 +63,18 @@
 // member-wise ones: copy-assignment reuses the destination's arena capacity
 // and copies each program in place when the destination slot already holds
 // one of the same type, so restoring a snapshot into a state that has run
-// the same instance allocates only where the snapshot holds more (queued
-// agents, mail) than that buffer ever has. Agent contexts are built per
-// action, bound to the state executing it, so stepping a copy never touches
-// its source. This is what lets mc::check restore saved states instead of
-// replaying prefixes from C_0.
+// the same instance allocates only where the snapshot holds more mail than
+// that buffer ever has; queues and staying sets are flat array copies.
+// Agent contexts are built per action, bound to the state executing it, so
+// stepping a copy never touches its source. This is what lets mc::check
+// restore saved states instead of replaying prefixes from C_0.
 
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -71,7 +82,6 @@
 #include "sim/agent.h"
 #include "sim/event_log.h"
 #include "sim/instance.h"
-#include "sim/link_queue.h"
 #include "sim/metrics.h"
 #include "sim/scheduler.h"
 #include "sim/topology.h"
@@ -110,9 +120,74 @@ struct Snapshot {
 };
 
 class ExecutionState {
+ private:
+  struct AgentCell;
+  /// Ends an intrusive agent list (the links of AgentCell and NodeLists).
+  static constexpr AgentId kNoAgent = static_cast<AgentId>(-1);
+
  public:
   /// Sentinel for "no agent" (see last_acting_agent()).
   static constexpr AgentId kNoAgentActing = static_cast<AgentId>(-1);
+
+  /// Read-only view of one per-node list — a link queue q_i in FIFO order
+  /// (link_queue()) or a staying set p_i in insertion order (staying_set())
+  /// — that walks the intrusive links of the agent cells. Valid until the
+  /// state next changes.
+  class AgentList {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = AgentId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const AgentId*;
+      using reference = AgentId;
+
+      iterator() = default;
+      [[nodiscard]] AgentId operator*() const noexcept { return id_; }
+      iterator& operator++() noexcept {
+        id_ = cells_[id_].*next_;
+        return *this;
+      }
+      iterator operator++(int) noexcept {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      [[nodiscard]] bool operator==(const iterator& other) const noexcept {
+        return id_ == other.id_;
+      }
+
+     private:
+      friend class AgentList;
+      iterator(const AgentCell* cells, AgentId AgentCell::*next,
+               AgentId id) noexcept
+          : cells_(cells), next_(next), id_(id) {}
+
+      const AgentCell* cells_ = nullptr;
+      AgentId AgentCell::*next_ = nullptr;
+      AgentId id_ = kNoAgent;
+    };
+
+    [[nodiscard]] iterator begin() const noexcept {
+      return {cells_, next_, head_};
+    }
+    [[nodiscard]] iterator end() const noexcept {
+      return {cells_, next_, kNoAgent};
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    friend class ExecutionState;
+    AgentList(const AgentCell* cells, AgentId AgentCell::*next, AgentId head,
+              std::size_t size) noexcept
+        : cells_(cells), next_(next), head_(head), size_(size) {}
+
+    const AgentCell* cells_;
+    AgentId AgentCell::*next_;
+    AgentId head_;
+    std::size_t size_;
+  };
 
   /// An empty state: reset() it onto an Instance before use. This is the
   /// pooled form — construct once per worker, reset per run.
@@ -248,15 +323,26 @@ class ExecutionState {
   /// Nodes of all staying agents (one entry per staying agent, sorted).
   [[nodiscard]] std::vector<NodeId> staying_nodes() const;
 
+  /// |q_node|, in O(1).
   [[nodiscard]] std::size_t queue_length(NodeId node) const {
-    return queues_.at(node).size();
+    return nodes_.at(node).queue_size;
   }
 
   /// Direct read access to q_node (FIFO order). Checkers iterate this
   /// instead of materializing a Snapshot — per-action oracles must not pay
   /// an O(n + k) allocation to look at two queues.
-  [[nodiscard]] const LinkQueue& link_queue(NodeId node) const {
-    return queues_.at(node);
+  [[nodiscard]] AgentList link_queue(NodeId node) const {
+    const NodeLists& lists = nodes_.at(node);
+    return {agents_.data(), &AgentCell::queue_next, lists.queue_head,
+            lists.queue_size};
+  }
+
+  /// p_node, the agents staying at `node`, in the order they began staying
+  /// (the order a broadcast there reaches them).
+  [[nodiscard]] AgentList staying_set(NodeId node) const {
+    const NodeLists& lists = nodes_.at(node);
+    return {agents_.data(), &AgentCell::stay_next, lists.stay_head,
+            lists.stay_size};
   }
 
   /// The conservative node footprint of the most recently executed atomic
@@ -305,16 +391,18 @@ class ExecutionState {
   /// count, a decision left open on the ROADMAP. src/mc's
   /// pruned-vs-unpruned equality tests exercise the caveat.
   ///
-  /// Encoding: T and Q are sparse sections — only nodes holding tokens and
-  /// non-empty link queues contribute, each entry led by its node index
-  /// (a queue entry also by its length) and each section by its entry
-  /// count, so the word sequence still determines the configuration. T, Q
-  /// and four agent chains (agents split by id % 4) are folded as
-  /// independent fold64 chains under their own domain salts, then joined
-  /// into one word with the sizes and entry counts; every word gets a full
-  /// splitmix avalanche. The values are in-memory dedup keys only (mc's
-  /// visited tables, LockFreeVisitedSet): nothing persists or pins them,
-  /// so the encoding may change whenever equality semantics are kept.
+  /// Encoding: a sum (mod 2^64) of components, one per agent and one per
+  /// occupied node, folded with n, k and the live fault state. An agent's
+  /// component is a fold64 chain of its id, status, node, phase, action
+  /// count, state_hash and mail (count, then every payload field); a node's
+  /// — 0 when it holds no token and no queued agent — is a chain of its
+  /// index, token count, queue length and queue members in FIFO order. Each
+  /// component is led by its own index, so the sum still separates
+  /// configurations; and an action changes only the components of its
+  /// footprint, which is what lets DigestComponents re-hash O(changed
+  /// state) per action. The values are in-memory dedup keys only (mc's
+  /// visited tables, LockFreeVisitedSet): nothing persists or pins them, so
+  /// the encoding may change whenever equality semantics are kept.
   [[nodiscard]] std::uint64_t config_digest() const;
 
   [[nodiscard]] std::size_t actions_executed() const noexcept {
@@ -368,6 +456,11 @@ class ExecutionState {
     AgentStatus status = AgentStatus::InTransit;
     NodeId node = 0;  ///< staying node, or destination while in transit
     bool in_staying_set = false;
+    /// Intrusive list links: the next agent in q_node while in transit;
+    /// the neighbours in p_node while staying.
+    AgentId queue_next = kNoAgent;
+    AgentId stay_prev = kNoAgent;
+    AgentId stay_next = kNoAgent;
     std::vector<Message> mailbox;
     /// Delivered messages during the agent's action (AgentContext::inbox);
     /// empty between actions, swapped with `mailbox` to recycle capacity.
@@ -376,10 +469,27 @@ class ExecutionState {
     std::uint64_t last_ts = 0;
   };
 
+  /// The heads, tails and lengths of q_i and p_i for one node i.
+  struct NodeLists {
+    AgentId queue_head = kNoAgent;
+    AgentId queue_tail = kNoAgent;
+    std::size_t queue_size = 0;
+    AgentId stay_head = kNoAgent;
+    AgentId stay_tail = kNoAgent;
+    std::size_t stay_size = 0;
+  };
+
   // Unchecked: agent ids come from the enabled set / queues and are always
   // in range; this sits on the per-action hot path.
   [[nodiscard]] AgentCell& cell(AgentId id) { return agents_[id]; }
   [[nodiscard]] const AgentCell& cell(AgentId id) const { return agents_[id]; }
+
+  friend class DigestComponents;
+
+  /// config_digest()'s components and its final fold of their sum.
+  [[nodiscard]] std::uint64_t agent_digest(AgentId id) const;
+  [[nodiscard]] std::uint64_t node_digest(NodeId node) const;
+  [[nodiscard]] std::uint64_t digest_of_sum(std::uint64_t component_sum) const;
 
   /// Folds the *live* fault state (current stride, pending/consumed
   /// rewires, crash cursor) into config_digest()'s
@@ -391,6 +501,10 @@ class ExecutionState {
   // the two mode flags (event logging on? non-FIFO fault injection on?).
   void execute_action(AgentId id);
   void refresh_enabled(AgentId id);
+  void push_to_queue(AgentId id);
+  /// Unlinks `id` from q_{node}: its head under FIFO, anywhere under the
+  /// non-FIFO fault. False if `id` is not queued there.
+  bool remove_from_queue(AgentId id);
   void add_to_staying(AgentId id);
   void remove_from_staying(AgentId id);
   /// Fires every fault event due at the current action counter (crash-stop
@@ -414,8 +528,7 @@ class ExecutionState {
   SimOptions options_;                             // copy for hot-path access
   std::vector<std::size_t> tokens_;                // T: token count per node
   std::vector<AgentCell> agents_;
-  std::vector<LinkQueue> queues_;                  // q_i: in transit to node i
-  std::vector<std::vector<AgentId>> staying_;      // p_i: staying at node i
+  std::vector<NodeLists> nodes_;                   // q_i and p_i per node i
   std::vector<std::uint64_t> queue_arrival_ts_;    // FIFO causal stamps
   std::vector<AgentId> enabled_;
   std::vector<std::size_t> enabled_pos_;           // id -> index in enabled_
@@ -439,6 +552,40 @@ class ExecutionState {
   std::size_t rewire_candidates_ = 0;  // φ(n), cached at reset
 
   static constexpr std::size_t kNotEnabled = static_cast<std::size_t>(-1);
+};
+
+/// config_digest() kept by its components: one word per agent, one per node
+/// (0 while unoccupied) and their sum. rebuild() hashes them all, O(n + k).
+/// After one atomic action, update() re-hashes only what that action can
+/// have changed: the actor, the nodes of last_action_nodes() and the agents
+/// staying at the acting node (the broadcast receivers) — the footprint the
+/// incremental invariant checker rests on too — or, under a plan that
+/// crashes agents, every agent, since a crash due after the action changes
+/// an agent outside it. A rewiring changes no component: digest() folds the
+/// live fault state. A copy is n + k + 1 words, so the model checker keeps
+/// one per stack frame and restores a configuration's digest by copying
+/// instead of re-hashing.
+class DigestComponents {
+ public:
+  /// Hashes every component of `state`.
+  void rebuild(const ExecutionState& state);
+  /// Brings components that described `state` just before its most recent
+  /// action up to date with that action.
+  void update(const ExecutionState& state);
+  /// config_digest() of the configuration these components describe, whose
+  /// live fault state is `state`'s.
+  [[nodiscard]] std::uint64_t digest(const ExecutionState& state) const {
+    return state.digest_of_sum(sum_);
+  }
+
+ private:
+  void set(std::size_t slot, std::uint64_t word) noexcept {
+    sum_ += word - words_[slot];
+    words_[slot] = word;
+  }
+
+  std::vector<std::uint64_t> words_;  ///< k agent words, then n node words
+  std::uint64_t sum_ = 0;
 };
 
 /// Historical name, kept so the execution engine reads as "the simulator"

@@ -51,6 +51,17 @@ std::string join(const std::vector<std::string>& names) {
   return out;
 }
 
+/// Throws std::logic_error on an entry of `modes` that `declared` (the
+/// program's modes) lacks: a mode-name typo is a programming error.
+void require_declared(const std::vector<std::string>& declared,
+                      const std::vector<std::string>& modes) {
+  for (const std::string& mode : modes) {
+    if (!contains(declared, mode)) {
+      throw std::logic_error("undeclared mode " + mode);
+    }
+  }
+}
+
 /// The entry of `flags` (Cli::registered_) named `name`, or nullptr.
 template <typename Flags>
 auto* find_flag(Flags& flags, const std::string& name) {
@@ -92,7 +103,7 @@ Cli::Cli(int argc, const char* const* argv, Modes modes)
       const auto eq = arg.find('=');
       const bool bare = eq == std::string::npos;
       std::string name = arg.substr(2, bare ? eq : eq - 2);
-      values_[name] = bare ? "true" : arg.substr(eq + 1);
+      values_[name] = bare ? std::nullopt : std::optional(arg.substr(eq + 1));
       given_.push_back(std::move(name));
     } else {
       positional_.push_back(std::move(arg));
@@ -100,15 +111,10 @@ Cli::Cli(int argc, const char* const* argv, Modes modes)
   }
 }
 
-const std::string* Cli::register_flag(const std::string& name,
-                                      const std::string& help,
-                                      const std::string& fallback,
-                                      const Modes& modes) {
-  for (const std::string& mode : modes) {
-    if (!contains(modes_, mode)) {
-      throw std::logic_error("undeclared mode " + mode);
-    }
-  }
+const std::optional<std::string>* Cli::register_flag(
+    const std::string& name, const std::string& help,
+    const std::string& fallback, const Modes& modes) {
+  require_declared(modes_, modes);
   if (find_flag(registered_, name) == nullptr) {
     registered_.push_back({name, help, fallback, modes, std::nullopt});
   }
@@ -116,10 +122,25 @@ const std::string* Cli::register_flag(const std::string& name,
   return it == values_.end() ? nullptr : &it->second;
 }
 
+const std::string* Cli::register_value_flag(const std::string& name,
+                                            const std::string& help,
+                                            const std::string& fallback,
+                                            const Modes& modes) {
+  const std::optional<std::string>* value =
+      register_flag(name, help, fallback, modes);
+  if (value == nullptr) return nullptr;
+  if (!*value) {
+    throw std::invalid_argument("--" + name + ": needs a value (--" + name +
+                                "=...)");
+  }
+  return &**value;
+}
+
 std::optional<std::string> Cli::get(const std::string& name, const std::string& help,
                                     const std::string& fallback,
                                     const Modes& modes) {
-  if (const std::string* value = register_flag(name, help, fallback, modes)) {
+  if (const std::string* value =
+          register_value_flag(name, help, fallback, modes)) {
     return *value;
   }
   return fallback.empty() ? std::nullopt : std::optional<std::string>(fallback);
@@ -128,21 +149,29 @@ std::optional<std::string> Cli::get(const std::string& name, const std::string& 
 std::size_t Cli::get_size(const std::string& name, std::size_t fallback,
                           const std::string& help, const Modes& modes) {
   const std::string* value =
-      register_flag(name, help, std::to_string(fallback), modes);
+      register_value_flag(name, help, std::to_string(fallback), modes);
   return value ? parse_size(*value, "--" + name) : fallback;
 }
 
 std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback,
                            const std::string& help, const Modes& modes) {
   const std::string* value =
-      register_flag(name, help, std::to_string(fallback), modes);
+      register_value_flag(name, help, std::to_string(fallback), modes);
   return value ? parse_unsigned(*value, "--" + name) : fallback;
 }
 
 bool Cli::get_flag(const std::string& name, const std::string& help,
                    const Modes& modes) {
-  const std::string* value = register_flag(name, help, "false", modes);
-  return value && *value != "false" && *value != "0";
+  const std::optional<std::string>* value =
+      register_flag(name, help, "false", modes);
+  return value && (!*value || (**value != "false" && **value != "0"));
+}
+
+const std::vector<std::string>& Cli::get_positionals(const std::string& help,
+                                                     const Modes& modes) {
+  require_declared(modes_, modes);
+  positional_reader_ = Flag{"", help, "", modes, std::nullopt};
+  return positional_;
 }
 
 void Cli::read_only_if(const std::string& name, bool read, std::string when) {
@@ -174,6 +203,19 @@ void Cli::reject_bad_flags(std::string_view mode) const {
                                   *flag->unread_unless);
     }
   }
+  if (positional_.empty()) return;
+  if (!positional_reader_) {
+    throw std::invalid_argument(positional_.front() +
+                                ": unexpected argument (flags take the form "
+                                "--name=value)");
+  }
+  const Modes& reads = positional_reader_->modes;
+  if (!reads.empty() && !contains(reads, mode)) {
+    throw std::invalid_argument(positional_.front() +
+                                ": positional argument not read in " +
+                                std::string(mode) + " mode (read in: " +
+                                join(reads) + ")");
+  }
 }
 
 void Cli::print_help(const std::string& program_description) const {
@@ -194,6 +236,13 @@ void Cli::print_help(const std::string& program_description) const {
       std::cout << " [modes: " << join(flag.modes) << "]";
     }
     std::cout << "\n      " << flag.help << "\n";
+  }
+  if (positional_reader_) {
+    std::cout << "  <arguments>";
+    if (!positional_reader_->modes.empty()) {
+      std::cout << " [modes: " << join(positional_reader_->modes) << "]";
+    }
+    std::cout << "\n      " << positional_reader_->help << "\n";
   }
   std::cout << "  --help\n      Show this message.\n";
 }

@@ -2,12 +2,14 @@
 //
 // A tiny command-line flag parser for the tools and example binaries.
 // Supports the unambiguous forms `--name=value`, boolean `--name`, and
-// `--help`; anything else is positional. Numeric values are strict:
-// parse_unsigned rejects what std::stoull would quietly accept.
+// `--help`; anything else is positional. A value flag given bare is an
+// error, not the value "true". Numeric values are strict: parse_unsigned
+// rejects what std::stoull would quietly accept.
 //
 // A program with modes (udring_fuzz: replay | record | fuzz) names them in
-// the constructor, and each flag names the modes that read it, so the one
-// reject_bad_flags(mode) call rejects every given flag the run never reads.
+// the constructor, and each flag — and the positional arguments — names the
+// modes that read it, so the one reject_bad_flags(mode) call rejects every
+// given flag or positional argument the run never reads.
 
 #pragma once
 
@@ -44,6 +46,8 @@ class Cli {
   Cli(int argc, const char* const* argv, Modes modes = {});
 
   /// Registers a flag for --help output and returns its value if present.
+  /// The value getters (get, get_size, get_u64) throw std::invalid_argument
+  /// naming a flag given bare (`--name` with no `=value`).
   [[nodiscard]] std::optional<std::string> get(const std::string& name,
                                                const std::string& help,
                                                const std::string& fallback = "",
@@ -58,8 +62,15 @@ class Cli {
   [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t fallback,
                                       const std::string& help,
                                       const Modes& modes = {});
+  /// A boolean flag: true when given bare or with any value but false/0.
   [[nodiscard]] bool get_flag(const std::string& name, const std::string& help,
                               const Modes& modes = {});
+
+  /// Declares that `modes` (empty = all) read the positional (non-flag)
+  /// arguments, which `help` describes, and returns them in order. Without
+  /// this call no mode reads any.
+  [[nodiscard]] const std::vector<std::string>& get_positionals(
+      const std::string& help, const Modes& modes = {});
 
   /// True if `--name` appeared on the command line, with or without a value.
   [[nodiscard]] bool has(const std::string& name) const {
@@ -73,9 +84,11 @@ class Cli {
 
   /// Throws std::invalid_argument naming the first flag, in command-line
   /// order, that no get* call registered, that was given more than once,
-  /// that `mode` does not read, or that read_only_if says goes unread. Call
-  /// it once every flag is registered, so a misspelt, retired, repeated or
-  /// ignored flag is a usage error instead of a silently different run.
+  /// that `mode` does not read, or that read_only_if says goes unread; and
+  /// then the first positional argument, when `mode` reads none. Call it
+  /// once every flag is registered, so a misspelt, retired, repeated,
+  /// ignored or stray argument is a usage error instead of a silently
+  /// different run.
   void reject_bad_flags(std::string_view mode = {}) const;
 
   /// True if --help was passed; callers should print_help() and exit.
@@ -84,11 +97,6 @@ class Cli {
   /// Prints a usage block listing every flag registered via get* calls and
   /// the modes that read it.
   void print_help(const std::string& program_description) const;
-
-  /// Positional (non-flag) arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
 
  private:
   struct Flag {
@@ -99,17 +107,25 @@ class Cli {
 
   std::string program_;
   Modes modes_;
-  std::map<std::string, std::string> values_;
+  /// Given flags' values; nullopt for a flag given bare.
+  std::map<std::string, std::optional<std::string>> values_;
   std::vector<std::string> given_;  // flag names in command-line order
   std::vector<std::string> positional_;
+  /// get_positionals()'s declaration (its name is empty); nullopt until then.
+  std::optional<Flag> positional_reader_;
   std::vector<Flag> registered_;
   bool help_requested_ = false;
 
   /// Registers the flag (once) and returns its value; nullptr if not given.
-  const std::string* register_flag(const std::string& name,
-                                   const std::string& help,
-                                   const std::string& fallback,
-                                   const Modes& modes);
+  const std::optional<std::string>* register_flag(const std::string& name,
+                                                  const std::string& help,
+                                                  const std::string& fallback,
+                                                  const Modes& modes);
+  /// register_flag for the value getters: throws on a bare flag.
+  const std::string* register_value_flag(const std::string& name,
+                                         const std::string& help,
+                                         const std::string& fallback,
+                                         const Modes& modes);
 };
 
 }  // namespace udring

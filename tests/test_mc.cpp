@@ -308,6 +308,77 @@ TEST(ConfigDigest, NoCollisionWhenOnlyATokenPositionDiffers) {
             1000u);
 }
 
+/// Steps a fresh state of `instance` along a random schedule (`rng` draws an
+/// index into the sorted enabled set, or a stride for a pending rewiring)
+/// and keeps sim::DigestComponents by update() alone: after every action its
+/// digest must equal a from-scratch config_digest(). Returns the actions
+/// checked.
+std::size_t expect_footprint_digest_matches(const sim::Instance& instance,
+                                            Rng& rng, const std::string& what) {
+  sim::ExecutionState state;
+  state.reset(instance);
+  sim::DigestComponents components;
+  components.rebuild(state);
+  EXPECT_EQ(components.digest(state), state.config_digest()) << what;
+  std::vector<sim::AgentId> sorted;
+  std::size_t actions = 0;
+  while (!state.quiescent() && state.actions_executed() < state.max_actions()) {
+    if (state.pending_rewire()) {
+      state.apply_rewire(rng.index(state.rewire_candidate_count()));
+    } else {
+      sorted.assign(state.enabled().begin(), state.enabled().end());
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_TRUE(state.step_agent(sorted[rng.index(sorted.size())])) << what;
+      components.update(state);
+      ++actions;
+    }
+    if (components.digest(state) != state.config_digest()) {
+      ADD_FAILURE() << what << ": the footprint-updated digest differs from "
+                    << "config_digest() after action " << actions;
+      break;
+    }
+  }
+  return actions;
+}
+
+TEST(ConfigDigest, FootprintUpdateEqualsAFullRehashAfterEveryAction) {
+  // The update re-hashes the actor, the footprint nodes and the agents
+  // staying at the acting node (broadcast receivers); a crash re-hashes
+  // every agent. Any component it misses shows up as a mismatch here.
+  Rng rng(2031);
+  for (const core::Algorithm algorithm : explore::all_algorithms()) {
+    for (const explore::FuzzTopology topology :
+         {explore::FuzzTopology::Ring, explore::FuzzTopology::Tree,
+          explore::FuzzTopology::Graph}) {
+      const explore::DrawnInstance drawn =
+          explore::draw_instance(topology, 9, 4, rng);
+      for (int plan = 0; plan < 3; ++plan) {
+        core::RunSpec spec;
+        spec.node_count = drawn.node_count;
+        spec.homes = drawn.homes;
+        spec.topology = drawn.topology;
+        spec.sim_options.record_events = false;
+        std::string what = std::string(core::to_string(algorithm)) + " on " +
+                           std::string(explore::to_string(topology));
+        if (plan == 1) {
+          spec.sim_options.faults.non_fifo = true;
+          what += " non-FIFO";
+        } else if (plan == 2) {
+          spec.sim_options.faults.crashes = {sim::CrashFault{1, 7}};
+          spec.sim_options.faults.rewire_at = {4, 11};
+          spec.sim_options.faults.normalize();
+          what += " crash+rewire";
+        }
+        const sim::Instance instance = core::make_instance(algorithm, spec);
+        for (int schedule = 0; schedule < 3; ++schedule) {
+          EXPECT_GT(expect_footprint_digest_matches(instance, rng, what), 0u)
+              << what;
+        }
+      }
+    }
+  }
+}
+
 // ---- 1. exhaustive verification, counts stable across workers ---------------
 
 TEST(Exhaustive, KnownKFullSmallestInstanceFullEnumerationCount) {

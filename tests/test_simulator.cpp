@@ -332,5 +332,101 @@ TEST(Snapshot, ReflectsConfiguration) {
   for (const auto& queue : snap.queues) EXPECT_TRUE(queue.empty());
 }
 
+// ---- per-node lists: FIFO queues and insertion-ordered staying sets ---------
+
+/// The members of q_node read through link_queue(), checked against the
+/// same queue in snapshot().
+std::vector<AgentId> queue_of(const Simulator& sim, NodeId node) {
+  const ExecutionState::AgentList queue = sim.link_queue(node);
+  std::vector<AgentId> members(queue.begin(), queue.end());
+  EXPECT_EQ(members.size(), sim.queue_length(node));
+  EXPECT_EQ(sim.snapshot().queues.at(node), members);
+  return members;
+}
+
+std::vector<AgentId> staying_at(const Simulator& sim, NodeId node) {
+  const ExecutionState::AgentList set = sim.staying_set(node);
+  std::vector<AgentId> members(set.begin(), set.end());
+  EXPECT_EQ(members.size(), set.size());
+  return members;
+}
+
+TEST(NodeLists, QueueStaysFifoAfterNonFifoJumpsFromTheMiddleAndTheTail) {
+  // Agent i walks from home i to node 4; step_agent orders the arrivals.
+  SimOptions options;
+  options.faults.non_fifo = true;
+  Simulator sim(
+      8, {0, 1, 2, 3},
+      [](AgentId id) { return std::make_unique<WalkerAgent>(4 - id); },
+      options);
+  for (const AgentId id : {3, 2, 2, 1, 1, 1, 0, 0, 0}) {
+    ASSERT_TRUE(sim.step_agent(id)) << id;
+  }
+  EXPECT_EQ(queue_of(sim, 4), (std::vector<AgentId>{3, 2, 1}));
+  EXPECT_EQ(queue_of(sim, 3), (std::vector<AgentId>{0}));
+  ASSERT_TRUE(sim.step_agent(1));  // jumps from the tail
+  EXPECT_EQ(queue_of(sim, 4), (std::vector<AgentId>{3, 2}));
+  ASSERT_TRUE(sim.step_agent(0));  // joins behind the new tail
+  EXPECT_EQ(queue_of(sim, 4), (std::vector<AgentId>{3, 2, 0}));
+  EXPECT_TRUE(queue_of(sim, 3).empty());
+  ASSERT_TRUE(sim.step_agent(2));  // jumps from the middle
+  EXPECT_EQ(queue_of(sim, 4), (std::vector<AgentId>{3, 0}));
+  ASSERT_TRUE(sim.step_agent(3));  // the head arrives
+  EXPECT_EQ(queue_of(sim, 4), (std::vector<AgentId>{0}));
+  ASSERT_TRUE(sim.step_agent(0));
+  EXPECT_TRUE(queue_of(sim, 4).empty());
+  EXPECT_TRUE(sim.all_halted());
+  EXPECT_EQ(staying_at(sim, 4), (std::vector<AgentId>{1, 2, 3, 0}));
+}
+
+/// Walks `hops` nodes, stays there for one action, then moves on one node
+/// and halts.
+class StayThenLeaveAgent final : public CopyableProgram<StayThenLeaveAgent> {
+ public:
+  explicit StayThenLeaveAgent(std::size_t hops) : hops_(hops) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return "test-stay-then-leave";
+  }
+
+ private:
+  Request act(AgentContext& ctx) override {
+    UDRING_BEGIN;
+    for (moved_ = 0; moved_ < hops_; ++moved_) {
+      UDRING_AWAIT(ctx.move());
+    }
+    UDRING_AWAIT(ctx.stay());
+    UDRING_AWAIT(ctx.move());
+    UDRING_END;
+  }
+
+  std::size_t hops_;
+  std::size_t moved_ = 0;
+};
+
+TEST(NodeLists, StayingSetKeepsInsertionOrderAcrossRemovals) {
+  // Agent i walks from home i to node 5 and stays; step_agent orders the
+  // arrivals, then the departures: the last, the first and a middle member.
+  Simulator sim(8, {0, 1, 2, 3, 4, 5}, [](AgentId id) {
+    return std::make_unique<StayThenLeaveAgent>(5 - id);
+  });
+  for (const AgentId id : {5, 4, 4, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1}) {
+    ASSERT_TRUE(sim.step_agent(id)) << id;
+  }
+  EXPECT_EQ(staying_at(sim, 5), (std::vector<AgentId>{5, 4, 3, 2, 1}));
+  ASSERT_TRUE(sim.step_agent(1));  // the last member leaves
+  EXPECT_EQ(staying_at(sim, 5), (std::vector<AgentId>{5, 4, 3, 2}));
+  for (int step = 0; step < 6; ++step) ASSERT_TRUE(sim.step_agent(0));
+  EXPECT_EQ(staying_at(sim, 5), (std::vector<AgentId>{5, 4, 3, 2, 0}));
+  ASSERT_TRUE(sim.step_agent(5));  // the first member leaves
+  EXPECT_EQ(staying_at(sim, 5), (std::vector<AgentId>{4, 3, 2, 0}));
+  ASSERT_TRUE(sim.step_agent(3));  // a middle member leaves
+  EXPECT_EQ(staying_at(sim, 5), (std::vector<AgentId>{4, 2, 0}));
+  EXPECT_EQ(queue_of(sim, 6), (std::vector<AgentId>{1, 5, 3}));
+  // The leavers halt at node 6 in the order they arrive there.
+  for (const AgentId id : {1, 5, 3}) ASSERT_TRUE(sim.step_agent(id)) << id;
+  EXPECT_EQ(staying_at(sim, 6), (std::vector<AgentId>{1, 5, 3}));
+}
+
 }  // namespace
 }  // namespace udring::sim

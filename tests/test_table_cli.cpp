@@ -62,8 +62,9 @@ TEST(Cli, ParsesEqualsAndBooleanForms) {
   EXPECT_EQ(cli.get_size("k", 0, "agents"), 8u);
   EXPECT_TRUE(cli.get_flag("verbose", "chatty"));
   EXPECT_FALSE(cli.get_flag("quiet", "silent"));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos1");
+  const std::vector<std::string>& positionals = cli.get_positionals("inputs");
+  ASSERT_EQ(positionals.size(), 1u);
+  EXPECT_EQ(positionals[0], "pos1");
 }
 
 TEST(Cli, DefaultsApplyWhenAbsent) {
@@ -160,7 +161,10 @@ TEST(Cli, RejectsUnregisteredFlagsInCommandLineOrder) {
   expect_rejected(reject("merge"), "--out", "not read in merge mode");
   expect_rejected(reject("run"), "--g", "read only with --problem=gather");
   cli.read_only_if("g", true, "with --problem=gather");
-  EXPECT_NO_THROW(cli.reject_bad_flags("run"));  // positionals are not flags
+  // Every flag passes now; the positional comes after them all.
+  expect_rejected(reject("run"), "pos1", "unexpected argument");
+  (void)cli.get_positionals("inputs", {"run"});
+  EXPECT_NO_THROW(cli.reject_bad_flags("run"));
   // Mode names are the program's own: a typo is a programming error.
   EXPECT_THROW(cli.reject_bad_flags("shard"), std::logic_error);
   EXPECT_THROW(cli.reject_bad_flags(), std::logic_error);
@@ -184,6 +188,35 @@ TEST(Cli, RejectsRepeatedFlags) {
       "--n", "given more than once");
 }
 
+TEST(Cli, RejectsBareValuesAndPositionalsNoModeReads) {
+  // A bare value flag read as the string "true": --record wrote a trace
+  // named "true"; and a positional argument went unread.
+  const char* argv[] = {"prog", "--out", "--n", "--seed", "--summary",
+                        "stray"};
+  Cli cli(6, argv, {"run", "merge"});
+  expect_rejected([&] { return cli.get("out", "output file"); }, "--out",
+                  "needs a value");
+  expect_rejected([&] { return cli.get_size("n", 6, "ring size"); }, "--n",
+                  "needs a value");
+  expect_rejected([&] { return cli.get_u64("seed", 1, "seed"); }, "--seed",
+                  "needs a value");
+  EXPECT_TRUE(cli.get_flag("summary", "table"));  // a bare boolean is true
+  const auto reject = [&](const char* mode) {
+    return [&cli, mode] {
+      cli.reject_bad_flags(mode);
+      return 0;
+    };
+  };
+  expect_rejected(reject("run"), "stray", "unexpected argument");
+  EXPECT_EQ(cli.get_positionals("shard files", {"merge"}),
+            std::vector<std::string>{"stray"});
+  expect_rejected(reject("run"), "stray",
+                  "positional argument not read in run mode (read in: merge)");
+  EXPECT_NO_THROW(cli.reject_bad_flags("merge"));
+  EXPECT_THROW((void)cli.get_positionals("files", {"shard"}),
+               std::logic_error);
+}
+
 /// Exit status of `<binary> <args>`, output discarded.
 int run_tool(const std::string& binary, const std::string& args) {
   const std::string command = binary + " " + args + " > /dev/null 2>&1";
@@ -198,12 +231,14 @@ TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
   // An unknown flag (a typo, or a retired option) was silently ignored, so
   // the run checked something other than was asked; so was a non-FIFO phase
   // window without --inject-non-fifo, which verified the fault-free model,
-  // a repeated flag (the last value won) and a --k the --homes overrode.
+  // a repeated flag (the last value won), a --k the --homes overrode, a
+  // stray positional argument and a bare value flag (--out became "true").
   for (const char* bad :
        {"--budget=-5", "--n=-1", "--homes=0,3x", "--homes=0,,3",
         "--budget=99999999999999999999", "--n=4 --k=5", "--no-such-flag",
         "--fault-min-phase=1", "--n=8 --n=6 --k=2 --homes=0,3",
-        "--n=8 --k=3 --homes=0,4"}) {
+        "--n=8 --k=3 --homes=0,4", "--n=6 --k=2 extra",
+        "--n=6 --k=2 --out"}) {
     EXPECT_EQ(
         run_tool(UDRING_MC_BINARY, std::string("--algo=known-k-full ") + bad),
         2)
@@ -221,7 +256,15 @@ TEST(Cli, FuzzAndCampaignToolsRejectUnknownFlags) {
             2);
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --iterations=2"), 2);
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 --workers=1"), 0);
-  for (const char* bad : {"--no-such-flag", "--lanes=4", "--grid=engine"}) {
+  // A bare --record took the value "true" and recorded to a file of that
+  // name; trace.txt went unread.
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY,
+                     "--record trace.txt --algorithm=known-k-full --nodes=8 "
+                     "--agents=2 --seed=3"),
+            2);
+  EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 stray"), 2);
+  for (const char* bad :
+       {"--no-such-flag", "--lanes=4", "--grid=engine", "stray"}) {
     EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,
                        std::string("--grid=smoke --workers=1 ") + bad),
               2)

@@ -112,6 +112,8 @@ int run(int argc, char** argv) {
       cli.get_size("workers", 0, "worker threads (0 = hardware)", sweep);
   const bool merge =
       cli.get_flag("merge", "merge the positional shard files instead");
+  const std::vector<std::string>& shard_paths =
+      cli.get_positionals("shard files to merge", {"merge"});
   const bool allow_partial = cli.get_flag(
       "allow-partial", "merge even when the shards do not tile the sweep",
       {"merge"});
@@ -131,12 +133,12 @@ int run(int argc, char** argv) {
   cli.reject_bad_flags(mode);
 
   if (mode == "merge") {
-    if (cli.positional().empty()) {
+    if (shard_paths.empty()) {
       throw std::invalid_argument("--merge needs shard file paths");
     }
     std::vector<exp::ShardFile> shards;
-    shards.reserve(cli.positional().size());
-    for (const std::string& path : cli.positional()) {
+    shards.reserve(shard_paths.size());
+    for (const std::string& path : shard_paths) {
       shards.push_back(exp::load_shard_file(path));
     }
     const exp::CampaignResult result =
