@@ -77,7 +77,8 @@ namespace {
 /// checking through `oracle` (which also judges the goal at quiescence).
 /// Shared by the fuzzing and replay paths so both stop at the same action
 /// with the same verdict — that is what makes a failing trace's digest
-/// reproducible. `mode` picks the per-action checker: Full re-walks
+/// reproducible. The event log stays in `sim` for the caller to digest
+/// (out.digest is left 0). `mode` picks the per-action checker: Full re-walks
 /// everything each action; Incremental revalidates the action's footprint
 /// in O(dirty) (equivalent verdicts — the checks are passive, so the
 /// executed schedule and the event-log digest are mode-independent).
@@ -103,7 +104,6 @@ ReplayOutcome drive_checked(sim::ExecutionState& sim, sim::Scheduler& scheduler,
       out.failed = true;
       out.reason = "invariant: " + start.reason;
       out.actions = sim.actions_executed();
-      out.digest = sim.log().digest();
       return out;
     }
   }
@@ -130,7 +130,6 @@ ReplayOutcome drive_checked(sim::ExecutionState& sim, sim::Scheduler& scheduler,
     }
   }
   out.actions = sim.actions_executed();
-  out.digest = sim.log().digest();
   return out;
 }
 
@@ -146,11 +145,10 @@ ReplayOutcome drive_checked(sim::ExecutionState& sim, sim::Scheduler& scheduler,
   return core::make_instance(request.algorithm, spec);
 }
 
-}  // namespace
-
-ScheduleTrace record_trace(const RecordRequest& request,
-                           sim::ExecutionState* reuse) {
-  ScheduleTrace trace;
+/// record_trace's run: fills `trace` with everything but expected_digest
+/// and leaves the run's event log in `state`.
+void record_into(const RecordRequest& request, sim::ExecutionState& state,
+                 ScheduleTrace& trace) {
   trace.algorithm = request.algorithm;
   trace.node_count = request.topology.empty() ? request.node_count
                                               : request.topology.size();
@@ -166,8 +164,6 @@ ScheduleTrace record_trace(const RecordRequest& request,
   trace.max_actions = request.max_actions;
 
   const sim::Instance instance = build_instance(request);
-  sim::ExecutionState local;
-  sim::ExecutionState& state = reuse != nullptr ? *reuse : local;
   state.reset(instance);
   RecordingScheduler recorder(
       make_explore_scheduler(request.kind, request.seed, trace.homes.size()));
@@ -177,8 +173,18 @@ ScheduleTrace record_trace(const RecordRequest& request,
       drive_checked(state, recorder, *goal_oracle, request.oracle,
                     request.oracle_full_check_every);
   trace.choices = recorder.choices();
-  trace.expected_digest = outcome.digest;
   trace.note = outcome.failed ? outcome.reason : "ok";
+}
+
+}  // namespace
+
+ScheduleTrace record_trace(const RecordRequest& request,
+                           sim::ExecutionState* reuse) {
+  sim::ExecutionState local;
+  sim::ExecutionState& state = reuse != nullptr ? *reuse : local;
+  ScheduleTrace trace;
+  record_into(request, state, trace);
+  trace.expected_digest = state.log().digest();
   return trace;
 }
 
@@ -204,13 +210,21 @@ ReplayOutcome replay_trace(const ScheduleTrace& trace, std::size_t max_actions,
   ReplayScheduler replayer(trace.choices);
   const auto goal_oracle =
       core::make_goal_oracle(trace.algorithm, trace.problem);
-  return drive_checked(state, replayer, *goal_oracle, oracle,
-                       full_check_every);
+  ReplayOutcome outcome = drive_checked(state, replayer, *goal_oracle, oracle,
+                                        full_check_every);
+  outcome.digest = state.log().digest();
+  return outcome;
 }
 
-FuzzIteration fuzz_iteration(const FuzzOptions& options,
-                             std::uint64_t iteration,
-                             sim::ExecutionState* reuse) {
+namespace {
+
+/// fuzz_iteration's body, run in `state` and written into `out`. A passing
+/// run's event log goes to `lanes` when given, which writes out.digest later
+/// (a submit() or flush()); a failing run's log is digested at once, so its
+/// trace carries expected_digest.
+void run_iteration(const FuzzOptions& options, std::uint64_t iteration,
+                   sim::ExecutionState& state, sim::EventLogDigester* lanes,
+                   FuzzIteration& out) {
   Rng rng = Rng(options.base_seed).substream(iteration);
 
   if (!options.fixed_homes.empty() &&
@@ -301,21 +315,36 @@ FuzzIteration fuzz_iteration(const FuzzOptions& options,
     request.faults.normalize();
   }
 
-  sim::ExecutionState local;
-  sim::ExecutionState& state = reuse != nullptr ? *reuse : local;
-  ScheduleTrace trace = record_trace(request, &state);
-  FuzzIteration out;
+  ScheduleTrace trace;
+  record_into(request, state, trace);
   // Counted by the state, not the trace: every applied rewiring adds a
   // choice to the trace that is not an action.
   out.actions = state.actions_executed();
-  out.digest = trace.expected_digest;
-  if (trace.note == "ok") return out;
+  const bool passed = trace.note == "ok";
+  if (passed && lanes != nullptr) {
+    lanes->submit(state.log(), &out.digest);
+    return;
+  }
+  out.digest = state.log().digest();
+  if (passed) return;
+  trace.expected_digest = out.digest;
   FuzzFailure failure;
   failure.reason = trace.note;
   failure.at_action = out.actions;
   failure.iteration = iteration;
   failure.trace = std::move(trace);
   out.failure = std::move(failure);
+}
+
+}  // namespace
+
+FuzzIteration fuzz_iteration(const FuzzOptions& options,
+                             std::uint64_t iteration,
+                             sim::ExecutionState* reuse) {
+  sim::ExecutionState local;
+  FuzzIteration out;
+  run_iteration(options, iteration, reuse != nullptr ? *reuse : local,
+                nullptr, out);
   return out;
 }
 
@@ -326,19 +355,25 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
   std::vector<FuzzIteration> slots(options.iterations);
   // One pooled ExecutionState per worker (the same shape as the campaign
   // engine's RunContext pool): arenas recycle across iterations, outputs
-  // stay index-owned, so the digest stays worker-count-invariant.
+  // stay index-owned, so the digest stays worker-count-invariant. Each
+  // worker's digester writes the digests of its passing iterations into
+  // their slots; the flushes after the join finish them before the fold.
   const std::size_t workers =
       resolve_workers(options.iterations, options.workers);
   std::vector<std::unique_ptr<sim::ExecutionState>> states;
+  std::vector<std::unique_ptr<sim::EventLogDigester>> lanes;
   states.reserve(workers);
+  lanes.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     states.push_back(std::make_unique<sim::ExecutionState>());
+    lanes.push_back(std::make_unique<sim::EventLogDigester>());
   }
   parallel_for_workers(options.iterations, workers,
                        [&](std::size_t worker, std::size_t i) {
-                         slots[i] =
-                             fuzz_iteration(options, i, states[worker].get());
+                         run_iteration(options, i, *states[worker],
+                                       lanes[worker].get(), slots[i]);
                        });
+  for (const auto& worker_lanes : lanes) worker_lanes->flush();
 
   std::uint64_t state = 0xf0220feed5eedULL;  // "fuzz-feed" domain
   fold64(state, options.iterations);

@@ -14,7 +14,9 @@
 // run_fuzz shards iterations across the shared worker-pool primitive
 // (util::parallel_for_workers) with one pooled sim::ExecutionState per
 // worker, so a long fuzz campaign reuses its arenas exactly like a
-// measurement campaign. Iteration i's randomness is
+// measurement campaign, and one sim::EventLogDigester per worker, which
+// digests the passing iterations' event logs four at a time (a failing
+// iteration is digested at once, for its trace). Iteration i's randomness is
 // Rng(base_seed).substream(i) — independent of worker count and execution
 // order — and results fold in index order, so a fuzz campaign's digest is
 // byte-identical at any parallelism.
@@ -41,11 +43,13 @@ namespace udring::explore {
 /// action's {node, next(node)} footprint against shadow counts
 /// (sim::IncrementalInvariantChecker) with a periodic full re-walk as the
 /// safety net — O(dirty) per action, which is what makes per-action
-/// checking viable at n ≫ 100 (≥2× checked-fuzz throughput at n = 4096;
-/// see bench_streaming_campaign). Verdicts are equivalent on any violation
-/// a single action can introduce (tests/test_checker_incremental.cpp), so
-/// the mode changes cost, not coverage, and report digests match across
-/// modes.
+/// checking viable at n ≫ 100. Measured with udring_fuzz, one worker, on a
+/// 4-vCPU x86-64 VM: at n = 4096, k = 8 (known-k-full, 3 iterations) the
+/// incremental run takes ~0.06 s against ~0.67 s for full, ~11×; at the
+/// fuzz sizes n 8–24, k 2–6 (known-k-logmem, 5000 iterations) the two are
+/// within 5%. Verdicts are equivalent on any violation a single action can
+/// introduce (tests/test_checker_incremental.cpp), so the mode changes cost,
+/// not coverage, and report digests match across modes.
 enum class OracleMode { Full, Incremental };
 
 [[nodiscard]] std::string_view to_string(OracleMode mode) noexcept;

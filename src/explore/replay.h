@@ -3,11 +3,13 @@
 // Record/replay schedulers.
 //
 // RecordingScheduler wraps any scheduler and writes down, for every pick,
-// the chosen agent's index within the *sorted* enabled set. ReplayScheduler
-// consumes such a sequence and reproduces the picks. Because the simulator
-// is deterministic given the pick sequence, record → replay reproduces the
-// execution byte-identically (pinned by the event-log digest in
-// tests/test_replay.cpp, for every scheduler family).
+// the chosen agent's index within the *sorted* enabled set — its rank,
+// counted in one pass over the enabled set with no copy or sort.
+// ReplayScheduler consumes such a sequence and reproduces the picks,
+// selecting the rank-th smallest enabled id in O(|enabled|). Because the
+// simulator is deterministic given the pick sequence, record → replay
+// reproduces the execution byte-identically (pinned by the event-log digest
+// in tests/test_replay.cpp, for every scheduler family).
 //
 // The sorted-index encoding is deliberate: it is independent of the
 // simulator's internal enabled-set ordering, and it keeps a *mutated* trace
@@ -52,7 +54,6 @@ class RecordingScheduler final : public sim::Scheduler {
   std::unique_ptr<sim::Scheduler> inner_;
   std::string name_;
   std::vector<std::uint32_t> choices_;
-  std::vector<sim::AgentId> sorted_;  // scratch, reused across picks
 };
 
 /// Replays a choice sequence leniently: every entry is reduced modulo the
@@ -80,7 +81,7 @@ class ReplayScheduler final : public sim::Scheduler {
  private:
   std::vector<std::uint32_t> choices_;
   std::size_t cursor_ = 0;
-  std::vector<sim::AgentId> sorted_;  // scratch, reused across picks
+  std::vector<sim::AgentId> scratch_;  // the select's copy, reused across picks
 };
 
 }  // namespace udring::explore

@@ -159,6 +159,8 @@ struct InvariantViolation {
   enum class Kind : std::uint8_t {
     None,
     TokensDecreased,       ///< count = total tokens < bound
+    QueueLinkOutOfRange,   ///< q_node links to agent id `agent` >= count = k
+    QueueCycle,            ///< q_node runs past count = k members
     MemberStatus,          ///< queue member with a non-transit status
     MemberDestination,     ///< queue member bound for another node
     CrashedInQueues,       ///< crashed agent in `count` (> 1) queues
@@ -175,10 +177,11 @@ struct InvariantViolation {
   explicit operator bool() const noexcept { return kind != Kind::None; }
 };
 
+using Kind = InvariantViolation::Kind;
+
 /// The CheckResult for `violation`: pass() for Kind::None, otherwise the
 /// reason text every checker mode reports.
 CheckResult invariant_result(const InvariantViolation& violation) {
-  using Kind = InvariantViolation::Kind;
   if (!violation) return CheckResult::pass();
   std::ostringstream why;
   switch (violation.kind) {
@@ -187,6 +190,16 @@ CheckResult invariant_result(const InvariantViolation& violation) {
     case Kind::TokensDecreased:
       why << "token count decreased: " << violation.count << " < "
           << violation.bound;
+      break;
+    case Kind::QueueLinkOutOfRange:
+      why << "link queue into node " << violation.node << " links to agent "
+          << violation.agent << ", but there are only " << violation.count
+          << " agents";
+      break;
+    case Kind::QueueCycle:
+      why << "link queue into node " << violation.node
+          << " runs past all " << violation.count
+          << " agents: its links form a cycle";
       break;
     case Kind::MemberStatus:
       why << "agent " << violation.agent << " is in queue to node "
@@ -212,86 +225,158 @@ CheckResult invariant_result(const InvariantViolation& violation) {
   return CheckResult::fail(why.str());
 }
 
-/// One queue member's local validity: InTransit status and a destination
-/// matching the queue it sits in.
-InvariantViolation queue_member_violation(const Simulator& sim, AgentId id,
-                                          NodeId node) {
-  using Kind = InvariantViolation::Kind;
-  const AgentStatus status = sim.status(id);
-  if (status != AgentStatus::InTransit && status != AgentStatus::Crashed) {
-    // A crash-stop corpse legitimately freezes inside the queue it was
-    // transiting (destination still must match below); every live member
-    // must be InTransit exactly as before.
-    return {.kind = Kind::MemberStatus, .status = status, .agent = id,
-            .node = node};
-  }
-  if (sim.agent_node(id) != node) {
-    return {.kind = Kind::MemberDestination, .agent = id, .node = node};
-  }
-  return {};
+// ---- the predicates ---------------------------------------------------------
+//
+// Each returns the kind of violation it sees, or Kind::None, from plain
+// values, so the pass path can OR them into one flag while the ordered walk
+// turns the first hit into an InvariantViolation.
+
+/// Token monotonicity: tokens are indelible, so the total may only grow (and
+/// in this paper's algorithms it is bounded by the number of agents).
+Kind token_kind(std::size_t total_tokens, std::size_t min_expected_tokens) {
+  return total_tokens < min_expected_tokens ? Kind::TokensDecreased
+                                            : Kind::None;
 }
 
-/// One agent's status/queue-occurrence consistency given how many queues
-/// hold it.
-InvariantViolation occurrence_violation(const Simulator& sim, AgentId id,
-                                        std::size_t occurrences) {
-  using Kind = InvariantViolation::Kind;
-  const AgentStatus status = sim.status(id);
-  if (status == AgentStatus::Crashed) {
-    // A corpse froze either in its link queue (1 occurrence) or in a
-    // staying set (0); more than one queue is corruption as always.
-    if (occurrences > 1) {
-      return {.kind = Kind::CrashedInQueues, .agent = id, .count = occurrences};
-    }
-    return {};
-  }
+/// One queue member's local validity: InTransit status and a destination
+/// matching the queue it sits in. A crash-stop corpse legitimately freezes
+/// inside the queue it was transiting (its destination must still match);
+/// every live member must be InTransit.
+Kind member_kind(AgentStatus status, NodeId destination, NodeId node) {
+  const bool transit_or_corpse = (status == AgentStatus::InTransit) |
+                                 (status == AgentStatus::Crashed);
+  if (!transit_or_corpse) return Kind::MemberStatus;
+  return destination != node ? Kind::MemberDestination : Kind::None;
+}
+
+/// One agent's status against the number of queues holding it: exactly one
+/// while in transit; at most one for a corpse, which froze either in its
+/// link queue or in a staying set; none for every other status.
+Kind occurrence_kind(AgentStatus status, std::size_t occurrences) {
   const bool in_transit = status == AgentStatus::InTransit;
-  if (in_transit && occurrences != 1) {
-    return {.kind = Kind::InTransitOccurrences, .agent = id,
-            .count = occurrences};
-  }
-  if (!in_transit && occurrences != 0) {
-    return {.kind = Kind::StayingInQueue, .agent = id};
-  }
-  return {};
+  const bool crashed = status == AgentStatus::Crashed;
+  const std::size_t least = in_transit ? 1 : 0;
+  const std::size_t most = (in_transit | crashed) ? 1 : 0;
+  if ((occurrences >= least) & (occurrences <= most)) return Kind::None;
+  if (crashed) return Kind::CrashedInQueues;
+  return in_transit ? Kind::InTransitOccurrences : Kind::StayingInQueue;
+}
+
+/// Where a walk of a queue bounded by k members stopped: at kNoAgent (the
+/// queue ended), at a link outside the agent ids, or on a (k+1)-th member —
+/// a legal queue holds at most k agents, so only a cycle gets that far.
+Kind queue_end_kind(AgentId stop, std::size_t agent_count) {
+  if (stop == ExecutionState::kNoAgent) return Kind::None;
+  return stop >= agent_count ? Kind::QueueLinkOutOfRange : Kind::QueueCycle;
 }
 
 InvariantViolation token_violation(const Simulator& sim,
                                    std::size_t min_expected_tokens) {
-  // Token monotonicity: tokens are indelible, so the total may only grow,
-  // and in this paper's algorithms it is bounded by the number of agents.
-  const std::size_t total_tokens = sim.total_tokens();
-  if (total_tokens < min_expected_tokens) {
-    return {.kind = InvariantViolation::Kind::TokensDecreased,
-            .count = total_tokens, .bound = min_expected_tokens};
-  }
-  return {};
+  return {.kind = token_kind(sim.total_tokens(), min_expected_tokens),
+          .count = sim.total_tokens(), .bound = min_expected_tokens};
 }
 
-/// The full sweep: tokens, then every queue member in node order, then
-/// every agent's occurrence count in id order; the first violation wins.
+InvariantViolation queue_member_violation(const Simulator& sim, AgentId id,
+                                          NodeId node) {
+  const AgentStatus status = sim.status(id);
+  return {.kind = member_kind(status, sim.agent_node(id), node),
+          .status = status, .agent = id, .node = node};
+}
+
+InvariantViolation occurrence_violation(const Simulator& sim, AgentId id,
+                                        std::size_t occurrences) {
+  return {.kind = occurrence_kind(sim.status(id), occurrences), .agent = id,
+          .count = occurrences};
+}
+
+InvariantViolation queue_end_violation(const Simulator& sim, NodeId node,
+                                       AgentId stop) {
+  return {.kind = queue_end_kind(stop, sim.agent_count()), .agent = stop,
+          .node = node, .count = sim.agent_count()};
+}
+
+// ---- the full sweep ---------------------------------------------------------
+
+/// Calls visit(id) on the members of q_node in FIFO order, and returns the
+/// id the walk stopped at (see queue_end_kind). It reads the raw links and
+/// stops after k = agent_count() members or at the first link that is not
+/// an agent id, so a corrupted queue cannot hang a checker or send it out of
+/// bounds. Every queue walk of both checkers goes through here.
+template <typename Visit>
+AgentId walk_queue(const Simulator& sim, NodeId node, Visit&& visit) {
+  const std::size_t k = sim.agent_count();
+  AgentId id = sim.queue_head(node);
+  for (std::size_t members = 0; id < k && members < k;
+       id = sim.queue_next(id), ++members) {
+    visit(id);
+  }
+  return id;
+}
+
+/// Per-thread scratch of the full sweep, reused: it runs once per mc edge
+/// and once per checked-fuzz action, so it must not allocate per call.
+struct SweepScratch {
+  std::vector<NodeId> busy_nodes;  ///< nodes with a non-empty queue
+  std::vector<std::size_t> seen;   ///< per agent: queues it was met in
+};
+
+/// The pass path: every predicate of first_invariant_violation over the same
+/// walks, ORed into one flag with no early exit. It first compacts the nodes
+/// whose queue is non-empty (without branching) and walks only those.
+bool any_invariant_violation(const Simulator& sim,
+                             std::size_t min_expected_tokens,
+                             SweepScratch& scratch) {
+  const std::size_t n = sim.node_count();
+  const std::size_t k = sim.agent_count();
+  bool bad = token_kind(sim.total_tokens(), min_expected_tokens) != Kind::None;
+  std::vector<NodeId>& busy = scratch.busy_nodes;
+  busy.resize(n);
+  std::size_t busy_count = 0;
+  for (NodeId node = 0; node < n; ++node) {
+    busy[busy_count] = node;
+    busy_count += sim.queue_head(node) != ExecutionState::kNoAgent ? 1 : 0;
+  }
+  std::vector<std::size_t>& seen = scratch.seen;
+  seen.assign(k, 0);
+  for (std::size_t i = 0; i < busy_count; ++i) {
+    const NodeId node = busy[i];
+    const AgentId stop = walk_queue(sim, node, [&](AgentId id) {
+      ++seen[id];
+      bad |= member_kind(sim.status(id), sim.agent_node(id), node) !=
+             Kind::None;
+    });
+    bad |= queue_end_kind(stop, k) != Kind::None;
+  }
+  for (AgentId id = 0; id < k; ++id) {
+    bad |= occurrence_kind(sim.status(id), seen[id]) != Kind::None;
+  }
+  return bad;
+}
+
+/// The ordered walk, run only to name a failure: tokens, then every queue in
+/// node order (each member, then how the walk ended), then every agent's
+/// occurrence count in id order; the first violation wins.
 InvariantViolation first_invariant_violation(const Simulator& sim,
-                                             std::size_t min_expected_tokens) {
+                                             std::size_t min_expected_tokens,
+                                             std::vector<std::size_t>& seen) {
   if (const InvariantViolation v = token_violation(sim, min_expected_tokens)) {
     return v;
   }
-  // Every agent is either in exactly one link queue (in transit) or staying;
-  // queue members must have InTransit status and match their queue's node.
-  // The count buffer is per thread and reused: this runs once per mc tree
-  // edge and once per checked-fuzz action, so it must not allocate per call.
-  static thread_local std::vector<std::size_t> seen_in_queue;
-  seen_in_queue.assign(sim.agent_count(), 0);
+  const std::size_t k = sim.agent_count();
+  seen.assign(k, 0);
   for (NodeId node = 0; node < sim.node_count(); ++node) {
-    for (const AgentId id : sim.link_queue(node)) {
-      ++seen_in_queue.at(id);
-      if (const InvariantViolation v = queue_member_violation(sim, id, node)) {
-        return v;
-      }
+    InvariantViolation member;
+    const AgentId stop = walk_queue(sim, node, [&](AgentId id) {
+      ++seen[id];
+      if (!member) member = queue_member_violation(sim, id, node);
+    });
+    if (member) return member;
+    if (const InvariantViolation v = queue_end_violation(sim, node, stop)) {
+      return v;
     }
   }
-  for (AgentId id = 0; id < sim.agent_count(); ++id) {
-    if (const InvariantViolation v =
-            occurrence_violation(sim, id, seen_in_queue[id])) {
+  for (AgentId id = 0; id < k; ++id) {
+    if (const InvariantViolation v = occurrence_violation(sim, id, seen[id])) {
       return v;
     }
   }
@@ -302,7 +387,12 @@ InvariantViolation first_invariant_violation(const Simulator& sim,
 
 CheckResult check_model_invariants(const Simulator& sim,
                                    std::size_t min_expected_tokens) {
-  return invariant_result(first_invariant_violation(sim, min_expected_tokens));
+  static thread_local SweepScratch scratch;
+  if (!any_invariant_violation(sim, min_expected_tokens, scratch)) {
+    return CheckResult::pass();
+  }
+  return invariant_result(
+      first_invariant_violation(sim, min_expected_tokens, scratch.seen));
 }
 
 CheckResult IncrementalInvariantChecker::reset(const ExecutionState& sim,
@@ -323,10 +413,12 @@ void IncrementalInvariantChecker::rebuild_shadow(const ExecutionState& sim) {
   for (NodeId node = 0; node < sim.node_count(); ++node) {
     auto& shadow = queue_shadow_[node];
     shadow.clear();
-    for (const AgentId id : sim.link_queue(node)) {
+    // A corrupted queue is copied up to where its walk stops; the full check
+    // that follows every rebuild names the fault.
+    (void)walk_queue(sim, node, [&](AgentId id) {
       shadow.push_back(id);
       ++in_queue_count_[id];
-    }
+    });
   }
 }
 
@@ -368,13 +460,16 @@ CheckResult IncrementalInvariantChecker::check_after_action(
       touch(id);
     }
     shadow.clear();
-    for (const AgentId id : sim.link_queue(node)) {
+    const AgentId stop = walk_queue(sim, node, [&](AgentId id) {
       shadow.push_back(id);
       ++in_queue_count_[id];
       touch(id);
       if (!member_violation) {
         member_violation = queue_member_violation(sim, id, node);
       }
+    });
+    if (!member_violation) {
+      member_violation = queue_end_violation(sim, node, stop);
     }
   }
   // Counts must be consistent before returning a member failure, or a later

@@ -56,15 +56,20 @@ struct CheckResult {
 /// agent/staying-set consistency, token conservation (tokens never exceed
 /// the number of agents and never decrease — callers track the prior count),
 /// and queue sanity. Used by randomized tests after every step. Reads queues
-/// and agents directly (no Snapshot materialization): O(n + k) time, O(k)
-/// scratch.
+/// and agents directly (no Snapshot materialization): O(n + k) time, O(n + k)
+/// per-thread scratch, reused.
 ///
-/// One sweep — tokens, then queue members in node order, then agents in id
-/// order — that records the first violation as a small plain struct. The
-/// pass path builds no CheckResult per member or agent and formats no text:
-/// it returns CheckResult::pass() (empty reason, no allocation), and the
-/// reason string is formatted only on failure. IncrementalInvariantChecker
-/// uses the same per-member predicates and the same formatter.
+/// Two passes over the same predicates. The pass path walks only the
+/// non-empty queues (their nodes compacted without branching) and ORs every
+/// per-member and per-agent predicate into one flag with no early exit; a
+/// passing state costs that pass alone and returns CheckResult::pass()
+/// (empty reason, no allocation). Only a failing state runs the ordered walk
+/// — tokens, then queue members in node order, then agents in id order — to
+/// name the first violation and format its reason. Every queue walk stops
+/// after k members or at a link that is not an agent id, and reports either
+/// as a violation naming the queue's node, so a corrupted state cannot hang
+/// or overrun the check. IncrementalInvariantChecker uses the same
+/// predicates, the same bounded walks and the same formatter.
 [[nodiscard]] CheckResult check_model_invariants(const Simulator& sim,
                                                  std::size_t min_expected_tokens);
 

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -58,6 +59,7 @@ class EventLog {
   /// with equal digests performed the same actions in the same order with
   /// the same causal stamps — this is the record/replay equality check
   /// (src/explore). Platform-stable: integers folded through splitmix64.
+  /// EventLogDigester computes the same value for many logs at once.
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
   /// All events of one kind, in order.
@@ -69,8 +71,47 @@ class EventLog {
   void clear() noexcept { events_.clear(); }
 
  private:
+  friend class EventLogDigester;
+
   bool enabled_ = false;
   std::vector<Event> events_;
+};
+
+/// EventLog::digest() for a stream of finished logs, kLanes at a time.
+/// digest() is one fold64 chain, so it runs at the multiplier's latency; the
+/// digester keeps up to kLanes chains in flight and folds them in lockstep,
+/// one event of each per step. submit() takes a log's events by swap — the
+/// log gets back a cleared buffer of an earlier log, so capacity recycles —
+/// and writes its digest to `*out` once its lane finishes. With every lane
+/// busy, submit() first folds until the shortest log ends and gives the
+/// freed lane the new log, so no lane waits for a longer one. flush() writes
+/// every pending digest. The result for each log equals its digest(): both
+/// fold the same words per event.
+class EventLogDigester {
+ public:
+  static constexpr std::size_t kLanes = 4;
+
+  /// Queues `log`'s events for digesting and leaves `log` empty. `*out` is
+  /// written by a later submit() or flush() and must stay valid until then.
+  void submit(EventLog& log, std::uint64_t* out);
+
+  /// Digests every pending log.
+  void flush();
+
+ private:
+  struct Lane {
+    std::vector<Event> events;
+    std::size_t next = 0;         ///< first event not folded yet
+    std::uint64_t state = 0;
+    std::uint64_t* out = nullptr;  ///< null while the lane is free
+  };
+
+  /// With every lane busy: folds them all in lockstep until the shortest
+  /// log ends, then finishes the lanes whose logs ended.
+  void fold_until_a_lane_frees();
+  void finish(Lane& lane);
+
+  std::array<Lane, kLanes> lanes_;
 };
 
 }  // namespace udring::sim

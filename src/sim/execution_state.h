@@ -122,10 +122,10 @@ struct Snapshot {
 class ExecutionState {
  private:
   struct AgentCell;
-  /// Ends an intrusive agent list (the links of AgentCell and NodeLists).
-  static constexpr AgentId kNoAgent = static_cast<AgentId>(-1);
 
  public:
+  /// Ends an intrusive agent list (see queue_head() and queue_next()).
+  static constexpr AgentId kNoAgent = static_cast<AgentId>(-1);
   /// Sentinel for "no agent" (see last_acting_agent()).
   static constexpr AgentId kNoAgentActing = static_cast<AgentId>(-1);
 
@@ -345,6 +345,18 @@ class ExecutionState {
             lists.stay_size};
   }
 
+  /// The raw links of Q, unchecked, for whole-state sweeps (the invariant
+  /// checker): the first agent of q_node, and the agent behind `id` in its
+  /// queue; kNoAgent ends a queue. Unlike link_queue() they assume nothing
+  /// about the links, so a sweep of a corrupted state can bound its walk by
+  /// agent_count() and check every id before it reads that agent.
+  [[nodiscard]] AgentId queue_head(NodeId node) const noexcept {
+    return nodes_[node].queue_head;
+  }
+  [[nodiscard]] AgentId queue_next(AgentId id) const noexcept {
+    return agents_[id].queue_next;
+  }
+
   /// The conservative node footprint of the most recently executed atomic
   /// action: the node the agent acted at, plus — when it moved — the
   /// successor it departed to. Every component of the configuration an
@@ -414,6 +426,9 @@ class ExecutionState {
 
  private:
   friend class AgentContext;
+  /// Test-only editing of a copied state's statuses, nodes and queue links
+  /// (defined under tests/support/, nowhere in the library).
+  friend struct ExecutionStateTestAccess;
 
   /// Owning program pointer with value semantics: copies deep-copy the
   /// program through AgentProgram::copy_to (in place when the types match),

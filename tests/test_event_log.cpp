@@ -1,16 +1,20 @@
-// Tests for sim/event_log.h: recording, filtering, formatting, and the
-// trace's consistency with the metrics.
+// Tests for sim/event_log.h: recording, filtering, formatting, the trace's
+// consistency with the metrics, and the lane digester's agreement with
+// EventLog::digest().
 
 #include "sim/event_log.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "support/test_agents.h"
+#include "util/rng.h"
 
 namespace udring::sim {
 namespace {
@@ -144,6 +148,89 @@ TEST(EventLogDigest, SensitiveToEveryFieldAndOrder) {
 
   EXPECT_NE(EventLog{}.digest(), a.digest());
   EXPECT_EQ(EventLog{}.digest(), EventLog{}.digest());
+}
+
+// ---- EventLogDigester -------------------------------------------------------
+
+/// A log of `size` events whose every field is drawn from `rng`.
+EventLog random_log(std::size_t size, Rng& rng) {
+  EventLog log;
+  log.set_enabled(true);
+  for (std::size_t i = 0; i < size; ++i) {
+    log.record({rng(), static_cast<EventKind>(rng.index(9)), rng.index(64),
+                rng.index(4096), rng(), rng.index(8)});
+  }
+  return log;
+}
+
+/// Digests `sizes.size()` random logs through one digester (submitting in
+/// order, flushing at the end) and checks each against EventLog::digest().
+void expect_lanes_match_digest(const std::vector<std::size_t>& sizes,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<EventLog> logs;
+  std::vector<std::uint64_t> want;
+  for (const std::size_t size : sizes) {
+    logs.push_back(random_log(size, rng));
+    want.push_back(logs.back().digest());
+  }
+  EventLogDigester lanes;
+  std::vector<std::uint64_t> got(sizes.size(), 0);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    lanes.submit(logs[i], &got[i]);
+    EXPECT_TRUE(logs[i].events().empty()) << "submit takes the events";
+  }
+  lanes.flush();
+  EXPECT_EQ(got, want);
+}
+
+TEST(EventLogDigester, EmptyAndOneEventLogs) {
+  expect_lanes_match_digest({0}, 1);
+  expect_lanes_match_digest({1}, 2);
+  expect_lanes_match_digest({0, 1, 0, 1, 0, 1}, 3);
+}
+
+TEST(EventLogDigester, FlushWithFewerPendingLogsThanLanes) {
+  static_assert(EventLogDigester::kLanes == 4);
+  expect_lanes_match_digest({5, 17, 3}, 4);
+  expect_lanes_match_digest({40, 2}, 5);
+  expect_lanes_match_digest({}, 6);
+}
+
+TEST(EventLogDigester, RaggedLogsMoreThanLanes) {
+  // Lanes refill as their logs end, so short logs finish while long ones
+  // are still folding; every mix must still match the serial digest.
+  Rng rng(7);
+  for (int mix = 0; mix < 20; ++mix) {
+    std::vector<std::size_t> sizes(1 + rng.index(30));
+    for (std::size_t& size : sizes) {
+      size = rng.index(4) == 0 ? rng.index(4) : rng.index(1001);
+    }
+    expect_lanes_match_digest(sizes, 100 + static_cast<std::uint64_t>(mix));
+  }
+  expect_lanes_match_digest({1000, 1, 1, 1, 1, 1, 1, 999, 0, 500, 2, 1000}, 8);
+}
+
+TEST(EventLogDigester, SubmittedLogKeepsRecordingIntoARecycledBuffer) {
+  // The log gets back a cleared buffer of an earlier log: reusing it for the
+  // next run must record from empty and digest correctly.
+  Rng rng(9);
+  EventLog log;
+  log.set_enabled(true);
+  EventLogDigester lanes;
+  std::vector<std::uint64_t> got(12, 0);
+  std::vector<std::uint64_t> want;
+  for (std::size_t run = 0; run < got.size(); ++run) {
+    const std::size_t size = 1 + rng.index(200);
+    for (std::size_t i = 0; i < size; ++i) {
+      log.record({i, EventKind::StayPut, rng.index(8), rng.index(32), i, 0});
+    }
+    ASSERT_EQ(log.events().size(), size);
+    want.push_back(log.digest());
+    lanes.submit(log, &got[run]);
+  }
+  lanes.flush();
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -234,6 +234,49 @@ TEST(Fuzzer, DigestIsWorkerCountInvariant) {
   EXPECT_GT(serial.total_actions, 0u);
 }
 
+TEST(Fuzzer, ReportDigestIsPinned) {
+  // One part of the repository benchmark's fuzz-checked workload (seed 1,
+  // part 0) at 500 iterations: the report's digest, action count and
+  // failures are pinned, at one worker and at four, and the digest is the
+  // fold of the per-iteration fuzz_iteration digests.
+  FuzzOptions options;
+  options.algorithm = core::Algorithm::KnownKLogMem;
+  options.min_nodes = 8;
+  options.max_nodes = 24;
+  options.min_agents = 2;
+  options.max_agents = 6;
+  options.schedulers = {
+      ExploreSchedulerKind::RoundRobin,     ExploreSchedulerKind::Random,
+      ExploreSchedulerKind::Synchronous,    ExploreSchedulerKind::Priority,
+      ExploreSchedulerKind::Burst,          ExploreSchedulerKind::LinkDelay,
+      ExploreSchedulerKind::BurstPartition, ExploreSchedulerKind::FifoStress,
+      ExploreSchedulerKind::RewireAdversary};
+  options.iterations = 500;
+  Rng derive = Rng(1).substream(0);
+  options.base_seed = derive();
+  ASSERT_EQ(options.base_seed, 14454031362534706789ULL);
+  for (const std::size_t workers : {1, 4}) {
+    options.workers = workers;
+    const FuzzReport report = run_fuzz(options);
+    EXPECT_EQ(report.digest, 4128645213622920565ULL) << workers << " workers";
+    EXPECT_EQ(report.total_actions, 79253u);
+    EXPECT_EQ(report.failures, 0u);
+  }
+
+  // run_fuzz's fold, over iterations run one at a time.
+  std::uint64_t state = 0xf0220feed5eedULL;
+  fold64(state, options.iterations);
+  sim::ExecutionState pooled;
+  for (std::uint64_t i = 0; i < options.iterations; ++i) {
+    const FuzzIteration iteration = fuzz_iteration(options, i, &pooled);
+    ASSERT_FALSE(iteration.failure.has_value());
+    fold64(state, 0);
+    fold64(state, iteration.actions);
+    fold64(state, iteration.digest);
+  }
+  EXPECT_EQ(state, 4128645213622920565ULL);
+}
+
 TEST(Fuzzer, FailureCarriesReplayableTrace) {
   const FuzzReport report = run_fuzz(strict_fifo_bug_options());
   ASSERT_GT(report.failures, 0u);
@@ -243,6 +286,14 @@ TEST(Fuzzer, FailureCarriesReplayableTrace) {
   EXPECT_TRUE(replayed.failed);
   EXPECT_EQ(replayed.reason, failure.reason);
   EXPECT_EQ(replayed.digest, failure.trace.expected_digest);
+  // A failing iteration's digest is taken at once, not by the digest lanes:
+  // the report's sample carries the same digest as the iteration run alone.
+  const FuzzIteration alone =
+      fuzz_iteration(strict_fifo_bug_options(), failure.iteration);
+  ASSERT_TRUE(alone.failure.has_value());
+  EXPECT_EQ(alone.digest, failure.trace.expected_digest);
+  EXPECT_EQ(alone.failure->trace.expected_digest,
+            failure.trace.expected_digest);
 }
 
 // ---- shrinker ---------------------------------------------------------------
