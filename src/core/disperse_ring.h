@@ -58,6 +58,7 @@ class DisperseAgent final : public sim::CopyableProgram<DisperseAgent> {
 
   std::size_t k_;
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t n_ = 0;
 
   // Await-spanning locals, kept out of state_hash and memory_bits like the

@@ -77,6 +77,7 @@ class PartialGatherAgent final : public sim::CopyableProgram<PartialGatherAgent>
   std::size_t k_;
   std::size_t g_;
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t n_ = 0;
   bool unsolvable_ = false;
 

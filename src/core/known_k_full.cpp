@@ -27,6 +27,7 @@ sim::Request KnownKFullAgent::act(sim::AgentContext& ctx) {
       ++dis_;
     } while (ctx.tokens_here() == 0);
     d_.push_back(dis_);
+    d_max_ = std::max(d_max_, dis_);
     memory_changed();
   }
   n_ = sum(d_);
@@ -51,8 +52,7 @@ sim::Request KnownKFullAgent::act(sim::AgentContext& ctx) {
 }
 
 std::size_t KnownKFullAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
+  const std::uint64_t max_d = d_.empty() ? 1 : d_max_;
   return MemoryMeter{}
       .counter(k_)
       .array(d_.size(), std::max<std::uint64_t>(max_d, n_))
@@ -86,6 +86,7 @@ sim::Request KnownNFullAgent::act(sim::AgentContext& ctx) {
     ++dis_;
     if (ctx.tokens_here() != 0) {
       d_.push_back(dis_);
+      d_max_ = std::max(d_max_, dis_);
       dis_ = 0;
     }
     memory_changed();
@@ -108,8 +109,7 @@ sim::Request KnownNFullAgent::act(sim::AgentContext& ctx) {
 }
 
 std::size_t KnownNFullAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
+  const std::uint64_t max_d = d_.empty() ? 1 : d_max_;
   return MemoryMeter{}
       .counter(n_)
       .array(d_.size(), std::max<std::uint64_t>(max_d, n_))

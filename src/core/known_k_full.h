@@ -65,6 +65,7 @@ class KnownKFullAgent final : public sim::CopyableProgram<KnownKFullAgent> {
 
   // Algorithm state (named members so memory_bits/state_hash see them).
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t n_ = 0;
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;
@@ -105,6 +106,7 @@ class KnownNFullAgent final : public sim::CopyableProgram<KnownNFullAgent> {
   std::size_t n_;
 
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t traveled_ = 0;
   std::size_t rank_ = 0;
   std::size_t dis_base_ = 0;

@@ -19,6 +19,7 @@ sim::Request PrematureHaltAgent::act(sim::AgentContext& ctx) {
       ++dis_;
     } while (ctx.tokens_here() == 0);
     d_.push_back(dis_);
+    d_max_ = std::max(d_max_, dis_);
     memory_changed();
     ++observed_;
     if (observed_ % 4 == 0 && is_m_fold_repetition(d_, 4)) {
@@ -42,8 +43,7 @@ sim::Request PrematureHaltAgent::act(sim::AgentContext& ctx) {
 }
 
 std::size_t PrematureHaltAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
+  const std::uint64_t max_d = d_.empty() ? 1 : d_max_;
   return MemoryMeter{}
       .array(d_.size(), std::max<std::uint64_t>(max_d, n_est_))
       .counter(n_est_)

@@ -51,6 +51,7 @@ class PrematureHaltAgent final : public sim::CopyableProgram<PrematureHaltAgent>
   sim::Request act(sim::AgentContext& ctx) override;
 
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t n_est_ = 0;
   std::size_t k_est_ = 0;
   std::size_t rank_ = 0;

@@ -18,6 +18,7 @@ sim::Request RendezvousAgent::act(sim::AgentContext& ctx) {
       ++dis_;
     } while (ctx.tokens_here() == 0);
     d_.push_back(dis_);
+    d_max_ = std::max(d_max_, dis_);
     memory_changed();
   }
   n_ = sum(d_);
@@ -46,8 +47,7 @@ sim::Request RendezvousAgent::act(sim::AgentContext& ctx) {
 }
 
 std::size_t RendezvousAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
+  const std::uint64_t max_d = d_.empty() ? 1 : d_max_;
   return MemoryMeter{}
       .counter(k_)
       .array(d_.size(), std::max<std::uint64_t>(max_d, n_))

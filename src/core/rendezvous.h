@@ -56,6 +56,7 @@ class RendezvousAgent final : public sim::CopyableProgram<RendezvousAgent>,
 
   std::size_t k_;
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t n_ = 0;
   bool unsolvable_ = false;
 

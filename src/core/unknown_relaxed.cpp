@@ -24,6 +24,7 @@ sim::Request UnknownRelaxedAgent::act(sim::AgentContext& ctx) {
       ++dis_;
     } while (ctx.tokens_here() == 0);
     d_.push_back(dis_);
+    d_max_ = std::max(d_max_, dis_);
     memory_changed();
     ++observed_;
     if (observed_ % 4 == 0 && is_m_fold_repetition(d_, 4)) {
@@ -86,6 +87,7 @@ sim::Request UnknownRelaxedAgent::act(sim::AgentContext& ctx) {
       n_est_ = message.n_est;
       k_est_ = message.k_est;
       d_ = shift(message.distance_seq, t);  // D re-anchored at this agent's home
+      d_max_ = d_.empty() ? 0 : *std::max_element(d_.begin(), d_.end());
       ++corrections_;
       memory_changed();
       break;
@@ -145,8 +147,7 @@ UnknownRelaxedAgent::pick_resume_message(
 }
 
 std::size_t UnknownRelaxedAgent::compute_memory_bits() const {
-  const std::uint64_t max_d =
-      d_.empty() ? 1 : *std::max_element(d_.begin(), d_.end());
+  const std::uint64_t max_d = d_.empty() ? 1 : d_max_;
   return MemoryMeter{}
       .array(d_.size(), std::max<std::uint64_t>(max_d, n_est_))
       .counter(n_est_)

@@ -89,6 +89,7 @@ class UnknownRelaxedAgent final : public sim::CopyableProgram<UnknownRelaxedAgen
 
   // Algorithm state (named members for memory accounting & state hashing).
   DistanceSeq d_;
+  Distance d_max_ = 0;  // max(d_), 0 while empty; derived, so not hashed
   std::size_t n_est_ = 0;
   std::size_t k_est_ = 0;
   std::size_t nodes_ = 0;

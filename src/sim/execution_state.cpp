@@ -87,6 +87,7 @@ void ExecutionState::reset(const Instance& instance) {
   // Faults due at action counter 0: dead-on-arrival crashes, a rewiring
   // scheduled before the first action.
   if (has_fault_events_) apply_due_faults();
+  removal_floor_.value = 0;
 }
 
 RunResult ExecutionState::run(Scheduler& scheduler) {
@@ -106,7 +107,9 @@ RunResult ExecutionState::run(Scheduler& scheduler) {
       apply_rewire(scheduler.pick_index(rewire_candidates_));
       continue;
     }
-    execute_action(scheduler.pick(enabled_));
+    const AgentId id = scheduler.pick(enabled_);
+    removal_floor_.value = kNoRemoval;
+    execute_action(id);
   }
   result.outcome = RunResult::Outcome::Quiescent;
   result.actions = action_counter_;
@@ -118,7 +121,9 @@ bool ExecutionState::step(Scheduler& scheduler) {
   if (has_fault_events_ && pending_rewire_) {
     apply_rewire(scheduler.pick_index(rewire_candidates_));
   }
-  execute_action(scheduler.pick(enabled_));
+  const AgentId id = scheduler.pick(enabled_);
+  removal_floor_.value = kNoRemoval;
+  execute_action(id);
   return true;
 }
 
@@ -525,6 +530,7 @@ void ExecutionState::refresh_enabled(AgentId id) {
     enabled_.push_back(id);
     enabled_bits_[id / 64] |= bit;
   } else if (!want && pos != kNotEnabled) {
+    removal_floor_.value = std::min(removal_floor_.value, pos);
     const AgentId moved = enabled_.back();
     enabled_[pos] = moved;
     enabled_pos_[moved] = pos;

@@ -54,7 +54,13 @@
 // depends on it. enabled_bits() is the same set as a bitmask over agent ids
 // (⌈k/64⌉ words), which lets RoundRobinScheduler find the first enabled id
 // at or after its cursor in O(k/64) instead of O(|enabled|). Both are reset
-// and copied with the rest of the arena.
+// and copied with the rest of the arena. Beside them one word, the removal
+// floor (enabled_removal_floor()), holds the lowest position of enabled()
+// a removal rewrote since the last draw of run() or step(). enabled()
+// changes only by append and swap-remove, so every position below the floor
+// is as that draw saw it; SynchronousScheduler resumes its scan there
+// instead of at the front. The floor is 0 after reset() and in a copy,
+// whose enabled set no draw has seen.
 //
 // Copying: an ExecutionState is a plain value. A copy is an independent
 // state at the same configuration — programs (with their resume points),
@@ -128,6 +134,8 @@ class ExecutionState {
   static constexpr AgentId kNoAgent = static_cast<AgentId>(-1);
   /// Sentinel for "no agent" (see last_acting_agent()).
   static constexpr AgentId kNoAgentActing = static_cast<AgentId>(-1);
+  /// enabled_removal_floor() when no removal rewrote a position.
+  static constexpr std::size_t kNoRemoval = static_cast<std::size_t>(-1);
 
   /// Read-only view of one per-node list — a link queue q_i in FIFO order
   /// (link_queue()) or a staying set p_i in insertion order (staying_set())
@@ -316,6 +324,16 @@ class ExecutionState {
     return enabled_bits_;
   }
 
+  /// The lowest position of enabled() that a removal rewrote since the last
+  /// draw of run() or step(), or kNoRemoval if none did (appends never lower
+  /// it; step_agent() does not clear it). A swap-remove rewrites the removed
+  /// agent's position, so every position below the floor holds what it held
+  /// at that draw. 0 after reset() and in a copy, whose enabled set no draw
+  /// has seen.
+  [[nodiscard]] std::size_t enabled_removal_floor() const noexcept {
+    return removal_floor_.value;
+  }
+
   [[nodiscard]] bool quiescent() const noexcept { return enabled_.empty(); }
   [[nodiscard]] bool all_halted() const noexcept;
   [[nodiscard]] bool all_suspended() const noexcept;
@@ -484,6 +502,18 @@ class ExecutionState {
     std::uint64_t last_ts = 0;
   };
 
+  /// enabled_removal_floor()'s word. Copying yields 0: a copy's enabled set
+  /// is one no draw of the destination has seen.
+  struct RemovalFloor {
+    RemovalFloor() = default;
+    RemovalFloor(const RemovalFloor& /*other*/) noexcept {}
+    RemovalFloor& operator=(const RemovalFloor& /*other*/) noexcept {
+      value = 0;
+      return *this;
+    }
+    std::size_t value = 0;
+  };
+
   /// The heads, tails and lengths of q_i and p_i for one node i.
   struct NodeLists {
     AgentId queue_head = kNoAgent;
@@ -548,6 +578,7 @@ class ExecutionState {
   std::vector<AgentId> enabled_;
   std::vector<std::size_t> enabled_pos_;           // id -> index in enabled_
   std::vector<std::uint64_t> enabled_bits_;        // enabled_ as a bitmask
+  RemovalFloor removal_floor_;                     // enabled_removal_floor()
   Metrics metrics_;
   EventLog log_;
   std::size_t action_counter_ = 0;

@@ -76,9 +76,40 @@ void RandomScheduler::reset(std::size_t /*agent_count*/) { rng_ = Rng(seed_); }
 
 // ---- SynchronousScheduler ---------------------------------------------------
 
+void SynchronousScheduler::attach(const ExecutionState& sim) {
+  attached_ = &sim;
+  attached_enabled_ = &sim.enabled();
+  cursor_ = 0;
+}
+
 void SynchronousScheduler::reset(std::size_t agent_count) {
   acted_round_.assign(agent_count, 0);
   rounds_ = 0;
+  cursor_ = 0;
+}
+
+AgentId SynchronousScheduler::pick(const std::vector<AgentId>& enabled) {
+  const bool own = &enabled == attached_enabled_;
+  std::size_t i = 0;
+  // Resume at the cursor only if the one action since this scheduler's last
+  // draw is the one that draw chose; the floor covers that action's removals.
+  if (own && attached_->actions_executed() == drawn_at_ + 1) {
+    i = std::min(cursor_, attached_->enabled_removal_floor());
+  }
+  const std::uint64_t current = rounds_ + 1;
+  while (i < enabled.size() && acted_round_[enabled[i]] >= current) ++i;
+  if (i == enabled.size()) {
+    // Every enabled agent has acted: the round is complete. Bumping rounds_
+    // implicitly un-stamps every agent — no array clear.
+    ++rounds_;
+    i = 0;
+  }
+  const AgentId id = enabled[i];
+  acted_round_[id] = rounds_ + 1;
+  // A vector other than the attached state's leaves no cursor to resume at.
+  cursor_ = own ? i : 0;
+  if (own) drawn_at_ = attached_->actions_executed();
+  return id;
 }
 
 // ---- PriorityScheduler ------------------------------------------------------

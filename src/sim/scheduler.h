@@ -26,9 +26,19 @@
 // driver stepping by hand makes both calls itself. A scheduler may read the
 // attached state in any pick() until the next attach(), so the state must
 // outlive the scheduler's use or be replaced by attaching another.
-// RoundRobinScheduler uses it to recognise when pick() is handed that
-// state's own enabled(), and then draws from the state's enabled_bits() mask
-// in O(k/64); any other vector gets the O(|enabled|) scan.
+// RoundRobinScheduler and SynchronousScheduler use it to recognise when
+// pick() is handed that state's own enabled(); any other vector gets the
+// reference scan. Round-robin then draws from the state's enabled_bits()
+// mask in O(k/64). The synchronous draw resumes its scan at a cursor, which
+// the state's removal floor (ExecutionState::enabled_removal_floor(), the
+// lowest position of enabled() a removal rewrote since the last draw of
+// run() or step()) pulls back when a crash or the non-FIFO refresh sweep
+// removes an agent below it; and it scans from the front when any action
+// but the one its own last draw chose ran since that draw (another
+// scheduler's step(), a step_agent()), which it tells by actions_executed().
+// A reset() or a copy over the state sets the floor to 0, so the next draw
+// of run() or step() scans from the front; a scheduler that did not make
+// that draw should be attached again before it draws.
 //
 // Pooled reuse contract: a scheduler object may drive many runs back to
 // back. reset(agent_count) must restore *every* piece of mutable state —
@@ -102,11 +112,11 @@ class Scheduler {
   [[nodiscard]] virtual std::uint64_t rounds() const { return 0; }
 };
 
-// The pick() bodies of the other four built-in kinds live here, in-class, so
-// a caller holding the concrete type (RewiringAdversary's inner
+// The pick() bodies of the random, priority and burst kinds live here,
+// in-class, so a caller holding the concrete type (RewiringAdversary's inner
 // RandomScheduler) can inline them. Cold members (reset, constructors) and
-// RoundRobinScheduler::pick, which needs ExecutionState's definition, stay in
-// scheduler.cpp.
+// the round-robin and synchronous pick(), which need ExecutionState's
+// definition, stay in scheduler.cpp.
 
 /// Cycles through agent ids, running the first enabled agent at or after the
 /// cursor.
@@ -167,30 +177,39 @@ class RandomScheduler final : public Scheduler {
 /// Membership is tracked with per-agent round stamps (acted in round r ⇔
 /// stamp == r), so advancing a round is O(1) instead of clearing a flag
 /// array — this scheduler sits in every campaign's hot path.
+///
+/// Two scans with one result. The reference scan reads `enabled` from the
+/// front: O(|enabled|) per draw, O(k²) per round. When pick() is handed the
+/// attached state's own enabled() (the ExecutionState::run and step()
+/// loops), it starts at a cursor instead: every position below the cursor
+/// holds an agent already stamped this round, the cursor moves to the
+/// picked position, and it returns to 0 when a round closes, so a round
+/// costs amortized O(1) per draw. Between two draws enabled() changes only
+/// by append and swap-remove; the acting agent's own removal lands at the
+/// cursor, but a crash fault or the non-FIFO refresh sweep can remove an
+/// agent below it and swap an unstamped one in. So the scan starts at
+/// min(cursor, the state's enabled_removal_floor()). It starts at the front
+/// whenever the action count shows that anything but one action ran since
+/// this scheduler's last draw, and after attach() and reset().
 class SynchronousScheduler final : public Scheduler {
  public:
+  void attach(const ExecutionState& sim) override;
   void reset(std::size_t agent_count) override;
-  AgentId pick(const std::vector<AgentId>& enabled) override {
-    const std::uint64_t current = rounds_ + 1;
-    for (const AgentId id : enabled) {
-      if (acted_round_[id] < current) {
-        acted_round_[id] = current;
-        return id;
-      }
-    }
-    // Every enabled agent has acted: the round is complete. Bumping rounds_
-    // implicitly un-stamps every agent — no array clear.
-    ++rounds_;
-    const AgentId id = enabled.front();
-    acted_round_[id] = rounds_ + 1;
-    return id;
-  }
+  AgentId pick(const std::vector<AgentId>& enabled) override;
   [[nodiscard]] std::string_view name() const override { return "synchronous"; }
   [[nodiscard]] std::uint64_t rounds() const override { return rounds_; }
 
  private:
+  const ExecutionState* attached_ = nullptr;
+  // &attached_->enabled(), compared by address alone, as in
+  // RoundRobinScheduler.
+  const std::vector<AgentId>* attached_enabled_ = nullptr;
   std::vector<std::uint64_t> acted_round_;  // 1-based stamp; 0 = never acted
   std::uint64_t rounds_ = 0;
+  // Positions of the attached enabled() below cursor_ hold agents stamped
+  // this round, as of the draw made at action count drawn_at_.
+  std::size_t cursor_ = 0;
+  std::size_t drawn_at_ = 0;
 };
 
 /// Always runs the enabled agent that appears earliest in `order`; agents

@@ -48,7 +48,7 @@ std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   // Power-of-two fast path: 2^64 − bound equals ~0 − (~0 % bound) and
   // draw & (bound − 1) equals draw % bound, so the draw count and the
   // returned values are bit-identical to the general path (the frozen
-  // stream contract) minus two hardware divisions. Scheduler draws hit this
+  // stream contract) with no hardware division. Scheduler draws hit this
   // constantly — enabled-set sizes are powers of two whenever k is.
   if ((bound & (bound - 1)) == 0) {
     const std::uint64_t limit = std::uint64_t{0} - bound;
@@ -58,10 +58,16 @@ std::uint64_t Rng::below(std::uint64_t bound) noexcept {
     }
     return draw & (bound - 1);
   }
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+  // The limit ~0 − (~0 % bound) is at least 2^64 − bound, so a draw below
+  // that is accepted without it: only draws among the top `bound` values pay
+  // the division that computes it, leaving one division (the result's) per
+  // draw. Same values and draw count as computing the limit first.
   std::uint64_t draw = (*this)();
-  while (draw >= limit) {
-    draw = (*this)();
+  if (draw >= std::uint64_t{0} - bound) {
+    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+    while (draw >= limit) {
+      draw = (*this)();
+    }
   }
   return draw % bound;
 }

@@ -182,6 +182,24 @@ TEST(Campaign, RoundRobinDigestAcrossMaskWordsIsPinned) {
       << std::hex << result.digest();
 }
 
+TEST(Campaign, SynchronousDigestAcrossRoundsIsPinned) {
+  // Synchronous draws resume a round at a cursor into the enabled set
+  // instead of rescanning it from the front. k = 65 and k = 256 run many
+  // rounds with agents enabled mid-round; the pinned value is the
+  // front-scan's digest, so a cursor that skips an unstamped agent moves it.
+  CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull,
+                     core::Algorithm::KnownKLogMem};
+  grid.schedulers = {sim::SchedulerKind::Synchronous};
+  grid.instances = {{512, 65}, {2048, 256}};
+  grid.seeds = 2;
+  const CampaignResult result = run_campaign_streaming(grid, {.workers = 1});
+  ASSERT_TRUE(result.all_ok());
+  EXPECT_EQ(result.scenario_count, 8u);
+  EXPECT_EQ(result.digest(), 0xbd00a53bcd1470baULL)
+      << std::hex << result.digest();
+}
+
 TEST(Campaign, AllScenariosSucceedOnPaperAlgorithms) {
   const CampaignResult result =
       run_campaign_streaming(small_grid(), {.workers = 4});

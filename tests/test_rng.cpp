@@ -45,6 +45,68 @@ TEST(Rng, BelowOneIsAlwaysZero) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.below(1), 0u);
 }
 
+TEST(Rng, BelowMatchesTheTwoDivisionReference) {
+  // below() computes the rejection limit only for draws among the top
+  // `bound` values. The reference computes it before every draw; values and
+  // raw draw counts must agree. Bound 2^63 + 1 rejects about half its draws.
+  const auto reference = [](Rng& rng, std::uint64_t bound,
+                            std::size_t& raw_draws) {
+    const std::uint64_t limit =
+        ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+    std::uint64_t draw = rng();
+    ++raw_draws;
+    while (draw >= limit) {
+      draw = rng();
+      ++raw_draws;
+    }
+    return draw % bound;
+  };
+  constexpr std::size_t kDraws = 20000;
+  for (const std::uint64_t bound :
+       {std::uint64_t{3}, std::uint64_t{6}, std::uint64_t{255},
+        (std::uint64_t{1} << 32) + 1, (std::uint64_t{1} << 63) + 1,
+        ~std::uint64_t{0}}) {
+    Rng fast(bound);
+    Rng slow(bound);
+    std::size_t raw_draws = 0;
+    for (std::size_t i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(fast.below(bound), reference(slow, bound, raw_draws))
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(fast(), slow()) << "bound " << bound << ": raw draw counts";
+    if (bound == (std::uint64_t{1} << 63) + 1) {
+      EXPECT_GT(raw_draws, kDraws * 3 / 2) << "rejections exercised";
+    }
+  }
+}
+
+TEST(Rng, BelowSequenceIsPinned) {
+  // below()'s values are part of the frozen stream contract: every
+  // schedule, home draw and shuffle reads them. Read from the two-division
+  // implementation.
+  Rng rng(2016);
+  const std::uint64_t bounds[] = {3,
+                                  6,
+                                  255,
+                                  (std::uint64_t{1} << 32) + 1,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  ~std::uint64_t{0},
+                                  64};
+  std::vector<std::uint64_t> got;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::uint64_t bound : bounds) got.push_back(rng.below(bound));
+  }
+  const std::vector<std::uint64_t> want = {
+      1ULL, 4ULL, 39ULL, 2664818863ULL, 8248829717969960478ULL,
+      6101542042773751279ULL, 43ULL,
+      1ULL, 2ULL, 180ULL, 1536672418ULL, 7185268415164064178ULL,
+      2172156633307419994ULL, 23ULL,
+      0ULL, 3ULL, 158ULL, 1730614001ULL, 2232392437230214727ULL,
+      2705301833864718329ULL, 35ULL};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(rng(), 7714925207750925670ULL) << "raw draws consumed";
+}
+
 TEST(Rng, BetweenIsInclusive) {
   Rng rng(11);
   std::set<std::uint64_t> seen;

@@ -14,7 +14,9 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "config/generators.h"
 #include "core/runner.h"
@@ -69,9 +71,11 @@ void seek(RoundRobinScheduler& scheduler, std::size_t cursor,
   (void)scheduler.pick(one);
 }
 
-/// Logs the picks of the round-robin scheduler it wraps. It forwards
-/// attach() and hands pick() the same vector, as RecordingScheduler does, so
-/// the wrapped scheduler keeps its mask draw.
+/// Logs the picks of the scheduler it wraps. It forwards attach() and hands
+/// pick() the same vector, as RecordingScheduler does, so the wrapped
+/// scheduler keeps its attached draw (round-robin's mask, the synchronous
+/// cursor).
+template <typename Inner>
 class PickLog final : public Scheduler {
  public:
   void attach(const ExecutionState& sim) override { inner_.attach(sim); }
@@ -84,11 +88,14 @@ class PickLog final : public Scheduler {
     return picks.back();
   }
   [[nodiscard]] std::string_view name() const override { return "pick-log"; }
+  [[nodiscard]] std::uint64_t rounds() const override {
+    return inner_.rounds();
+  }
 
   std::vector<AgentId> picks;
 
  private:
-  RoundRobinScheduler inner_;
+  Inner inner_;
 };
 
 TEST(RoundRobin, CyclesThroughAllAgents) {
@@ -222,7 +229,7 @@ TEST(RoundRobinMask, AttachedRunsMatchScanDrivenRuns) {
 
     ExecutionState attached;
     attached.reset(instance);
-    PickLog logged;
+    PickLog<RoundRobinScheduler> logged;
     ASSERT_TRUE(attached.run(logged).quiescent());
 
     ExecutionState scanned;
@@ -284,6 +291,264 @@ TEST(RoundRobinMask, EnabledBitsTrackTheEnabledSet) {
   ASSERT_EQ(sim.enabled_bits().size(), 1u);
   EXPECT_EQ(bits_of(sim), mask_of(sim));
   EXPECT_EQ(sim.enabled_bits()[0] >> 5, 0u);
+}
+
+// ---- the synchronous cursor -------------------------------------------------
+
+/// Forwards every call to a SynchronousScheduler and hands its pick() the
+/// same vector, as RecordingScheduler does, so an attached inner scheduler
+/// resumes at its cursor. Each draw is checked against the reference scan:
+/// an unattached SynchronousScheduler with the same history, handed a copy.
+class CheckedSynchronous final : public Scheduler {
+ public:
+  void attach(const ExecutionState& sim) override { fast_.attach(sim); }
+  void reset(std::size_t agent_count) override {
+    fast_.reset(agent_count);
+    reference_.reset(agent_count);
+  }
+  AgentId pick(const std::vector<AgentId>& enabled) override {
+    copy_ = enabled;
+    const AgentId want = reference_.pick(copy_);
+    const AgentId got = fast_.pick(enabled);
+    ++draws;
+    if ((got != want || fast_.rounds() != reference_.rounds()) &&
+        mismatches++ == 0) {
+      first_mismatch = draws;
+    }
+    return got;
+  }
+  [[nodiscard]] std::string_view name() const override { return "checked"; }
+  [[nodiscard]] std::uint64_t rounds() const override { return fast_.rounds(); }
+
+  std::size_t draws = 0;
+  std::size_t mismatches = 0;
+  std::size_t first_mismatch = 0;  ///< 1-based draw index
+
+ private:
+  SynchronousScheduler fast_;
+  SynchronousScheduler reference_;
+  std::vector<AgentId> copy_;
+};
+
+constexpr std::size_t kCursorAgentCounts[] = {1, 2, 64, 65, 256};
+constexpr core::Algorithm kCursorAlgorithms[] = {core::Algorithm::KnownKFull,
+                                                 core::Algorithm::KnownKLogMem};
+
+/// `algorithm` with k agents at seeded random homes on a ring of 2k + 3
+/// nodes.
+Instance cursor_instance(core::Algorithm algorithm, std::size_t k,
+                         SimOptions options = {}) {
+  Rng rng(1000 * k + static_cast<std::size_t>(algorithm));
+  core::RunSpec spec;
+  spec.node_count = 2 * k + 3;
+  spec.homes = gen::random_homes(spec.node_count, k, rng);
+  spec.sim_options = std::move(options);
+  return core::make_instance(algorithm, spec);
+}
+
+/// Crash-stop faults for about a quarter of the agents, after every first
+/// action (so every token is down) and spread over the run, so crashes
+/// remove agents from anywhere in the enabled set, below the cursor too.
+SimOptions crash_plan(std::size_t k) {
+  SimOptions options;
+  Rng rng(k + 17);
+  std::vector<AgentId> victims(k);
+  std::iota(victims.begin(), victims.end(), AgentId{0});
+  rng.shuffle(victims);
+  victims.resize(k / 4 + 1);
+  for (const AgentId agent : victims) {
+    options.faults.crashes.push_back({agent, k + rng.index(4 * k * k + 8)});
+  }
+  return options;
+}
+
+std::string label(core::Algorithm algorithm, std::size_t k) {
+  return std::string(core::to_string(algorithm)) + " k=" + std::to_string(k);
+}
+
+TEST(SynchronousCursor, RunsMatchTheReferenceScanOnEveryAction) {
+  // ExecutionState::run attaches the scheduler, so every draw resumes at
+  // the cursor. Crashes remove agents below it, and under the non-FIFO
+  // fault every action ends with a refresh sweep over all agents. That
+  // sweep walks queues, O(k^2) per action at k = 256, so the non-FIFO runs
+  // stop at an action budget (a livelock there is no failure of this test).
+  for (const core::Algorithm algorithm : kCursorAlgorithms) {
+    for (const std::size_t k : kCursorAgentCounts) {
+      SimOptions non_fifo;
+      non_fifo.faults.non_fifo = true;
+      non_fifo.max_actions = 40000;
+      const std::pair<const char*, SimOptions> plans[] = {
+          {"fault-free", SimOptions{}},
+          {"crash", crash_plan(k)},
+          {"non-FIFO", non_fifo}};
+      for (const auto& [plan, options] : plans) {
+        const Instance instance = cursor_instance(algorithm, k, options);
+        ExecutionState sim;
+        sim.reset(instance);
+        CheckedSynchronous scheduler;
+        (void)sim.run(scheduler);
+        EXPECT_EQ(scheduler.draws, sim.actions_executed());
+        EXPECT_EQ(scheduler.mismatches, 0u)
+            << label(algorithm, k) << ' ' << plan << ": first at draw "
+            << scheduler.first_mismatch;
+      }
+    }
+  }
+}
+
+TEST(SynchronousCursor, HandSteppedRunsMatchTheReferenceScan) {
+  // Runs stepped by hand: step_agent() between draws, two schedulers
+  // alternating on one state (under a crash plan, so a removal below one
+  // scheduler's cursor can come before the other's draw clears the floor),
+  // and a scheduler reset mid-run, which must draw like a fresh one.
+  for (const core::Algorithm algorithm : kCursorAlgorithms) {
+    for (const std::size_t k : kCursorAgentCounts) {
+      const Instance instance = cursor_instance(algorithm, k, crash_plan(k));
+      Rng rng(k);
+      ExecutionState sim;
+      sim.reset(instance);
+      CheckedSynchronous a;
+      CheckedSynchronous b;
+      for (CheckedSynchronous* scheduler : {&a, &b}) {
+        scheduler->attach(sim);
+        scheduler->reset(k);
+      }
+      const std::size_t reset_at = 3 * k + 1;
+      while (!sim.quiescent()) {
+        if (sim.actions_executed() == reset_at) a.reset(k);
+        const std::size_t roll = rng.index(8);
+        if (roll == 0) {
+          const std::vector<AgentId>& enabled = sim.enabled();
+          ASSERT_TRUE(sim.step_agent(enabled[rng.index(enabled.size())]));
+        } else {
+          ASSERT_TRUE(sim.step(roll < 6 ? a : b));
+        }
+      }
+      EXPECT_GT(b.draws, 0u);
+      EXPECT_EQ(a.mismatches, 0u) << label(algorithm, k)
+                                  << ": first at draw " << a.first_mismatch;
+      EXPECT_EQ(b.mismatches, 0u) << label(algorithm, k)
+                                  << ": first at draw " << b.first_mismatch;
+    }
+  }
+}
+
+TEST(SynchronousCursor, CopyAssignedStatesMatchTheReferenceScan) {
+  // The scheduler stays attached while the state it draws for is
+  // copy-assigned: once from an earlier snapshot of itself, once from a
+  // state of the same instance that another scheduler drove to the very
+  // action count the cursor expects. Both hold enabled sets no draw of
+  // this scheduler has seen.
+  for (const core::Algorithm algorithm : kCursorAlgorithms) {
+    for (const std::size_t k : kCursorAgentCounts) {
+      const Instance instance = cursor_instance(algorithm, k);
+      ExecutionState sim;
+      sim.reset(instance);
+      CheckedSynchronous scheduler;
+      scheduler.attach(sim);
+      scheduler.reset(k);
+      ExecutionState snapshot;
+      ExecutionState other;
+      other.reset(instance);
+      PriorityScheduler priority;
+      priority.attach(other);
+      priority.reset(k);
+      const std::size_t snapshot_at = k + k / 2 + 1;
+      const std::size_t restore_at = 4 * k + 3;
+      const std::size_t replace_at = 6 * k + 5;
+      bool restored = false;
+      bool replaced = false;
+      while (sim.step(scheduler)) {
+        const std::size_t t = sim.actions_executed();
+        if (t == snapshot_at && !restored) {
+          snapshot = sim;
+        } else if (t == restore_at && !restored) {
+          sim = snapshot;
+          restored = true;
+        } else if (t == replace_at && restored && !replaced) {
+          while (other.actions_executed() < t && other.step(priority)) {
+          }
+          if (other.actions_executed() == t) {
+            sim = other;
+            replaced = true;
+          }
+        }
+      }
+      if (k >= 2) {
+        EXPECT_TRUE(restored && replaced) << label(algorithm, k);
+      }
+      EXPECT_EQ(scheduler.mismatches, 0u)
+          << label(algorithm, k) << ": first at draw "
+          << scheduler.first_mismatch;
+    }
+  }
+}
+
+TEST(SynchronousCursor, PooledReuseOntoFewerAndMoreAgents) {
+  // One pooled state and one scheduler object across runs of different
+  // sizes, as core::RunContext drives a campaign: run() re-attaches and
+  // resets, and stepping by hand resets the scheduler alone (the state
+  // object, so the attachment, is the same).
+  ExecutionState sim;
+  CheckedSynchronous scheduler;
+  std::size_t run = 0;
+  for (const std::size_t k : {256, 64, 2, 65, 1, 256, 1, 65}) {
+    const core::Algorithm algorithm = kCursorAlgorithms[run % 2];
+    const Instance instance = cursor_instance(algorithm, k);
+    sim.reset(instance);
+    const std::size_t before = scheduler.draws;
+    if (run % 3 == 2) {
+      scheduler.reset(k);
+      while (sim.step(scheduler)) {
+      }
+    } else {
+      ASSERT_TRUE(sim.run(scheduler).quiescent());
+    }
+    EXPECT_EQ(scheduler.draws - before, sim.actions_executed());
+    EXPECT_EQ(scheduler.mismatches, 0u)
+        << "run " << run << ' ' << label(algorithm, k) << ": first at draw "
+        << scheduler.first_mismatch;
+    ++run;
+  }
+}
+
+TEST(SynchronousCursor, PickSequenceDigestIsPinned) {
+  // Campaign digests fold moves, makespan, memory and action counts, which
+  // these deterministic algorithms reach under every schedule; the pick
+  // sequence itself is pinned here. Read from the front-scan draw.
+  struct Pinned {
+    core::Algorithm algorithm;
+    std::size_t n, k, actions;
+    std::uint64_t rounds, digest;
+  };
+  const Pinned pins[] = {
+      {core::Algorithm::KnownKFull, 512, 65, 68122, 1528,
+       0x75a7c934976127cbULL},
+      {core::Algorithm::KnownKFull, 2048, 256, 1061804, 6135,
+       0x033c81ea554b60ceULL},
+      {core::Algorithm::KnownKLogMem, 512, 65, 70694, 2553,
+       0xc987d4dd5050e059ULL},
+      {core::Algorithm::KnownKLogMem, 2048, 256, 1124523, 10232,
+       0x345023139f9c23d3ULL},
+  };
+  for (const Pinned& pin : pins) {
+    Rng rng(pin.n + pin.k);
+    core::RunSpec spec;
+    spec.node_count = pin.n;
+    spec.homes = gen::random_homes(pin.n, pin.k, rng);
+    const Instance instance = core::make_instance(pin.algorithm, spec);
+    ExecutionState sim;
+    sim.reset(instance);
+    PickLog<SynchronousScheduler> scheduler;
+    ASSERT_TRUE(sim.run(scheduler).quiescent());
+    std::uint64_t digest = 0;
+    for (const AgentId id : scheduler.picks) fold64(digest, id);
+    EXPECT_EQ(sim.actions_executed(), pin.actions)
+        << label(pin.algorithm, pin.k);
+    EXPECT_EQ(scheduler.rounds(), pin.rounds) << label(pin.algorithm, pin.k);
+    EXPECT_EQ(digest, pin.digest)
+        << label(pin.algorithm, pin.k) << std::hex << " digest " << digest;
+  }
 }
 
 TEST(Random, DeterministicPerSeedAndCoversAgents) {
