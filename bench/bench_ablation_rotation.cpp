@@ -3,21 +3,16 @@
 // deployment phases: Booth's O(k) algorithm vs the naive O(k²) scan.
 //
 // For the paper's complexity accounting this is "local computation" (free in
-// ideal time), but for a real deployment the difference is k× — visible from
-// k ≈ 2¹⁰. The report cross-checks both implementations agree on every
-// instance before timing them.
-
-#include <benchmark/benchmark.h>
-
-#include <iostream>
+// ideal time). The report cross-checks that both implementations agree on
+// every instance; a disagreement fails the report.
 
 #include "core/distance_sequence.h"
-#include "util/rng.h"
-#include "util/table.h"
+#include "support/bench_common.h"
 
 namespace {
 
 using namespace udring;
+using namespace udring::bench;
 using core::DistanceSeq;
 
 DistanceSeq random_sequence(std::size_t length, std::size_t alphabet, Rng& rng) {
@@ -30,7 +25,7 @@ DistanceSeq random_sequence(std::size_t length, std::size_t alphabet, Rng& rng) 
 
 void print_report() {
   std::cout << "Ablation: minimal-rotation (base node selection) — Booth O(k)\n"
-               "vs naive O(k²). Correctness cross-check, then timings below.\n";
+               "vs naive O(k²). Correctness cross-check.\n";
   print_section(std::cout, "Cross-check");
   Table table({"k", "alphabet", "instances", "agreements"});
   for (const std::size_t k : {16u, 256u, 4096u}) {
@@ -42,6 +37,8 @@ void print_report() {
         const DistanceSeq d = random_sequence(k, alphabet, rng);
         if (core::min_rotation_booth(d) == core::min_rotation_naive(d)) ++agree;
       }
+      expect(agree == instances, "Booth and the naive scan disagree at k = " +
+                                     std::to_string(k));
       table.add_row({Table::num(k), Table::num(alphabet), Table::num(instances),
                      Table::num(agree)});
     }
@@ -49,45 +46,8 @@ void print_report() {
   std::cout << table << "\n";
 }
 
-void benchmark_rotation(benchmark::State& state, bool use_booth) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  // The naive scan's worst case: long shared prefixes between rotations. A
-  // near-constant sequence (all 1s, single 2) forces Θ(k) work per rotation
-  // comparison — Θ(k²) total — while Booth stays Θ(k). On random sequences
-  // comparisons end after O(1) symbols and the two are comparable; this is
-  // why the ablation matters: ring configurations close to uniform are
-  // exactly the near-constant case.
-  DistanceSeq d(k, 1);
-  d[k - 1] = 2;
-  for (auto _ : state) {
-    const std::size_t result =
-        use_booth ? core::min_rotation_booth(d) : core::min_rotation_naive(d);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(k));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_report();
-  for (const std::int64_t k : {64, 256, 1024, 4096, 16384}) {
-    const std::string booth_name = "min_rotation/booth/k=" + std::to_string(k);
-    benchmark::RegisterBenchmark(
-        booth_name.c_str(),
-        [](benchmark::State& state) { benchmark_rotation(state, true); })
-        ->Arg(k);
-    // The naive scan above k = 4096 takes seconds per iteration; cap it.
-    if (k <= 4096) {
-      const std::string naive_name = "min_rotation/naive/k=" + std::to_string(k);
-      benchmark::RegisterBenchmark(
-          naive_name.c_str(),
-          [](benchmark::State& state) { benchmark_rotation(state, false); })
-          ->Arg(k);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_report(argc, argv, print_report);
 }

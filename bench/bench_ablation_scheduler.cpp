@@ -41,7 +41,7 @@ void print_report() {
           {algorithm, ConfigFamily::RandomAny, kind, 192, 16, 1});
       table.add_row({std::string(sim::to_string(kind)), Table::num(avg.moves, 0),
                      Table::num(avg.makespan, 0),
-                     avg.success_rate == 1.0 ? "yes" : "NO"});
+                     check(avg.success_rate == 1.0)});
     }
     std::cout << table;
   }
@@ -54,32 +54,8 @@ void print_report() {
          "total-work bound — asynchrony is paid in latency, not in moves.\n";
 }
 
-void register_timings() {
-  for (const sim::SchedulerKind kind : sim::all_scheduler_kinds()) {
-    const std::string name =
-        std::string("sched/") + std::string(sim::to_string(kind)) + "/algo1/n=192";
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [kind](benchmark::State& state) {
-          std::uint64_t seed = 1;
-          for (auto _ : state) {
-            Rng rng(seed++);
-            core::RunSpec spec;
-            spec.node_count = 192;
-            spec.homes = gen::random_homes(192, 16, rng);
-            spec.scheduler = kind;
-            spec.seed = seed;
-            const auto report =
-                core::run_algorithm(core::Algorithm::KnownKFull, spec);
-            benchmark::DoNotOptimize(report.total_moves);
-          }
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

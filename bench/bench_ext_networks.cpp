@@ -8,6 +8,8 @@
 // We verify the cost shape (moves/k·m flat, m = 2(n−1)) across topology
 // families and report the tree-level coverage improvement.
 
+#include <set>
+
 #include "embed/graph.h"
 #include "embed/tree_deploy.h"
 #include "support/bench_common.h"
@@ -74,7 +76,7 @@ void print_report() {
                    Table::num(m), Table::num(moves, 0),
                    Table::num(moves / static_cast<double>(8 * m), 2),
                    Table::num(worst_before, 1), Table::num(worst_after, 1),
-                   uniform ? "yes" : "NO"});
+                   check(uniform)});
   }
   std::cout << table;
   std::cout
@@ -111,25 +113,8 @@ void print_report() {
                "O(n) on the tree — the ring results carry over with m = 2(n-1).\n";
 }
 
-void register_timings() {
-  benchmark::RegisterBenchmark("ext/tree-deploy/n=128/k=16",
-                               [](benchmark::State& state) {
-                                 std::uint64_t seed = 1;
-                                 for (auto _ : state) {
-                                   Rng rng(seed++);
-                                   const TreeNetwork tree = random_tree(128, rng);
-                                   const auto homes =
-                                       draw_tree_homes(128, 16, rng);
-                                   const auto report = deploy_on_tree(
-                                       tree, homes, core::Algorithm::KnownKFull);
-                                   benchmark::DoNotOptimize(report.total_moves);
-                                 }
-                               })
-      ->Unit(benchmark::kMillisecond);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

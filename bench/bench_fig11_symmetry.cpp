@@ -49,7 +49,7 @@ void print_report() {
            Table::num(agent0.estimated_n()),
            Table::num(simulator->metrics().total_moves()),
            Table::num(static_cast<std::size_t>(simulator->metrics().makespan())),
-           uniform ? "yes" : "NO"});
+           check(uniform)});
     }
     std::cout << table
               << "on Fig 11's (6,2)-ring the agents estimate N = 6 — the\n"
@@ -65,7 +65,7 @@ void print_report() {
       const ConfigFamily family =
           l == 1 ? ConfigFamily::RandomAperiodic : ConfigFamily::Periodic;
       const Averages avg =
-          measure(core::Algorithm::UnknownRelaxed, family, n, k, l);
+          exp::measure_cell(core::Algorithm::UnknownRelaxed, family, n, k, l);
       const double lg_nl = static_cast<double>(bit_width(n / l));
       table.add_row(
           {Table::num(l), Table::num(avg.moves, 0),
@@ -80,7 +80,7 @@ void print_report() {
            Table::num(avg.memory_bits * static_cast<double>(l) /
                           (static_cast<double>(k) * lg_nl),
                       2),
-           avg.success_rate == 1.0 ? "yes" : "NO"});
+           check(avg.success_rate == 1.0)});
     }
     std::cout << table
               << "the l-normalized columns are flat: O(kn/l) moves, O(n/l) time,\n"
@@ -90,17 +90,8 @@ void print_report() {
   }
 }
 
-void register_timings() {
-  register_timing("fig11/relaxed/l=1", core::Algorithm::UnknownRelaxed,
-                  ConfigFamily::RandomAperiodic, 384, 32, 1);
-  register_timing("fig11/relaxed/l=8", core::Algorithm::UnknownRelaxed,
-                  ConfigFamily::Periodic, 384, 32, 8);
-  register_timing("fig11/relaxed/l=32", core::Algorithm::UnknownRelaxed,
-                  ConfigFamily::Periodic, 384, 32, 32);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

@@ -5,9 +5,12 @@
 //
 // We report, per (n, k) including awkward non-divisible pairs, the final gap
 // histogram and the worst-case deviation from n/k before vs after
-// deployment. The paper's figure shows the ideal picture; the bench shows
-// the algorithms actually reach it from random starts.
+// deployment. The paper's figure shows the ideal picture; the report shows
+// the algorithms actually reach it from random starts. The `exact` column is
+// the check: every run succeeds, every final gap is ⌊n/k⌋ or ⌈n/k⌉, and
+// #ceil = seeds · (n mod k).
 
+#include <algorithm>
 #include <map>
 #include <span>
 
@@ -60,7 +63,7 @@ void print_report() {
     for (const auto& [n, k] : cases) {
       std::map<std::size_t, std::size_t> histogram;
       double worst_before = 0;
-      bool all_exact = true;
+      bool all_success = true;
       for (const Outcome& outcome : outcomes) {
         const exp::Scenario& scenario = outcome.scenario;
         if (scenario.algorithm != algorithm || scenario.node_count != n ||
@@ -73,7 +76,7 @@ void print_report() {
               worst_before, std::abs(static_cast<double>(gap) -
                                      static_cast<double>(n) / static_cast<double>(k)));
         }
-        all_exact = all_exact && outcome.success;
+        all_success = all_success && outcome.success;
         for (const std::size_t gap :
              sim::ring_gaps(outcome.final_positions, n)) {
           ++histogram[gap];
@@ -81,6 +84,13 @@ void print_report() {
       }
       const std::size_t floor_gap = n / k;
       const std::size_t ceil_gap = floor_gap + (n % k == 0 ? 0 : 1);
+      const std::size_t ceil_count =
+          ceil_gap == floor_gap ? std::size_t{0} : histogram[ceil_gap];
+      const std::size_t expected_ceil = grid.seeds * (n % k);
+      const bool only_floor_or_ceil =
+          std::ranges::all_of(histogram, [&](const auto& entry) {
+            return entry.first == floor_gap || entry.first == ceil_gap;
+          });
       const double worst_after =
           std::max(std::abs(static_cast<double>(floor_gap) -
                             static_cast<double>(n) / static_cast<double>(k)),
@@ -88,11 +98,10 @@ void print_report() {
                             static_cast<double>(n) / static_cast<double>(k)));
       table.add_row({Table::num(n), Table::num(k), Table::num(floor_gap),
                      Table::num(ceil_gap), Table::num(histogram[floor_gap]),
-                     Table::num(ceil_gap == floor_gap
-                                    ? std::size_t{0}
-                                    : histogram[ceil_gap]),
-                     Table::num(5 * (n % k)), Table::num(worst_before, 2),
-                     Table::num(worst_after, 2), all_exact ? "yes" : "NO"});
+                     Table::num(ceil_count), Table::num(expected_ceil),
+                     Table::num(worst_before, 2), Table::num(worst_after, 2),
+                     check(all_success && only_floor_or_ceil &&
+                           ceil_count == expected_ceil)});
     }
     std::cout << table;
   }
@@ -102,15 +111,8 @@ void print_report() {
                "Look-Compute-Move literature discussed in §1.2).\n";
 }
 
-void register_timings() {
-  register_timing("fig2/algo1/n=100/k=13", core::Algorithm::KnownKFull,
-                  ConfigFamily::RandomAny, 100, 13);
-  register_timing("fig2/algo2/n=100/k=13", core::Algorithm::KnownKLogMem,
-                  ConfigFamily::RandomAny, 100, 13);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

@@ -1,14 +1,16 @@
 // bench_fig456_phases — reproduces the algorithm-anatomy figures:
 //
 //   Fig 4: Algorithm 1's base/target selection → selection vs deployment
-//          move split (selection is exactly kn; deployment ≤ 2n per agent).
+//          move split (selection is exactly kn; deployment ≤ 2n per agent,
+//          measured per agent from sim::Metrics).
 //   Fig 5: Algorithm 2's base-node conditions → number of elected leaders
 //          and their segment geometry across configuration families.
 //   Fig 6: the sub-phase IDs (d, fNum) → measured sub-phase count vs the
 //          ⌈log k⌉ bound (the halving argument of Theorem 4).
 //
 // Plus the strict-vs-hardened deployment ablation on the stress instance
-// (DESIGN.md §6 item 6).
+// (DESIGN.md §6 item 6). Each of these claims is a check: a run that breaks
+// one reads NO (or, for Fig 4, is named on stderr) and fails the report.
 
 #include "core/known_k_logmem.h"
 #include "support/bench_common.h"
@@ -25,26 +27,41 @@ void print_report() {
   {
     Table table({"n", "k", "selection moves", "kn", "deployment moves",
                  "deploy/(kn)", "deploy max/agent"});
+    core::RunContext ctx;
     for (const std::size_t n : {64u, 256u, 1024u}) {
       const std::size_t k = n / 16;
       double selection = 0, deployment = 0;
+      std::size_t deploy_max = 0;
       for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         Rng rng(seed + n);
         core::RunSpec spec;
         spec.node_count = n;
         spec.homes = gen::random_homes(n, k, rng);
-        const auto report = core::run_algorithm(core::Algorithm::KnownKFull, spec);
+        const auto report = ctx.run(core::Algorithm::KnownKFull, spec);
+        expect(report.moves_by_phase[0] == k * n,
+               "Fig 4: a run's selection moves differ from kn at n = " +
+                   std::to_string(n));
         selection += static_cast<double>(report.moves_by_phase[0]) / 5.0;
         deployment += static_cast<double>(report.moves_by_phase[1]) / 5.0;
+        const sim::Metrics& metrics = ctx.state().metrics();
+        for (std::size_t id = 0; id < k; ++id) {
+          const auto& by_phase = metrics.agent(id).moves_by_phase;
+          if (by_phase.size() > 1) {
+            deploy_max = std::max(deploy_max, by_phase[1]);
+          }
+        }
       }
+      expect(deploy_max <= 2 * n,
+             "Fig 4: an agent's deployment moves exceed 2n at n = " +
+                 std::to_string(n));
       table.add_row({Table::num(n), Table::num(k), Table::num(selection, 0),
                      Table::num(k * n), Table::num(deployment, 0),
                      Table::num(deployment / static_cast<double>(k * n), 2),
-                     Table::num(2 * n)});
+                     Table::num(deploy_max)});
     }
     std::cout << table
               << "selection = kn exactly (every agent circles once); deployment\n"
-                 "averages ~0.75·kn, bounded by 2n per agent — Theorem 3.\n";
+                 "averages just under kn, at most 2n per agent — Theorem 3.\n";
   }
 
   // ---- Fig 5: leader counts / base-node conditions -----------------------
@@ -80,12 +97,11 @@ void print_report() {
               simulator->program(id));
           if (agent.role() == core::KnownKLogMemAgent::Role::Leader) ++count;
         }
-        divides = divides && (row.k % count == 0);
+        divides = divides && count != 0 && row.k % count == 0;
         leaders += static_cast<double>(count) / 5.0;
       }
       table.add_row({row.name, Table::num(row.n), Table::num(row.k),
-                     Table::num(leaders, 1), divides ? "yes" : "NO",
-                     uniform ? "yes" : "NO"});
+                     Table::num(leaders, 1), check(divides), check(uniform)});
     }
     std::cout << table
               << "leader count always divides k; periodic configurations elect\n"
@@ -115,7 +131,7 @@ void print_report() {
       }
       const std::size_t bound = ceil_log2(k) + 1;
       table.add_row({Table::num(k), Table::num(n), Table::num(worst),
-                     Table::num(ceil_log2(k)), worst <= bound ? "yes" : "NO"});
+                     Table::num(ceil_log2(k)), check(worst <= bound)});
     }
     std::cout << table
               << "the ID-halving argument holds: sub-phases never exceed\n"
@@ -135,12 +151,11 @@ void print_report() {
       stress.homes = gen::logmem_stress_homes();
       const auto stress_report = core::run_algorithm(algorithm, stress);
       const Averages random_avg =
-          measure(algorithm, ConfigFamily::RandomAny, 128, 16);
+          exp::measure_cell(algorithm, ConfigFamily::RandomAny, 128, 16);
       table.add_row({label, Table::num(stress_report.total_moves),
                      Table::num(random_avg.moves, 0),
-                     (stress_report.success && random_avg.success_rate == 1.0)
-                         ? "yes"
-                         : "NO"});
+                     check(stress_report.success &&
+                           random_avg.success_rate == 1.0)});
     }
     std::cout << table
               << "both variants are correct (the literal one leans on FIFO\n"
@@ -148,16 +163,8 @@ void print_report() {
   }
 }
 
-void register_timings() {
-  register_timing("fig456/algo2/n=256/k=16", core::Algorithm::KnownKLogMem,
-                  ConfigFamily::RandomAny, 256, 16);
-  register_timing("fig456/algo2strict/n=256/k=16",
-                  core::Algorithm::KnownKLogMemStrict, ConfigFamily::RandomAny, 256,
-                  16);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

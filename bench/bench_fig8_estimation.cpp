@@ -62,8 +62,8 @@ void print_report() {
           sim::UniformDeploymentOracle(false).check_goal(*simulator).ok;
       table.add_row({Table::num(m), Table::num(n), Table::num(2 * m + 1),
                      Table::num(trapped), Table::num(exact),
-                     Table::num(corrections), converged ? "yes" : "NO",
-                     uniform ? "yes" : "NO"});
+                     Table::num(corrections), check(converged),
+                     check(uniform)});
     }
     std::cout << table
               << "the deeper the periodic tail, the more agents start trapped at\n"
@@ -79,9 +79,9 @@ void print_report() {
         {48, 6}, {96, 12}, {192, 16}, {384, 24}};
     for (const auto& [n, k] : cases) {
       bool lemma3 = true, lemma4 = true;
-      double exact_avg = 0, est_cost = 0;
-      const int rings = 10;
-      int used = 0;
+      double exact_total = 0, est_total = 0;
+      const std::size_t rings = 10;
+      std::size_t used = 0;
       for (std::uint64_t seed = 1; used < rings && seed < 200; ++seed) {
         Rng rng(seed * 13 + n);
         auto homes = gen::random_homes(n, k, rng);
@@ -101,15 +101,19 @@ void print_report() {
           const std::size_t first = agent.first_estimate_n();
           lemma3 = lemma3 && (first == n || 2 * first <= n);
           if (first == n) ++exact;
-          est_cost += 4.0 * static_cast<double>(first) /
-                      static_cast<double>(rings * k);
+          est_total += 4.0 * static_cast<double>(first);
         }
         lemma4 = lemma4 && exact >= 1;
-        exact_avg += static_cast<double>(exact) / rings;
+        exact_total += static_cast<double>(exact);
       }
-      table.add_row({Table::num(n), Table::num(k), Table::num(std::size_t{10}),
-                     lemma3 ? "yes" : "NO", lemma4 ? "yes" : "NO",
-                     Table::num(exact_avg, 1), Table::num(est_cost, 0),
+      expect(used == rings, "Fig 10: fewer than " + std::to_string(rings) +
+                                " aperiodic rings drawn at n = " +
+                                std::to_string(n));
+      const double runs = static_cast<double>(used);
+      table.add_row({Table::num(n), Table::num(k), Table::num(used),
+                     check(lemma3), check(lemma4),
+                     Table::num(exact_total / runs, 1),
+                     Table::num(est_total / (runs * static_cast<double>(k)), 0),
                      Table::num(4 * n)});
     }
     std::cout << table
@@ -119,21 +123,8 @@ void print_report() {
   }
 }
 
-void register_timings() {
-  benchmark::RegisterBenchmark("fig8/trap/m=32", [](benchmark::State& state) {
-    for (auto _ : state) {
-      core::RunSpec spec;
-      spec.node_count = 11 + 4 * 32;
-      spec.homes = trap_homes(32, 11);
-      const auto report =
-          core::run_algorithm(core::Algorithm::UnknownRelaxed, spec);
-      benchmark::DoNotOptimize(report.total_moves);
-    }
-  })->Unit(benchmark::kMillisecond);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

@@ -5,12 +5,12 @@
 // Both walks claim configurations in one visited store, so they expand the
 // same closure; sharding buys parallel wall-clock for one state copy per
 // shard root, and racing claims change only WHO expands a state, never the
-// counts.
+// counts. Two checks fail the report: a serial verdict other than
+// `verified`, and a sharded walk that leaves the serial closure.
 //
-// Set UDRING_MC_SMOKE=1 for the tiny CI grid.
+// UDRING_REPORT_SMOKE selects the two smallest cells.
 
 #include <chrono>
-#include <cstdlib>
 
 #include "mc/model_check.h"
 #include "support/bench_common.h"
@@ -26,7 +26,7 @@ struct BenchCell {
 };
 
 std::vector<BenchCell> bench_cells() {
-  if (std::getenv("UDRING_MC_SMOKE") != nullptr) {
+  if (smoke()) {
     return {{core::Algorithm::KnownKFull, 8, 3},
             {core::Algorithm::KnownKLogMem, 8, 3}};
   }
@@ -81,6 +81,10 @@ void print_report() {
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
          report.verdict});
+    expect(report.verdict == "verified",
+           std::string(core::to_string(cell.algorithm)) + " n=" +
+               std::to_string(cell.n) + " k=" + std::to_string(cell.k) +
+               " verifies");
     serial_reports.push_back(std::move(report));
   }
   std::cout << serial_table;
@@ -110,8 +114,7 @@ void print_report() {
          rate(static_cast<double>(s.states_expanded), ms),
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
-         Table::num(serial_ms / (ms > 0 ? ms : 1), 2),
-         same_closure ? "yes" : "NO"});
+         Table::num(serial_ms / (ms > 0 ? ms : 1), 2), check(same_closure)});
     ++i;
   }
   std::cout << sharded_table;
@@ -123,53 +126,8 @@ void print_report() {
                "state, so sharding re-executes no prefix.\n";
 }
 
-void register_timings() {
-  struct TimingCase {
-    const char* name;
-    std::size_t n, k;
-    bool dedup;
-    std::size_t frontier, workers;
-  };
-  static constexpr TimingCase kCases[] = {
-      {"mc/known-k-full/n=8/k=3/serial", 8, 3, true, 1, 1},
-      {"mc/known-k-full/n=8/k=3/sharded-w8", 8, 3, true, 8, 8},
-      {"mc/known-k-full/n=8/k=3/no-pruning", 8, 3, false, 1, 1},
-      {"mc/known-k-full/n=24/k=4/serial", 24, 4, true, 1, 1},
-  };
-  for (const TimingCase& c : kCases) {
-    benchmark::RegisterBenchmark(
-        c.name,
-        [c](benchmark::State& state) {
-          mc::CheckRequest request;
-          request.algorithm = core::Algorithm::KnownKFull;
-          request.node_count = c.n;
-          request.homes = gen::uniform_homes(c.n, c.k);
-          mc::McOptions options;
-          options.dedup_states = c.dedup;
-          options.frontier_target = c.frontier;
-          options.workers = c.workers;
-          // The unpruned tree at n=8,k=3 is large; bound it so the timing
-          // measures walk throughput, not tree size. The budget counts every
-          // executed action (~1.9 per state on this shallow tree), so
-          // 584000 walks ~300k states.
-          if (!c.dedup) options.budget_actions = 584000;
-          for (auto _ : state) {
-            const mc::ModelCheckReport report = mc::check(request, options);
-            benchmark::DoNotOptimize(report.stats.total_actions);
-            if (!report.ok) state.SkipWithError("unexpected violation");
-          }
-          const mc::ModelCheckReport last = mc::check(request, options);
-          state.counters["schedules"] =
-              static_cast<double>(last.stats.schedules);
-          state.counters["states"] =
-              static_cast<double>(last.stats.states_expanded);
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

@@ -16,9 +16,9 @@
 //     report digest match between the serial walk and a frontier-sharded
 //     parallel walk.
 //
-// Set UDRING_PROBLEMS_SMOKE=1 for the CI-sized version.
+// A failed scenario, a digest mismatch or an unverified instance fails the
+// report.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,11 +30,6 @@ namespace {
 using namespace udring;
 using namespace udring::bench;
 
-[[nodiscard]] bool smoke() {
-  const char* env = std::getenv("UDRING_PROBLEMS_SMOKE");
-  return env != nullptr && env[0] == '1';
-}
-
 /// The one grid every section reuses: the three problem families on shared
 /// instance coordinates. Auto on the problem axis resolves per algorithm —
 /// deploy for KnownKFull, gather(g=2) for GatherRing, disperse for
@@ -45,11 +40,9 @@ using namespace udring::bench;
   grid.algorithms = {core::Algorithm::KnownKFull, core::Algorithm::GatherRing,
                      core::Algorithm::DisperseRing};
   grid.schedulers = {sim::SchedulerKind::RoundRobin};
-  grid.node_counts = smoke() ? std::vector<std::size_t>{12, 16}
-                             : std::vector<std::size_t>{16, 32, 64};
-  grid.agent_counts = smoke() ? std::vector<std::size_t>{2, 4}
-                              : std::vector<std::size_t>{4, 8};
-  grid.seeds = smoke() ? 3 : 8;
+  grid.node_counts = {16, 32, 64};
+  grid.agent_counts = {4, 8};
+  grid.seeds = 8;
   return grid;
 }
 
@@ -96,10 +89,8 @@ void report_cross_problem_table() {
                "draws\n(the scenario substream excludes algorithm and "
                "problem), so the\ncolumns compare move/time/memory across "
                "problems, paired.\n\n";
-  if (!result.all_ok()) {
-    std::cout << "CAMPAIGN FAILURES:\n" << result.summary();
-    std::exit(2);
-  }
+  expect(result.all_ok(), "every cross-problem scenario succeeds");
+  if (!result.all_ok()) std::cout << "CAMPAIGN FAILURES:\n" << result.summary();
 }
 
 // ---- 2. worker-count determinism over the problem axis ----------------------
@@ -118,13 +109,12 @@ void report_determinism() {
     const bool ok = run.digest() == reference.digest();
     all_match = all_match && ok;
     table.add_row({Table::num(run.workers_used), Table::num(run.scenario_count),
-                   ok ? "yes" : "NO"});
+                   check(ok)});
   }
   std::cout << table;
   std::cout << (all_match ? "the problem axis preserves the engine's "
                             "worker-invariant digest contract.\n\n"
                           : "DIGEST MISMATCH across worker counts.\n\n");
-  if (!all_match) std::exit(2);
 }
 
 // ---- 3. exhaustive verification of small instances --------------------------
@@ -168,16 +158,16 @@ void report_exhaustive() {
     const bool verified = a.ok && a.complete;
     const bool match = a.digest() == b.digest();
     all_ok = all_ok && verified && match;
+    expect(verified, std::string(c.label) + " verifies");
     table.add_row({c.label, Table::num(a.stats.schedules),
                    Table::num(a.stats.states_expanded), a.verdict,
-                   match ? "yes" : "NO"});
+                   check(match)});
   }
   std::cout << table;
   std::cout << (all_ok ? "gathering and dispersion are verified over ALL "
                          "schedules of these instances,\nbyte-identically at "
                          "any worker count.\n"
                        : "VERIFICATION FAILED on a cross-problem instance.\n");
-  if (!all_ok) std::exit(2);
 }
 
 void print_report() {
@@ -189,52 +179,8 @@ void print_report() {
   report_exhaustive();
 }
 
-// ---- google-benchmark timings -----------------------------------------------
-
-void register_timings() {
-  register_timing("deploy/known_k_full/n=64/k=8", core::Algorithm::KnownKFull,
-                  ConfigFamily::RandomAny, 64, 8);
-  register_timing("gather/gather_ring/n=64/k=8", core::Algorithm::GatherRing,
-                  ConfigFamily::RandomAny, 64, 8);
-  register_timing("disperse/disperse_ring/n=64/k=8",
-                  core::Algorithm::DisperseRing, ConfigFamily::RandomAny, 64, 8);
-  benchmark::RegisterBenchmark(
-      "cross_problem_campaign/n=16..32/seeds=3",
-      [](benchmark::State& state) {
-        exp::CampaignGrid grid;
-        grid.algorithms = {core::Algorithm::KnownKFull,
-                           core::Algorithm::GatherRing,
-                           core::Algorithm::DisperseRing};
-        grid.schedulers = {sim::SchedulerKind::RoundRobin};
-        grid.node_counts = {16, 32};
-        grid.agent_counts = {4};
-        grid.seeds = 3;
-        for (auto _ : state) {
-          const exp::CampaignResult result =
-              exp::run_campaign_streaming(grid, {.workers = 1});
-          benchmark::DoNotOptimize(result.scenario_hash);
-          if (!result.all_ok()) state.SkipWithError("campaign failed");
-        }
-      })
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark(
-      "mc_exhaustive/gather_ring/n=6/k=2",
-      [](benchmark::State& state) {
-        mc::CheckRequest request;
-        request.algorithm = core::Algorithm::GatherRing;
-        request.node_count = 6;
-        request.homes = {0, 2};
-        for (auto _ : state) {
-          const mc::ModelCheckReport report = mc::check(request);
-          benchmark::DoNotOptimize(report.stats.total_actions);
-          if (!report.ok || !report.complete) state.SkipWithError("not verified");
-        }
-      })
-      ->Unit(benchmark::kMillisecond);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

@@ -33,9 +33,9 @@ void print_report() {
           Family{"periodic l=3", ConfigFamily::Periodic, 3},
           Family{"periodic l=6", ConfigFamily::Periodic, 6},
           Family{"uniform l=k", ConfigFamily::Uniform, 12}}) {
-      double rendezvous_rate = 0;
-      std::array<double, 3> ud_rate = {0, 0, 0};
-      const int seeds = 20;
+      std::size_t rendezvous_solved = 0;
+      std::array<std::size_t, 3> ud_solved = {0, 0, 0};
+      const std::size_t seeds = 20;
       for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         Rng rng(seed * 977 + family.l);
         const auto homes = draw_homes(family.family, 96, 12, family.l, rng);
@@ -47,22 +47,32 @@ void print_report() {
         auto simulator = core::make_simulator(core::Algorithm::Rendezvous, spec);
         sim::RoundRobinScheduler scheduler;
         (void)simulator->run(scheduler);
-        if (sim::check_gathered(*simulator).ok) rendezvous_rate += 1.0 / seeds;
+        if (sim::check_gathered(*simulator).ok) ++rendezvous_solved;
 
         const core::Algorithm algorithms[] = {core::Algorithm::KnownKFull,
                                               core::Algorithm::KnownKLogMem,
                                               core::Algorithm::UnknownRelaxed};
         for (std::size_t a = 0; a < 3; ++a) {
-          if (core::run_algorithm(algorithms[a], spec).success) {
-            ud_rate[a] += 1.0 / seeds;
-          }
+          if (core::run_algorithm(algorithms[a], spec).success) ++ud_solved[a];
         }
       }
+      // The contrast as a check: rendezvous solves every aperiodic seed and
+      // no periodic one; uniform deployment solves every seed of every family.
+      expect(rendezvous_solved == (family.l == 1 ? seeds : 0),
+             std::string("rendezvous on ") + family.name);
+      for (const std::size_t solved : ud_solved) {
+        expect(solved == seeds,
+               std::string("uniform deployment on ") + family.name);
+      }
+      const auto percent = [&](std::size_t solved) {
+        return Table::num(100.0 * static_cast<double>(solved) /
+                              static_cast<double>(seeds),
+                          0) +
+               "%";
+      };
       table.add_row({family.name, Table::num(family.l),
-                     Table::num(rendezvous_rate * 100, 0) + "%",
-                     Table::num(ud_rate[0] * 100, 0) + "%",
-                     Table::num(ud_rate[1] * 100, 0) + "%",
-                     Table::num(ud_rate[2] * 100, 0) + "%"});
+                     percent(rendezvous_solved), percent(ud_solved[0]),
+                     percent(ud_solved[1]), percent(ud_solved[2])});
     }
     std::cout << table
               << "rendezvous collapses to 0% the moment l > 1; all three uniform\n"
@@ -77,8 +87,8 @@ void print_report() {
     for (const std::size_t l : {1u, 2u, 3u, 6u, 12u}) {
       const ConfigFamily family =
           l == 1 ? ConfigFamily::RandomAperiodic : ConfigFamily::Periodic;
-      const Averages avg =
-          measure(core::Algorithm::UnknownRelaxed, family, 96, 12, l, 10);
+      const Averages avg = exp::measure_cell(core::Algorithm::UnknownRelaxed,
+                                             family, 96, 12, l, 10);
       if (l == 1) baseline = avg.moves;
       table.add_row({Table::num(l), l == 1 ? "solvable" : "unsolvable",
                      Table::num(avg.moves, 0),
@@ -90,15 +100,8 @@ void print_report() {
   }
 }
 
-void register_timings() {
-  register_timing("contrast/rendezvous/n=96", core::Algorithm::Rendezvous,
-                  ConfigFamily::RandomAperiodic, 96, 12);
-  register_timing("contrast/ud-algo1/n=96", core::Algorithm::KnownKFull,
-                  ConfigFamily::RandomAperiodic, 96, 12);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

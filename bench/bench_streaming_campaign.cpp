@@ -8,12 +8,13 @@
 //     per-action invariant checker vs the incremental one; the acceptance
 //     number is a ≥2× speedup.
 //
-// Set UDRING_STREAM_SMOKE=1 for the CI-sized version.
+// Two checks fail the report: a huge-n sweep with a failed scenario, and
+// report digests that differ between the two oracles. UDRING_REPORT_SMOKE
+// selects the smoke sizes (n = 10^4 sweep, n = 512 oracle).
 
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cstdlib>
 
 #include "explore/fuzz.h"
 #include "support/bench_common.h"
@@ -22,11 +23,6 @@ namespace {
 
 using namespace udring;
 using namespace udring::bench;
-
-[[nodiscard]] bool smoke() {
-  const char* env = std::getenv("UDRING_STREAM_SMOKE");
-  return env != nullptr && env[0] == '1';
-}
 
 [[nodiscard]] double peak_rss_mib() {
   rusage usage{};
@@ -61,7 +57,7 @@ void report_huge_n() {
                      sim::SchedulerKind::RoundRobin, n, 8, 1});
     table.add_row({Table::num(n), "8", Table::num(result.scenario_count),
                    Table::num(ms, 0), Table::num(avg.moves / 8.0, 0),
-                   result.all_ok() ? "yes" : "NO",
+                   check(result.all_ok()),
                    Table::num(peak_rss_mib(), 0)});
   }
   std::cout << table;
@@ -108,8 +104,8 @@ void report_oracle() {
   const double speedup = full_ms / incremental_ms;
   std::cout << "incremental oracle speedup at n=" << n << ": "
             << Table::num(speedup, 1) << "x (target >= 2x), report digests "
-            << (full_digest == incremental_digest ? "match" : "DIFFER") << ".\n";
-  if (full_digest != incremental_digest) std::exit(2);
+            << check(full_digest == incremental_digest, "match", "DIFFER")
+            << ".\n";
 }
 
 void print_report() {
@@ -119,54 +115,8 @@ void print_report() {
   report_oracle();
 }
 
-// ---- google-benchmark timings -----------------------------------------------
-
-void register_timings() {
-  benchmark::RegisterBenchmark(
-      "streaming_campaign/n=32..64/seeds=8",
-      [](benchmark::State& state) {
-        exp::CampaignGrid grid;
-        grid.algorithms = {core::Algorithm::KnownKFull};
-        grid.schedulers = {sim::SchedulerKind::RoundRobin};
-        grid.node_counts = {32, 64};
-        grid.agent_counts = {4, 8};
-        grid.seeds = 8;
-        for (auto _ : state) {
-          const exp::CampaignResult result =
-              exp::run_campaign_streaming(grid, {.workers = 1});
-          benchmark::DoNotOptimize(result.scenario_hash);
-          if (!result.all_ok()) state.SkipWithError("campaign failed");
-        }
-      })
-      ->Unit(benchmark::kMillisecond);
-  for (const explore::OracleMode oracle :
-       {explore::OracleMode::Full, explore::OracleMode::Incremental}) {
-    const std::string name = std::string("checked_fuzz_oracle/") +
-                             std::string(explore::to_string(oracle)) +
-                             "/n=512";
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [oracle](benchmark::State& state) {
-          explore::FuzzOptions options = oracle_options(oracle, 512);
-          options.iterations = 1;
-          std::uint64_t iteration = 0;
-          std::size_t actions = 0;
-          for (auto _ : state) {
-            const explore::FuzzIteration outcome =
-                explore::fuzz_iteration(options, iteration++);
-            if (outcome.failure) state.SkipWithError("unexpected fuzz failure");
-            actions += outcome.actions;
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(actions));
-          state.counters["steps/s"] = benchmark::Counter(
-              static_cast<double>(actions), benchmark::Counter::kIsRate);
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

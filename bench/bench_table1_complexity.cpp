@@ -66,7 +66,7 @@ void print_report() {
              Table::num(avg.makespan / (static_cast<double>(n) * lg_k), 2),
              Table::num(avg.memory_bits, 0), Table::num(avg.memory_bits / lg_n, 1),
              Table::num(avg.memory_bits / (static_cast<double>(k) * lg_n), 2),
-             avg.success_rate == 1.0 ? "yes" : "NO"});
+             check(avg.success_rate == 1.0)});
       }
     }
     std::cout << table;
@@ -87,20 +87,8 @@ void print_report() {
       "                  D = S⁴). All three match Table 1's asymptotic claims.\n";
 }
 
-void register_timings() {
-  for (const auto& [algorithm, name] :
-       {std::make_pair(core::Algorithm::KnownKFull, "wallclock/algo1"),
-        std::make_pair(core::Algorithm::KnownKLogMem, "wallclock/algo2+3"),
-        std::make_pair(core::Algorithm::UnknownRelaxed, "wallclock/algo4-6")}) {
-    register_timing(std::string(name) + "/n=256/k=16", algorithm,
-                    ConfigFamily::RandomAperiodic, 256, 16);
-    register_timing(std::string(name) + "/n=1024/k=64", algorithm,
-                    ConfigFamily::RandomAperiodic, 1024, 64);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench_main(argc, argv, print_report, register_timings);
+  return run_report(argc, argv, print_report);
 }

@@ -1,19 +1,23 @@
 // bench/support/bench_common.h
 //
-// Shared plumbing for the per-table/per-figure bench binaries, now a thin
+// Shared plumbing for the per-table/per-figure report binaries, a thin
 // veneer over the exp/campaign engine: configuration families, seed-averaged
-// cell measurements and grid sweeps all come from exp::, so every binary's
-// report is a campaign and parallelizes/reproduces like one. Every binary
-// prints its paper-style report first (that output is the reproduction
-// artifact) and then runs its registered google-benchmark timings.
+// cell measurements and grid sweeps all come from exp::, so every report is
+// a campaign and parallelizes/reproduces like one.
+//
+// Every report is also a check. It prints its whole paper-style report (the
+// reproduction artifact) and counts each claim behind it, through `check`
+// for a yes/NO table cell or `expect` for a claim without one; `run_report`
+// then exits 1 if any check failed. ctest runs every report under the
+// `report` label.
 
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/generators.h"
@@ -28,55 +32,44 @@ using exp::Averages;
 using exp::ConfigFamily;
 using exp::draw_homes;
 
-/// Seed-averaged measurement of one (algorithm, configuration family) cell,
-/// delegated to the campaign engine (substream-seeded, reproducible).
-/// The engine folds as it goes, so every bench binary's sweep — table1,
-/// fig2, the ablations — runs in O(cells + workers) memory at any n; huge-n
-/// grids are just more cells.
-inline Averages measure(core::Algorithm algorithm, ConfigFamily family,
-                        std::size_t n, std::size_t k, std::size_t l = 1,
-                        std::size_t seeds = 5,
-                        sim::SchedulerKind scheduler = sim::SchedulerKind::Synchronous) {
-  return exp::measure_cell(algorithm, family, n, k, l, seeds, scheduler);
+/// Checks counted as failed so far in this report.
+inline std::size_t failed_checks = 0;
+
+/// Counts one check and returns its table cell: `pass`, or `fail` when the
+/// check failed.
+inline const char* check(bool ok, const char* pass = "yes",
+                         const char* fail = "NO") {
+  if (!ok) ++failed_checks;
+  return ok ? pass : fail;
 }
 
-/// Registers a wall-clock google-benchmark for one algorithm/instance.
-/// Iterations share one pooled core::RunContext, so the loop measures the
-/// steady-state cost of a run (arena reuse, cached scheduler) rather than
-/// repeated construction — the same shape production campaigns have.
-inline void register_timing(const std::string& name, core::Algorithm algorithm,
-                            ConfigFamily family, std::size_t n, std::size_t k,
-                            std::size_t l = 1) {
-  benchmark::RegisterBenchmark(
-      name.c_str(),
-      [=](benchmark::State& state) {
-        core::RunContext ctx;
-        std::uint64_t seed = 1;
-        for (auto _ : state) {
-          Rng rng(seed++);
-          core::RunSpec spec;
-          spec.node_count = n;
-          spec.homes = draw_homes(family, n, k, l, rng);
-          spec.scheduler = sim::SchedulerKind::RoundRobin;
-          const core::RunReport report = ctx.run(algorithm, spec);
-          benchmark::DoNotOptimize(report.total_moves);
-          if (!report.success) state.SkipWithError("run failed");
-        }
-        state.counters["n"] = static_cast<double>(n);
-        state.counters["k"] = static_cast<double>(k);
-      })
-      ->Unit(benchmark::kMillisecond);
+/// Counts one check that has no table cell of its own, naming it on stderr
+/// when it fails.
+inline void expect(bool ok, std::string_view claim) {
+  if (ok) return;
+  ++failed_checks;
+  std::cerr << "check failed: " << claim << '\n';
 }
 
-/// Standard main body: print the report, then run registered timings.
-inline int run_bench_main(int argc, char** argv, void (*print_report)(),
-                          void (*register_timings)()) {
+/// True when UDRING_REPORT_SMOKE is set (ctest sets it for every report):
+/// the reports that take seconds under sanitizers shrink to a smoke size.
+[[nodiscard]] inline bool smoke() {
+  return std::getenv("UDRING_REPORT_SMOKE") != nullptr;
+}
+
+/// Standard main body. A report takes no arguments, so a stale flag is a
+/// usage error (exit 2) instead of a silent full run. Otherwise it prints
+/// the whole report and exits 1 if any check failed.
+inline int run_report(int argc, char** argv, void (*print_report)()) {
+  if (argc > 1) {
+    std::cerr << argv[0] << ": a report takes no arguments (got '" << argv[1]
+              << "')\n";
+    return 2;
+  }
   print_report();
-  register_timings();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  if (failed_checks == 0) return 0;
+  std::cerr << argv[0] << ": " << failed_checks << " check(s) failed\n";
+  return 1;
 }
 
 }  // namespace udring::bench

@@ -252,6 +252,16 @@ Kind member_kind(AgentStatus status, NodeId destination, NodeId node) {
 /// One agent's status against the number of queues holding it: exactly one
 /// while in transit; at most one for a corpse, which froze either in its
 /// link queue or in a staying set; none for every other status.
+///
+/// The full sweep cannot produce three of these kinds: a corpse in two
+/// queues, an agent in transit in two queues, and a staying agent in a
+/// queue. Intrusive queue links give an agent one destination, so the
+/// sweep's member check or its k-bounded walk fires first. The kinds stay
+/// because both checkers share this predicate, and the incremental checker
+/// does reach them: its membership counts come from diffing queues against
+/// a shadow, and a shadow gone stale (a state checked more than one action
+/// after it was bound) miscounts. Cutting the kinds from the full sweep
+/// alone would fork the predicate.
 Kind occurrence_kind(AgentStatus status, std::size_t occurrences) {
   const bool in_transit = status == AgentStatus::InTransit;
   const bool crashed = status == AgentStatus::Crashed;

@@ -39,8 +39,9 @@ namespace {
 
 using namespace udring;
 
-/// The bench_campaign_engine grids, reproduced so CI can cross-check the
-/// tool against the in-process engine on the exact same sweep.
+/// `engine` is bench_campaign_engine's grid, reproduced so CI can
+/// cross-check the tool against the in-process engine on the exact same
+/// sweep; `smoke` is a 16-scenario corner of it.
 exp::CampaignGrid preset_grid(const std::string& name) {
   exp::CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull};
