@@ -255,17 +255,10 @@ void run_iteration(const FuzzOptions& options, std::uint64_t iteration,
         std::min(std::max(options.min_agents, options.max_agents), n);
     const std::size_t k = static_cast<std::size_t>(
         rng.between(std::min(options.min_agents, k_hi), k_hi));
-    if (options.topology == FuzzTopology::Ring &&
-        options.family != exp::ConfigFamily::RandomAny) {
-      // draw_instance draws RandomAny; other families are ring-only.
-      request.node_count = n;
-      request.homes = exp::draw_homes(options.family, n, k, 1, rng);
-    } else {
-      DrawnInstance drawn = draw_instance(options.topology, n, k, rng);
-      request.node_count = drawn.node_count;
-      request.homes = std::move(drawn.homes);
-      request.topology = std::move(drawn.topology);
-    }
+    DrawnInstance drawn = draw_instance(options.topology, n, k, rng);
+    request.node_count = drawn.node_count;
+    request.homes = std::move(drawn.homes);
+    request.topology = std::move(drawn.topology);
   }
 
   const std::vector<ExploreSchedulerKind>& pool =

@@ -90,7 +90,6 @@ struct FuzzOptions {
   /// Goal the runs are judged against (core::make_goal_oracle); Auto = the
   /// algorithm's natural problem. Carried into every recorded trace.
   core::ProblemSpec problem;
-  exp::ConfigFamily family = exp::ConfigFamily::RandomAny;
   /// Topology family instances are drawn on (see FuzzTopology). For Tree
   /// and Graph the node range below sizes the *underlying* network; the
   /// virtual ring is 2(n−1) steps.

@@ -10,8 +10,8 @@
 // current enabled count and pads an exhausted trace with index 0).
 //
 // The text format is line-oriented, versioned, and diff-friendly; failing
-// fuzz schedules are shrunk to traces of this form and uploaded as CI
-// artifacts, and tests/schedules/ keeps a regression corpus of them. The
+// fuzz schedules are shrunk to traces of this form (udring_fuzz --out writes
+// them), and tests/schedules/ keeps a regression corpus of them. The
 // recorded event-log digest makes replay self-checking: a replay that does
 // not reproduce the digest is flagged, not silently accepted.
 

@@ -473,17 +473,48 @@ void ExecutionState::execute_action(AgentId id) {
   }
 
   refresh_enabled(id);
-  if (non_fifo) {
-    // Overtaking eligibility depends on whether queue *predecessors* have
-    // acted, which any action can change; the cheap full sweep is fine on
-    // this test-only path.
-    for (AgentId other = 0; other < agents_.size(); ++other) {
-      refresh_enabled(other);
-    }
-  }
+  if (non_fifo && arrival) refresh_overtakers(last_action_nodes_[0]);
   // Event faults keyed to the new action count fire now — after the
   // action's own bookkeeping, before the next choice point.
   if (has_fault_events_) apply_due_faults();
+}
+
+// The non-FIFO fault's overtaking rule. An in-transit agent is enabled from
+// any position of its queue, but only within the configured phase window,
+// and never past a member that has not yet had its first action (the
+// initial occupant of its home buffer: overtaking it would break the
+// home-node-first rule, which is not the guarantee under test) or that is
+// itself outside the window.
+bool ExecutionState::in_fault_window(AgentId id) const {
+  return metrics_.agent(id).phase >= options_.faults.non_fifo_min_phase;
+}
+
+bool ExecutionState::blocks_overtaking(AgentId member) const {
+  return metrics_.agent(member).actions == 0 || !in_fault_window(member);
+}
+
+void ExecutionState::refresh_overtakers(NodeId node) {
+  // After an arrival at `node`, only the agents left in its queue can change
+  // enabledness: the actor re-enters a queue at its tail, where it blocks no
+  // one, and an agent's phase changes only while it is in no queue. One
+  // walk judges them all; the changes apply in ascending id order, the
+  // order of a refresh over every agent, so enabled()'s order is that
+  // sweep's and so is every draw.
+  std::vector<AgentId> changed;
+  const AgentId head = nodes_[node].queue_head;
+  bool blocked = false;  // a member ahead blocks overtaking
+  for (const AgentId member : link_queue(node)) {
+    const bool want = cell(member).status == AgentStatus::InTransit &&
+                      (member == head || (!blocked && in_fault_window(member)));
+    if (want != (enabled_pos_[member] != kNotEnabled)) {
+      changed.push_back(member);
+    }
+    blocked = blocked || blocks_overtaking(member);
+  }
+  std::sort(changed.begin(), changed.end());
+  for (const AgentId member : changed) {
+    set_enabled(member, enabled_pos_[member] == kNotEnabled);
+  }
 }
 
 bool ExecutionState::should_be_enabled(AgentId id) const {
@@ -491,21 +522,10 @@ bool ExecutionState::should_be_enabled(AgentId id) const {
   switch (c.status) {
     case AgentStatus::InTransit: {
       if (nodes_[c.node].queue_head == id) return true;
-      if (!options_.faults.non_fifo) return false;
-      // Fault injection: enabled from any position, but never overtaking an
-      // agent that has not yet had its first action (the initial occupant of
-      // its home buffer) — that would break the home-node-first rule, which
-      // is not the guarantee under test — and only within the configured
-      // phase window.
-      if (metrics_.agent(id).phase < options_.faults.non_fifo_min_phase) {
-        return false;
-      }
+      if (!options_.faults.non_fifo || !in_fault_window(id)) return false;
       for (const AgentId member : link_queue(c.node)) {
         if (member == id) return true;
-        if (metrics_.agent(member).actions == 0 ||
-            metrics_.agent(member).phase < options_.faults.non_fifo_min_phase) {
-          return false;
-        }
+        if (blocks_overtaking(member)) return false;
       }
       return false;
     }
@@ -522,7 +542,10 @@ bool ExecutionState::should_be_enabled(AgentId id) const {
 }
 
 void ExecutionState::refresh_enabled(AgentId id) {
-  const bool want = should_be_enabled(id);
+  set_enabled(id, should_be_enabled(id));
+}
+
+void ExecutionState::set_enabled(AgentId id, bool want) {
   const std::size_t pos = enabled_pos_[id];
   const std::uint64_t bit = std::uint64_t{1} << (id % 64);
   if (want && pos == kNotEnabled) {

@@ -546,6 +546,13 @@ class ExecutionState {
   // the two mode flags (event logging on? non-FIFO fault injection on?).
   void execute_action(AgentId id);
   void refresh_enabled(AgentId id);
+  /// Adds `id` to the enabled set (`want`) or removes it; no-op if it is
+  /// already there (absent).
+  void set_enabled(AgentId id, bool want);
+  /// Under the non-FIFO fault: re-judges every agent left in q_{node} after
+  /// an arrival there (see execution_state.cpp). Kept out of line so the
+  /// fault-free action body stays as compact as it was without the fault.
+  [[gnu::noinline]] void refresh_overtakers(NodeId node);
   void push_to_queue(AgentId id);
   /// Unlinks `id` from q_{node}: its head under FIFO, anywhere under the
   /// non-FIFO fault. False if `id` is not queued there.
@@ -559,6 +566,10 @@ class ExecutionState {
   void apply_due_faults();
   void apply_crash(AgentId id);
   [[nodiscard]] bool should_be_enabled(AgentId id) const;
+  /// The non-FIFO overtaking rule: `id` is inside the fault's phase window;
+  /// `member` keeps the agents behind it in its queue from overtaking.
+  [[nodiscard]] bool in_fault_window(AgentId id) const;
+  [[nodiscard]] bool blocks_overtaking(AgentId member) const;
 
   // AgentContext hooks (the acting agent's perceptions and actions).
   [[nodiscard]] std::size_t tokens_at_agent(AgentId id) const;

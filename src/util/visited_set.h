@@ -26,8 +26,8 @@
 // load instead would let B claim X again at a later slot — two winners, and
 // mc would expand the state twice. tools/litmus_tests/ pins this protocol
 // and its memory orderings in herd7 form; tests/test_visited_set.cpp hammers
-// it from real threads (the TSan CI job runs both that test and the mc
-// bench against this set).
+// it from real threads (the TSan CI job runs that test, test_mc's sharded
+// walks and the mc bench against this set).
 //
 // ## Orderings
 //

@@ -4,8 +4,10 @@
 // can corrupt: agent statuses, destinations and the intrusive queue links.
 // The checker tests edit a *copy* of a state with it to build the corrupted
 // configurations each model-invariant kind names, then hand the copy to
-// check_model_invariants and IncrementalInvariantChecker. The library never
-// defines this struct; ExecutionState only declares it a friend.
+// check_model_invariants and IncrementalInvariantChecker. The fault tests
+// re-judge every agent of a copy, to check that an action left the enabled
+// set exact. The library never defines this struct; ExecutionState only
+// declares it a friend.
 
 #pragma once
 
@@ -29,6 +31,12 @@ struct ExecutionStateTestAccess {
   /// Sets the link from agent `id` to the agent behind it in its queue.
   static void set_queue_next(ExecutionState& state, AgentId id, AgentId next) {
     state.agents_.at(id).queue_next = next;
+  }
+  /// Re-judges every agent's enabledness, in ascending id order.
+  static void refresh_every_agent(ExecutionState& state) {
+    for (AgentId id = 0; id < state.agents_.size(); ++id) {
+      state.refresh_enabled(id);
+    }
   }
 };
 

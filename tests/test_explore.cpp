@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -275,6 +276,82 @@ TEST(Fuzzer, ReportDigestIsPinned) {
     fold64(state, iteration.digest);
   }
   EXPECT_EQ(state, 4128645213622920565ULL);
+}
+
+TEST(Fuzzer, SeedOneReportsArePinned) {
+  // The fuzzer's default instance ranges and scheduler pool at seed 1: a
+  // passing known-k-logmem run at one worker, at three and under the
+  // incremental oracle, and a failing one under the non-FIFO fault, whose
+  // failing iterations are digested one log at a time.
+  FuzzOptions passing;
+  passing.algorithm = core::Algorithm::KnownKLogMem;
+  passing.iterations = 150;
+  for (const auto& [workers, oracle] :
+       {std::pair{std::size_t{1}, OracleMode::Full},
+        std::pair{std::size_t{3}, OracleMode::Full},
+        std::pair{std::size_t{0}, OracleMode::Incremental}}) {
+    passing.workers = workers;
+    passing.oracle = oracle;
+    const FuzzReport report = run_fuzz(passing);
+    EXPECT_EQ(report.total_actions, 24829u) << workers << " workers";
+    EXPECT_EQ(report.failures, 0u) << workers << " workers";
+    EXPECT_EQ(report.digest, 4788443217667914847ULL) << workers << " workers";
+  }
+  FuzzOptions failing;
+  failing.algorithm = core::Algorithm::KnownKLogMemStrict;
+  failing.faults.non_fifo = true;
+  failing.iterations = 200;
+  failing.workers = 3;
+  const FuzzReport report = run_fuzz(failing);
+  EXPECT_EQ(report.failures, 76u);
+  EXPECT_EQ(report.digest, 15883900076399216628ULL);
+}
+
+TEST(Fuzzer, EveryAlgorithmPassesUnderEverySchedulerKind) {
+  // Every algorithm at the fuzzer's defaults (seed 1, rings of 8 to 24 nodes
+  // with 2 to 6 agents, each iteration's scheduler drawn from all nine
+  // kinds), gather-ring judged against an explicit 3-partial-gathering
+  // goal, the Euler-tour rings of random trees and graphs, and the
+  // incremental oracle on rings of 1024 to 2048 nodes: no iteration fails.
+  std::vector<std::pair<std::string, FuzzOptions>> runs;
+  for (const core::Algorithm algorithm :
+       {core::Algorithm::KnownKFull, core::Algorithm::KnownNFull,
+        core::Algorithm::KnownKLogMem, core::Algorithm::KnownKLogMemStrict,
+        core::Algorithm::UnknownRelaxed, core::Algorithm::Rendezvous,
+        core::Algorithm::GatherRing, core::Algorithm::DisperseRing}) {
+    FuzzOptions options;
+    options.algorithm = algorithm;
+    options.iterations = 150;
+    runs.emplace_back(core::to_string(algorithm), options);
+  }
+  FuzzOptions gather;
+  gather.algorithm = core::Algorithm::GatherRing;
+  gather.problem = {core::Problem::Gather, 3};
+  gather.iterations = 100;
+  runs.emplace_back("gather-ring, g = 3", gather);
+  for (const FuzzTopology topology :
+       {FuzzTopology::Tree, FuzzTopology::Graph}) {
+    FuzzOptions options;
+    options.topology = topology;
+    options.iterations = 75;
+    runs.emplace_back(to_string(topology), options);
+  }
+  FuzzOptions large;
+  large.oracle = OracleMode::Incremental;
+  large.min_nodes = 1024;
+  large.max_nodes = 2048;
+  large.iterations = 10;
+  runs.emplace_back("incremental, n in [1024, 2048]", large);
+  for (const auto& [what, options] : runs) {
+    const FuzzReport report = run_fuzz(options);
+    EXPECT_EQ(report.iterations, options.iterations) << what;
+    EXPECT_EQ(report.failures, 0u)
+        << what << ": "
+        << (report.failure_samples.empty()
+                ? std::string()
+                : report.failure_samples.front().reason + "\n" +
+                      report.failure_samples.front().trace.to_text());
+  }
 }
 
 TEST(Fuzzer, FailureCarriesReplayableTrace) {

@@ -21,16 +21,19 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "config/generators.h"
 #include "explore/fuzz.h"
 #include "explore/shrink.h"
 #include "explore/trace.h"
 #include "mc/model_check.h"
 #include "sim/fault.h"
+#include "support/state_access.h"
 
 namespace udring {
 namespace {
@@ -209,6 +212,60 @@ TEST(CanonicalEmission, FaultKeysEmitIdenticallyFromAnyInsertionPath) {
   expected.normalize();
   EXPECT_EQ(reparsed.faults, expected);
   EXPECT_EQ(reparsed.to_text(), text);
+}
+
+// ---- the non-FIFO fault's enabled set ---------------------------------------
+
+TEST(NonFifo, EnabledSetIsExactAfterEveryAction) {
+  // Under the non-FIFO fault an action re-judges only the agents left in its
+  // arrival node's queue. A refresh of every agent of a copy must then find
+  // nothing to change, after every action: with overtaking allowed from the
+  // first phase (min-phase 0) and from phase 1, under every scheduler kind,
+  // on the deployment stress instance and on a drawn ring with longer queues.
+  struct Ring {
+    std::size_t n;
+    std::vector<std::size_t> homes;
+  };
+  Rng rng(5);
+  const Ring rings[] = {{gen::kLogmemStressNodes, gen::logmem_stress_homes()},
+                        {40, gen::random_homes(40, 16, rng)}};
+  for (const core::Algorithm algorithm :
+       {core::Algorithm::KnownKLogMemStrict, core::Algorithm::KnownKFull,
+        core::Algorithm::UnknownRelaxed}) {
+    for (const std::size_t min_phase : {0u, 1u}) {
+      for (const Ring& ring : rings) {
+        core::RunSpec spec;
+        spec.node_count = ring.n;
+        spec.homes = ring.homes;
+        spec.sim_options.faults.non_fifo = true;
+        spec.sim_options.faults.non_fifo_min_phase = min_phase;
+        const sim::Instance instance = core::make_instance(algorithm, spec);
+        const std::size_t k = ring.homes.size();
+        for (const explore::ExploreSchedulerKind kind :
+             explore::all_explore_scheduler_kinds()) {
+          sim::ExecutionState state;
+          state.reset(instance);
+          const std::unique_ptr<sim::Scheduler> scheduler =
+              explore::make_explore_scheduler(kind, 7, k);
+          scheduler->attach(state);
+          scheduler->reset(k);
+          // The first 4,000 actions of each run.
+          for (std::size_t step = 0; step < 4000 && state.step(*scheduler);
+               ++step) {
+            sim::ExecutionState swept = state;
+            sim::ExecutionStateTestAccess::refresh_every_agent(swept);
+            if (swept.enabled() != state.enabled()) {
+              ADD_FAILURE() << core::to_string(algorithm) << " n=" << ring.n
+                            << " min-phase=" << min_phase << ' '
+                            << explore::to_string(kind) << ": after action "
+                            << state.actions_executed();
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- replay determinism of faulty executions --------------------------------

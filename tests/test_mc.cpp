@@ -37,6 +37,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "config/generators.h"
@@ -485,6 +486,113 @@ TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
   EXPECT_EQ(report.stats.shards, 1u);
 }
 
+TEST(Exhaustive, LargestSeedOneWalkCountsArePinned) {
+  // The largest pinned `--seed=1` walks, each closed in about 0.1 s
+  // (Release): known-k-full at n = 24, known-k-logmem at n = 20, whose
+  // states carry broadcast mail, and unknown-relaxed at n = 12, whose mail
+  // carries variable-length distance sequences; k = 4. Walked serially and
+  // cut into 64 frontier shards racing on 4 workers over the one visited
+  // store, the closure (states, dedup answers, depth) is the same, the
+  // actions (tree edges plus snapshot-restore re-steps) and shard counts
+  // are each walk's own, and no walk re-executes a prefix from C_0.
+  struct Pin {
+    core::Algorithm algorithm;
+    std::size_t n, expanded, deduped, max_depth;
+    std::size_t serial_actions, sharded_actions, shards;
+  };
+  const Pin pins[] = {
+      {core::Algorithm::KnownKFull, 24, 63893, 159803, 174, 783158, 780848, 65},
+      {core::Algorithm::KnownKLogMem, 20, 50214, 111304, 199, 551147, 548536,
+       79},
+      {core::Algorithm::UnknownRelaxed, 12, 65636, 143969, 616, 713882, 710155,
+       71}};
+  McOptions serial;
+  serial.workers = 1;
+  McOptions sharded;
+  sharded.frontier_target = 64;
+  sharded.workers = 4;
+  for (const Pin& pin : pins) {
+    Rng rng(1);
+    const explore::DrawnInstance drawn =
+        explore::draw_instance(explore::FuzzTopology::Ring, pin.n, 4, rng);
+    const CheckRequest request =
+        ring_request(pin.algorithm, drawn.node_count, drawn.homes);
+    for (const bool shard : {false, true}) {
+      const ModelCheckReport report = check(request, shard ? sharded : serial);
+      const std::string what = std::string(core::to_string(pin.algorithm)) +
+                               (shard ? " sharded" : " serial");
+      EXPECT_TRUE(report.ok && report.complete) << what;
+      EXPECT_EQ(report.stats.states_expanded, pin.expanded) << what;
+      EXPECT_EQ(report.stats.states_deduped, pin.deduped) << what;
+      EXPECT_EQ(report.stats.max_depth, pin.max_depth) << what;
+      EXPECT_EQ(report.stats.replays, 0u) << what;
+      EXPECT_EQ(report.stats.total_actions,
+                shard ? pin.sharded_actions : pin.serial_actions)
+          << what;
+      EXPECT_EQ(report.stats.shards, shard ? pin.shards : 1u) << what;
+    }
+  }
+}
+
+TEST(Exhaustive, SeedOneDrawsVerifyInEveryWalkMode) {
+  // Small `--seed=1` draws, each verified over all schedules: serially and
+  // sharded, on a ring and on an Euler-tree ring, for the companion
+  // problem families, for a deployer judged as a disperser, with dedup off
+  // (the full schedule tree), and as the cells of a campaign grid.
+  struct Row {
+    const char* what;
+    core::Algorithm algorithm;
+    explore::FuzzTopology topology;
+    std::size_t n, k;
+    core::ProblemSpec problem;
+    McOptions options;
+  };
+  McOptions sharded;
+  sharded.frontier_target = 8;
+  sharded.workers = 0;
+  McOptions no_dedup;
+  no_dedup.dedup_states = false;
+  const core::ProblemSpec disperse{core::Problem::Disperse, 0};
+  const explore::FuzzTopology ring = explore::FuzzTopology::Ring;
+  const Row rows[] = {
+      {"n=8 k=3", core::Algorithm::KnownKFull, ring, 8, 3, {}, {}},
+      {"n=8 k=3 sharded", core::Algorithm::KnownKFull, ring, 8, 3, {}, sharded},
+      {"n=8 k=3", core::Algorithm::KnownKLogMem, ring, 8, 3, {}, {}},
+      {"tree n=5 k=2", core::Algorithm::KnownKFull,
+       explore::FuzzTopology::Tree, 5, 2, {}, {}},
+      {"n=6 k=2", core::Algorithm::GatherRing, ring, 6, 2, {}, {}},
+      {"n=6 k=2", core::Algorithm::DisperseRing, ring, 6, 2, {}, {}},
+      {"n=6 k=2 disperse", core::Algorithm::KnownKFull, ring, 6, 2, disperse,
+       {}},
+      {"n=6 k=2 no dedup", core::Algorithm::KnownKFull, ring, 6, 2, {},
+       no_dedup}};
+  for (const Row& row : rows) {
+    Rng rng(1);
+    explore::DrawnInstance drawn =
+        explore::draw_instance(row.topology, row.n, row.k, rng);
+    CheckRequest request;
+    request.algorithm = row.algorithm;
+    request.problem = row.problem;
+    request.node_count = drawn.node_count;
+    request.homes = std::move(drawn.homes);
+    request.topology = std::move(drawn.topology);
+    const ModelCheckReport report = check(request, row.options);
+    EXPECT_EQ(report.verdict, "verified")
+        << core::to_string(row.algorithm) << ' ' << row.what << ": "
+        << report.failure_reason;
+    EXPECT_TRUE(report.complete) << core::to_string(row.algorithm) << ' '
+                                 << row.what;
+  }
+  exp::CampaignGrid grid;
+  grid.algorithms = {core::Algorithm::KnownKFull};
+  grid.node_counts = {6};
+  grid.agent_counts = {2};
+  grid.seeds = 2;
+  const GridReport report = check_grid(grid);
+  EXPECT_EQ(report.cells.size(), 2u);
+  EXPECT_TRUE(report.all_verified());
+}
+
 INSTANTIATE_TEST_SUITE_P(SmallGrids, ExhaustiveAlgorithms,
                          ::testing::Values(core::Algorithm::KnownKFull,
                                            core::Algorithm::KnownKLogMem),
@@ -576,6 +684,10 @@ TEST(FaultRediscovery, FindsDoubleBookedBaseNodeWithoutRandomness) {
   // reproduces the exact failure and digest (udring_fuzz --replay accepts it).
   const explore::ScheduleTrace& trace = *report.counterexample;
   EXPECT_EQ(trace.note, report.failure_reason);
+  // The walk meets this 147-action schedule first, and its digest pins the
+  // execution.
+  EXPECT_EQ(trace.choices.size(), 147u);
+  EXPECT_EQ(trace.expected_digest, 1625982170551763769ULL);
   const explore::ReplayOutcome replayed = explore::replay_trace(trace);
   EXPECT_TRUE(replayed.failed);
   EXPECT_EQ(replayed.reason, report.failure_reason);

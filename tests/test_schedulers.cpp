@@ -369,14 +369,13 @@ std::string label(core::Algorithm algorithm, std::size_t k) {
 TEST(SynchronousCursor, RunsMatchTheReferenceScanOnEveryAction) {
   // ExecutionState::run attaches the scheduler, so every draw resumes at
   // the cursor. Crashes remove agents below it, and under the non-FIFO
-  // fault every action ends with a refresh sweep over all agents. That
-  // sweep walks queues, O(k^2) per action at k = 256, so the non-FIFO runs
-  // stop at an action budget (a livelock there is no failure of this test).
+  // fault an arrival can enable several agents queued behind the arriving
+  // one at once. Every run here reaches quiescence, the non-FIFO ones too,
+  // so none needs an action budget.
   for (const core::Algorithm algorithm : kCursorAlgorithms) {
     for (const std::size_t k : kCursorAgentCounts) {
       SimOptions non_fifo;
       non_fifo.faults.non_fifo = true;
-      non_fifo.max_actions = 40000;
       const std::pair<const char*, SimOptions> plans[] = {
           {"fault-free", SimOptions{}},
           {"crash", crash_plan(k)},
@@ -386,7 +385,8 @@ TEST(SynchronousCursor, RunsMatchTheReferenceScanOnEveryAction) {
         ExecutionState sim;
         sim.reset(instance);
         CheckedSynchronous scheduler;
-        (void)sim.run(scheduler);
+        EXPECT_EQ(sim.run(scheduler).outcome, RunResult::Outcome::Quiescent)
+            << label(algorithm, k) << ' ' << plan;
         EXPECT_EQ(scheduler.draws, sim.actions_executed());
         EXPECT_EQ(scheduler.mismatches, 0u)
             << label(algorithm, k) << ' ' << plan << ": first at draw "

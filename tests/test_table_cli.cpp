@@ -233,12 +233,19 @@ TEST(Cli, ModelCheckerRejectsBadNumbersAsUsageErrors) {
   // window without --inject-non-fifo, which verified the fault-free model,
   // a repeated flag (the last value won), a --k the --homes overrode, a
   // stray positional argument and a bare value flag (--out became "true").
+  // A visited store capacity whose slot array overflows is rejected whether
+  // or not the walk reads it.
   for (const char* bad :
        {"--budget=-5", "--n=-1", "--homes=0,3x", "--homes=0,,3",
         "--budget=99999999999999999999", "--n=4 --k=5", "--no-such-flag",
-        "--fault-min-phase=1", "--n=8 --n=6 --k=2 --homes=0,3",
+        "--fault-min-phase=1", "--n=8 --n=6", "--n=8 --n=6 --k=2 --homes=0,3",
         "--n=8 --k=3 --homes=0,4", "--n=6 --k=2 extra",
-        "--n=6 --k=2 --out"}) {
+        "--n=6 --k=2 --out", "--shared-visited-capacity=9223372036854775809",
+        "--shared-visited-capacity=4611686018427387905",
+        "--frontier=4 --workers=2 "
+        "--shared-visited-capacity=9223372036854775809",
+        "--frontier=4 --workers=2 "
+        "--shared-visited-capacity=4611686018427387905"}) {
     EXPECT_EQ(
         run_tool(UDRING_MC_BINARY, std::string("--algo=known-k-full ") + bad),
         2)
@@ -263,6 +270,7 @@ TEST(Cli, FuzzAndCampaignToolsRejectUnknownFlags) {
                      "--agents=2 --seed=3"),
             2);
   EXPECT_EQ(run_tool(UDRING_FUZZ_BINARY, "--iterations=1 stray"), 2);
+  EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY, "--no-such-flag"), 2);
   for (const char* bad :
        {"--no-such-flag", "--lanes=4", "--grid=engine", "stray"}) {
     EXPECT_EQ(run_tool(UDRING_CAMPAIGN_BINARY,

@@ -39,9 +39,9 @@ namespace {
 
 using namespace udring;
 
-/// `engine` is bench_campaign_engine's grid, reproduced so CI can
-/// cross-check the tool against the in-process engine on the exact same
-/// sweep; `smoke` is a 16-scenario corner of it.
+/// `engine` is bench_campaign_engine's grid, reproduced so test_tools can
+/// check the tool's processes against the digest that report pins on the
+/// exact same sweep; `smoke` is a 16-scenario corner of it.
 exp::CampaignGrid preset_grid(const std::string& name) {
   exp::CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull};

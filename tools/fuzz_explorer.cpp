@@ -17,8 +17,8 @@
 // as is an unknown or repeated flag.
 //
 // Fuzz mode exits 1 when a failure is found; each failure is shrunk to a
-// minimal trace and written under --out so CI can upload it as an artifact
-// and anyone can `udring_fuzz --replay=<file>` it locally. Replay mode exits
+// minimal trace and written under --out, where anyone can
+// `udring_fuzz --replay=<file>` it. Replay mode exits
 // 1 when the replay diverges from the recording — a digest mismatch, or an
 // outcome that contradicts the trace's note (a recorded failure that fails
 // identically exits 0) — so corpus files double as self-verifying
@@ -103,7 +103,7 @@ int fuzz_mode(const explore::FuzzOptions& options, const std::string& out_dir) {
   const explore::FuzzReport report = explore::run_fuzz(options);
   std::cout << "fuzz: algorithm=" << core::to_string(options.algorithm)
             << " oracle=" << explore::to_string(options.oracle);
-  // Budgets in the header line only when set, so fault-free CI logs diff
+  // Budgets in the header line only when set, so fault-free logs diff
   // clean against historical runs.
   if (options.fault_crash_budget != 0) {
     std::cout << " crash-budget=" << options.fault_crash_budget;

@@ -13,8 +13,8 @@
 // that read it (see --help), and any other given flag is a usage error.
 //
 // Exit codes: 0 = verified over all schedules (every cell), 1 = violation
-// found (the counterexample trace is printed and, with --out, written where
-// CI uploads it; replay it with `udring_fuzz --replay=<file>`), 3 = budget
+// found (the counterexample trace is printed and, with --out, written;
+// replay it with `udring_fuzz --replay=<file>`), 3 = budget
 // exhausted before the tree was closed (no verdict), 2 = usage error.
 
 #include <filesystem>
