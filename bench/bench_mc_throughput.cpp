@@ -1,12 +1,14 @@
 // bench_mc_throughput — the exhaustive model checker's own artifact.
 //
 // Reports, for a small verification grid, the closure walk's throughput
-// (states/s and actions/s) and dedup hit-rate, serial and frontier-sharded.
-// Both walks claim configurations in one visited store, so they expand the
-// same closure; sharding buys parallel wall-clock for one state copy per
+// (states/s and actions/s), dedup hit-rate and hash compaction's collision
+// bound, serial and frontier-sharded. Both walks claim configurations in
+// one visited store, so they expand the same closure and step each of its
+// edges once; sharding buys parallel wall-clock for one state copy per
 // shard root, and racing claims change only WHO expands a state, never the
 // counts. Two checks fail the report: a serial verdict other than
-// `verified`, and a sharded walk that leaves the serial closure.
+// `verified`, and a sharded walk that leaves the serial closure or steps
+// another number of actions.
 //
 // UDRING_REPORT_SMOKE selects the two smallest cells.
 
@@ -64,7 +66,7 @@ void print_report() {
 
   print_section(std::cout, "Serial walk (the store grows with the closure)");
   Table serial_table({"algorithm", "n", "k", "wall ms", "states/s", "actions/s",
-                      "dedup hit-rate", "verdict"});
+                      "dedup hit-rate", "verdict", "collision bound"});
   std::vector<mc::ModelCheckReport> serial_reports;
   std::vector<double> serial_ms_by_cell;
   for (const BenchCell& cell : bench_cells()) {
@@ -80,7 +82,7 @@ void print_report() {
          rate(static_cast<double>(s.total_actions), ms),
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
-         report.verdict});
+         report.verdict, mc::collision_bound(s.states_expanded)});
     expect(report.verdict == "verified",
            std::string(core::to_string(cell.algorithm)) + " n=" +
                std::to_string(cell.n) + " k=" + std::to_string(cell.k) +
@@ -92,7 +94,8 @@ void print_report() {
   print_section(std::cout,
                 "Frontier-sharded walk (one store, reserved before workers)");
   Table sharded_table({"algorithm", "n", "k", "wall ms", "shards", "states/s",
-                       "dedup hit-rate", "speedup", "same closure"});
+                       "dedup hit-rate", "speedup", "collision bound",
+                       "same closure"});
   std::size_t i = 0;
   for (const BenchCell& cell : bench_cells()) {
     mc::McOptions options;
@@ -107,23 +110,28 @@ void print_report() {
     const bool same_closure =
         report.verdict == serial.verdict &&
         s.states_expanded == serial.stats.states_expanded &&
-        s.states_deduped == serial.stats.states_deduped;
+        s.states_deduped == serial.stats.states_deduped &&
+        s.total_actions == serial.stats.total_actions;
     sharded_table.add_row(
         {std::string(core::to_string(cell.algorithm)), Table::num(cell.n),
          Table::num(cell.k), Table::num(ms, 2), Table::num(s.shards),
          rate(static_cast<double>(s.states_expanded), ms),
          Table::num(seen > 0 ? static_cast<double>(s.states_deduped) / seen : 0,
                     3),
-         Table::num(serial_ms / (ms > 0 ? ms : 1), 2), check(same_closure)});
+         Table::num(serial_ms / (ms > 0 ? ms : 1), 2),
+         mc::collision_bound(s.states_expanded), check(same_closure)});
     ++i;
   }
   std::cout << sharded_table;
 
   std::cout << "\nBoth walks expand the same closure: the sharded walk's\n"
-               "states and dedup counts equal the serial walk's at any\n"
-               "worker count, since every count is a function of the claimed\n"
-               "closure. Each shard starts from a copy of its root's\n"
-               "state, so sharding re-executes no prefix.\n";
+               "states, dedup counts and actions equal the serial walk's at\n"
+               "any worker count, since every count is a function of the\n"
+               "claimed closure and each edge is stepped once and undone\n"
+               "once. Each shard starts from a copy of its root's state, so\n"
+               "sharding re-executes no prefix. The collision bound is\n"
+               "S^2/2^65 for S states expanded: the chance that two of the\n"
+               "store's 64-bit keys merged two configurations.\n";
 }
 
 }  // namespace

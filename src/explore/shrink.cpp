@@ -5,6 +5,8 @@
 #include <string_view>
 #include <utility>
 
+#include "util/parallel.h"
+
 namespace udring::explore {
 
 namespace {
@@ -96,6 +98,17 @@ ShrinkResult shrink_trace(const ScheduleTrace& failing,
   result.trace = std::move(best);
   result.replays = replays;
   return result;
+}
+
+std::vector<ShrinkResult> shrink_failures(const std::vector<FuzzFailure>& samples,
+                                          std::size_t workers,
+                                          const ShrinkOptions& options) {
+  std::vector<ShrinkResult> results(samples.size());
+  parallel_for_workers(samples.size(), workers,
+                       [&](std::size_t /*worker*/, std::size_t i) {
+                         results[i] = shrink_trace(samples[i].trace, options);
+                       });
+  return results;
 }
 
 }  // namespace udring::explore

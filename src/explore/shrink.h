@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "explore/fuzz.h"
 #include "explore/trace.h"
@@ -49,5 +50,13 @@ struct ShrinkResult {
 /// std::invalid_argument otherwise).
 [[nodiscard]] ShrinkResult shrink_trace(const ScheduleTrace& failing,
                                         const ShrinkOptions& options = {});
+
+/// shrink_trace() of every failure sample's trace, run across `workers`
+/// threads (util::resolve_workers semantics; 0 = all cores). Each shrink is
+/// independent and deterministic, and result i is sample i's, so the
+/// results are the same at any worker count.
+[[nodiscard]] std::vector<ShrinkResult> shrink_failures(
+    const std::vector<FuzzFailure>& samples, std::size_t workers,
+    const ShrinkOptions& options = {});
 
 }  // namespace udring::explore

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -22,15 +25,6 @@ constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 /// Slots the shard phase reserves at more than one worker when
 /// shared_visited_capacity is 0: 2^22 slots, 32 MiB.
 constexpr std::size_t kDefaultReserve = std::size_t{1} << 22;
-/// The DFS snapshots the configuration of every kSnapshotEvery-th stack
-/// frame; a backtrack copies the nearest snapshotted ancestor and re-steps
-/// at most kSnapshotEvery - 1 recorded branches. 8 keeps the snapshot stack
-/// of a ~200-deep walk at ~25 states. Re-steps count in McStats::
-/// total_actions, so the interval is part of every pinned action count; 4
-/// walks the benchmark's mc instances a little faster now that a copy is
-/// cheap, but moving it re-pins those counts (see ROADMAP).
-constexpr std::size_t kSnapshotEvery = 8;
-
 /// A choice-tree node handed from the BFS frontier phase to a DFS shard
 /// (or to the next BFS level): the schedule prefix that reaches it and a
 /// copy of the configuration there, which the walk starts from.
@@ -45,7 +39,8 @@ struct Walk {
   /// Starts at the set's 64-slot minimum and grows while single_owner.
   LockFreeVisitedSet visited{0};
   std::size_t budget = kUnlimited;
-  /// Actions executed so far across all explorers; kept only under a budget.
+  /// Edges stepped so far across all explorers, one action each; kept only
+  /// under a budget.
   std::atomic<std::size_t> actions{0};
   std::atomic<bool> stop{false};
   /// True while one thread drives the walk: only then may the store grow.
@@ -64,9 +59,8 @@ struct Walk {
   return core::make_instance(request.algorithm, spec);
 }
 
-/// One DFS (or BFS-expansion) engine over one pooled ExecutionState plus its
-/// own pool of snapshot states. Not thread-safe; shards own independent
-/// Explorers, which share only the Walk.
+/// One DFS (or BFS-expansion) engine over one pooled ExecutionState. Not
+/// thread-safe; shards own independent Explorers, which share only the Walk.
 class Explorer {
  public:
   Explorer(const sim::GoalOracle& oracle, bool dedup,
@@ -84,12 +78,9 @@ class Explorer {
   void dfs(const ShardRoot& root) {
     if (should_stop()) return;  // another shard already found a violation
     path_ = root.path;
-    root_depth_ = root.path.size();
     cur_ = root.state;
-    at_tip_ = true;
     depth_ = 0;
     open_root_frame();
-    save_snapshot(0);
 
     while (depth_ > 0 && !violation && !budget_stop && !should_stop()) {
       Frame& f = frames_[depth_ - 1];
@@ -97,21 +88,19 @@ class Explorer {
         pop_frame();
         continue;
       }
-      const branch_index_t b = f.next_branch++;
-      if (!at_tip_) restore();
-      if (descend(f, b) == NodeClass::Open) {
-        push_frame();
+      if (descend(f, f.next_branch++) == NodeClass::Open) {
+        open_frame();
       } else {
-        path_.pop_back();
-        at_tip_ = false;
+        backtrack(f);
       }
     }
   }
 
   /// Expands every branch of every node of `level` one step, appending
-  /// surviving open children to `next` (the BFS frontier phase). Each branch
-  /// starts from a copy of its node's state. Stops early on violation or
-  /// budget exhaustion.
+  /// surviving open children to `next` (the BFS frontier phase). Each node's
+  /// state is copied into the working state once; every branch is stepped
+  /// and undone there, and only an open child is copied out. Stops early on
+  /// violation or budget exhaustion.
   void expand_level(const std::vector<ShardRoot>& level,
                     std::vector<ShardRoot>& next) {
     for (const ShardRoot& node : level) {
@@ -120,12 +109,11 @@ class Explorer {
       cur_ = node.state;
       depth_ = 0;
       open_root_frame();
-      const Frame& f = frames_.front();
+      Frame& f = frames_.front();
       for (branch_index_t b = 0; b < f.branches; ++b) {
         if (violation || budget_stop) return;
-        if (b > 0) cur_ = node.state;
         if (descend(f, b) == NodeClass::Open) next.push_back({path_, cur_});
-        path_.pop_back();
+        backtrack(f);
       }
     }
   }
@@ -136,9 +124,18 @@ class Explorer {
   /// only where the walk first reaches its depth or a larger enabled set.
   struct Frame {
     std::vector<sim::AgentId> agents;  ///< sorted enabled set at this node
-    /// config_digest() components of this node (kept only under dedup): a
-    /// child's digest is this frame's, updated by the one action between.
-    sim::DigestComponents digest;
+    /// enabled_bits() at this node: the same set, which every undo into the
+    /// node must restore.
+    std::vector<std::uint64_t> enabled_bits;
+    /// What the branch being explored can write, saved before it is taken:
+    /// undoing it brings the working state back to this node.
+    sim::ExecutionState::UndoRecord undo;
+    /// The digest components the branch's child overwrote (under dedup).
+    sim::DigestComponents::Journal digest_journal;
+#ifndef NDEBUG
+    /// This node's state, which every undo into it must reproduce.
+    sim::ExecutionState copy;
+#endif
     branch_index_t branches = 0;       ///< agents, or rewiring candidates
     branch_index_t next_branch = 0;    ///< next branch to explore
     bool rewire = false;               ///< branches = rewiring candidate strides
@@ -153,13 +150,16 @@ class Explorer {
   }
 
   /// Fills frames_[depth_] for the configuration cur_ sits at and pushes it.
-  /// Keeps one more slot than the live frames: child_digest() writes a
-  /// child's digest there before the child is known to be open.
   void open_frame() {
     ++stats.states_expanded;
-    if (frames_.size() < depth_ + 2) frames_.resize(depth_ + 2);
+    if (frames_.size() < depth_ + 1) frames_.resize(depth_ + 1);
     Frame& f = frames_[depth_++];
     f.next_branch = 0;
+    f.enabled_bits.assign(cur_.enabled_bits().begin(),
+                          cur_.enabled_bits().end());
+#ifndef NDEBUG
+    f.copy = cur_;
+#endif
     f.rewire = cur_.pending_rewire();
     if (f.rewire) {
       // A pending rewiring is its own choice-tree level: branches are the
@@ -173,85 +173,56 @@ class Explorer {
   }
 
   /// Opens the frame of a walk's first node, hashing its digest components
-  /// from scratch (every later frame inherits them from its parent).
+  /// from scratch (every later node's are its parent's, updated by the one
+  /// action between).
   void open_root_frame() {
     open_frame();
-    if (dedup_) frames_.front().digest.rebuild(cur_);
+    if (dedup_) digest_.rebuild(cur_);
   }
 
-  /// Opens the frame of the open child descend() left cur_ at (its digest
-  /// is already in place), snapshotting that configuration when the frame's
-  /// stack index is a multiple of kSnapshotEvery.
-  void push_frame() {
-    open_frame();
-    const std::size_t top = depth_ - 1;
-    if (top % kSnapshotEvery == 0) save_snapshot(top / kSnapshotEvery);
-  }
-
-  /// Pops the exhausted top frame and leaves the parent off its tip.
+  /// Pops the exhausted top frame and undoes the parent's branch into it.
   void pop_frame() {
     --depth_;
-    if (depth_ > 0) {
-      path_.pop_back();
-      at_tip_ = false;
-    }
+    if (depth_ > 0) backtrack(frames_[depth_ - 1]);
   }
 
-  /// Copies cur_ into snapshot `slot` (reusing the slot's arena).
-  void save_snapshot(std::size_t slot) {
-    if (slot == snapshots_.size()) {
-      snapshots_.push_back(cur_);
-    } else {
-      snapshots_[slot] = cur_;
+  /// Undoes the branch the top frame `f` took, which leaves cur_ at f's
+  /// configuration again, and checks it against the frame: the enabled set
+  /// must equal the recorded one, and a rewiring node must still be
+  /// pending. A mismatch means a save missed a write (std::logic_error).
+  /// Debug builds also compare the whole state with the frame's copy. The
+  /// digest components revert the words the child overwrote, so nothing is
+  /// re-hashed.
+  void backtrack(Frame& f) {
+    cur_.undo(f.undo);
+    if (dedup_) digest_.revert(f.digest_journal);
+    path_.pop_back();
+#ifndef NDEBUG
+    const std::string difference = cur_.difference(f.copy);
+    if (!difference.empty()) {
+      throw std::logic_error("mc: undo left the state unlike the node (" +
+                             difference + ")");
     }
-  }
-
-  /// Moves cur_ back to the configuration of the top frame after a descent
-  /// left it at a child: copies the nearest snapshotted ancestor frame, then
-  /// re-steps the branches path_ recorded below it, and checks the restored
-  /// node against its frame (the determinism check). The frame keeps the
-  /// node's digest components, so nothing is re-hashed.
-  void restore() {
-    const std::size_t top = depth_ - 1;
-    const std::size_t base = top - top % kSnapshotEvery;
-    cur_ = snapshots_[base / kSnapshotEvery];
-    std::size_t actions = 0;
-    for (std::size_t i = base; i < top; ++i) {
-      const Frame& f = frames_[i];
-      const branch_index_t b = path_[root_depth_ + i];
-      if (f.rewire) {
-        cur_.apply_rewire(b);
-        continue;
-      }
-      if (!cur_.step_agent(f.agents[b])) {
-        throw std::logic_error(
-            "mc: recorded branch not enabled on snapshot restore "
-            "(determinism bug)");
-      }
-      ++actions;
-    }
-    count_actions(actions);
-    at_tip_ = true;
-    const Frame& f = frames_[top];
+#endif
     if (f.rewire) {
       if (!cur_.pending_rewire()) {
         throw std::logic_error(
-            "mc: rewiring point vanished on snapshot restore "
-            "(determinism bug)");
+            "mc: rewiring point vanished on undo (a save missed a write)");
       }
       return;
     }
-    sort_enabled(sorted_);
-    if (sorted_ != f.agents) {
+    const std::span<const std::uint64_t> bits = cur_.enabled_bits();
+    if (!std::equal(bits.begin(), bits.end(), f.enabled_bits.begin(),
+                    f.enabled_bits.end())) {
       throw std::logic_error(
-          "mc: enabled set changed on snapshot restore (determinism bug)");
+          "mc: enabled set changed on undo (a save missed a write)");
     }
   }
 
-  void count_actions(std::size_t actions) {
-    stats.total_actions += actions;
+  void count_action() {
+    ++stats.total_actions;
     if (walk_.budget != kUnlimited) {
-      walk_.actions.fetch_add(actions, std::memory_order_relaxed);
+      walk_.actions.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -263,17 +234,21 @@ class Explorer {
   }
 
   /// Takes branch `b` of the top frame `f` from the configuration cur_ sits
-  /// at: records it on path_, applies it, and classifies the child.
-  [[nodiscard]] NodeClass descend(const Frame& f, branch_index_t b) {
+  /// at: records it on path_, saves what it can write into f.undo, applies
+  /// it, and classifies the child.
+  [[nodiscard]] NodeClass descend(Frame& f, branch_index_t b) {
     const std::size_t prev_tokens = cur_.total_tokens();
     path_.push_back(b);
+    f.digest_journal.clear();
     if (f.rewire) {
       // Rewire node: the branch is a candidate stride index, not an agent.
       // Applying it consumes no simulator action — the configuration
       // changes only in its live successor map — so the child classifies
       // like any configuration (dedup folds the fault state).
+      cur_.save_rewire(f.undo);
       cur_.apply_rewire(b);
     } else {
+      cur_.save_step(f.agents[b], f.undo);
       step(f.agents[b]);
     }
     return classify(f, prev_tokens);
@@ -283,7 +258,7 @@ class Explorer {
     if (!cur_.step_agent(agent)) {
       throw std::logic_error("mc: picked agent not enabled");
     }
-    count_actions(1);
+    count_action();
     stats.max_depth = std::max(stats.max_depth, path_.size());
   }
 
@@ -292,8 +267,7 @@ class Explorer {
   /// violation, action limit, budget stop, or a dedup hit. Mirrors the
   /// fuzzer's drive_checked verdicts exactly, so a counterexample replays to
   /// the same failure.
-  [[nodiscard]] NodeClass classify(const Frame& parent,
-                                   std::size_t prev_tokens) {
+  [[nodiscard]] NodeClass classify(Frame& parent, std::size_t prev_tokens) {
     const sim::CheckResult invariants = oracle_.check_action(cur_, prev_tokens);
     if (!invariants) {
       violation = {path_, "invariant: " + invariants.reason};
@@ -335,13 +309,11 @@ class Explorer {
   }
 
   /// config_digest() of the child cur_ sits at, from `parent`'s components
-  /// and the one step between: written to the child's frame slot, which the
-  /// child keeps if it turns out open.
-  [[nodiscard]] std::uint64_t child_digest(const Frame& parent) {
-    sim::DigestComponents& child = frames_[depth_].digest;
-    child = parent.digest;
-    if (!parent.rewire) child.update(cur_);
-    const std::uint64_t digest = child.digest(cur_);
+  /// and the one step between. The components then describe the child; the
+  /// parent's journal holds what backtracking into it puts back.
+  [[nodiscard]] std::uint64_t child_digest(Frame& parent) {
+    if (!parent.rewire) digest_.update(cur_, &parent.digest_journal);
+    const std::uint64_t digest = digest_.digest(cur_);
 #ifndef NDEBUG
     if (digest != cur_.config_digest()) {
       throw std::logic_error(
@@ -375,14 +347,12 @@ class Explorer {
   sim::ExecutionState& cur_;
   Walk& walk_;
   std::vector<branch_index_t> path_;
-  std::size_t root_depth_ = 0;  ///< path_ length at the DFS root frame
-  /// frames_[0, depth_) is the walk's stack; frames_[depth_] the child slot.
+  /// frames_[0, depth_) is the walk's stack.
   std::vector<Frame> frames_;
   std::size_t depth_ = 0;
-  /// snapshots_[j] = configuration of DFS stack frame j * kSnapshotEvery.
-  std::vector<sim::ExecutionState> snapshots_;
-  std::vector<sim::AgentId> sorted_;  // restore's scratch, reused
-  bool at_tip_ = false;
+  /// config_digest() components of cur_'s configuration (kept only under
+  /// dedup).
+  sim::DigestComponents digest_;
 };
 
 /// Builds the replayable counterexample trace for a violating path: digest
@@ -447,6 +417,13 @@ std::uint64_t ModelCheckReport::digest() const {
     }
   }
   return state;
+}
+
+std::string collision_bound(std::size_t states) {
+  const double s = static_cast<double>(states);
+  char text[32];
+  std::snprintf(text, sizeof text, "%.1e", std::ldexp(s * s, -65));
+  return text;
 }
 
 ModelCheckReport check(const CheckRequest& request, const McOptions& options) {
@@ -742,8 +719,9 @@ Table GridReport::summary_table() const {
         return cell.problem.kind != core::Problem::Auto;
       });
   std::vector<std::string> headers = {
-      "algorithm", "family", "n",       "k",       "l",      "rep",
-      "schedules", "states", "deduped", "actions", "verdict"};
+      "algorithm", "family",  "n",       "k",       "l",
+      "rep",       "schedules", "states",  "deduped", "actions",
+      "verdict",   "collision bound"};
   if (show_problem) headers.insert(headers.begin() + 1, "problem");
   Table table(std::move(headers));
   for (const GridCell& cell : cells) {
@@ -757,7 +735,8 @@ Table GridReport::summary_table() const {
         Table::num(s.states_deduped), Table::num(s.total_actions),
         cell.report.complete && cell.report.ok
             ? "verified over all schedules"
-            : (cell.report.ok ? "budget" : "VIOLATION")};
+            : (cell.report.ok ? "budget" : "VIOLATION"),
+        collision_bound(s.states_expanded)};
     if (show_problem) row.insert(row.begin() + 1, core::to_string(cell.problem));
     table.add_row(std::move(row));
   }

@@ -15,22 +15,26 @@
 // at quiescence, exactly the fuzzer's per-run verdict.
 //
 // The walk is an iterative DFS with an explicit prefix stack over a pooled
-// sim::ExecutionState: descending one level is one atomic action. Agent
-// programs are plain copyable values (sim/agent.h), so the walk is stateful
-// in the SimGrid sense: every 8th stack frame keeps a snapshot of its
-// configuration, and advancing to a sibling copies the nearest snapshotted
-// ancestor back into the working state and re-steps the (at most 7)
-// recorded branches below it — about one state copy plus a few actions per
-// backtrack, instead of re-executing the whole prefix. Each frame also
-// keeps its configuration's config_digest() components
-// (sim::DigestComponents), so a restore re-hashes nothing and a descent
-// re-hashes only what its one action changed. After every restore
-// the node is checked against its frame (the sorted enabled set must equal
-// the recorded one; a rewiring node must still be pending) and any mismatch
-// is a determinism bug (std::logic_error). Every configuration the walk
-// expands is reached by copying a state it already holds: the serial walk
-// starts from C_0, and a BFS frontier node or a shard root carries the
-// state its parent's branch stepped into. Nothing is re-executed from C_0.
+// sim::ExecutionState: descending one level is one atomic action. It is
+// stateful in the SimGrid sense, and backtracks by undo: before a frame
+// takes a branch it saves what that one action can write
+// (ExecutionState::save_step, or save_rewire for a rewiring branch), and
+// undo puts it back. A leaf child is undone at once, and popping an
+// exhausted frame undoes its parent's branch. So every edge executes
+// exactly one action and copies O(its footprint) — the actor's program,
+// mailbox and metrics, the cells and entries of its two nodes, the enabled
+// set and the counters — instead of a whole state. The walk keeps the
+// working state's config_digest() components (sim::DigestComponents): a
+// descent re-hashes only what its one action changed, journaling the words
+// it overwrites, and a backtrack puts them back, so it re-hashes nothing.
+// After every undo the node is checked against its frame (the enabled set
+// must equal the recorded one; a rewiring node must still be pending), and
+// any mismatch means a save missed a write (std::logic_error). Debug builds
+// also compare every undone state with a copy of the frame's state taken
+// when it opened, beside the footprint digest's self-check. The serial walk
+// starts from C_0, and a shard root carries a copy of the state its BFS
+// parent's branch stepped into. Nothing is re-executed from C_0, and no
+// action is executed twice.
 //
 // ## The closure
 //
@@ -63,17 +67,17 @@
 //
 // Parallel mode is frontier-sharded: a serial BFS expands the tree until a
 // level has at least `frontier_target` open nodes (every branch of a node
-// steps from a copy of the node's state), each frontier node (its choice
-// prefix and its configuration) becomes one shard, and shards run DFS walks
-// across util::parallel_for_workers with one pooled ExecutionState per
-// worker. A level holds one state copy per open node. The budget meters one
-// action counter across the whole walk, and a violation anywhere stops
-// every shard.
+// is stepped and undone on one working copy of the node's state), each
+// frontier node (its choice prefix and its configuration) becomes one
+// shard, and shards run DFS walks across util::parallel_for_workers with one
+// pooled ExecutionState per worker. A level holds one state copy per open
+// node. The budget meters one action counter across the whole walk, and a
+// violation anywhere stops every shard.
 //
 // Determinism survives the racing claims because every reported number is
 // a function of the closure itself, not of who claimed what: each reachable
 // state is expanded exactly once by whichever shard wins it, each edge out
-// of a claimed state is explored exactly once, all paths to a state have
+// of a claimed state is stepped exactly once, all paths to a state have
 // equal length (depth is a function of the state), and the report folds
 // only sums and maxima of those quantities. Verdicts and all counts
 // therefore stay byte-identical at any worker count for walks that
@@ -166,12 +170,11 @@ struct McOptions {
   /// overflows std::size_t is rejected (std::invalid_argument) at any
   /// worker count.
   std::size_t shared_visited_capacity = 0;
-  /// Budget on executed simulator actions over the whole walk — every
-  /// action it executes: tree edges and snapshot-restore re-steps
-  /// (0 = unlimited). Exceeding it yields `complete = false`. With
-  /// snapshot restores the closure spends ~11–12 actions per expanded state
-  /// (every enabled branch of every configuration; the unpruned n=8 tree
-  /// ~2).
+  /// Budget on executed simulator actions over the whole walk, which
+  /// executes one per edge it steps (0 = unlimited): the budget meters
+  /// edges. Exceeding it yields `complete = false`. The closure spends
+  /// ~3–4 edges per expanded state (every enabled branch of every
+  /// configuration; the unpruned n=8 tree ~1).
   std::size_t budget_actions = 0;
   /// Frontier sharding target: the BFS phase expands until a level has at
   /// least this many open nodes, each of which becomes one DFS shard.
@@ -190,7 +193,10 @@ struct McStats {
   std::size_t sleep_pruned = 0;     ///< always 0 (no sleep sets); kept in digest()
   std::size_t dpor_pruned = 0;      ///< always 0 (no DPOR); kept in digest()
   std::size_t replays = 0;          ///< always 0 (nothing re-executes from C_0); kept in digest()
-  std::size_t total_actions = 0;    ///< simulator actions executed, restore re-steps included
+  /// Simulator actions executed: one per edge stepped, rewiring edges
+  /// aside. With no rewiring plan a complete walk's count is
+  /// states_expanded − 1 + states_deduped + schedules, serial and sharded.
+  std::size_t total_actions = 0;
   std::size_t max_depth = 0;        ///< deepest schedule prefix reached
   std::size_t shards = 0;           ///< DFS shards executed (0 = BFS resolved all)
 };
@@ -217,6 +223,14 @@ struct ModelCheckReport {
   /// worker counts is the determinism contract (test_mc.cpp pins it).
   [[nodiscard]] std::uint64_t digest() const;
 };
+
+/// Hash compaction's bound for a walk that expanded `states` configurations:
+/// the visited store keeps 64-bit keys, and any two of S keys collide with
+/// probability at most S²/2^65, so a verdict may rest on a merged pair of
+/// configurations with at most this probability. Rendered as "%.1e" (e.g.
+/// "8.4e-13"); udring_mc and bench_mc_throughput print it beside every
+/// verdict. Not folded into ModelCheckReport::digest().
+[[nodiscard]] std::string collision_bound(std::size_t states);
 
 /// Exhaustively verifies one instance. Deterministic in (request, options):
 /// worker count affects wall-clock only.

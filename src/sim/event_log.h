@@ -39,6 +39,8 @@ struct Event {
   NodeId node = 0;
   std::uint64_t causal_ts = 0;  ///< ideal-time stamp of the enclosing action
   std::size_t detail = 0;       ///< kind-specific extra (see EventKind)
+
+  friend bool operator==(const Event&, const Event&) = default;
 };
 
 std::ostream& operator<<(std::ostream& out, const Event& event);
@@ -69,6 +71,14 @@ class EventLog {
   [[nodiscard]] std::vector<Event> of_agent(AgentId agent) const;
 
   void clear() noexcept { events_.clear(); }
+
+  /// Drops every event past the first `size` (ExecutionState::undo).
+  void truncate(std::size_t size) noexcept {
+    if (size < events_.size()) {
+      events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(size),
+                    events_.end());
+    }
+  }
 
  private:
   friend class EventLogDigester;

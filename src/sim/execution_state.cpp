@@ -286,19 +286,217 @@ void DigestComponents::rebuild(const ExecutionState& state) {
   }
 }
 
-void DigestComponents::update(const ExecutionState& state) {
+void DigestComponents::update(const ExecutionState& state, Journal* journal) {
   const std::size_t k = state.agent_count();
   const std::span<const NodeId> nodes = state.last_action_nodes();
   const AgentId actor = state.last_acting_agent();
+  const auto rehash = [&](std::size_t slot, std::uint64_t word) {
+    if (journal != nullptr) journal->emplace_back(slot, words_[slot]);
+    set(slot, word);
+  };
   if (!state.options_.faults.crashes.empty()) {
-    for (AgentId id = 0; id < k; ++id) set(id, state.agent_digest(id));
+    for (AgentId id = 0; id < k; ++id) rehash(id, state.agent_digest(id));
   } else {
-    set(actor, state.agent_digest(actor));
+    rehash(actor, state.agent_digest(actor));
     for (const AgentId receiver : state.staying_set(nodes.front())) {
-      if (receiver != actor) set(receiver, state.agent_digest(receiver));
+      if (receiver != actor) rehash(receiver, state.agent_digest(receiver));
     }
   }
-  for (const NodeId node : nodes) set(k + node, state.node_digest(node));
+  for (const NodeId node : nodes) rehash(k + node, state.node_digest(node));
+}
+
+void DigestComponents::revert(const Journal& journal) {
+  for (auto entry = journal.rbegin(); entry != journal.rend(); ++entry) {
+    set(entry->first, entry->second);
+  }
+}
+
+// ---- undo (the model checker's backtracking) ---------------------------------
+
+void ExecutionState::save_counters(UndoRecord& record) const {
+  record.action_counter = action_counter_;
+  record.total_tokens = total_tokens_;
+  record.last_action_nodes = last_action_nodes_;
+  record.last_action_node_count = last_action_node_count_;
+  record.last_acting_agent = last_acting_agent_;
+  record.removal_floor = removal_floor_.value;
+  record.crash_cursor = crash_cursor_;
+  record.rewire_cursor = rewire_cursor_;
+  record.pending_rewire = pending_rewire_;
+  record.live_stride = live_stride_;
+  record.rewires_applied = rewires_applied_;
+  record.log_size = log_.events().size();
+}
+
+void ExecutionState::save_cell(AgentId id, UndoRecord& record) const {
+  const AgentCell& c = agents_[id];
+  record.cells.push_back({id, c.status, c.in_staying_set, c.node, c.queue_next,
+                          c.stay_prev, c.stay_next, c.wake_ts, c.last_ts,
+                          c.mailbox.size()});
+}
+
+void ExecutionState::save_rewire(UndoRecord& record) const {
+  save_counters(record);
+  record.actor = kNoAgent;
+}
+
+void ExecutionState::save_step(AgentId actor, UndoRecord& record) const {
+  save_counters(record);
+  record.actor = actor;
+  const AgentCell& c = agents_[actor];
+  record.program = c.program;  // in place when the slot holds the same type
+  record.mailbox = c.mailbox;
+  record.metrics = metrics_.agent(actor);
+  record.enabled.assign(enabled_.begin(), enabled_.end());
+
+  const NodeId v = c.node;
+  const NodeId w = live_next(v);
+  record.nodes[0] = {v, nodes_[v], tokens_[v], queue_arrival_ts_[v]};
+  record.nodes[1] = {w, nodes_[w], tokens_[w], queue_arrival_ts_[w]};
+
+  record.cells.clear();
+  if (!options_.faults.crashes.empty()) {
+    for (AgentId id = 0; id < agents_.size(); ++id) save_cell(id, record);
+    return;
+  }
+  // An arrival unlinks the actor from q_v, which relinks the agent ahead of
+  // it (only under the non-FIFO fault, where the actor need not be the
+  // head); a stop links it into p_v behind its tail, a departure unlinks it
+  // from p_v and links it behind q_w's tail, and a broadcast writes to
+  // every other agent staying at v.
+  save_cell(actor, record);
+  if (c.status == AgentStatus::InTransit) {
+    AgentId ahead = kNoAgent;
+    for (AgentId id = nodes_[v].queue_head; id != actor && id != kNoAgent;
+         id = agents_[id].queue_next) {
+      ahead = id;
+    }
+    if (ahead != kNoAgent) save_cell(ahead, record);
+  }
+  for (const AgentId id : staying_set(v)) {
+    if (id != actor) save_cell(id, record);
+  }
+  const AgentId tail = nodes_[w].queue_tail;
+  if (tail != kNoAgent && tail != actor) save_cell(tail, record);
+}
+
+void ExecutionState::undo(UndoRecord& record) {
+  action_counter_ = record.action_counter;
+  total_tokens_ = record.total_tokens;
+  last_action_nodes_ = record.last_action_nodes;
+  last_action_node_count_ = record.last_action_node_count;
+  last_acting_agent_ = record.last_acting_agent;
+  removal_floor_.value = record.removal_floor;
+  crash_cursor_ = record.crash_cursor;
+  rewire_cursor_ = record.rewire_cursor;
+  pending_rewire_ = record.pending_rewire;
+  live_stride_ = record.live_stride;
+  rewires_applied_ = record.rewires_applied;
+  log_.truncate(record.log_size);
+  if (record.actor == kNoAgent) return;  // a rewiring writes nothing else
+
+  for (const UndoRecord::Cell& saved : record.cells) {
+    AgentCell& c = agents_[saved.id];
+    c.status = saved.status;
+    c.in_staying_set = saved.in_staying_set;
+    c.node = saved.node;
+    c.queue_next = saved.queue_next;
+    c.stay_prev = saved.stay_prev;
+    c.stay_next = saved.stay_next;
+    c.wake_ts = saved.wake_ts;
+    c.last_ts = saved.last_ts;
+    if (c.mailbox.size() > saved.mailbox_size) {
+      c.mailbox.erase(
+          c.mailbox.begin() + static_cast<std::ptrdiff_t>(saved.mailbox_size),
+          c.mailbox.end());
+    }
+  }
+  for (const UndoRecord::Node& saved : record.nodes) {
+    nodes_[saved.node] = saved.lists;
+    tokens_[saved.node] = saved.tokens;
+    queue_arrival_ts_[saved.node] = saved.arrival_ts;
+  }
+
+  AgentCell& actor = agents_[record.actor];
+  std::swap(actor.program, record.program);
+  // The action swapped the two buffers and emptied both; swapping them back
+  // returns the mail to the buffer that held it, so the copy allocates
+  // nothing.
+  std::swap(actor.mailbox, actor.inbox);
+  actor.mailbox = record.mailbox;
+  metrics_.agent(record.actor) = record.metrics;
+
+  for (const AgentId id : enabled_) {
+    enabled_pos_[id] = kNotEnabled;
+    enabled_bits_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+  }
+  enabled_.assign(record.enabled.begin(), record.enabled.end());
+  for (std::size_t pos = 0; pos < enabled_.size(); ++pos) {
+    const AgentId id = enabled_[pos];
+    enabled_pos_[id] = pos;
+    enabled_bits_[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+}
+
+std::string ExecutionState::difference(const ExecutionState& other) const {
+  if (instance_ != other.instance_) return "instance";
+  if (tokens_ != other.tokens_ || total_tokens_ != other.total_tokens_) {
+    return "tokens";
+  }
+  if (nodes_ != other.nodes_) return "node lists";
+  if (queue_arrival_ts_ != other.queue_arrival_ts_) return "arrival stamps";
+  for (AgentId id = 0; id < agents_.size(); ++id) {
+    const AgentCell& a = agents_[id];
+    const AgentCell& b = other.agents_[id];
+    const auto agent = [id](const char* part) {
+      return "agent " + std::to_string(id) + ' ' + part;
+    };
+    if (a.status != b.status || a.node != b.node ||
+        a.in_staying_set != b.in_staying_set) {
+      return agent("status");
+    }
+    if (a.queue_next != b.queue_next || a.stay_prev != b.stay_prev ||
+        a.stay_next != b.stay_next) {
+      return agent("links");
+    }
+    if (a.wake_ts != b.wake_ts || a.last_ts != b.last_ts) {
+      return agent("stamps");
+    }
+    if (a.mailbox != b.mailbox || !a.inbox.empty() || !b.inbox.empty()) {
+      return agent("mailbox");
+    }
+    if (a.program->halted() != b.program->halted() ||
+        a.program->state_hash() != b.program->state_hash()) {
+      return agent("program");
+    }
+    if (!(metrics_.agent(id) == other.metrics_.agent(id))) {
+      return agent("metrics");
+    }
+  }
+  if (enabled_ != other.enabled_ || enabled_pos_ != other.enabled_pos_ ||
+      enabled_bits_ != other.enabled_bits_) {
+    return "enabled set";
+  }
+  if (action_counter_ != other.action_counter_ ||
+      acting_agent_ != other.acting_agent_ ||
+      last_acting_agent_ != other.last_acting_agent_ ||
+      !std::equal(last_action_nodes().begin(), last_action_nodes().end(),
+                  other.last_action_nodes().begin(),
+                  other.last_action_nodes().end())) {
+    return "counters";
+  }
+  if (crash_cursor_ != other.crash_cursor_ ||
+      rewire_cursor_ != other.rewire_cursor_ ||
+      pending_rewire_ != other.pending_rewire_ ||
+      live_stride_ != other.live_stride_ ||
+      rewires_applied_ != other.rewires_applied_) {
+    return "fault state";
+  }
+  if (log_.enabled() != other.log_.enabled() ||
+      log_.events() != other.log_.events()) {
+    return "event log";
+  }
+  return "";
 }
 
 void ExecutionState::fold_fault_state(std::uint64_t& state) const noexcept {

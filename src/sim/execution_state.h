@@ -72,8 +72,14 @@
 // the same instance allocates only where the snapshot holds more mail than
 // that buffer ever has; queues and staying sets are flat array copies.
 // Agent contexts are built per action, bound to the state executing it, so
-// stepping a copy never touches its source. This is what lets mc::check
-// restore saved states instead of replaying prefixes from C_0.
+// stepping a copy never touches its source. mc::check copies a state only
+// to hand a BFS frontier node to a shard.
+//
+// Undo: save_step(actor, record) reads off everything step_agent(actor) can
+// write (the action's footprint, the bound DigestComponents::update and the
+// incremental checker rest on too), and undo(record) puts it back, so the
+// model checker backtracks over one edge in O(footprint) instead of copying
+// a whole state. save_rewire() and undo() do the same for apply_rewire().
 
 #pragma once
 
@@ -83,6 +89,8 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/agent.h"
@@ -442,6 +450,51 @@ class ExecutionState {
     return options_.max_actions;
   }
 
+  // ---- undo (the model checker's backtracking) ----------------------------
+
+  /// What save_step() or save_rewire() keeps for undo(). A record keeps its
+  /// buffers and the program object it last held between saves, so a walk
+  /// that reuses its records stops allocating once they are warm.
+  class UndoRecord;
+
+  /// Saves into `record` everything step_agent(actor) can write, read off
+  /// this state before the action. With v = agent_node(actor) and w =
+  /// live_next(v), that is:
+  ///  - the actor's program (copied in place into the record's slot), its
+  ///    mailbox, which the action consumes, and its metrics;
+  ///  - the cells of the actor, of the agent queued just ahead of it in q_v
+  ///    (an arrival relinks it), of the agents staying at v and of the tail
+  ///    of q_w — or of every agent under a plan with crashes, since a crash
+  ///    due after the action stops an agent anywhere — each with its
+  ///    mailbox length (a broadcast only appends);
+  ///  - the lists, tokens and arrival stamps of v and w;
+  ///  - the enabled set in its order, and the removal floor;
+  ///  - the counters, the live fault state and the event log's length.
+  /// O(the footprint + |enabled()| + the actor's program), not O(n + k).
+  void save_step(AgentId actor, UndoRecord& record) const;
+
+  /// Saves into `record` what apply_rewire() can write: the counters and
+  /// the live fault state.
+  void save_rewire(UndoRecord& record) const;
+
+  /// Puts back what `record` saved. Call it after the one step_agent() or
+  /// apply_rewire() that followed the save, and before anything else
+  /// changes this state; the state is then equal to the one saved, down to
+  /// the enabled set's order, the causal stamps and the event log. The
+  /// actor's program comes back by a pointer swap, so the record keeps the
+  /// program the action left, for its next save to copy over.
+  void undo(UndoRecord& record);
+
+  /// The first part of this state that differs from `other`'s, named for a
+  /// report ("tokens", "agent 2 mailbox", "enabled set", ...), or "" when
+  /// none does. It compares the configuration, the causal stamps, the
+  /// metrics, the enabled set's order, the counters, the live fault state
+  /// and the event log. Programs compare by halted() and state_hash() (a
+  /// program's other members are not visible here). The
+  /// removal floor is left out: a copy's is 0. O(n + k + events); a
+  /// debug-build and test check, not a hot-path one.
+  [[nodiscard]] std::string difference(const ExecutionState& other) const;
+
  private:
   friend class AgentContext;
   /// Test-only editing of a copied state's statuses, nodes and queue links
@@ -522,6 +575,8 @@ class ExecutionState {
     AgentId stay_head = kNoAgent;
     AgentId stay_tail = kNoAgent;
     std::size_t stay_size = 0;
+
+    friend bool operator==(const NodeLists&, const NodeLists&) = default;
   };
 
   // Unchecked: agent ids come from the enabled set / queues and are always
@@ -609,6 +664,61 @@ class ExecutionState {
   std::size_t rewire_candidates_ = 0;  // φ(n), cached at reset
 
   static constexpr std::size_t kNotEnabled = static_cast<std::size_t>(-1);
+
+  // save_step()'s helpers.
+  void save_counters(UndoRecord& record) const;
+  void save_cell(AgentId id, UndoRecord& record) const;
+
+ public:
+  class UndoRecord {
+   private:
+    friend class ExecutionState;
+
+    /// An agent cell's fields but its program and mail, and its mailbox's
+    /// length.
+    struct Cell {
+      AgentId id = 0;
+      AgentStatus status = AgentStatus::InTransit;
+      bool in_staying_set = false;
+      NodeId node = 0;
+      AgentId queue_next = kNoAgent;
+      AgentId stay_prev = kNoAgent;
+      AgentId stay_next = kNoAgent;
+      std::uint64_t wake_ts = 0;
+      std::uint64_t last_ts = 0;
+      std::size_t mailbox_size = 0;
+    };
+    /// One node's lists, tokens and arrival stamp.
+    struct Node {
+      NodeId node = 0;
+      NodeLists lists;
+      std::size_t tokens = 0;
+      std::uint64_t arrival_ts = 0;
+    };
+
+    // The counters, the live fault state and the event log's length.
+    std::size_t action_counter = 0;
+    std::size_t total_tokens = 0;
+    std::array<NodeId, 2> last_action_nodes{};
+    std::size_t last_action_node_count = 0;
+    AgentId last_acting_agent = kNoAgentActing;
+    std::size_t removal_floor = 0;
+    std::size_t crash_cursor = 0;
+    std::size_t rewire_cursor = 0;
+    bool pending_rewire = false;
+    std::size_t live_stride = 0;
+    std::size_t rewires_applied = 0;
+    std::size_t log_size = 0;
+
+    // A step's footprint (save_step only).
+    AgentId actor = kNoAgent;  ///< kNoAgent: a rewiring's record
+    ProgramSlot program;
+    std::vector<Message> mailbox;
+    AgentMetrics metrics;
+    std::vector<Cell> cells;
+    std::array<Node, 2> nodes{};  ///< v, then w
+    std::vector<AgentId> enabled;
+  };
 };
 
 /// config_digest() kept by its components: one word per agent, one per node
@@ -619,16 +729,23 @@ class ExecutionState {
 /// incremental invariant checker rests on too — or, under a plan that
 /// crashes agents, every agent, since a crash due after the action changes
 /// an agent outside it. A rewiring changes no component: digest() folds the
-/// live fault state. A copy is n + k + 1 words, so the model checker keeps
-/// one per stack frame and restores a configuration's digest by copying
-/// instead of re-hashing.
+/// live fault state. update() can journal the words it overwrites, and
+/// revert() puts them back, so the model checker keeps one set of
+/// components for its working state and backtracks them with the action.
 class DigestComponents {
  public:
+  /// The components one update() overwrote, each with its old word.
+  using Journal = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
   /// Hashes every component of `state`.
   void rebuild(const ExecutionState& state);
   /// Brings components that described `state` just before its most recent
-  /// action up to date with that action.
-  void update(const ExecutionState& state);
+  /// action up to date with that action, appending every component it
+  /// overwrites to `journal` when one is given.
+  void update(const ExecutionState& state, Journal* journal = nullptr);
+  /// Puts back the words `journal` recorded, undoing the update() that
+  /// recorded them.
+  void revert(const Journal& journal);
   /// config_digest() of the configuration these components describe, whose
   /// live fault state is `state`'s.
   [[nodiscard]] std::uint64_t digest(const ExecutionState& state) const {

@@ -42,6 +42,8 @@ struct AgentMetrics {
     peak_memory_bits = phase = 0;
     moves_by_phase.clear();
   }
+
+  friend bool operator==(const AgentMetrics&, const AgentMetrics&) = default;
 };
 
 class Metrics {

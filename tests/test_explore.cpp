@@ -425,5 +425,30 @@ TEST(Shrinker, IsDeterministic) {
   EXPECT_EQ(a.replays, b.replays);
 }
 
+TEST(Shrinker, ShrinksSamplesInParallelLikeOneAfterAnother) {
+  // udring_fuzz shrinks its failure samples across its workers. Each shrink
+  // is deterministic and lands in its sample's slot, so 3 workers give the
+  // traces 1 worker gives, in sample order.
+  const FuzzReport report = run_fuzz(strict_fifo_bug_options());
+  ASSERT_GE(report.failure_samples.size(), 2u);
+  const std::vector<ShrinkResult> serial =
+      shrink_failures(report.failure_samples, 1);
+  const std::vector<ShrinkResult> parallel =
+      shrink_failures(report.failure_samples, 3);
+  ASSERT_EQ(serial.size(), report.failure_samples.size());
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].original_size,
+              report.failure_samples[i].trace.choices.size())
+        << "sample " << i;
+    EXPECT_EQ(parallel[i].trace.to_text(), serial[i].trace.to_text())
+        << "sample " << i;
+    EXPECT_EQ(parallel[i].reason, serial[i].reason) << "sample " << i;
+    EXPECT_EQ(parallel[i].replays, serial[i].replays) << "sample " << i;
+    EXPECT_EQ(parallel[i].original_size, serial[i].original_size)
+        << "sample " << i;
+  }
+}
+
 }  // namespace
 }  // namespace udring::explore

@@ -455,19 +455,29 @@ TEST_P(ExhaustiveAlgorithms, VerifiedAtIssueScaleWithPruning) {
   EXPECT_GT(report.stats.states_deduped, 0u);
 }
 
+/// Every edge of a walk steps one action and every backtrack undoes one, so
+/// a walk with no rewiring plan executes one action per edge: one into
+/// every expanded state but the root, one into every dedup hit and one into
+/// every schedule's last configuration.
+void expect_one_action_per_edge(const McStats& s, const std::string& what) {
+  EXPECT_EQ(s.total_actions,
+            s.states_expanded - 1 + s.states_deduped + s.schedules)
+      << what;
+}
+
 TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
   // The `udring_mc --seed=1 --n=12 --k=4` draws. Schedules, states, dedup
   // counts and depth are properties of the closure, not of how the walk
-  // backtracks, so snapshot restores must reproduce them exactly.
-  // replays == 0 and the pinned total_actions (tree edges plus restore
-  // re-steps) keep the restore path from drifting into prefix replays.
+  // backtracks, so undoing edges must reproduce them exactly. replays == 0
+  // and total_actions == the edge count keep the walk from re-executing
+  // anything.
   struct Pin {
     std::size_t schedules, expanded, deduped, sleep_pruned, max_depth,
         total_actions;
   };
   const Pin pin = GetParam() == core::Algorithm::KnownKFull
-                      ? Pin{1, 5576, 11837, 0, 88, 58898}
-                      : Pin{6, 6442, 12247, 0, 115, 61710};
+                      ? Pin{1, 5576, 11837, 0, 88, 17413}
+                      : Pin{6, 6442, 12247, 0, 115, 18694};
   Rng rng(1);
   const explore::DrawnInstance drawn =
       explore::draw_instance(explore::FuzzTopology::Ring, 12, 4, rng);
@@ -483,6 +493,7 @@ TEST_P(ExhaustiveAlgorithms, SeedOneWalkCountsArePinned) {
   EXPECT_EQ(report.stats.max_depth, pin.max_depth);
   EXPECT_EQ(report.stats.replays, 0u);
   EXPECT_EQ(report.stats.total_actions, pin.total_actions);
+  expect_one_action_per_edge(report.stats, "seed-one walk");
   EXPECT_EQ(report.stats.shards, 1u);
 }
 
@@ -492,20 +503,17 @@ TEST(Exhaustive, LargestSeedOneWalkCountsArePinned) {
   // states carry broadcast mail, and unknown-relaxed at n = 12, whose mail
   // carries variable-length distance sequences; k = 4. Walked serially and
   // cut into 64 frontier shards racing on 4 workers over the one visited
-  // store, the closure (states, dedup answers, depth) is the same, the
-  // actions (tree edges plus snapshot-restore re-steps) and shard counts
-  // are each walk's own, and no walk re-executes a prefix from C_0.
+  // store, the closure (states, dedup answers, depth) is the same, and so
+  // are the actions: one per edge of the closure. Only the shard counts are
+  // each walk's own.
   struct Pin {
     core::Algorithm algorithm;
-    std::size_t n, expanded, deduped, max_depth;
-    std::size_t serial_actions, sharded_actions, shards;
+    std::size_t n, expanded, deduped, max_depth, actions, shards;
   };
   const Pin pins[] = {
-      {core::Algorithm::KnownKFull, 24, 63893, 159803, 174, 783158, 780848, 65},
-      {core::Algorithm::KnownKLogMem, 20, 50214, 111304, 199, 551147, 548536,
-       79},
-      {core::Algorithm::UnknownRelaxed, 12, 65636, 143969, 616, 713882, 710155,
-       71}};
+      {core::Algorithm::KnownKFull, 24, 63893, 159803, 174, 223696, 65},
+      {core::Algorithm::KnownKLogMem, 20, 50214, 111304, 199, 161525, 79},
+      {core::Algorithm::UnknownRelaxed, 12, 65636, 143969, 616, 209605, 71}};
   McOptions serial;
   serial.workers = 1;
   McOptions sharded;
@@ -526,9 +534,8 @@ TEST(Exhaustive, LargestSeedOneWalkCountsArePinned) {
       EXPECT_EQ(report.stats.states_deduped, pin.deduped) << what;
       EXPECT_EQ(report.stats.max_depth, pin.max_depth) << what;
       EXPECT_EQ(report.stats.replays, 0u) << what;
-      EXPECT_EQ(report.stats.total_actions,
-                shard ? pin.sharded_actions : pin.serial_actions)
-          << what;
+      EXPECT_EQ(report.stats.total_actions, pin.actions) << what;
+      expect_one_action_per_edge(report.stats, what);
       EXPECT_EQ(report.stats.shards, shard ? pin.shards : 1u) << what;
     }
   }
@@ -582,6 +589,9 @@ TEST(Exhaustive, SeedOneDrawsVerifyInEveryWalkMode) {
         << report.failure_reason;
     EXPECT_TRUE(report.complete) << core::to_string(row.algorithm) << ' '
                                  << row.what;
+    expect_one_action_per_edge(
+        report.stats, std::string(core::to_string(row.algorithm)) + ' ' +
+                          row.what);
   }
   exp::CampaignGrid grid;
   grid.algorithms = {core::Algorithm::KnownKFull};
@@ -591,6 +601,9 @@ TEST(Exhaustive, SeedOneDrawsVerifyInEveryWalkMode) {
   const GridReport report = check_grid(grid);
   EXPECT_EQ(report.cells.size(), 2u);
   EXPECT_TRUE(report.all_verified());
+  for (const GridCell& cell : report.cells) {
+    expect_one_action_per_edge(cell.report.stats, "grid cell");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallGrids, ExhaustiveAlgorithms,
@@ -621,21 +634,21 @@ TEST(ReportDigest, PinnedForEveryAlgorithmAcrossWalkModes) {
   // gather all of them).
   const std::map<core::Algorithm, Pin> pins = {
       {core::Algorithm::KnownKFull,
-       {0x5b014fa3c9a28f4e, 0x00dfd97e542ea498}},
+       {0xba07f6347a8f5b3d, 0x73811c8c969dc77c}},
       {core::Algorithm::KnownNFull,
-       {0x5b014fa3c9a28f4e, 0x00dfd97e542ea498}},
+       {0xba07f6347a8f5b3d, 0x73811c8c969dc77c}},
       {core::Algorithm::KnownKLogMem,
-       {0xe1a1bfcc765a28b7, 0xe10e8455318d2b8f}},
+       {0x75600b9af89349c9, 0x7e910096eff42d14}},
       {core::Algorithm::KnownKLogMemStrict,
-       {0xe1a1bfcc765a28b7, 0xe10e8455318d2b8f}},
+       {0x75600b9af89349c9, 0x7e910096eff42d14}},
       {core::Algorithm::UnknownRelaxed,
-       {0x9200105d4e1d36e2, 0xcfa69c92bc51b83c}},
+       {0x1f7d2410c3ce0c09, 0x13f8d870e02dca37}},
       {core::Algorithm::Rendezvous,
-       {0xd850390aa9086b58, 0xce8cca5b81a0d36a}},
+       {0x258cab672fc16269, 0x94f127d1334fed7f}},
       {core::Algorithm::GatherRing,
-       {0xd850390aa9086b58, 0xce8cca5b81a0d36a}},
+       {0x258cab672fc16269, 0x94f127d1334fed7f}},
       {core::Algorithm::DisperseRing,
-       {0x03db4f750ed69426, 0x4ba9cdeb9b054211}},
+       {0xdec5034d5705df45, 0xfe881c3973006619}},
   };
   McOptions sharded;
   sharded.frontier_target = 6;
@@ -790,14 +803,15 @@ TEST(OneStore, VerdictAndCountsIdenticalAtAnyWorkerCount) {
     expect_same_report(sharded, check(request, racing),
                        "worker count changed the sharded report");
   }
-  // The serial walk claims the same closure: only the shard count and the
-  // actions (restore re-steps fall at other depths) differ.
+  // The serial walk claims the same closure and steps each of its edges
+  // once: only the shard count differs.
   const ModelCheckReport serial = check(request);
   EXPECT_EQ(serial.verdict, sharded.verdict);
   EXPECT_EQ(serial.stats.schedules, sharded.stats.schedules);
   EXPECT_EQ(serial.stats.states_expanded, sharded.stats.states_expanded);
   EXPECT_EQ(serial.stats.states_deduped, sharded.stats.states_deduped);
   EXPECT_EQ(serial.stats.max_depth, sharded.stats.max_depth);
+  EXPECT_EQ(serial.stats.total_actions, sharded.stats.total_actions);
 }
 
 TEST(OneStore, FaultPlansWalkAsOneShard) {
@@ -932,6 +946,12 @@ TEST(Budget, ExhaustionIsReportedNotMistakenForAVerdict) {
   EXPECT_FALSE(report.complete);
   EXPECT_EQ(report.verdict, "budget-exhausted");
   EXPECT_FALSE(report.counterexample.has_value());
+}
+
+TEST(Report, CollisionBoundIsStatesSquaredOverTwoToThe65) {
+  EXPECT_EQ(collision_bound(0), "0.0e+00");
+  EXPECT_EQ(collision_bound(5576), "8.4e-13");  // the n=12 seed-one walk
+  EXPECT_EQ(collision_bound(std::size_t{1} << 32), "5.0e-01");
 }
 
 TEST(Report, RejectsEmptyInstance) {

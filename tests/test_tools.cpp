@@ -134,8 +134,8 @@ TEST(UdringFuzz, FaultBudgetCounterexamplesReplay) {
 
 TEST(UdringMc, PrintsTheReportMcCheckReturns) {
   // The report lines are mc::check's report for the instance the flags draw
-  // (--seed=1 by default), serially and sharded, and a verified closure
-  // exits 0.
+  // (--seed=1 by default), serially and sharded, with hash compaction's
+  // collision bound beside the verdict, and a verified closure exits 0.
   struct Case {
     std::string flags;
     core::Algorithm algorithm;
@@ -162,7 +162,9 @@ TEST(UdringMc, PrintsTheReportMcCheckReturns) {
     const mc::McStats& s = report.stats;
     std::ostringstream want;
     want << "verdict: " << report.verdict
-         << (report.complete ? " (complete)" : " (incomplete)") << '\n'
+         << (report.complete ? " (complete)" : " (incomplete)")
+         << "   collision bound: " << mc::collision_bound(s.states_expanded)
+         << '\n'
          << "schedules explored: " << s.schedules
          << "   states expanded: " << s.states_expanded
          << "   deduped: " << s.states_deduped << '\n'

@@ -17,7 +17,8 @@
 // as is an unknown or repeated flag.
 //
 // Fuzz mode exits 1 when a failure is found; each failure is shrunk to a
-// minimal trace and written under --out, where anyone can
+// minimal trace (the shrinks run across --workers, like the fuzz) and
+// written under --out, where anyone can
 // `udring_fuzz --replay=<file>` it. Replay mode exits
 // 1 when the replay diverges from the recording — a digest mismatch, or an
 // outcome that contradicts the trace's note (a recorded failure that fails
@@ -32,6 +33,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "explore/fuzz.h"
 #include "explore/shrink.h"
@@ -118,11 +120,15 @@ int fuzz_mode(const explore::FuzzOptions& options, const std::string& out_dir) {
   if (report.failures == 0) return 0;
 
   if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
+  // Shrunk across the fuzz's workers, printed and written in sample order.
+  const std::vector<explore::ShrinkResult> shrunk_samples =
+      explore::shrink_failures(report.failure_samples, options.workers);
   std::size_t written = 0;
-  for (const explore::FuzzFailure& failure : report.failure_samples) {
+  for (std::size_t i = 0; i < shrunk_samples.size(); ++i) {
+    const explore::FuzzFailure& failure = report.failure_samples[i];
+    const explore::ShrinkResult& shrunk = shrunk_samples[i];
     std::cout << "  FAIL iteration " << failure.iteration << " @action "
               << failure.at_action << ": " << failure.reason << '\n';
-    const explore::ShrinkResult shrunk = explore::shrink_trace(failure.trace);
     std::cout << "    shrunk " << shrunk.original_size << " -> "
               << shrunk.trace.choices.size() << " choices ("
               << shrunk.replays << " replays): " << shrunk.reason << '\n';
@@ -189,7 +195,10 @@ int main(int argc, char** argv) {
     options.max_agents =
         cli.get_size("max-agents", 6, "maximum agent count", {"fuzz"});
     options.workers =
-        cli.get_size("workers", 0, "worker threads (0 = all cores)", {"fuzz"});
+        cli.get_size("workers", 0,
+                     "worker threads for the fuzz and the shrinks (0 = all "
+                     "cores)",
+                     {"fuzz"});
     options.oracle = explore::oracle_mode_from_name(
         *cli.get("oracle",
                  "per-action invariant oracle: full (re-walk every node each "

@@ -36,7 +36,9 @@ using namespace udring;
 void print_report(const mc::ModelCheckReport& report) {
   const mc::McStats& s = report.stats;
   std::cout << "verdict: " << report.verdict
-            << (report.complete ? " (complete)" : " (incomplete)") << '\n'
+            << (report.complete ? " (complete)" : " (incomplete)")
+            << "   collision bound: " << mc::collision_bound(s.states_expanded)
+            << '\n'
             << "schedules explored: " << s.schedules
             << "   states expanded: " << s.states_expanded
             << "   deduped: " << s.states_deduped << '\n'
@@ -89,9 +91,8 @@ int main(int argc, char** argv) {
     mc::McOptions options;
     options.budget_actions = cli.get_size(
         "budget", 0,
-        "budget on executed simulator actions: tree edges plus snapshot-"
-        "restore re-steps, ~11-12 per expanded state on the dedup closure "
-        "(0 = walk to exhaustion)");
+        "budget on executed simulator actions, one per edge stepped: ~3-4 "
+        "per expanded state on the dedup closure (0 = walk to exhaustion)");
     options.frontier_target = cli.get_size(
         "frontier", 1, "frontier shards for the parallel walk (1 = serial)");
     options.workers =
